@@ -24,7 +24,7 @@ from .scalars import RATIONAL, SQRT_Q, Domain, ParamScalar, Scalar, \
     ScalarDomainError, cyclotomic, eval_q_powers, gauss_binomial, \
     lift_cyclotomic, parse_param_scalar, parse_scalar, q_bracket, \
     q_bracket_factorial, q_number, q_number_factorial
-from .taft import Representation, TaftParams, build_taft, canonical_q, \
+from .taft import Representation, build_taft, canonical_q, \
     rep_indecomposable, rep_irreducible, taft_r_matrix, x_degree_grading
 from .uqsl2 import SqrtExt, WeightedRep, r_matrix_terms, spin_half, \
     spin_one, uqsl2_r_matrix
@@ -49,7 +49,7 @@ __all__ = [
     "ScalarDomainError", "cyclotomic", "eval_q_powers", "gauss_binomial",
     "lift_cyclotomic", "parse_param_scalar", "parse_scalar", "q_bracket",
     "q_bracket_factorial", "q_number", "q_number_factorial",
-    "Representation", "TaftParams", "build_taft", "canonical_q",
+    "Representation", "build_taft", "canonical_q",
     "rep_indecomposable", "rep_irreducible", "taft_r_matrix",
     "x_degree_grading",
     "SqrtExt", "WeightedRep", "r_matrix_terms", "spin_half", "spin_one",

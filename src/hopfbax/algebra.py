@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .scalars import Scalar, ParamScalar, Domain
+from .scalars import Scalar, ParamScalar, Domain, accumulate, as_param_scalar
 
 
 class Algebra:
@@ -97,12 +97,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for l, c in other.terms.items():
-            d = out.get(l)
-            c = c if d is None else d + c
-            if c.is_zero():
-                out.pop(l, None)
-            else:
-                out[l] = c
+            accumulate(out, l, c)
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
@@ -131,13 +126,7 @@ class AlgebraElement:
             for l2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for l3, c3 in self.algebra.product_basis(l1, l2).items():
-                    c = c12 * c3
-                    d = out.get(l3)
-                    c = c if d is None else d + c
-                    if c.is_zero():
-                        out.pop(l3, None)
-                    else:
-                        out[l3] = c
+                    accumulate(out, l3, c12 * c3)
         return AlgebraElement(self.algebra, out)
 
     def __rmul__(self, other):
@@ -174,14 +163,6 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 # tensor elements
 # ---------------------------------------------------------------------------
 
-def _promote(c, domain):
-    if isinstance(c, ParamScalar):
-        return c
-    if isinstance(c, Scalar):
-        return ParamScalar.constant(c)
-    return ParamScalar.constant(domain.from_fraction(c))
-
-
 class TensorElement:
     """Sparse element of A_1 (x) ... (x) A_k with ParamScalar coefficients."""
 
@@ -193,7 +174,7 @@ class TensorElement:
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = _promote(v, domain)
+                v = as_param_scalar(v, domain)
                 if not v.is_zero():
                     self.terms[tuple(k)] = v
 
@@ -215,8 +196,7 @@ class TensorElement:
             c = combo[0][1]
             for _, v in combo[1:]:
                 c = c * v
-            d = terms.get(key)
-            terms[key] = c if d is None else d + c
+            accumulate(terms, key, c)
         return TensorElement(algebras, terms)
 
     def is_zero(self) -> bool:
@@ -236,12 +216,7 @@ class TensorElement:
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k)
-            v = v if w is None else w + v
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
+            accumulate(out, k, v)
         return TensorElement(self.algebras, out)
 
     def __neg__(self):
@@ -253,7 +228,7 @@ class TensorElement:
         return self + (-other)
 
     def scaled(self, c) -> "TensorElement":
-        c = _promote(c, self.domain)
+        c = as_param_scalar(c, self.domain)
         return TensorElement(self.algebras,
                              {k: c * v for k, v in self.terms.items()})
 
@@ -302,12 +277,7 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
                 cc = c
                 for _, v in combo:
                     cc = cc * v
-                w = out.get(key)
-                cc = cc if w is None else w + cc
-                if cc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = cc
+                accumulate(out, key, cc)
     return TensorElement(algebras, out)
 
 
@@ -338,13 +308,7 @@ def embed(x: TensorElement, positions, algebras) -> "TensorElement":
             for (i, (l, u)) in zip(free, combo):
                 key[i] = l
                 cc = cc * u
-            key = tuple(key)
-            w = out.get(key)
-            cc = cc if w is None else w + cc
-            if cc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cc
+            accumulate(out, tuple(key), cc)
     return TensorElement(algebras, out)
 
 

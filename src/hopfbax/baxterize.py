@@ -72,19 +72,25 @@ def decompose_graded(r: TensorElement, left: Grading,
         left, right)
 
 
-def baxterize(graded: GradedRElement) -> TensorElement:
-    """R(mu) = sum_i mu^i R_i for an integer-graded decomposition."""
+def _weighted_sum(graded: GradedRElement, weight) -> TensorElement:
+    """sum_p mu^weight(p) R_p over the degree blocks R_p."""
     out = None
     for d, te in graded.by_degree.items():
-        if not isinstance(d, int):
-            raise TypeError(
-                f"degree {d!r} is not an integer; use baxterize_zn with a "
-                "weight functional")
-        piece = te.scaled(ParamScalar.monomial(te.domain.one(), d, 0))
+        piece = te.scaled(ParamScalar.monomial(te.domain.one(), weight(d), 0))
         out = piece if out is None else out + piece
     if out is None:
         raise ValueError("nothing to Baxterize: empty decomposition")
     return out
+
+
+def baxterize(graded: GradedRElement) -> TensorElement:
+    """R(mu) = sum_i mu^i R_i for an integer-graded decomposition."""
+    for d in graded.by_degree:
+        if not isinstance(d, int):
+            raise TypeError(
+                f"degree {d!r} is not an integer; use baxterize_zn with a "
+                "weight functional")
+    return _weighted_sum(graded, lambda d: d)
 
 
 def _as_tau(tau):
@@ -113,13 +119,7 @@ def baxterize_zn(graded: GradedRElement, tau) -> TensorElement:
                 if fn(_deg_add(p, r)) != fn(p) + fn(r):
                     raise ValueError(
                         f"tau is not additive: tau({p}+{r}) != tau({p})+tau({r})")
-    out = None
-    for d, te in graded.by_degree.items():
-        piece = te.scaled(ParamScalar.monomial(te.domain.one(), fn(d), 0))
-        out = piece if out is None else out + piece
-    if out is None:
-        raise ValueError("nothing to Baxterize: empty decomposition")
-    return out
+    return _weighted_sum(graded, fn)
 
 
 def mu_components(r: TensorElement) -> dict:

@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .baxterize import baxterize, baxterize_zn, decompose_graded, evaluate_at_one
 from .double import CONVENTIONS, DEFAULT_CONVENTION, build_double, canonical_r, \
@@ -57,7 +57,6 @@ class JobConfig:
     input_path: str | None = None
     kind: str = "auto"
     raw: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _parse_rep(text: str) -> tuple:
@@ -99,17 +98,33 @@ def _report_out(report, config: JobConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _taft_q(config: JobConfig):
+def _emit_family(m: ParametricMatrix, config: JobConfig) -> int:
+    _emit_matrix(m, config)
+    if config.verify:
+        report = check_parametric_ybe(m) if config.parametric \
+            else check_constant_ybe(m)
+        return _report_out(report, config)
+    return 0
+
+
+def _scalar_arg(text: str, domain):
+    """A scalar given on the command line; domain errors are usage errors."""
+    try:
+        return parse_scalar(text, domain)
+    except ArithmeticError as exc:
+        raise UsageError(f"bad scalar {text!r}: {exc}") from exc
+
+
+def _taft(config: JobConfig):
+    if config.N < 2:
+        raise UsageError("--N must be at least 2")
     domain = cyclotomic(config.N)
-    if config.q is None:
-        return domain.q()
-    return parse_scalar(config.q, domain)
+    q = domain.q() if config.q is None else _scalar_arg(config.q, domain)
+    return build_taft(config.N, q)
 
 
 def run_taft(config: JobConfig) -> int:
-    if config.N < 2:
-        raise UsageError("--N must be at least 2")
-    h = build_taft(config.N, _taft_q(config))
+    h = _taft(config)
     if config.rep is None and config.alpha is None:
         status = 0
         reports = [check_hopf_axioms(h),
@@ -128,35 +143,24 @@ def run_taft(config: JobConfig) -> int:
     else:
         if config.l is None:
             raise UsageError("--indecomposable needs --l")
-        alpha = parse_scalar(config.alpha, h.domain)
+        alpha = _scalar_arg(config.alpha, h.domain)
         rep = rep_indecomposable(d, alpha, config.l)
     normalize = (config.rep is not None) and not config.raw
-    m = taft_r_matrix(rep, parametric=config.parametric, normalize=normalize)
-    _emit_matrix(m, config)
-    if config.verify:
-        report = check_parametric_ybe(m) if config.parametric \
-            else check_constant_ybe(m)
-        return _report_out(report, config)
-    return 0
+    return _emit_family(
+        taft_r_matrix(rep, parametric=config.parametric, normalize=normalize),
+        config)
 
 
 def run_uqsl2(config: JobConfig) -> int:
     if config.spin not in ("1/2", "1"):
         raise UsageError("--spin must be 1/2 or 1")
     rep = spin_half() if config.spin == "1/2" else spin_one()
-    m = uqsl2_r_matrix(rep, parametric=config.parametric)
-    _emit_matrix(m, config)
-    if config.verify:
-        report = check_parametric_ybe(m) if config.parametric \
-            else check_constant_ybe(m)
-        return _report_out(report, config)
-    return 0
+    return _emit_family(uqsl2_r_matrix(rep, parametric=config.parametric),
+                        config)
 
 
 def run_double(config: JobConfig) -> int:
-    if config.N < 2:
-        raise UsageError("--N must be at least 2")
-    d = build_double(build_taft(config.N, _taft_q(config)), config.convention)
+    d = build_double(_taft(config), config.convention)
     r = canonical_r(d)
     status = _report_out(check_constant_ybe_algebraic(d, r), config)
     if config.parametric:
@@ -167,9 +171,7 @@ def run_double(config: JobConfig) -> int:
 
 
 def run_baxterize(config: JobConfig) -> int:
-    if config.N < 2:
-        raise UsageError("--N must be at least 2")
-    d = build_double(build_taft(config.N, _taft_q(config)), config.convention)
+    d = build_double(_taft(config), config.convention)
     r = canonical_r(d).tensor()
     grading = double_grading(d, x_degree_grading(d.h))
     if config.zn:
@@ -196,7 +198,9 @@ def run_verify(config: JobConfig) -> int:
     try:
         with open(config.input_path, encoding="utf-8") as fh:
             m = ParametricMatrix.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, LookupError, TypeError,
+            ArithmeticError) as exc:
+        # unreadable file, malformed JSON, bad scalar or out-of-range index
         raise UsageError(f"cannot load matrix: {exc}") from exc
     kind = config.kind
     if kind == "auto":

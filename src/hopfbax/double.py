@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, AlgebraElement, TensorElement, embed, tensor_multiply
-from .hopf import HopfAlgebra, Grading, dual, dual_grading
-from .scalars import ParamScalar
+from .hopf import HopfAlgebra, Grading, _deg_add, dual, dual_grading
+from .scalars import accumulate
 from .ybe import YbeReport, worst_tensor_term
 
 
@@ -43,6 +43,12 @@ CONVENTIONS = ("s_inv_right", "s_inv_left", "s_right", "s_left",
                "inv_right_s", "inv_left_s", "right_s", "left_s")
 
 DEFAULT_CONVENTION = "inv_left_s"
+
+
+def _pair_terms(h_terms: dict, dual_terms: dict) -> dict:
+    """Coefficients of (sum c_g g) * (sum c_f f) on the pair labels (g, f)."""
+    return {(g, f): cg * cf for g, cg in h_terms.items()
+            for f, cf in dual_terms.items()}
 
 
 class DoubleAlgebra:
@@ -56,10 +62,7 @@ class DoubleAlgebra:
         self.convention = convention
         halg, dalg = h.algebra, self.hdual.algebra
         labels = [(g, f) for g in halg.labels for f in dalg.labels]
-        unit_terms = {}
-        for g, cg in halg._unit_terms.items():
-            for f, cf in dalg._unit_terms.items():
-                unit_terms[(g, f)] = cg * cf
+        unit_terms = _pair_terms(halg._unit_terms, dalg._unit_terms)
 
         def label_str(pair):
             g, f = pair
@@ -111,20 +114,9 @@ class DoubleAlgebra:
             for k in halg.labels:
                 sandwiched = left * halg.basis(k) * right
                 for m, val in sandwiched.terms.items():
-                    pairs = out[m]
-                    key = (v, k)
-                    cur = pairs.get(key)
-                    val = c * val if cur is None else cur + c * val
-                    if val.is_zero():
-                        pairs.pop(key, None)
-                    else:
-                        pairs[key] = val
+                    accumulate(out[m], (v, k), c * val)
         self._cross[g] = out
         return out
-
-    def cross(self, f, g) -> AlgebraElement:
-        """The product (dual basis f) * (H basis g), in the pair basis."""
-        return self.algebra.element(dict(self._cross_for(g)[f]))
 
     def _pair_product(self, p1, p2):
         (g1, f1), (g2, f2) = p1, p2
@@ -133,14 +125,7 @@ class DoubleAlgebra:
         for (v, k), c in self._cross_for(g2)[f1].items():
             for gg, cg in halg.product_basis(g1, v).items():
                 for ff, cf in dalg.product_basis(k, f2).items():
-                    key = (gg, ff)
-                    val = c * cg * cf
-                    cur = out.get(key)
-                    val = val if cur is None else cur + val
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
+                    accumulate(out, (gg, ff), c * cg * cf)
         return out
 
     # -- embeddings -------------------------------------------------------------
@@ -148,21 +133,15 @@ class DoubleAlgebra:
         """H -> D, g |-> g * 1_{H*}."""
         if not isinstance(x, AlgebraElement):
             x = self.h.algebra.basis(x)
-        out = {}
-        for g, cg in x.terms.items():
-            for f, cf in self.hdual.algebra._unit_terms.items():
-                out[(g, f)] = cg * cf
-        return self.algebra.element(out)
+        return self.algebra.element(
+            _pair_terms(x.terms, self.hdual.algebra._unit_terms))
 
     def embed_dual(self, x) -> AlgebraElement:
         """H* -> D, f |-> 1_H * f."""
         if not isinstance(x, AlgebraElement):
             x = self.hdual.algebra.basis(x)
-        out = {}
-        for g, cg in self.h.algebra._unit_terms.items():
-            for f, cf in x.terms.items():
-                out[(g, f)] = cg * cf
-        return self.algebra.element(out)
+        return self.algebra.element(
+            _pair_terms(self.h.algebra._unit_terms, x.terms))
 
     def counit(self, x) -> "Scalar":
         """Counit of the double: eps(g f) = eps_H(g) * f(1_H)."""
@@ -215,9 +194,7 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
     gd = dual_grading(grading_h, double.hdual.algebra)
     degrees = {}
     for (g, f) in double.algebra.labels:
-        a, b = grading_h.degree(g), gd.degree(f)
-        degrees[(g, f)] = (tuple(x + y for x, y in zip(a, b))
-                           if isinstance(a, tuple) else a + b)
+        degrees[(g, f)] = _deg_add(grading_h.degree(g), gd.degree(f))
     return Grading(double.algebra, degrees)
 
 
@@ -229,7 +206,13 @@ def _as_tensor(r) -> TensorElement:
     return r.tensor() if isinstance(r, CanonicalR) else r
 
 
-def _triple_compare(double, r12, r13, r23, kind) -> YbeReport:
+def _triple_compare(kind, double, r12, r13, r23) -> YbeReport:
+    """Place two-leg elements at slots 12, 13, 23 of D (x) D (x) D and
+    report the residual R12 R13 R23 - R23 R13 R12."""
+    algs = (double.algebra,) * 3
+    r12 = embed(r12, (0, 1), algs)
+    r13 = embed(r13, (0, 2), algs)
+    r23 = embed(r23, (1, 2), algs)
     lhs = tensor_multiply(tensor_multiply(r12, r13), r23)
     rhs = tensor_multiply(tensor_multiply(r23, r13), r12)
     residual = lhs - rhs
@@ -242,19 +225,12 @@ def _triple_compare(double, r12, r13, r23, kind) -> YbeReport:
 def check_constant_ybe_algebraic(double: DoubleAlgebra, r) -> YbeReport:
     """R12 R13 R23 = R23 R13 R12 for R in D (x) D, expanded exactly."""
     r = _as_tensor(r)
-    algs = (double.algebra,) * 3
-    r12 = embed(r, (0, 1), algs)
-    r13 = embed(r, (0, 2), algs)
-    r23 = embed(r, (1, 2), algs)
-    return _triple_compare(double, r12, r13, r23, "constant-algebraic")
+    return _triple_compare("constant-algebraic", double, r, r, r)
 
 
 def check_parametric_ybe_algebraic(double: DoubleAlgebra, r_mu: TensorElement) -> YbeReport:
     """R12(mu) R13(mu nu) R23(nu) = R23(nu) R13(mu nu) R12(mu), exactly."""
-    algs = (double.algebra,) * 3
-    r12 = embed(r_mu, (0, 1), algs)
-    r13 = embed(r_mu.map_coefficients(
-        lambda v: v.remap_exponents(mu_to=(1, 1))), (0, 2), algs)
-    r23 = embed(r_mu.map_coefficients(
-        lambda v: v.remap_exponents(mu_to=(0, 1))), (1, 2), algs)
-    return _triple_compare(double, r12, r13, r23, "parametric-algebraic")
+    return _triple_compare(
+        "parametric-algebraic", double, r_mu,
+        r_mu.map_coefficients(lambda v: v.remap_exponents(mu_to=(1, 1))),
+        r_mu.map_coefficients(lambda v: v.remap_exponents(mu_to=(0, 1))))

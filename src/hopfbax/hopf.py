@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .algebra import Algebra, AlgebraElement, TensorElement, tensor_multiply
-from .scalars import Scalar
+from .algebra import Algebra, AlgebraElement, TensorElement, \
+    associativity_violations, tensor_multiply, unit_violations
+from .scalars import Scalar, accumulate
 
 
 class HopfAlgebra:
@@ -46,14 +47,21 @@ class HopfAlgebra:
         return self.algebra.unit()
 
     # -- linear extensions ----------------------------------------------------
+    @staticmethod
+    def _extend(table, x, zero):
+        """table[x] for a basis label x; the linear extension for an element."""
+        if not isinstance(x, AlgebraElement):
+            return table[x]
+        out = zero()
+        for l, c in x.terms.items():
+            v = table[l]
+            out = out + (c * v if isinstance(v, Scalar) else v.scaled(c))
+        return out
+
     def delta(self, x) -> TensorElement:
         """Coproduct of a basis label or element."""
-        if not isinstance(x, AlgebraElement):
-            return self.coproduct[x]
-        out = TensorElement((self.algebra, self.algebra))
-        for l, c in x.terms.items():
-            out = out + self.coproduct[l].scaled(c)
-        return out
+        return self._extend(self.coproduct, x,
+                            lambda: TensorElement((self.algebra, self.algebra)))
 
     def delta_squared(self, x) -> TensorElement:
         """(Delta (x) id) Delta, an arity-3 expansion."""
@@ -61,38 +69,19 @@ class HopfAlgebra:
         out = {}
         for (l0, l1), c in d.terms.items():
             for (m0, m1), e in self.coproduct[l0].terms.items():
-                k = (m0, m1, l1)
-                v = c * e
-                w = out.get(k)
-                v = v if w is None else w + v
-                out[k] = v
+                accumulate(out, (m0, m1, l1), c * e)
         return TensorElement((self.algebra,) * 3, out)
 
     def eps(self, x) -> Scalar:
-        if not isinstance(x, AlgebraElement):
-            return self.counit[x]
-        out = self.domain.zero()
-        for l, c in x.terms.items():
-            out = out + c * self.counit[l]
-        return out
+        return self._extend(self.counit, x, self.domain.zero)
 
     def gamma(self, x) -> AlgebraElement:
-        if not isinstance(x, AlgebraElement):
-            return self.antipode[x]
-        out = self.algebra.zero()
-        for l, c in x.terms.items():
-            out = out + self.antipode[l].scaled(c)
-        return out
+        return self._extend(self.antipode, x, self.algebra.zero)
 
     def gamma_inverse(self, x) -> AlgebraElement:
         if self._antipode_inv is None:
             self._antipode_inv = invert_linear_table(self.algebra, self.antipode)
-        if not isinstance(x, AlgebraElement):
-            return self._antipode_inv[x]
-        out = self.algebra.zero()
-        for l, c in x.terms.items():
-            out = out + self._antipode_inv[l].scaled(c)
-        return out
+        return self._extend(self._antipode_inv, x, self.algebra.zero)
 
     def __repr__(self):
         return f"HopfAlgebra({self.name}, dim={self.algebra.dim})"
@@ -176,37 +165,24 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
     report = HopfReport(alg.name)
     add = report.axioms.append
 
-    def first_fail(gen):
-        return next(gen, None)
+    def record(name, failures):
+        """Record an axiom; the first failing basis tuple is its witness."""
+        bad = next(iter(failures), None)
+        add(AxiomResult(name, bad is None,
+                        None if bad is None else _fmt(alg, bad)))
 
-    bad = first_fail(
-        (l1, l2, l3) for l1, l2, l3 in iproduct(labels, labels, labels)
-        if (alg.basis(l1) * alg.basis(l2)) * alg.basis(l3)
-        != alg.basis(l1) * (alg.basis(l2) * alg.basis(l3)))
-    add(AxiomResult("associativity", bad is None,
-                    None if bad is None else _fmt(alg, bad)))
-
-    e = alg.unit()
-    bad = first_fail(l for l in labels
-                     if e * alg.basis(l) != alg.basis(l)
-                     or alg.basis(l) * e != alg.basis(l))
-    add(AxiomResult("unit", bad is None,
-                    None if bad is None else _fmt(alg, (bad,))))
+    record("associativity", associativity_violations(alg))
+    record("unit", ((l,) for l in unit_violations(alg)))
 
     def coassoc_fail(l):
         left = h.delta_squared(l)
         right = {}
         for (l0, l1), c in h.delta(l).terms.items():
             for (m0, m1), d in h.coproduct[l1].terms.items():
-                k = (l0, m0, m1)
-                v = c * d
-                w = right.get(k)
-                right[k] = v if w is None else w + v
+                accumulate(right, (l0, m0, m1), c * d)
         return left != TensorElement((alg,) * 3, right)
 
-    bad = first_fail(l for l in labels if coassoc_fail(l))
-    add(AxiomResult("coassociativity", bad is None,
-                    None if bad is None else _fmt(alg, (bad,))))
+    record("coassociativity", ((l,) for l in labels if coassoc_fail(l)))
 
     def counit_fail(l):
         left = alg.zero()
@@ -216,9 +192,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
             right = right + alg.basis(l0).scaled((c * h.counit[l1]).as_scalar())
         return left != alg.basis(l) or right != alg.basis(l)
 
-    bad = first_fail(l for l in labels if counit_fail(l))
-    add(AxiomResult("counit", bad is None,
-                    None if bad is None else _fmt(alg, (bad,))))
+    record("counit", ((l,) for l in labels if counit_fail(l)))
 
     def compat_fail(pair):
         l1, l2 = pair
@@ -229,10 +203,10 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
             return True
         return h.eps(prod) != h.counit[l1] * h.counit[l2]
 
-    bad = first_fail(p for p in iproduct(labels, labels) if compat_fail(p))
-    add(AxiomResult("bialgebra compatibility", bad is None,
-                    None if bad is None else _fmt(alg, bad)))
+    record("bialgebra compatibility",
+           (p for p in iproduct(labels, labels) if compat_fail(p)))
 
+    e = alg.unit()
     unit_ok = (h.delta(e) == TensorElement.of(e, e)) and h.eps(e).is_one()
     add(AxiomResult("bialgebra unit/counit of 1", unit_ok,
                     None if unit_ok else "unit element"))
@@ -247,9 +221,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
             right = right + (alg.basis(l0) * h.antipode[l1]).scaled(c)
         return left != want or right != want
 
-    bad = first_fail(l for l in labels if antipode_fail(l))
-    add(AxiomResult("antipode", bad is None,
-                    None if bad is None else _fmt(alg, (bad,))))
+    record("antipode", ((l,) for l in labels if antipode_fail(l)))
     return report
 
 
@@ -284,8 +256,7 @@ def dual(h: HopfAlgebra) -> HopfAlgebra:
     coprod_terms = {k: {} for k in labels}
     for l0, l1 in iproduct(labels, labels):
         for k, c in alg.product_basis(l0, l1).items():
-            d = coprod_terms[k].get((l0, l1))
-            coprod_terms[k][(l0, l1)] = c if d is None else d + c
+            accumulate(coprod_terms[k], (l0, l1), c)
 
     unit_terms = {l: h.counit[l] for l in labels if not h.counit[l].is_zero()}
 

@@ -20,12 +20,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .scalars import (Domain, ParamScalar, Scalar, RATIONAL, SQRT_Q, cyclotomic,
-                      parse_param_scalar, proportionality_ratio)
-
-
-def _domain_tag(d: Domain) -> str:
-    return str(d)
+from .scalars import (Domain, ParamScalar, Scalar, RATIONAL, SQRT_Q, accumulate,
+                      as_param_scalar, cyclotomic, parse_param_scalar,
+                      proportionality_ratio)
 
 
 def _domain_from_tag(tag: str) -> Domain:
@@ -36,6 +33,22 @@ def _domain_from_tag(tag: str) -> Domain:
     if tag.startswith("cyclotomic(") and tag.endswith(")"):
         return cyclotomic(int(tag[len("cyclotomic("):-1]))
     raise ValueError(f"unknown domain tag {tag!r}")
+
+
+def matmul_entries(a: dict, b: dict) -> dict:
+    """Product of two sparse matrices given as {(row, col): entry} dicts.
+
+    Entries may be any ring elements with +, * and is_zero(); zero sums are
+    dropped.
+    """
+    rows = {}
+    for (r, k), v in b.items():
+        rows.setdefault(r, []).append((k, v))
+    out = {}
+    for (r, k), v in a.items():
+        for c, w in rows.get(k, ()):
+            accumulate(out, (r, c), v * w)
+    return out
 
 
 class ParametricMatrix:
@@ -51,17 +64,10 @@ class ParametricMatrix:
             for (r, c), v in entries.items():
                 self.set(r, c, v)
 
-    def _promote(self, v) -> ParamScalar:
-        if isinstance(v, ParamScalar):
-            return v
-        if isinstance(v, Scalar):
-            return ParamScalar.constant(v)
-        return ParamScalar.constant(self.domain.from_fraction(v))
-
     def set(self, r: int, c: int, v):
         if not (0 <= r < self.dim and 0 <= c < self.dim):
-            raise IndexError((r, c))
-        v = self._promote(v)
+            raise IndexError(f"index {(r, c)} out of range for dim {self.dim}")
+        v = as_param_scalar(v, self.domain)
         if v.is_zero():
             self.entries.pop((r, c), None)
         else:
@@ -69,9 +75,6 @@ class ParametricMatrix:
 
     def get(self, r: int, c: int) -> ParamScalar:
         return self.entries.get((r, c), ParamScalar(self.domain))
-
-    def add_to(self, r: int, c: int, v):
-        self.set(r, c, self.get(r, c) + self._promote(v))
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -81,10 +84,6 @@ class ParametricMatrix:
         for i in range(dim):
             m.entries[(i, i)] = one
         return m
-
-    @staticmethod
-    def zero(dim: int, domain: Domain) -> "ParametricMatrix":
-        return ParametricMatrix(dim, domain)
 
     def copy(self) -> "ParametricMatrix":
         m = ParametricMatrix(self.dim, self.domain)
@@ -130,7 +129,7 @@ class ParametricMatrix:
         return out
 
     def scaled(self, v) -> "ParametricMatrix":
-        v = self._promote(v)
+        v = as_param_scalar(v, self.domain)
         out = ParametricMatrix(self.dim, self.domain)
         if not v.is_zero():
             for k, w in self.entries.items():
@@ -142,21 +141,8 @@ class ParametricMatrix:
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        rows = {}
-        for (r, k), v in other.entries.items():
-            rows.setdefault(r, []).append((k, v))
-        out = {}
-        for (r, k), v in self.entries.items():
-            for c, w in rows.get(k, ()):
-                p = v * w
-                u = out.get((r, c))
-                p = p if u is None else u + p
-                if p.is_zero():
-                    out.pop((r, c), None)
-                else:
-                    out[(r, c)] = p
         m = ParametricMatrix(self.dim, self.domain)
-        m.entries = out
+        m.entries = matmul_entries(self.entries, other.entries)
         return m
 
     def kron(self, other: "ParametricMatrix") -> "ParametricMatrix":
@@ -198,7 +184,7 @@ class ParametricMatrix:
             entries.append({"row": r + 1, "col": c + 1,
                             "value": str(self.entries[(r, c)])})
         return {"dim": self.dim,
-                "domain": _domain_tag(self.domain),
+                "domain": str(self.domain),
                 "param": "mu" if self.uses_parameters() else None,
                 "entries": entries}
 

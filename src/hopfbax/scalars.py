@@ -34,12 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-import math
 import re
 
 
 class ScalarDomainError(ArithmeticError):
     """Raised when an operation leaves its domain (zero division, bad mix)."""
+
+
+def accumulate(terms: dict, key, value):
+    """terms[key] += value for a sparse dict, dropping the key if the sum is 0."""
+    old = terms.get(key)
+    if old is not None:
+        value = old + value
+    if value.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -337,47 +347,27 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other) if isinstance(other, (Scalar, int, Fraction)) else None
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if isinstance(other, Scalar):
+            return (other.domain == self.domain
+                    and self.num == other.num and self.den == other.den)
+        if isinstance(other, (int, Fraction)):
+            o = self.domain.from_fraction(other)
+            return self.num == o.num and self.den == o.den
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.domain, self.num, self.den))
+            if len(self.num) < 2 and self.den == (1,):
+                # equal to an int or Fraction, so it must hash like one
+                self._hash = hash(self.num[0] if self.num else 0)
+            else:
+                self._hash = hash((self.domain, self.num, self.den))
         return self._hash
 
     def __bool__(self):
         return bool(self.num)
 
     # -- misc ----------------------------------------------------------------
-    def as_fraction(self) -> Fraction:
-        """Value as a plain rational; error if the generator appears."""
-        if len(self.num) > 1 or len(self.den) > 1:
-            raise ScalarDomainError("scalar is not rational")
-        if not self.num:
-            return Fraction(0)
-        return self.num[0] / self.den[0]
-
-    def evaluate(self, gen: complex) -> complex:
-        """Numeric spot check: substitute a complex value for the generator."""
-        def ev(p):
-            v = 0j
-            for c in reversed(p):
-                v = v * gen + complex(c)
-            return v
-        return ev(self.num) / ev(self.den)
-
-    def numeric(self) -> complex:
-        """Numeric value at the canonical generator embedding."""
-        if self.domain.kind == "cyclotomic":
-            z = complex(math.cos(2 * math.pi / self.domain.n),
-                        math.sin(2 * math.pi / self.domain.n))
-            return self.evaluate(z)
-        if self.domain.kind == "rational":
-            return complex(self.as_fraction())
-        raise ScalarDomainError("sqrt_q scalars need an explicit evaluation point")
-
     def __str__(self):
         gen = self.domain.generator_name or "x"
         if self.den == (Fraction(1),):
@@ -576,12 +566,7 @@ class ParamScalar:
             return NotImplemented
         out = dict(self.terms)
         for k, v in o.terms.items():
-            w = out.get(k)
-            v = v if w is None else w + v
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
+            accumulate(out, k, v)
         return ParamScalar(self.domain, out)
 
     __radd__ = __add__
@@ -605,14 +590,7 @@ class ParamScalar:
         out = {}
         for (a, b), v in self.terms.items():
             for (c, d), w in o.terms.items():
-                k = (a + c, b + d)
-                p = v * w
-                u = out.get(k)
-                p = p if u is None else u + p
-                if p.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = p
+                accumulate(out, (a + c, b + d), v * w)
         return ParamScalar(self.domain, out)
 
     __rmul__ = __mul__
@@ -621,6 +599,8 @@ class ParamScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            raise ScalarDomainError("division by zero")
         if len(o.terms) != 1:
             raise ScalarDomainError("can only divide by a single Laurent monomial")
         ((a, b), v), = o.terms.items()
@@ -667,13 +647,7 @@ class ParamScalar:
         c, d = nu_to
         out = {}
         for (e, f), v in self.terms.items():
-            k = (e * a + f * c, e * b + f * d)
-            u = out.get(k)
-            v2 = v if u is None else u + v
-            if v2.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v2
+            accumulate(out, (e * a + f * c, e * b + f * d), v)
         return ParamScalar(self.domain, out)
 
     def at_one(self) -> Scalar:
@@ -725,6 +699,15 @@ class ParamScalar:
 
     def __repr__(self):
         return f"ParamScalar[{self.domain}]({self})"
+
+
+def as_param_scalar(c, domain: Domain) -> ParamScalar:
+    """c (a ParamScalar, Scalar, int or Fraction) as a ParamScalar over domain."""
+    if isinstance(c, ParamScalar):
+        return c
+    if isinstance(c, Scalar):
+        return ParamScalar.constant(c)
+    return ParamScalar.constant(domain.from_fraction(c))
 
 
 def proportionality_ratio(a: ParamScalar, b: ParamScalar):

@@ -26,8 +26,6 @@ Index conventions for the modules (documented choices):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, TensorElement
 from .baxterize import baxterize, decompose_graded
 from .double import DoubleAlgebra, canonical_r, double_grading
@@ -35,16 +33,6 @@ from .hopf import Grading, HopfAlgebra
 from .matrices import ParametricMatrix
 from .scalars import (ParamScalar, Scalar, ScalarDomainError, cyclotomic,
                       gauss_binomial, q_bracket, q_bracket_factorial)
-
-
-@dataclass
-class TaftParams:
-    """Parameters for a Taft algebra and (optionally) one of its modules."""
-    N: int
-    q: Scalar
-    n: int | None = None        # module dimension, 1 <= n <= N
-    l: int | None = None        # module weight shift, 1 <= l <= N
-    alpha: Scalar | None = None  # wrap parameter of the indecomposable module
 
 
 def canonical_q(N: int) -> Scalar:
@@ -153,12 +141,16 @@ class Representation:
             self._pair[pair] = hit
         return hit
 
+    def _combine(self, image, terms) -> ParametricMatrix:
+        """sum_z c * image(z) over the {label z: c} dict terms."""
+        out = ParametricMatrix(self.dim, self.domain)
+        for z, c in terms.items():
+            out = out + image(z).scaled(c)
+        return out
+
     def image(self, x) -> ParametricMatrix:
         """Linear extension to elements of the double."""
-        out = ParametricMatrix(self.dim, self.domain)
-        for pair, c in x.terms.items():
-            out = out + self.pair_image(pair).scaled(c)
-        return out
+        return self._combine(self.pair_image, x.terms)
 
     def tensor_image(self, te: TensorElement) -> ParametricMatrix:
         """Matrix of an element of D (x) ... (x) D on (C^dim)^arity."""
@@ -172,62 +164,31 @@ class Representation:
         return out
 
 
-def _check_h_multiplicative(rep: Representation, h: HopfAlgebra):
-    alg = h.algebra
-    for l1 in alg.labels:
-        m1 = rep.h_image(l1)
-        for l2 in alg.labels:
-            prod = rep.h_image(l1) @ rep.h_image(l2)
-            want = ParametricMatrix(rep.dim, rep.domain)
-            for l3, c in alg.product_basis(l1, l2).items():
-                want = want + rep.h_image(l3).scaled(c)
-            if prod != want:
-                raise RepresentationError(
-                    f"{rep.name} is not multiplicative on H at "
-                    f"{alg.label_str(l1)}, {alg.label_str(l2)}")
-    ident = ParametricMatrix.identity(rep.dim, rep.domain)
-    e = ParametricMatrix(rep.dim, rep.domain)
-    for l, c in alg._unit_terms.items():
-        e = e + rep.h_image(l).scaled(c)
-    if e != ident:
-        raise RepresentationError(f"{rep.name} does not send 1_H to the identity")
+def _check_algebra_map(rep: Representation, image, table, where,
+                       left=None, right=None):
+    """pi(x) pi(y) must equal sum c * pi(z) for each (x, y, {z: c}) in table.
+
+    `image` is pi on the labels z; `left` and `right` are pi on the factors
+    x and y when those are labels of another kind.  `where(x, y)` names a
+    failing product in the RepresentationError.
+    """
+    left, right = left or image, right or image
+    for x, y, terms in table:
+        if left(x) @ right(y) != rep._combine(image, terms):
+            raise RepresentationError(f"{rep.name} {where(x, y)}")
 
 
-def _check_dual_multiplicative(rep: Representation):
-    dalg = rep.double.hdual.algebra
-    for l1 in dalg.labels:
-        for l2 in dalg.labels:
-            prod = rep.dual_image(l1) @ rep.dual_image(l2)
-            want = ParametricMatrix(rep.dim, rep.domain)
-            for l3, c in dalg.product_basis(l1, l2).items():
-                want = want + rep.dual_image(l3).scaled(c)
-            if prod != want:
-                raise RepresentationError(
-                    f"{rep.name} is not multiplicative on H* at "
-                    f"{dalg.label_str(l1)}, {dalg.label_str(l2)}")
-    ident = ParametricMatrix.identity(rep.dim, rep.domain)
-    u = ParametricMatrix(rep.dim, rep.domain)
-    for l, c in dalg._unit_terms.items():
-        u = u + rep.dual_image(l).scaled(c)
-    if u != ident:
-        raise RepresentationError(f"{rep.name} does not send 1_H* to the identity")
-
-
-def _check_cross_multiplicative(rep: Representation):
-    """pi(f) pi(g) must equal pi of the straightened product f.g."""
-    d = rep.double
-    for g in d.h.algebra.labels:
-        table = d._cross_for(g)
-        mg = rep.h_image(g)
-        for f in d.hdual.algebra.labels:
-            lhs = rep.dual_image(f) @ mg
-            rhs = ParametricMatrix(rep.dim, rep.domain)
-            for pair, c in table[f].items():
-                rhs = rhs + rep.pair_image(pair).scaled(c)
-            if lhs != rhs:
-                raise RepresentationError(
-                    f"{rep.name} breaks the straightening rule at "
-                    f"f={d.hdual.algebra.label_str(f)}, g={d.h.algebra.label_str(g)}")
+def _check_subalgebra(rep: Representation, alg: Algebra, image, name: str):
+    """pi restricted to the subalgebra alg (H or H*) is a unital algebra map."""
+    _check_algebra_map(
+        rep, image, ((x, y, alg.product_basis(x, y))
+                     for x in alg.labels for y in alg.labels),
+        lambda x, y: (f"is not multiplicative on {name} at "
+                      f"{alg.label_str(x)}, {alg.label_str(y)}"))
+    if rep._combine(image, alg._unit_terms) != ParametricMatrix.identity(
+            rep.dim, rep.domain):
+        raise RepresentationError(
+            f"{rep.name} does not send 1_{name} to the identity")
 
 
 def check_double_multiplicative(rep: Representation, pairs=None) -> bool:
@@ -243,9 +204,22 @@ def check_double_multiplicative(rep: Representation, pairs=None) -> bool:
     return True
 
 
-def _dual_window(m: int, l: int, N: int) -> int:
-    """Representative of m - l + 1 (mod N) in {1, ..., N}."""
-    return (m - l) % N + 1
+def _taft_order(h: HopfAlgebra) -> int:
+    """N, read off the basis labels (i, j), 0 <= i < N."""
+    return max(i for i, _ in h.algebra.labels) + 1
+
+
+def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
+    """(a^m x^j)^* acts as E_{i+j,i} / (j)_q!, i = m - l + 1 (mod N) in 1..N."""
+    N = _taft_order(h)
+    images = {}
+    for (m, j) in h.algebra.labels:
+        mat = ParametricMatrix(n, q.domain)
+        i = (m - l) % N + 1
+        if i + j <= n:
+            mat.set(i + j - 1, i - 1, q_bracket_factorial(j, q).inverse())
+        images[(m, j)] = mat
+    return images
 
 
 def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
@@ -256,7 +230,7 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     construction fails loudly if any check fails.
     """
     h = double.h
-    N = max(i for i, _ in h.algebra.labels) + 1
+    N = _taft_order(h)
     if not (1 <= n <= N and 1 <= l <= N):
         raise ValueError(f"need 1 <= n, l <= N (got n={n}, l={l}, N={N})")
     q = _taft_q(h)
@@ -274,18 +248,18 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
             m.set(k - 1, k + j - 1, c)
         h_images[(i, j)] = m
 
-    dual_images = {}
-    for (mm, j) in h.algebra.labels:
-        mat = ParametricMatrix(n, domain)
-        i = _dual_window(mm, l, N)
-        if i + j <= n:
-            mat.set(i + j - 1, i - 1, q_bracket_factorial(j, q).inverse())
-        dual_images[(mm, j)] = mat
-
-    rep = Representation(double, n, h_images, dual_images, f"V_{{{n},{l}}}")
-    _check_h_multiplicative(rep, h)
-    _check_dual_multiplicative(rep)
-    _check_cross_multiplicative(rep)
+    rep = Representation(double, n, h_images, _dual_images(h, q, n, l),
+                         f"V_{{{n},{l}}}")
+    halg, dalg = h.algebra, double.hdual.algebra
+    _check_subalgebra(rep, halg, rep.h_image, "H")
+    _check_subalgebra(rep, dalg, rep.dual_image, "H*")
+    _check_algebra_map(
+        rep, rep.pair_image,
+        ((f, g, double._cross_for(g)[f])
+         for g in halg.labels for f in dalg.labels),
+        lambda f, g: (f"breaks the straightening rule at "
+                      f"f={dalg.label_str(f)}, g={halg.label_str(g)}"),
+        left=rep.dual_image, right=rep.h_image)
     return rep
 
 
@@ -300,7 +274,7 @@ def rep_indecomposable(double: DoubleAlgebra, alpha: Scalar, l: int) -> Represen
     window formula with n = N; no multiplicativity beyond H is promised.
     """
     h = double.h
-    N = max(i for i, _ in h.algebra.labels) + 1
+    N = _taft_order(h)
     if not (1 <= l <= N):
         raise ValueError(f"need 1 <= l <= N (got l={l})")
     q = _taft_q(h)
@@ -325,17 +299,9 @@ def rep_indecomposable(double: DoubleAlgebra, alpha: Scalar, l: int) -> Represen
     for (i, j) in h.algebra.labels:
         h_images[(i, j)] = pow_a[i] @ pow_x[j]
 
-    dual_images = {}
-    for (mm, j) in h.algebra.labels:
-        mat = ParametricMatrix(N, domain)
-        i = _dual_window(mm, l, N)
-        if i + j <= N:
-            mat.set(i + j - 1, i - 1, q_bracket_factorial(j, q).inverse())
-        dual_images[(mm, j)] = mat
-
-    rep = Representation(double, N, h_images, dual_images,
+    rep = Representation(double, N, h_images, _dual_images(h, q, N, l),
                          f"W_{{{l}}}(alpha)")
-    _check_h_multiplicative(rep, h)
+    _check_subalgebra(rep, h.algebra, rep.h_image, "H")
     return rep
 
 

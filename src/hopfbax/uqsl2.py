@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import ParametricMatrix
-from .scalars import SQRT_Q, ParamScalar, Scalar, q_number, q_number_factorial
+from .matrices import ParametricMatrix, matmul_entries
+from .scalars import SQRT_Q, ParamScalar, Scalar, accumulate, q_number, \
+    q_number_factorial
 
 
 def _r_squared() -> Scalar:
@@ -67,20 +68,6 @@ class SqrtExt:
         return self.a
 
 
-def _mat_mul(m1: dict, m2: dict) -> dict:
-    by_row = {}
-    for (r, c), v in m2.items():
-        by_row.setdefault(r, []).append((c, v))
-    out = {}
-    for (r, k), v in m1.items():
-        for c, w in by_row.get(k, ()):
-            p = v * w
-            hit = out.get((r, c))
-            p = p if hit is None else hit + p
-            out[(r, c)] = p
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 class WeightedRep:
     """A finite module given by nilpotent e, f and integer h-weights."""
 
@@ -100,13 +87,11 @@ class WeightedRep:
             if self.weights[r] - self.weights[c] != -2:
                 raise ValueError(f"{self.name}: [h,f] = -2f fails at {(r, c)}")
         q = SQRT_Q.q()
-        comm = _mat_mul(self.e, self.f)
-        for k, v in _mat_mul(self.f, self.e).items():
-            hit = comm.get(k)
-            comm[k] = -v if hit is None else hit - v
+        comm = matmul_entries(self.e, self.f)
+        for k, v in matmul_entries(self.f, self.e).items():
+            accumulate(comm, k, -v)
         want = {(k, k): SqrtExt.of(q_number(w, q))
                 for k, w in enumerate(self.weights) if w != 0}
-        comm = {k: v for k, v in comm.items() if not v.is_zero()}
         if comm != want:
             raise ValueError(
                 f"{self.name}: [e,f] != (q^h - q^-h)/(q - q^-1)")
@@ -117,7 +102,7 @@ class WeightedRep:
     def power(m: dict, n: int) -> dict:
         out = None
         for _ in range(n):
-            out = dict(m) if out is None else _mat_mul(out, m)
+            out = dict(m) if out is None else matmul_entries(out, m)
         return {} if out is None else out
 
 
@@ -147,8 +132,8 @@ def r_matrix_terms(rep: WeightedRep) -> dict:
     f_pow = dict(e_pow)
     for n in range(rep.dim):
         if n:
-            e_pow = _mat_mul(e_pow, rep.e)
-            f_pow = _mat_mul(f_pow, rep.f)
+            e_pow = matmul_entries(e_pow, rep.e)
+            f_pow = matmul_entries(f_pow, rep.f)
             if not e_pow:
                 break
         c_n = (q ** (n * (n + 1) // 2)

@@ -67,14 +67,20 @@ def _report(kind, residual, matrix_dim) -> YbeReport:
                      worst=worst_matrix_entry(residual))
 
 
+def _three_slot(kind, r12, r13, r23) -> YbeReport:
+    """Place two-site matrices on legs 12, 13, 23 of V (x) V (x) V and
+    report the residual R12 R13 R23 - R23 R13 R12."""
+    d = _local_dim(r12.dim)
+    r12 = embed_two_site(r12, d, (0, 1))
+    r13 = embed_two_site(r13, d, (0, 2))
+    r23 = embed_two_site(r23, d, (1, 2))
+    residual = (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
+    return _report(kind, residual, d * d)
+
+
 def check_constant_ybe(r: ParametricMatrix) -> YbeReport:
     """R12 R13 R23 = R23 R13 R12 on V (x) V (x) V, exact."""
-    d = _local_dim(r.dim)
-    r12 = embed_two_site(r, d, (0, 1))
-    r13 = embed_two_site(r, d, (0, 2))
-    r23 = embed_two_site(r, d, (1, 2))
-    residual = (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
-    return _report("constant", residual, r.dim)
+    return _three_slot("constant", r, r, r)
 
 
 def check_parametric_ybe(r_mu: ParametricMatrix) -> YbeReport:
@@ -86,12 +92,9 @@ def check_parametric_ybe(r_mu: ParametricMatrix) -> YbeReport:
     """
     if any(e_nu for v in r_mu.entries.values() for (_, e_nu) in v.terms):
         raise ValueError("input matrix must depend on mu only")
-    d = _local_dim(r_mu.dim)
-    r12 = embed_two_site(r_mu, d, (0, 1))
-    r13 = embed_two_site(r_mu.remap_exponents(mu_to=(1, 1)), d, (0, 2))
-    r23 = embed_two_site(r_mu.remap_exponents(mu_to=(0, 1)), d, (1, 2))
-    residual = (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
-    return _report("parametric", residual, r_mu.dim)
+    return _three_slot("parametric", r_mu,
+                       r_mu.remap_exponents(mu_to=(1, 1)),
+                       r_mu.remap_exponents(mu_to=(0, 1)))
 
 
 def braid_check(r: ParametricMatrix) -> YbeReport:

@@ -148,6 +148,23 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "1/0"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 9, "col": 1, "value": "1"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 0, "col": 1, "value": "1"}]},
+    [1, 2],
+])
+def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # exit codes and argument validation
 # ---------------------------------------------------------------------------
@@ -160,11 +177,14 @@ def test_verify_malformed_json(tmp_path, capsys):
     ("taft", "--N", "4", "--rep", "3,1", "--indecomposable", "1", "--l", "1"),
     ("taft", "--N", "3", "--indecomposable", "q"),
     ("taft", "--N", "4", "--q", "q^2"),       # not a primitive root
+    ("taft", "--N", "4", "--q", "1/0"),
+    ("taft", "--N", "4", "--q", "s"),         # s only exists over Q(s)
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err.lower()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_argparse_failures_exit_2(capsys):

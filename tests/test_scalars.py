@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfbax import (
@@ -158,6 +158,37 @@ def test_zero_inverse_raises():
         RATIONAL.zero().inverse()
     with pytest.raises(ZeroDivisionError):
         RATIONAL.one() / RATIONAL.zero()
+
+
+def test_parsed_division_by_zero_says_so():
+    for text, dom in (("1/0", RATIONAL), ("q/(q - q)", SQRT_Q), ("mu/0", SQRT_Q)):
+        with pytest.raises(ScalarDomainError, match="division by zero"):
+            parse_param_scalar(text, dom)
+    with pytest.raises(ScalarDomainError, match="division by zero"):
+        parse_scalar("1/0", RATIONAL)
+
+
+_DOMAINS = (RATIONAL, SQRT_Q, cyclotomic(3), cyclotomic(4))
+_numbers = st.integers(min_value=-50, max_value=50) | st.fractions(
+    min_value=-50, max_value=50, max_denominator=20)
+
+
+@given(_numbers, st.sampled_from(_DOMAINS))
+def test_scalar_equal_to_a_number_hashes_like_it(x, dom):
+    s = dom.from_fraction(x)
+    assert s == x and hash(s) == hash(x)
+    assert s in {x} and x in {s}
+
+
+@given(_numbers, st.sampled_from(_DOMAINS), st.sampled_from(_DOMAINS))
+def test_cross_domain_equality_is_false_and_arithmetic_raises(x, d1, d2):
+    assume(d1 != d2)
+    a, b = d1.from_fraction(x), d2.from_fraction(x)
+    assert not a == b and a != b
+    with pytest.raises(ScalarDomainError):
+        a + b
+    with pytest.raises(ScalarDomainError):
+        a * b
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -6,6 +6,7 @@ from hopfbax import (
     ParametricMatrix,
     RATIONAL,
     ScalarDomainError,
+    build_double,
     build_taft,
     canonical_q,
     check_parametric_ybe,
@@ -18,9 +19,7 @@ from hopfbax import (
 from hopfbax.taft import (
     Representation,
     RepresentationError,
-    TaftParams,
-    _check_dual_multiplicative,
-    _check_h_multiplicative,
+    _check_subalgebra,
     _taft_q,
     check_double_multiplicative,
     is_primitive_root,
@@ -47,12 +46,6 @@ def test_canonical_q_is_primitive():
 def test_taft_q_recovered_from_table(taft3, taft4):
     assert _taft_q(taft3) == canonical_q(3)
     assert _taft_q(taft4) == canonical_q(4)
-
-
-def test_taft_params_record():
-    p = TaftParams(N=4, q=canonical_q(4), n=3, l=2)
-    assert (p.N, p.n, p.l) == (4, 3, 2)
-    assert p.alpha is None
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +118,21 @@ def test_corrupted_module_fails_loudly(double3, taft3):
     bad_h[(1, 0)] = m
     broken = Representation(double3, 3, bad_h, rep._dual, "broken")
     with pytest.raises(RepresentationError):
-        _check_h_multiplicative(broken, taft3)
+        _check_subalgebra(broken, taft3.algebra, broken.h_image, "H")
     bad_d = dict(rep._dual)
     md = bad_d[(1, 1)].copy()
     md.set(0, 2, double3.domain.one())
     bad_d[(1, 1)] = md
     broken2 = Representation(double3, 3, rep._h, bad_d, "broken2")
     with pytest.raises(RepresentationError):
-        _check_dual_multiplicative(broken2)
+        _check_subalgebra(broken2, double3.hdual.algebra, broken2.dual_image,
+                          "H*")
+
+
+def test_straightening_check_rejects_wrong_convention(taft3):
+    # left_s passes the H and H* checks; only the cross relation catches it
+    with pytest.raises(RepresentationError, match="straightening rule"):
+        rep_irreducible(build_double(taft3, "left_s"), 3, 1)
 
 
 # ---------------------------------------------------------------------------

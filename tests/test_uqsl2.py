@@ -87,10 +87,10 @@ def test_weighted_rep_rejects_non_nilpotent():
 def test_ef_commutator_value_spin_half():
     h = spin_half()
     comm = {}
-    from hopfbax.uqsl2 import _mat_mul
-    for k, v in _mat_mul(h.e, h.f).items():
+    from hopfbax.matrices import matmul_entries
+    for k, v in matmul_entries(h.e, h.f).items():
         comm[k] = v
-    for k, v in _mat_mul(h.f, h.e).items():
+    for k, v in matmul_entries(h.f, h.e).items():
         comm[k] = comm.get(k, SqrtExt.of(SQRT_Q.zero())) - v
     assert comm[(0, 0)].even_part() == ONE
     assert comm[(1, 1)].even_part() == -ONE
