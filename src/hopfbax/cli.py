@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .baxterize import baxterize, baxterize_zn, decompose_graded, evaluate_at_one
 from .double import CONVENTIONS, DEFAULT_CONVENTION, build_double, canonical_r, \
@@ -39,26 +38,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class JobConfig:
-    command: str
-    fmt: str = "text"
-    output: str | None = None
-    parametric: bool = False
-    verify: bool = False
-    N: int = 0
-    q: str | None = None
-    rep: tuple | None = None          # (n, l) for the irreducible module
-    alpha: str | None = None          # indecomposable wrap parameter
-    l: int | None = None
-    spin: str | None = None
-    convention: str = DEFAULT_CONVENTION
-    zn: bool = False
-    input_path: str | None = None
-    kind: str = "auto"
-    raw: bool = False
-
-
 def _parse_rep(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
@@ -69,9 +48,9 @@ def _parse_rep(text: str) -> tuple:
         raise UsageError(f"--rep expects two integers, got {text!r}") from None
 
 
-def _emit(text: str, config: JobConfig):
-    if config.output:
-        path = config.output
+def _emit(text: str, args):
+    if args.output:
+        path = args.output
         base = os.environ.get(OUTPUT_DIR_ENV)
         if base and not os.path.isabs(path):
             path = os.path.join(base, path)
@@ -82,28 +61,28 @@ def _emit(text: str, config: JobConfig):
         print(text)
 
 
-def _emit_matrix(m: ParametricMatrix, config: JobConfig):
-    if config.fmt == "json":
-        _emit(m.to_json().rstrip("\n"), config)
-    elif config.fmt == "latex":
-        _emit(m.to_latex(), config)
+def _emit_matrix(m: ParametricMatrix, args):
+    if args.fmt == "json":
+        _emit(m.to_json().rstrip("\n"), args)
+    elif args.fmt == "latex":
+        _emit(m.to_latex(), args)
     else:
-        _emit(m.to_text(), config)
+        _emit(m.to_text(), args)
 
 
-def _report_out(report, config: JobConfig) -> int:
+def _report_out(report, args) -> int:
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) \
-        if config.fmt == "json" else report.summary()
+        if args.fmt == "json" else report.summary()
     print(text, file=sys.stderr)
     return 0 if report.passed else 1
 
 
-def _emit_family(m: ParametricMatrix, config: JobConfig) -> int:
-    _emit_matrix(m, config)
-    if config.verify:
-        report = check_parametric_ybe(m) if config.parametric \
+def _emit_family(m: ParametricMatrix, args) -> int:
+    _emit_matrix(m, args)
+    if args.verify:
+        report = check_parametric_ybe(m) if args.parametric \
             else check_constant_ybe(m)
-        return _report_out(report, config)
+        return _report_out(report, args)
     return 0
 
 
@@ -115,17 +94,20 @@ def _scalar_arg(text: str, domain):
         raise UsageError(f"bad scalar {text!r}: {exc}") from exc
 
 
-def _taft(config: JobConfig):
-    if config.N < 2:
+def _taft(args):
+    if args.N < 2:
         raise UsageError("--N must be at least 2")
-    domain = cyclotomic(config.N)
-    q = domain.q() if config.q is None else _scalar_arg(config.q, domain)
-    return build_taft(config.N, q)
+    domain = cyclotomic(args.N)
+    q = domain.q() if args.q is None else _scalar_arg(args.q, domain)
+    return build_taft(args.N, q)
 
 
-def run_taft(config: JobConfig) -> int:
-    h = _taft(config)
-    if config.rep is None and config.alpha is None:
+def run_taft(args) -> int:
+    rep = None if args.rep is None else _parse_rep(args.rep)
+    if rep is not None and args.alpha is not None:
+        raise UsageError("--rep and --indecomposable are mutually exclusive")
+    h = _taft(args)
+    if rep is None and args.alpha is None:
         status = 0
         reports = [check_hopf_axioms(h),
                    check_grading(h.algebra, x_degree_grading(h)),
@@ -134,47 +116,47 @@ def run_taft(config: JobConfig) -> int:
             print(r.summary(), file=sys.stderr)
             status |= 0 if r.passed else 1
         return status
-    d = build_double(h, config.convention)
-    if config.rep is not None:
-        n, l = config.rep
-        if not (1 <= n <= config.N and 1 <= l <= config.N):
-            raise UsageError(f"--rep indices must lie in 1..{config.N}")
-        rep = rep_irreducible(d, n, l)
+    d = build_double(h, args.convention)
+    if rep is not None:
+        n, l = rep
+        if not (1 <= n <= args.N and 1 <= l <= args.N):
+            raise UsageError(f"--rep indices must lie in 1..{args.N}")
+        module = rep_irreducible(d, n, l)
     else:
-        if config.l is None:
+        if args.l is None:
             raise UsageError("--indecomposable needs --l")
-        alpha = _scalar_arg(config.alpha, h.domain)
-        rep = rep_indecomposable(d, alpha, config.l)
-    normalize = (config.rep is not None) and not config.raw
+        alpha = _scalar_arg(args.alpha, h.domain)
+        module = rep_indecomposable(d, alpha, args.l)
+    normalize = (rep is not None) and not args.raw
     return _emit_family(
-        taft_r_matrix(rep, parametric=config.parametric, normalize=normalize),
-        config)
+        taft_r_matrix(module, parametric=args.parametric, normalize=normalize),
+        args)
 
 
-def run_uqsl2(config: JobConfig) -> int:
-    if config.spin not in ("1/2", "1"):
+def run_uqsl2(args) -> int:
+    if args.spin not in ("1/2", "1"):
         raise UsageError("--spin must be 1/2 or 1")
-    rep = spin_half() if config.spin == "1/2" else spin_one()
-    return _emit_family(uqsl2_r_matrix(rep, parametric=config.parametric),
-                        config)
+    rep = spin_half() if args.spin == "1/2" else spin_one()
+    return _emit_family(uqsl2_r_matrix(rep, parametric=args.parametric),
+                        args)
 
 
-def run_double(config: JobConfig) -> int:
-    d = build_double(_taft(config), config.convention)
+def run_double(args) -> int:
+    d = build_double(_taft(args), args.convention)
     r = canonical_r(d)
-    status = _report_out(check_constant_ybe_algebraic(d, r), config)
-    if config.parametric:
+    status = _report_out(check_constant_ybe_algebraic(d, r), args)
+    if args.parametric:
         grading = double_grading(d, x_degree_grading(d.h))
         r_mu = baxterize(decompose_graded(r.tensor(), grading, grading))
-        status |= _report_out(check_parametric_ybe_algebraic(d, r_mu), config)
+        status |= _report_out(check_parametric_ybe_algebraic(d, r_mu), args)
     return status
 
 
-def run_baxterize(config: JobConfig) -> int:
-    d = build_double(_taft(config), config.convention)
+def run_baxterize(args) -> int:
+    d = build_double(_taft(args), args.convention)
     r = canonical_r(d).tensor()
     grading = double_grading(d, x_degree_grading(d.h))
-    if config.zn:
+    if args.zn:
         lifted = grading.lift_zn(lambda j: (j, 0))
         graded = decompose_graded(r, lifted, lifted)
         r_mu = baxterize_zn(graded, (1, 1))
@@ -185,24 +167,25 @@ def run_baxterize(config: JobConfig) -> int:
         print("FAIL  mu=1 does not recover the constant element",
               file=sys.stderr)
         return 1
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {"degrees": [str(k) for k in graded.degrees],
                    "terms": str(r_mu)}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), config)
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args)
     else:
-        _emit(str(r_mu), config)
+        _emit(str(r_mu), args)
     return 0
 
 
-def run_verify(config: JobConfig) -> int:
+def run_verify(args) -> int:
     try:
-        with open(config.input_path, encoding="utf-8") as fh:
+        with open(args.input_path, encoding="utf-8") as fh:
             m = ParametricMatrix.from_json(fh.read())
     except (OSError, ValueError, LookupError, TypeError,
-            ArithmeticError) as exc:
-        # unreadable file, malformed JSON, bad scalar or out-of-range index
+            ArithmeticError, RecursionError) as exc:
+        # unreadable file, malformed or too deeply nested JSON, bad scalar
+        # or out-of-range index
         raise UsageError(f"cannot load matrix: {exc}") from exc
-    kind = config.kind
+    kind = args.kind
     if kind == "auto":
         kind = "parametric" if m.uses_parameters() else "constant"
     if kind == "parametric":
@@ -211,28 +194,19 @@ def run_verify(config: JobConfig) -> int:
         report = braid_check(m)
     else:
         report = check_constant_ybe(m.at_one())
-    return _report_out(report, config)
+    return _report_out(report, args)
 
 
-def run_regressions(config: JobConfig) -> int:
+def run_regressions(args) -> int:
     from .regressions import run_all
     results = run_all()
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit(json.dumps([r.to_dict() for r in results], indent=2,
-                         sort_keys=True), config)
+                         sort_keys=True), args)
     else:
         for r in results:
             print(r.line())
     return 0 if all(r.passed for r in results) else 1
-
-
-_RUNNERS = {"taft": run_taft, "uqsl2": run_uqsl2, "double": run_double,
-            "baxterize": run_baxterize, "verify": run_verify,
-            "all-regressions": run_regressions}
-
-
-def run(config: JobConfig) -> int:
-    return _RUNNERS[config.command](config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,7 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Yang-Baxter solutions from graded Hopf algebras")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, run):
+        sp.set_defaults(run=run)
         sp.add_argument("--format", choices=("json", "latex", "text"),
                         default="text", dest="fmt")
         sp.add_argument("--output", default=None,
@@ -264,13 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--convention", choices=CONVENTIONS,
                     default=DEFAULT_CONVENTION)
-    common(sp)
+    common(sp, run_taft)
 
     sp = sub.add_parser("uqsl2", help="spin-1/2 and spin-1 R-matrices")
     sp.add_argument("--spin", required=True)
     sp.add_argument("--parametric", action="store_true")
     sp.add_argument("--verify", action="store_true")
-    common(sp)
+    common(sp, run_uqsl2)
 
     sp = sub.add_parser("double", help="algebraic YBE checks in D(T_N)")
     sp.add_argument("--N", type=int, required=True)
@@ -279,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also check the mu,nu identity")
     sp.add_argument("--convention", choices=CONVENTIONS,
                     default=DEFAULT_CONVENTION)
-    common(sp)
+    common(sp, run_double)
 
     sp = sub.add_parser("baxterize",
                         help="graded decomposition of the canonical element")
@@ -289,41 +264,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="route through the Z^2 lift with coordinate-sum tau")
     sp.add_argument("--convention", choices=CONVENTIONS,
                     default=DEFAULT_CONVENTION)
-    common(sp)
+    common(sp, run_baxterize)
 
     sp = sub.add_parser("verify", help="re-check a serialized matrix")
     sp.add_argument("--input", required=True, dest="input_path")
     sp.add_argument("--kind", choices=("auto", "constant", "parametric",
                                        "braid"), default="auto")
-    common(sp)
+    common(sp, run_verify)
 
     sp = sub.add_parser("all-regressions", help="run the acceptance ladder")
-    common(sp)
+    common(sp, run_regressions)
     return p
-
-
-def _config_from_args(args) -> JobConfig:
-    cfg = JobConfig(command=args.command,
-                    fmt=getattr(args, "fmt", "text"),
-                    output=getattr(args, "output", None),
-                    parametric=getattr(args, "parametric", False),
-                    verify=getattr(args, "verify", False),
-                    N=getattr(args, "N", 0) or 0,
-                    q=getattr(args, "q", None),
-                    alpha=getattr(args, "alpha", None),
-                    l=getattr(args, "l", None),
-                    spin=getattr(args, "spin", None),
-                    convention=getattr(args, "convention", DEFAULT_CONVENTION),
-                    zn=getattr(args, "zn", False),
-                    input_path=getattr(args, "input_path", None),
-                    kind=getattr(args, "kind", "auto"))
-    rep = getattr(args, "rep", None)
-    if rep is not None:
-        cfg.rep = _parse_rep(rep)
-    if cfg.rep is not None and cfg.alpha is not None:
-        raise UsageError("--rep and --indecomposable are mutually exclusive")
-    cfg.raw = getattr(args, "raw", False)
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -333,12 +284,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:   # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,10 +23,12 @@ an associative product whose canonical element fails the YBE; the tests
 keep it as a negative control.)  The embedded copy of H* multiplies by
 the plain dual product, with no co-opposite twist on the product side.
 
-Convention names: the tokens name the sandwich pieces left-to-right, so
-"inv_left_s" puts the plain leg h_(3) on the left and S^{-1} of the
-left coproduct leg h_(1) on the right, "s_inv_right" means
-x |-> f(S^{-1}(h_(3)) x h_(1)), and so on.
+Convention names: the tokens name the sandwich pieces left-to-right.
+"inv" picks S^{-1} over S; "right" twists the right coproduct leg h_(3),
+otherwise the left leg h_(1) is twisted; a leading "s_" puts the twisted
+leg on the left of x, otherwise on the right.  So "inv_left_s" puts the
+plain leg h_(3) on the left and S^{-1} of the left coproduct leg h_(1) on
+the right, "s_inv_right" means x |-> f(S^{-1}(h_(3)) x h_(1)), and so on.
 """
 
 from __future__ import annotations
@@ -78,24 +80,13 @@ class DoubleAlgebra:
 
     # -- the straightening rule ------------------------------------------------
     def _sandwich_legs(self, u, w):
-        """The (left, right) sandwich elements for coproduct legs (u, _, w)."""
-        h = self.h
-        conv = self.convention
-        if conv == "s_inv_right":
-            return h.gamma_inverse(w), h.algebra.basis(u)
-        if conv == "s_inv_left":
-            return h.gamma_inverse(u), h.algebra.basis(w)
-        if conv == "s_right":
-            return h.gamma(w), h.algebra.basis(u)
-        if conv == "s_left":
-            return h.gamma(u), h.algebra.basis(w)
-        if conv == "inv_right_s":
-            return h.algebra.basis(u), h.gamma_inverse(w)
-        if conv == "inv_left_s":
-            return h.algebra.basis(w), h.gamma_inverse(u)
-        if conv == "right_s":
-            return h.algebra.basis(u), h.gamma(w)
-        return h.algebra.basis(w), h.gamma(u)
+        """The (left, right) sandwich elements for coproduct legs (u, _, w),
+        decoded from the convention tokens (see the module docstring)."""
+        h, conv = self.h, self.convention
+        twisted, plain = (w, u) if "right" in conv else (u, w)
+        twist = h.gamma_inverse if "inv" in conv else h.gamma
+        legs = (twist(twisted), h.algebra.basis(plain))
+        return legs if conv.startswith("s_") else legs[::-1]
 
     def _cross_for(self, g):
         """Straightening of f.g for every dual basis label f at once.

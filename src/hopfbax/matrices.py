@@ -18,10 +18,9 @@ emit):
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .scalars import (Domain, ParamScalar, Scalar, RATIONAL, SQRT_Q, accumulate,
-                      as_param_scalar, cyclotomic, parse_param_scalar,
+from .scalars import (Domain, ParamScalar, RATIONAL, SQRT_Q, accumulate,
+                      as_param_scalar, cyclotomic, latex_str, parse_param_scalar,
                       proportionality_ratio)
 
 
@@ -210,7 +209,7 @@ class ParametricMatrix:
             cells = []
             for c in range(self.dim):
                 v = self.entries.get((r, c))
-                cells.append("0" if v is None else _latex_param(v))
+                cells.append("0" if v is None else latex_str(v))
             rows.append(" & ".join(cells))
         return " \\\\\n".join(rows)
 
@@ -330,65 +329,3 @@ def find_diagonal_gauge(a: ParametricMatrix, b: ParametricMatrix):
         if b.entries[(r, cc)] != ParamScalar.constant(c * lam[r] * cinv[cc]) * v:
             return None
     return c, lam
-
-
-# ---------------------------------------------------------------------------
-# latex helpers
-# ---------------------------------------------------------------------------
-
-def _latex_scalar(x: Scalar) -> str:
-    def poly(p):
-        gen = x.domain.generator_name
-        if not p:
-            return "0"
-        parts = []
-        for e, coeff in enumerate(p):
-            if not coeff:
-                continue
-            mag = abs(coeff)
-            if e == 0:
-                body = _latex_frac(mag)
-            else:
-                if gen == "s":
-                    v = "q^{1/2}" if e == 1 else (
-                        f"q^{{{e // 2}}}" if e % 2 == 0 else f"q^{{{e}/2}}")
-                    if e == 2:
-                        v = "q"
-                else:
-                    v = gen if e == 1 else f"{gen}^{{{e}}}"
-                body = v if mag == 1 else f"{_latex_frac(mag)} {v}"
-            parts.append(("-" if coeff < 0 else ("+" if parts else "")) + body)
-        return " ".join(parts)
-
-    if x.den == (Fraction(1),):
-        return poly(x.num)
-    return f"\\frac{{{poly(x.num)}}}{{{poly(x.den)}}}"
-
-
-def _latex_frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else \
-        f"\\tfrac{{{f.numerator}}}{{{f.denominator}}}"
-
-
-def _latex_param(v: ParamScalar) -> str:
-    parts = []
-    for (a, b) in sorted(v.terms):
-        coeff = v.terms[(a, b)]
-        mono = ""
-        if a:
-            mono += "\\mu" if a == 1 else f"\\mu^{{{a}}}"
-        if b:
-            mono += "\\nu" if b == 1 else f"\\nu^{{{b}}}"
-        cs = _latex_scalar(coeff)
-        if not mono:
-            body = cs
-        elif coeff.is_one():
-            body = mono
-        else:
-            body = (f"\\left({cs}\\right){mono}" if ("+" in cs or "-" in cs[1:])
-                    else f"{cs} {mono}")
-        if parts and not body.startswith("-"):
-            parts.append("+" + body)
-        else:
-            parts.append(body)
-    return " ".join(parts) if parts else "0"

@@ -41,6 +41,17 @@ class ScalarDomainError(ArithmeticError):
     """Raised when an operation leaves its domain (zero division, bad mix)."""
 
 
+def _power(base, k: int, one):
+    """base**k for an integer k >= 0, by square-and-multiply."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 def accumulate(terms: dict, key, value):
     """terms[key] += value for a sparse dict, dropping the key if the sum is 0."""
     old = terms.get(key)
@@ -216,7 +227,7 @@ class Scalar:
     lowest terms with monic denominator.
     """
 
-    __slots__ = ("domain", "num", "den", "_hash")
+    __slots__ = ("domain", "num", "den")
 
     def __init__(self, domain, num, den, _reduced=True):
         self.domain = domain
@@ -224,7 +235,6 @@ class Scalar:
             num, den = self._reduce(domain, num, den)
         self.num = num
         self.den = den
-        self._hash = None
 
     @staticmethod
     def _reduce(domain, num, den):
@@ -337,14 +347,7 @@ class Scalar:
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = self.domain.one()
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(base, abs(k), self.domain.one())
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
@@ -356,13 +359,10 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            if len(self.num) < 2 and self.den == (1,):
-                # equal to an int or Fraction, so it must hash like one
-                self._hash = hash(self.num[0] if self.num else 0)
-            else:
-                self._hash = hash((self.domain, self.num, self.den))
-        return self._hash
+        if len(self.num) < 2 and self.den == (1,):
+            # equal to an int or Fraction, so it must hash like one
+            return hash(self.num[0] if self.num else 0)
+        return hash((self.domain, self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)
@@ -396,6 +396,40 @@ def _poly_str(p, gen: str) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def _latex_scalar(x: Scalar) -> str:
+    def poly(p):
+        gen = x.domain.generator_name
+        if not p:
+            return "0"
+        parts = []
+        for e, coeff in enumerate(p):
+            if not coeff:
+                continue
+            mag = abs(coeff)
+            if e == 0:
+                body = _latex_frac(mag)
+            else:
+                if gen == "s":
+                    v = "q^{1/2}" if e == 1 else (
+                        f"q^{{{e // 2}}}" if e % 2 == 0 else f"q^{{{e}/2}}")
+                    if e == 2:
+                        v = "q"
+                else:
+                    v = gen if e == 1 else f"{gen}^{{{e}}}"
+                body = v if mag == 1 else f"{_latex_frac(mag)} {v}"
+            parts.append(("-" if coeff < 0 else ("+" if parts else "")) + body)
+        return " ".join(parts)
+
+    if x.den == (Fraction(1),):
+        return poly(x.num)
+    return f"\\frac{{{poly(x.num)}}}{{{poly(x.den)}}}"
+
+
+def _latex_frac(f: Fraction) -> str:
+    return str(f.numerator) if f.denominator == 1 else \
+        f"\\tfrac{{{f.numerator}}}{{{f.denominator}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +580,15 @@ class ParamScalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
-
     def as_scalar(self) -> Scalar:
         if not self.terms:
             return self.domain.zero()
-        if not self.is_constant():
+        if self.uses_parameters():
             raise ScalarDomainError("parameter scalar genuinely involves mu/nu")
         return self.terms[(0, 0)]
 
     def uses_parameters(self) -> bool:
-        return not self.is_constant()
+        return any(k != (0, 0) for k in self.terms)
 
     # -- arithmetic --------------------------------------------------------------
     def __add__(self, other):
@@ -616,24 +647,21 @@ class ParamScalar:
                 raise ScalarDomainError("negative power of a non-monomial")
             ((a, b), v), = self.terms.items()
             return ParamScalar(self.domain, {(a * k, b * k): v ** k})
-        out = ParamScalar.constant(self.domain.one())
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ParamScalar.constant(self.domain.one()))
 
     def __eq__(self, other):
-        o = self._coerce(other) if isinstance(
-            other, (ParamScalar, Scalar, int, Fraction)) else None
+        if isinstance(other, (ParamScalar, Scalar)) and other.domain != self.domain:
+            return False
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.terms == o.terms
 
     def __hash__(self):
-        return hash((self.domain, frozenset(self.terms.items())))
+        if self.uses_parameters():
+            return hash((self.domain, frozenset(self.terms.items())))
+        # zero or constant: equal to its coefficient, so it hashes like it
+        return hash(self.as_scalar())
 
     # -- substitutions -------------------------------------------------------------
     def remap_exponents(self, mu_to=(1, 0), nu_to=(0, 1)) -> "ParamScalar":
@@ -699,6 +727,31 @@ class ParamScalar:
 
     def __repr__(self):
         return f"ParamScalar[{self.domain}]({self})"
+
+
+def latex_str(v: ParamScalar) -> str:
+    """LaTeX form of a ParamScalar, the display twin of its str()."""
+    parts = []
+    for (a, b) in sorted(v.terms):
+        coeff = v.terms[(a, b)]
+        mono = ""
+        if a:
+            mono += "\\mu" if a == 1 else f"\\mu^{{{a}}}"
+        if b:
+            mono += "\\nu" if b == 1 else f"\\nu^{{{b}}}"
+        cs = _latex_scalar(coeff)
+        if not mono:
+            body = cs
+        elif coeff.is_one():
+            body = mono
+        else:
+            body = (f"\\left({cs}\\right){mono}" if ("+" in cs or "-" in cs[1:])
+                    else f"{cs} {mono}")
+        if parts and not body.startswith("-"):
+            parts.append("+" + body)
+        else:
+            parts.append(body)
+    return " ".join(parts) if parts else "0"
 
 
 def as_param_scalar(c, domain: Domain) -> ParamScalar:
@@ -828,7 +881,10 @@ class _Parser:
 
 def parse_param_scalar(text: str, domain: Domain) -> ParamScalar:
     """Parse the canonical grammar into a ParamScalar over `domain`."""
-    return _Parser(_tokenize(text), domain).parse()
+    try:
+        return _Parser(_tokenize(text), domain).parse()
+    except RecursionError:
+        raise ValueError("scalar string is nested too deeply") from None
 
 
 def parse_scalar(text: str, domain: Domain) -> Scalar:

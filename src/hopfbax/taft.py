@@ -148,10 +148,6 @@ class Representation:
             out = out + image(z).scaled(c)
         return out
 
-    def image(self, x) -> ParametricMatrix:
-        """Linear extension to elements of the double."""
-        return self._combine(self.pair_image, x.terms)
-
     def tensor_image(self, te: TensorElement) -> ParametricMatrix:
         """Matrix of an element of D (x) ... (x) D on (C^dim)^arity."""
         total = self.dim ** te.arity
@@ -193,14 +189,16 @@ def _check_subalgebra(rep: Representation, alg: Algebra, image, name: str):
 
 def check_double_multiplicative(rep: Representation, pairs=None) -> bool:
     """pi(uv) = pi(u) pi(v) over pairs of double basis labels (all if None)."""
-    d = rep.double
-    labels = d.algebra.labels if pairs is None else None
-    it = ((p1, p2) for p1 in labels for p2 in labels) if pairs is None else pairs
-    for p1, p2 in it:
-        lhs = rep.pair_image(p1) @ rep.pair_image(p2)
-        rhs = rep.image(d.algebra.basis(p1) * d.algebra.basis(p2))
-        if lhs != rhs:
-            return False
+    alg = rep.double.algebra
+    if pairs is None:
+        pairs = ((u, v) for u in alg.labels for v in alg.labels)
+    try:
+        _check_algebra_map(
+            rep, rep.pair_image,
+            ((u, v, alg.product_basis(u, v)) for u, v in pairs),
+            lambda u, v: "is not multiplicative on D")
+    except RepresentationError:
+        return False
     return True
 
 
@@ -222,12 +220,25 @@ def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
     return images
 
 
+def _h_images(h: HopfAlgebra, a_mat: ParametricMatrix,
+              x_mat: ParametricMatrix) -> dict:
+    """pi(a^i x^j) = pi(a)^i pi(x)^j for every basis label (i, j) of H."""
+    pow_a = [ParametricMatrix.identity(a_mat.dim, a_mat.domain)]
+    pow_x = [ParametricMatrix.identity(a_mat.dim, a_mat.domain)]
+    for _ in range(_taft_order(h) - 1):
+        pow_a.append(pow_a[-1] @ a_mat)
+        pow_x.append(pow_x[-1] @ x_mat)
+    return {(i, j): pow_a[i] @ pow_x[j] for (i, j) in h.algebra.labels}
+
+
 def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     """The n-dimensional irreducible module V_{n,l} of D(T_N).
 
-    Constructed from closed-form matrices; the algebra-map property is
-    verified on H pairs, H* pairs and all straightened cross products, and
-    construction fails loudly if any check fails.
+    Built from its generator matrices: a acts diagonally with eigenvalue
+    q^{k-l-n} on v_k, x v_{k+1} = (k)_q (1 - q^{k-n}) v_k, and
+    pi(a^i x^j) = pi(a)^i pi(x)^j.  The algebra-map property is verified on
+    H pairs, H* pairs and all straightened cross products, and construction
+    fails loudly if any check fails.
     """
     h = double.h
     N = _taft_order(h)
@@ -236,20 +247,15 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     q = _taft_q(h)
     domain = q.domain
 
-    h_images = {}
-    for (i, j) in h.algebra.labels:
-        m = ParametricMatrix(n, domain)
-        for k in range(1, n - j + 1):
-            c = (q ** ((k - l - n) * i)
-                 * q_bracket_factorial(k + j - 1, q)
-                 / q_bracket_factorial(k - 1, q))
-            for p in range(j):
-                c = c * (domain.one() - q ** (p + k - n))
-            m.set(k - 1, k + j - 1, c)
-        h_images[(i, j)] = m
+    a_mat = ParametricMatrix(n, domain)
+    for k in range(1, n + 1):
+        a_mat.set(k - 1, k - 1, q ** (k - l - n))
+    x_mat = ParametricMatrix(n, domain)
+    for k in range(1, n):
+        x_mat.set(k - 1, k, q_bracket(k, q) * (domain.one() - q ** (k - n)))
 
-    rep = Representation(double, n, h_images, _dual_images(h, q, n, l),
-                         f"V_{{{n},{l}}}")
+    rep = Representation(double, n, _h_images(h, a_mat, x_mat),
+                         _dual_images(h, q, n, l), f"V_{{{n},{l}}}")
     halg, dalg = h.algebra, double.hdual.algebra
     _check_subalgebra(rep, halg, rep.h_image, "H")
     _check_subalgebra(rep, dalg, rep.dual_image, "H*")
@@ -290,17 +296,8 @@ def rep_indecomposable(double: DoubleAlgebra, alpha: Scalar, l: int) -> Represen
     for k in range(2, N):
         x_mat.set(k - 1, k, q_bracket(k - 1, q) * (domain.one() - q ** k))
 
-    h_images = {}
-    pow_a = [ParametricMatrix.identity(N, domain)]
-    pow_x = [ParametricMatrix.identity(N, domain)]
-    for _ in range(N - 1):
-        pow_a.append(pow_a[-1] @ a_mat)
-        pow_x.append(pow_x[-1] @ x_mat)
-    for (i, j) in h.algebra.labels:
-        h_images[(i, j)] = pow_a[i] @ pow_x[j]
-
-    rep = Representation(double, N, h_images, _dual_images(h, q, N, l),
-                         f"W_{{{l}}}(alpha)")
+    rep = Representation(double, N, _h_images(h, a_mat, x_mat),
+                         _dual_images(h, q, N, l), f"W_{{{l}}}(alpha)")
     _check_subalgebra(rep, h.algebra, rep.h_image, "H")
     return rep
 
@@ -334,7 +331,7 @@ def taft_r_matrix(rep: Representation, parametric: bool = True,
     mat = rep.tensor_image(r_alg)
     if normalize:
         top = mat.get(0, 0)
-        if not top.is_constant() or top.is_zero():
+        if top.uses_parameters() or top.is_zero():
             raise RepresentationError(
                 "cannot normalize: top-left entry is zero or parameter-dependent")
         mat = mat.scaled(top.as_scalar().inverse())

@@ -148,6 +148,15 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_deeply_nested_json(tmp_path, capsys):
+    # raw text: json.dumps of so deep a list would itself recurse too far
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("payload", [
     {"dim": 4, "domain": "sqrt_q", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "1/0"}]},
@@ -156,6 +165,8 @@ def test_verify_malformed_json(tmp_path, capsys):
     {"dim": 4, "domain": "sqrt_q", "param": None,
      "entries": [{"row": 0, "col": 1, "value": "1"}]},
     [1, 2],
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "(" * 400 + "q" + ")" * 400}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -179,6 +190,7 @@ def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     ("taft", "--N", "4", "--q", "q^2"),       # not a primitive root
     ("taft", "--N", "4", "--q", "1/0"),
     ("taft", "--N", "4", "--q", "s"),         # s only exists over Q(s)
+    ("taft", "--N", "3", "--q", "(" * 400 + "q" + ")" * 400),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -173,17 +173,23 @@ _numbers = st.integers(min_value=-50, max_value=50) | st.fractions(
     min_value=-50, max_value=50, max_denominator=20)
 
 
-@given(_numbers, st.sampled_from(_DOMAINS))
-def test_scalar_equal_to_a_number_hashes_like_it(x, dom):
-    s = dom.from_fraction(x)
+# a Scalar, or the constant ParamScalar with that coefficient
+_wraps = st.sampled_from((lambda s: s, ParamScalar.constant))
+
+
+@given(_numbers, st.sampled_from(_DOMAINS), _wraps)
+def test_scalar_equal_to_a_number_hashes_like_it(x, dom, wrap):
+    s = wrap(dom.from_fraction(x))
     assert s == x and hash(s) == hash(x)
     assert s in {x} and x in {s}
 
 
-@given(_numbers, st.sampled_from(_DOMAINS), st.sampled_from(_DOMAINS))
-def test_cross_domain_equality_is_false_and_arithmetic_raises(x, d1, d2):
+@given(_numbers, st.sampled_from(_DOMAINS), st.sampled_from(_DOMAINS),
+       _wraps, _wraps)
+def test_cross_domain_equality_is_false_and_arithmetic_raises(x, d1, d2,
+                                                              wrap1, wrap2):
     assume(d1 != d2)
-    a, b = d1.from_fraction(x), d2.from_fraction(x)
+    a, b = wrap1(d1.from_fraction(x)), wrap2(d2.from_fraction(x))
     assert not a == b and a != b
     with pytest.raises(ScalarDomainError):
         a + b
@@ -305,7 +311,8 @@ def test_parse_scalar_rejects_parameters():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["q +", "(q", "q^", "foo", "2..5", "mu nu"]:
+    for bad in ["q +", "(q", "q^", "foo", "2..5", "mu nu",
+                "(" * 400 + "q" + ")" * 400, "-" * 2000 + "q"]:
         with pytest.raises(ValueError):
             parse_param_scalar(bad, SQRT_Q)
 

@@ -12,6 +12,7 @@ from hopfbax import (
     check_parametric_ybe,
     cyclotomic,
     parse_param_scalar,
+    q_bracket_factorial,
     rep_indecomposable,
     rep_irreducible,
     taft_r_matrix,
@@ -91,6 +92,32 @@ def test_irreducible_dual_entries(double3):
     assert d2.get(2, 0).as_scalar() == (one + q).inverse()
 
 
+def _closed_form_h_image(q, n, l, i, j):
+    """pi(a^i x^j) on V_{n,l} in closed form, the reference for the
+    generator-built images: entry (k, k+j), k = 1..n-j, is
+    q^{(k-l-n)i} (k+j-1)_q!/(k-1)_q! prod_{p<j} (1 - q^{p+k-n})."""
+    one = q.domain.one()
+    m = ParametricMatrix(n, q.domain)
+    for k in range(1, n - j + 1):
+        c = (q ** ((k - l - n) * i) * q_bracket_factorial(k + j - 1, q)
+             / q_bracket_factorial(k - 1, q))
+        for p in range(j):
+            c = c * (one - q ** (p + k - n))
+        m.set(k - 1, k + j - 1, c)
+    return m
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_irreducible_images_match_closed_form(N):
+    d = build_double(build_taft(N))
+    q = d.domain.q()
+    for n in range(1, N + 1):
+        for l in range(1, N + 1):
+            rep = rep_irreducible(d, n, l)
+            for (i, j) in d.h.algebra.labels:
+                assert rep.h_image((i, j)) == _closed_form_h_image(q, n, l, i, j)
+
+
 def test_irreducible_range_checks(double3):
     for n, l in ((0, 1), (4, 1), (1, 0), (1, 4)):
         with pytest.raises(ValueError):
@@ -108,6 +135,14 @@ def test_double_multiplicative_sampled_n3(double3):
     rng = random.Random(99)
     pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(500)]
     assert check_double_multiplicative(rep, pairs)
+
+
+def test_double_multiplicative_rejects_doubled_x(double3):
+    rep = rep_irreducible(double3, 3, 1)
+    bad_h = dict(rep._h)
+    bad_h[(0, 1)] = bad_h[(0, 1)].scaled(2)
+    broken = Representation(double3, 3, bad_h, rep._dual, "x doubled")
+    assert not check_double_multiplicative(broken)
 
 
 def test_corrupted_module_fails_loudly(double3, taft3):
