@@ -32,6 +32,8 @@ from .uqsl2 import spin_half, spin_one, uqsl2_r_matrix
 from .ybe import braid_check, check_constant_ybe, check_parametric_ybe
 
 OUTPUT_DIR_ENV = "HOPFBAX_OUTPUT_DIR"
+# largest --N accepted: D(T_N) has N^4 basis elements
+MAX_N = 16
 
 
 class UsageError(ValueError):
@@ -97,6 +99,8 @@ def _scalar_arg(text: str, domain):
 def _taft(args):
     if args.N < 2:
         raise UsageError("--N must be at least 2")
+    if args.N > MAX_N:
+        raise UsageError(f"--N must be at most {MAX_N}")
     domain = cyclotomic(args.N)
     q = domain.q() if args.q is None else _scalar_arg(args.q, domain)
     return build_taft(args.N, q)
@@ -191,7 +195,7 @@ def run_verify(args) -> int:
     if kind == "parametric":
         report = check_parametric_ybe(m)
     elif kind == "braid":
-        report = braid_check(m)
+        report = braid_check(m.at_one())
     else:
         report = check_constant_ybe(m.at_one())
     return _report_out(report, args)

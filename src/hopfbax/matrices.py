@@ -24,6 +24,11 @@ from .scalars import (Domain, ParamScalar, RATIONAL, SQRT_Q, accumulate,
                       proportionality_ratio)
 
 
+# largest "dim" accepted from JSON; braid and YBE checks build dim-sized
+# operators and their triple-space embeddings
+MAX_DIM = 4096
+
+
 def _domain_from_tag(tag: str) -> Domain:
     if tag == "rational":
         return RATIONAL
@@ -193,7 +198,10 @@ class ParametricMatrix:
     @staticmethod
     def from_json_dict(obj: dict) -> "ParametricMatrix":
         domain = _domain_from_tag(obj["domain"])
-        m = ParametricMatrix(int(obj["dim"]), domain)
+        dim = int(obj["dim"])
+        if dim > MAX_DIM:
+            raise ValueError(f"dim {dim} exceeds the limit {MAX_DIM}")
+        m = ParametricMatrix(dim, domain)
         for ent in obj["entries"]:
             v = parse_param_scalar(ent["value"], domain)
             m.set(int(ent["row"]) - 1, int(ent["col"]) - 1, v)

@@ -5,9 +5,7 @@ an element of one of three exact coefficient fields,
 
   * ``rational``        -- plain rationals,
   * ``cyclotomic(n)``   -- Q(zeta_n), with the deformation parameter q equal
-                           to the generator (a primitive n-th root of unity);
-                           elements are polynomials in q reduced mod the n-th
-                           cyclotomic polynomial,
+                           to the generator (a primitive n-th root of unity),
   * ``sqrt_q``          -- the rational function field Q(s) where s is a
                            formal square root of q (s^2 = q); this is where
                            matrices with half-integer q-powers live.
@@ -15,6 +13,17 @@ an element of one of three exact coefficient fields,
 Scalars from different domains never mix; ints and Fractions promote into
 any domain.  On top of Scalar sits ParamScalar: a Laurent polynomial in the
 spectral parameters mu, nu with Scalar coefficients.
+
+Arithmetic runs on Python ints, in the number-field layout of FLINT (von
+zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 3-6); Fraction appears
+only where a value crosses the API.  A value is s^k * a/b: a and b are
+ascending int tuples without trailing zeros, the gcd of all their
+coefficients is 1 and lead(b) > 0.  In rational and cyclotomic(n), k = 0, b
+is a constant and a (in q) is reduced modulo the monic integer Phi_n, so
+products never leave the integers (Q is Q(zeta_1), Phi_1 = x - 1).  In
+sqrt_q, a and b (in s) are coprime with nonzero constant terms, so a Laurent
+polynomial (constant b) needs no polynomial gcd.  Zero is a = (), b = (1,),
+k = 0.  The normal forms are unique, so == and hash compare the fields.
 
 Canonical string grammar (used by ``str()`` and accepted by the parsers):
 
@@ -31,9 +40,10 @@ denominators are monic, so emit -> parse -> emit is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 import re
 
 
@@ -64,94 +74,85 @@ def accumulate(terms: dict, key, value):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (ascending coefficient tuples)
+# integer polynomial helpers (ascending coefficient sequences of ints)
 # ---------------------------------------------------------------------------
 
-def _ptrim(c):
+def _trim(c) -> tuple:
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
     return tuple(c[:n])
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ptrim(out)
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _mul(a, b) -> list:
+    """Product of two nonzero polynomials (a nonzero top coefficient each)."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
-def _pscale(a, k):
-    if not k:
-        return ()
-    return tuple(x * k for x in a)
+def _sub_multiple(a: list, c, b, base: int):
+    """a -= c * x^base * b, in place (a long enough)."""
+    for j, y in enumerate(b, base):
+        a[j] -= c * y
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
+def _rem(c: list, phi) -> tuple:
+    """c modulo the monic polynomial phi; c is consumed."""
+    d = len(phi) - 1
+    for k in range(len(c) - 1, d - 1, -1):
+        if c[k]:
+            _sub_multiple(c, c[k], phi, k - d)
+    return _trim(c[:d])
+
+
+def _divexact(a, b) -> tuple:
+    """a / b, where b divides a with an integer quotient."""
+    a, db = list(a), len(b) - 1
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = c = a[i + db] // b[-1]
         if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return _ptrim(q), _ptrim(a)
+            _sub_multiple(a, c, b, i)
+    return tuple(quo)
 
 
-def _pgcd(a, b):
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = _pscale(a, 1 / a[-1])  # monic
-    return a
-
-
-def _pinv_mod(a, m):
-    """Inverse of a modulo m in Q[x] (m irreducible), by extended Euclid."""
-    r0, r1 = m, a
-    t0, t1 = (), (Fraction(1),)
+def _euclid(r0, r1, t0=None, t1=None):
+    """Last nonzero remainder of Euclid's algorithm on r0, r1 over Z, each
+    step cancelling a leading term by integer multiples and dividing out the
+    content.  Cofactors with r = t*a (mod m), started as r0 = m, t0 = (),
+    r1 = a, t1 = (1,), are carried along; the last one is returned."""
     while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-    if len(r0) != 1:
-        raise ScalarDomainError("element is not invertible modulo the cyclotomic polynomial")
-    return _pscale(t0, 1 / r0[0])
+        while len(r0) >= len(r1):
+            g = gcd(r0[-1], r1[-1])
+            c, lead, base = r0[-1] // g, r1[-1] // g, len(r0) - len(r1)
+            r0 = [lead * x for x in r0]
+            _sub_multiple(r0, c, r1, base)
+            r0 = _trim(r0)
+            if t0 is not None:
+                t0 = [lead * x for x in t0] + [0] * (len(t1) + base - len(t0))
+                _sub_multiple(t0, c, t1, base)
+                t0 = _trim(t0)
+            g = gcd(*r0, *(t0 or ()))
+            if g > 1:
+                r0 = tuple(x // g for x in r0)
+                t0 = t0 if t0 is None else tuple(x // g for x in t0)
+        r0, t0, r1, t1 = r1, t1, r0, t0
+    return r0, t0
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
-    """Coefficient tuple of the n-th cyclotomic polynomial Phi_n."""
+    """Integer coefficient tuple of the n-th cyclotomic polynomial Phi_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    poly = _ptrim([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])  # x^n - 1
+    poly = (-1,) + (0,) * (n - 1) + (1,)  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _pdivmod(poly, cyclotomic_polynomial(d))
-            assert not r
-            poly = q
+            poly = _divexact(poly, cyclotomic_polynomial(d))
     return poly
 
 
@@ -163,39 +164,43 @@ def cyclotomic_polynomial(n: int):
 class Domain:
     kind: str          # "rational" | "cyclotomic" | "sqrt_q"
     n: int = 0         # root-of-unity order for cyclotomic
+    # the monic modulus of rational (Phi_1) and cyclotomic (Phi_n) values
+    phi: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("rational", "cyclotomic", "sqrt_q"):
             raise ValueError(f"unknown scalar domain {self.kind!r}")
         if self.kind == "cyclotomic" and self.n < 2:
             raise ValueError("cyclotomic domain needs n >= 2")
+        if self.kind != "sqrt_q":
+            object.__setattr__(self, "phi",
+                               cyclotomic_polynomial(max(self.n, 1)))
 
     # -- constants ---------------------------------------------------------
     def zero(self) -> "Scalar":
-        return Scalar(self, (), (Fraction(1),))
+        return Scalar(self, (), (1,))
 
     def one(self) -> "Scalar":
-        return Scalar(self, (Fraction(1),), (Fraction(1),))
+        return self.from_fraction(1)
 
     def from_fraction(self, x) -> "Scalar":
-        x = Fraction(x)
-        if not x:
-            return self.zero()
-        return Scalar(self, (x,), (Fraction(1),))
+        x = x if x.__class__ is int else Fraction(x)
+        return Scalar(self, (x.numerator,), (x.denominator,)) if x \
+            else self.zero()
 
     def q(self) -> "Scalar":
         """The deformation parameter of this domain."""
         if self.kind == "cyclotomic":
-            return Scalar(self, (Fraction(0), Fraction(1)), (Fraction(1),))
+            return _normal(self, [0, 1], (1,))
         if self.kind == "sqrt_q":
-            return Scalar(self, (Fraction(0), Fraction(0), Fraction(1)), (Fraction(1),))
+            return Scalar(self, (1,), (1,), 2)
         raise ScalarDomainError("the rational domain has no deformation parameter")
 
     def s(self) -> "Scalar":
         """Formal square root of q (sqrt_q domain only)."""
         if self.kind != "sqrt_q":
             raise ScalarDomainError("s only exists in the sqrt_q domain")
-        return Scalar(self, (Fraction(0), Fraction(1)), (Fraction(1),))
+        return Scalar(self, (1,), (1,), 1)
 
     @property
     def generator_name(self):
@@ -211,8 +216,36 @@ RATIONAL = Domain("rational")
 SQRT_Q = Domain("sqrt_q")
 
 
+@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Domain:
     return Domain("cyclotomic", n)
+
+
+def _normal(domain, num, den, shift=0) -> "Scalar":
+    """s^shift * num/den in normal form.  num and den are int sequences, num
+    a list if it needs reducing; den is a nonzero constant outside sqrt_q,
+    with a nonzero constant term in sqrt_q."""
+    phi = domain.phi
+    num = _rem(num, phi) if phi and len(num) >= len(phi) else _trim(num)
+    if not num:
+        return domain.zero()
+    if not phi:
+        i = 0
+        while not num[i]:
+            i += 1
+        num, shift = num[i:], shift + i
+        if len(num) > 1 and len(den) > 1:
+            g = _euclid(num, den)[0]
+            if len(g) > 1:
+                c = gcd(*g)
+                g = tuple(x // c for x in g)
+                num, den = _divexact(num, g), _divexact(den, g)
+    g = gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num, den = tuple(x // g for x in num), tuple(x // g for x in den)
+    return Scalar(domain, num, tuple(den), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -220,54 +253,21 @@ def cyclotomic(n: int) -> Domain:
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An exact field element: num/den, dense Fraction tuples in the generator.
+    """An exact field element s^shift * num/den in integer normal form.
 
-    Normal form: rational and cyclotomic scalars have denominator (1,);
-    cyclotomic numerators are reduced mod Phi_n; sqrt_q fractions are in
-    lowest terms with monic denominator.
+    num and den are int coefficient tuples in the domain's generator (q, or
+    s in sqrt_q); the module docstring states the normal form of each
+    domain.  Only this module reads the fields.
     """
 
-    __slots__ = ("domain", "num", "den")
+    __slots__ = ("domain", "num", "den", "shift")
 
-    def __init__(self, domain, num, den, _reduced=True):
+    def __init__(self, domain, num, den, shift=0):
+        # the fields must already be in normal form
         self.domain = domain
-        if not _reduced:
-            num, den = self._reduce(domain, num, den)
         self.num = num
         self.den = den
-
-    @staticmethod
-    def _reduce(domain, num, den):
-        num, den = _ptrim(num), _ptrim(den)
-        if not den:
-            raise ZeroDivisionError("scalar with zero denominator")
-        if domain.kind == "cyclotomic":
-            phi = cyclotomic_polynomial(domain.n)
-            num = _pdivmod(num, phi)[1]
-            if len(den) > 1 or den[0] != 1:
-                den = _pdivmod(den, phi)[1]
-                num = _pmul(num, _pinv_mod(den, phi))
-                num = _pdivmod(num, phi)[1]
-                den = (Fraction(1),)
-        elif domain.kind == "rational":
-            if len(num) > 1 or len(den) > 1:
-                raise ScalarDomainError("rational scalars cannot carry a generator")
-            if den[0] != 1:
-                num = (num[0] / den[0],) if num else ()
-                den = (Fraction(1),)
-        else:
-            if not num:
-                den = (Fraction(1),)
-            else:
-                g = _pgcd(num, den)
-                if len(g) > 1:
-                    num = _pdivmod(num, g)[0]
-                    den = _pdivmod(den, g)[0]
-                lead = den[-1]
-                if lead != 1:
-                    num = _pscale(num, 1 / lead)
-                    den = _pscale(den, 1 / lead)
-        return num, den
+        self.shift = shift
 
     # -- construction helpers ----------------------------------------------
     def _coerce(self, other):
@@ -285,23 +285,38 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == (Fraction(1),) and self.den == (Fraction(1),)
+        return self.num == (1,) and self.den == (1,) and not self.shift
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return Scalar(self.domain, _padd(self.num, o.num), self.den,
-                          _reduced=False)
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return Scalar(self.domain, num, _pmul(self.den, o.den), _reduced=False)
+        dom = self.domain
+        if other.__class__ is not Scalar or other.domain is not dom:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        k = min(self.shift, other.shift)
+        a = (0,) * (self.shift - k) + a
+        b = (0,) * (other.shift - k) + b
+        da, db = self.den, other.den
+        if da != db:
+            a, b, da = _mul(a, db), _mul(b, da), _mul(da, db)
+        if len(a) < len(b):
+            a, b = b, a
+        num = list(a)
+        for i, c in enumerate(b):
+            num[i] += c
+        return _normal(dom, num, da, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.domain, _pneg(self.num), self.den)
+        return Scalar(self.domain, tuple(-c for c in self.num), self.den,
+                      self.shift)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -313,23 +328,37 @@ class Scalar:
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.num or not o.num:
-            return self.domain.zero()
-        return Scalar(self.domain, _pmul(self.num, o.num),
-                      _pmul(self.den, o.den), _reduced=False)
+        dom = self.domain
+        if other.__class__ is not Scalar or other.domain is not dom:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not a or not b:
+            return dom.zero()
+        num, den, phi = _mul(a, b), self.den, dom.phi
+        if not phi or den != (1,) or other.den != (1,):
+            return _normal(dom, num, _mul(den, other.den),
+                           self.shift + other.shift)
+        # the common case: two rational or cyclotomic values over 1
+        return Scalar(dom, _rem(num, phi) if len(num) >= len(phi)
+                      else tuple(num), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self.num:
+        num = self.num
+        if not num:
             raise ZeroDivisionError("inverting zero scalar")
-        if self.domain.kind == "cyclotomic":
-            inv = _pinv_mod(self.num, cyclotomic_polynomial(self.domain.n))
-            return Scalar(self.domain, inv, (Fraction(1),), _reduced=False)
-        return Scalar(self.domain, self.den, self.num, _reduced=False)
+        dom = self.domain
+        if dom.kind == "sqrt_q":
+            num, den = self.den, num
+            if den[-1] < 0:
+                num, den = tuple(-c for c in num), tuple(-c for c in den)
+            return Scalar(dom, num, den, -self.shift)
+        # Phi_n is irreducible, so the last remainder r is a constant
+        r, t = _euclid(dom.phi, num, (), (1,))
+        return _normal(dom, [x * self.den[0] for x in t], r)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -351,18 +380,24 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return (other.domain == self.domain
-                    and self.num == other.num and self.den == other.den)
-        if isinstance(other, (int, Fraction)):
-            o = self.domain.from_fraction(other)
-            return self.num == o.num and self.den == o.den
-        return NotImplemented
+            if other.domain != self.domain:
+                return False
+        elif isinstance(other, (int, Fraction)):
+            other = self.domain.from_fraction(other)
+        else:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.shift == other.shift)
 
     def __hash__(self):
-        if len(self.num) < 2 and self.den == (1,):
-            # equal to an int or Fraction, so it must hash like one
-            return hash(self.num[0] if self.num else 0)
-        return hash((self.domain, self.num, self.den))
+        num, den = self.num, self.den
+        if not num:
+            return 0
+        if len(num) == 1 and len(den) == 1 and not self.shift:
+            # a rational number: equal to an int or Fraction, so it must
+            # hash like one
+            return hash(Fraction(num[0], den[0]))
+        return hash((self.domain, num, den, self.shift))
 
     def __bool__(self):
         return bool(self.num)
@@ -370,12 +405,28 @@ class Scalar:
     # -- misc ----------------------------------------------------------------
     def __str__(self):
         gen = self.domain.generator_name or "x"
-        if self.den == (Fraction(1),):
-            return _poly_str(self.num, gen)
-        return f"({_poly_str(self.num, gen)})/({_poly_str(self.den, gen)})"
+        num, den = _monic_form(self)
+        if den == (1,):
+            return _poly_str(num, gen)
+        return f"({_poly_str(num, gen)})/({_poly_str(den, gen)})"
 
     def __repr__(self):
         return f"Scalar[{self.domain}]({self})"
+
+
+def _dense(x: Scalar):
+    """(numerator, denominator) int tuples in the generator, s^k spelt out."""
+    k = x.shift
+    return (0,) * max(k, 0) + x.num, (0,) * max(-k, 0) + x.den
+
+
+def _monic_form(x: Scalar):
+    """The printed form: _dense with Fraction coefficients and a monic
+    denominator."""
+    num, den = _dense(x)
+    lead = den[-1]
+    return (tuple(Fraction(c, lead) for c in num),
+            tuple(Fraction(c, lead) for c in den))
 
 
 def _poly_str(p, gen: str) -> str:
@@ -422,9 +473,10 @@ def _latex_scalar(x: Scalar) -> str:
             parts.append(("-" if coeff < 0 else ("+" if parts else "")) + body)
         return " ".join(parts)
 
-    if x.den == (Fraction(1),):
-        return poly(x.num)
-    return f"\\frac{{{poly(x.num)}}}{{{poly(x.den)}}}"
+    num, den = _monic_form(x)
+    if den == (1,):
+        return poly(num)
+    return f"\\frac{{{poly(num)}}}{{{poly(den)}}}"
 
 
 def _latex_frac(f: Fraction) -> str:
@@ -448,8 +500,7 @@ def lift_cyclotomic(x: Scalar, m: int) -> Scalar:
     out = tgt.zero()
     for e in range(len(x.num) - 1, -1, -1):
         out = out * g + x.num[e]
-    assert x.den == (Fraction(1),)
-    return out
+    return _normal(tgt, list(out.num), (out.den[0] * x.den[0],))
 
 
 def eval_q_powers(x: Scalar, q_target: Scalar) -> Scalar:
@@ -469,7 +520,8 @@ def eval_q_powers(x: Scalar, q_target: Scalar) -> Scalar:
             out = out * q_target + p[e]
         return out
 
-    return ev(x.num) / ev(x.den)
+    num, den = _dense(x)
+    return ev(num) / ev(den)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +835,9 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # parsing
 # ---------------------------------------------------------------------------
 
+# largest |k| accepted in x^k: (1 + s)^k expands to k + 1 terms
+MAX_EXPONENT = 1000
+
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
 
@@ -855,6 +910,8 @@ class _Parser:
             t = self.take()
             if t is None or not t.isdigit():
                 raise ValueError("exponent must be an integer")
+            if int(t) > MAX_EXPONENT:
+                raise ValueError(f"exponent {t} is above {MAX_EXPONENT}")
             v = v ** (sign * int(t))
         return v
 

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -134,6 +135,20 @@ def test_verify_braid_kind(tmp_path, capsys):
     assert "braid" in err
 
 
+def test_verify_braid_rejects_perturbed_family(tmp_path, capsys):
+    # the V_{3,1} family passes the braid check at mu = 1 (see the golden
+    # verify_braid case); doubling one entry must still fail it
+    golden = pathlib.Path(__file__).parent / "golden" / "taft_rep31_json.out"
+    m = ParametricMatrix.from_json(golden.read_text())
+    m.set(0, 0, m.get(0, 0) * 2)
+    path = tmp_path / "bad.json"
+    path.write_text(m.to_json())
+    code, _, err = run_cli(capsys, "verify", "--input", str(path),
+                           "--kind", "braid")
+    assert code == 1
+    assert err.startswith("FAIL  braid")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--input",
                            str(tmp_path / "nope.json"))
@@ -167,6 +182,9 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
     [1, 2],
     {"dim": 4, "domain": "sqrt_q", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "(" * 400 + "q" + ")" * 400}]},
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "(1+s)^99999999"}]},
+    {"dim": 10 ** 8, "domain": "sqrt_q", "param": None, "entries": []},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -191,6 +209,10 @@ def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     ("taft", "--N", "4", "--q", "1/0"),
     ("taft", "--N", "4", "--q", "s"),         # s only exists over Q(s)
     ("taft", "--N", "3", "--q", "(" * 400 + "q" + ")" * 400),
+    ("taft", "--N", "17"),                    # above MAX_N
+    ("double", "--N", "1000"),
+    ("taft", "--N", "4", "--q", "2^99999999"),
+    ("taft", "--N", "4", "--q", "(1+q)^99999999"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
