@@ -121,12 +121,15 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
+        product_basis = self.algebra.product_basis
         out = {}
         for l1, c1 in self.terms.items():
             for l2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for l3, c3 in self.algebra.product_basis(l1, l2).items():
-                    accumulate(out, l3, c12 * c3)
+                row = product_basis(l1, l2)
+                if row:
+                    c12 = c1 * c2
+                    for l3, c3 in row.items():
+                        accumulate(out, l3, c12 * c3)
         return AlgebraElement(self.algebra, out)
 
     def __rmul__(self, other):
@@ -260,24 +263,57 @@ class TensorElement:
     __repr__ = __str__
 
 
+def _slot_trie(terms: dict) -> dict:
+    """Tensor terms {(l_1, ..., l_k): c} nested slot by slot, as
+    {l_1: {l_2: ... {l_k: c}}}."""
+    trie = {}
+    for key, c in terms.items():
+        node = trie
+        for l in key[:-1]:
+            child = node.get(l)
+            if child is None:
+                child = node[l] = {}
+            node = child
+        node[key[-1]] = c
+    return trie
+
+
+def _add_products(out: dict, c, rows):
+    """out += c * (row_1 (x) ... (x) row_k) for {label: Scalar} rows."""
+    for combo in iproduct(*(row.items() for row in rows)):
+        s = combo[0][1]
+        for _, v in combo[1:]:
+            s = s * v
+        accumulate(out, tuple(l for l, _ in combo), c * s)
+
+
 def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Slot-wise product of two tensor elements of equal arity."""
+    """Slot-wise product of two tensor elements of equal arity.
+
+    The terms of y are walked slot by slot (see _slot_trie): a zero basis
+    product in one slot drops every term of y below it before any later slot
+    is looked up, and coefficients are multiplied only for the terms whose
+    products are nonzero in every slot.
+    """
     x._check(y)
     algebras = x.algebras
+    last = len(algebras) - 1
+    trie = _slot_trie(y.terms)
     out = {}
     for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            c = c1 * c2
-            slot_dicts = [algebras[i].product_basis(k1[i], k2[i])
-                          for i in range(len(algebras))]
-            if any(not d for d in slot_dicts):
-                continue
-            for combo in iproduct(*(d.items() for d in slot_dicts)):
-                key = tuple(l for l, _ in combo)
-                cc = c
-                for _, v in combo:
-                    cc = cc * v
-                accumulate(out, key, cc)
+        stack = [(trie, ())]     # (node of the trie, rows of the slots above)
+        while stack:
+            node, rows = stack.pop()
+            i = len(rows)
+            product_basis, l1 = algebras[i].product_basis, k1[i]
+            for l2, below in node.items():
+                row = product_basis(l1, l2)
+                if not row:
+                    continue
+                if i < last:
+                    stack.append((below, rows + (row,)))
+                else:
+                    _add_products(out, c1 * below, rows + (row,))
     return TensorElement(algebras, out)
 
 
@@ -316,25 +352,38 @@ def embed(x: TensorElement, positions, algebras) -> "TensorElement":
 # structural spot checks
 # ---------------------------------------------------------------------------
 
+def _times_basis(algebra: Algebra, row: dict, label, row_first: bool) -> dict:
+    """row * label (row_first) or label * row, for a {label: Scalar} row."""
+    product_basis = algebra.product_basis
+    out = {}
+    for m, c in row.items():
+        pair = product_basis(m, label) if row_first else product_basis(label, m)
+        for l, v in pair.items():
+            accumulate(out, l, c * v)
+    return out
+
+
 def associativity_violations(algebra: Algebra, triples=None):
     """Basis triples where (ab)c != a(bc); empty list means associative."""
     labels = algebra.labels
     if triples is None:
         triples = iproduct(labels, labels, labels)
+    product_basis = algebra.product_basis
     bad = []
     for l1, l2, l3 in triples:
-        a, b, c = algebra.basis(l1), algebra.basis(l2), algebra.basis(l3)
-        if (a * b) * c != a * (b * c):
+        if (_times_basis(algebra, product_basis(l1, l2), l3, True)
+                != _times_basis(algebra, product_basis(l2, l3), l1, False)):
             bad.append((l1, l2, l3))
     return bad
 
 
 def unit_violations(algebra: Algebra):
     """Basis labels where e*b != b or b*e != b."""
-    e = algebra.unit()
+    unit, one = algebra._unit_terms, algebra.domain.one()
     bad = []
     for l in algebra.labels:
-        b = algebra.basis(l)
-        if e * b != b or b * e != b:
+        b = {l: one}
+        if (_times_basis(algebra, unit, l, True) != b
+                or _times_basis(algebra, unit, l, False) != b):
             bad.append(l)
     return bad

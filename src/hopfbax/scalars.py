@@ -615,14 +615,17 @@ class ParamScalar:
     def nu(domain: Domain, power: int = 1) -> "ParamScalar":
         return ParamScalar(domain, {(0, power): domain.one()})
 
+    def _same_domain(self, other, what="scalars"):
+        """Raise unless other (a Scalar or ParamScalar) shares the domain."""
+        if other.domain is not self.domain and other.domain != self.domain:
+            raise ScalarDomainError(f"cannot mix {what} across domains")
+
     def _coerce(self, other):
         if isinstance(other, ParamScalar):
-            if other.domain != self.domain:
-                raise ScalarDomainError("cannot mix parameter scalars across domains")
+            self._same_domain(other, "parameter scalars")
             return other
         if isinstance(other, Scalar):
-            if other.domain != self.domain:
-                raise ScalarDomainError("cannot mix scalars across domains")
+            self._same_domain(other)
             return ParamScalar.constant(other)
         if isinstance(other, (int, Fraction)):
             return ParamScalar.constant(self.domain.from_fraction(other))
@@ -667,6 +670,11 @@ class ParamScalar:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, Scalar):
+            # scale each coefficient in place of a constant ParamScalar
+            self._same_domain(other)
+            return ParamScalar(self.domain,
+                               {k: v * other for k, v in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -835,7 +843,10 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # parsing
 # ---------------------------------------------------------------------------
 
-# largest |k| accepted in x^k: (1 + s)^k expands to k + 1 terms
+# largest |k| accepted in x^k: (1 + s)^k expands to k + 1 terms.  It also
+# bounds how far a power may grow its base: |k| times the exponents of the
+# powers around it, times the base's spread (at least 1), may not exceed it,
+# so ((1 + s)^1000)^1000 and (1 + s^2)^1000 fail before any expansion.
 MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
@@ -853,11 +864,33 @@ def _tokenize(text: str):
     return out
 
 
+def _spread(v: ParamScalar) -> int:
+    """The most degrees v spans in mu, in nu, or in s (numerator or
+    denominator); v^k spans k times as many."""
+    out = 0
+    for i in (0, 1):
+        exps = [key[i] for key in v.terms]
+        if exps:
+            out = max(out, max(exps) - min(exps))
+    if v.domain.kind == "sqrt_q":
+        for c in v.terms.values():
+            out = max(out, len(c.num) - 1, len(c.den) - 1)
+    return out
+
+
 class _Parser:
     def __init__(self, tokens, domain):
         self.toks = tokens
         self.i = 0
         self.domain = domain
+        self.scale = 1    # product of the exponents of the enclosing powers
+        self.close = {}   # index of each matched "(" -> index of its ")"
+        opened = []
+        for i, t in enumerate(tokens):
+            if t == "(":
+                opened.append(i)
+            elif t == ")" and opened:
+                self.close[opened.pop()] = i
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -900,20 +933,35 @@ class _Parser:
         if self.peek() == "-":
             self.take()
             return -self.factor()
+        # the exponent is read before the base, so that powers inside the
+        # base are bounded by how far their results will be raised
+        k, after = self.exponent(self.close.get(self.i, self.i) + 1)
+        outer = self.scale
+        self.scale = outer * max(abs(k or 0), 1)
         v = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            t = self.take()
-            if t is None or not t.isdigit():
-                raise ValueError("exponent must be an integer")
-            if int(t) > MAX_EXPONENT:
-                raise ValueError(f"exponent {t} is above {MAX_EXPONENT}")
-            v = v ** (sign * int(t))
-        return v
+        self.scale = outer
+        if k is None:
+            return v
+        self.i = after
+        if outer * abs(k) * max(_spread(v), 1) > MAX_EXPONENT:
+            raise ValueError(f"power ^{k} grows its base past the limit "
+                             f"{MAX_EXPONENT}")
+        return v ** k
+
+    def exponent(self, j):
+        """(k, index after it) for a "^ [-] integer" at token j, else (None, j)."""
+        toks = self.toks
+        if j >= len(toks) or toks[j] != "^":
+            return None, j
+        sign = 1
+        if j + 1 < len(toks) and toks[j + 1] == "-":
+            sign, j = -1, j + 1
+        t = toks[j + 1] if j + 1 < len(toks) else None
+        if t is None or not t.isdigit():
+            raise ValueError("exponent must be an integer")
+        if int(t) > MAX_EXPONENT:
+            raise ValueError(f"exponent {t} is above {MAX_EXPONENT}")
+        return sign * int(t), j + 2
 
     def atom(self):
         t = self.take()

@@ -1,9 +1,11 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
-from hopfbax import TensorElement, embed, multiply, tensor_multiply
-from hopfbax.algebra import associativity_violations, unit_violations
+from hopfbax import (ParamScalar, TensorElement, build_double, build_taft,
+                     embed, multiply, tensor_multiply)
+from hopfbax.algebra import Algebra, associativity_violations, unit_violations
 
 
 def _basis(h, i, j):
@@ -80,34 +82,105 @@ def test_tensor_multiply_is_slotwise(taft3):
     assert got == expect
 
 
-def test_tensor_multiply_brute_force_oracle(taft2):
-    # slot-wise product on random two-leg tensors against an explicit
-    # double loop over basis pairs
-    alg = taft2.algebra
-    rng = random.Random(3)
-    labels = list(alg.labels)
+def _brute_force_product(xt, yt):
+    """Slot-wise product by an explicit loop over all pairs of terms."""
+    algs = xt.algebras
+    expect = TensorElement(algs)
+    for kx, cx in xt.terms.items():
+        for ky, cy in yt.terms.items():
+            expect = expect + TensorElement.of(*(
+                multiply(alg.basis(a), alg.basis(b))
+                for alg, a, b in zip(algs, kx, ky))).scaled(cx * cy)
+    return expect
 
-    def rand_tensor():
-        t = None
-        for _ in range(3):
-            k1, k2 = rng.choice(labels), rng.choice(labels)
-            c = alg.domain.from_fraction(rng.randint(-3, 3))
-            term = TensorElement.of(alg.basis(k1), alg.basis(k2)).scaled(c)
-            t = term if t is None else t + term
+
+def test_tensor_multiply_brute_force_oracle(taft2, double2):
+    rng = random.Random(3)
+
+    def rand_tensor(algs, n_terms, coeff):
+        t = TensorElement(algs)
+        for _ in range(n_terms):
+            key = tuple(rng.choice(alg.labels) for alg in algs)
+            t = t + TensorElement.of(*(
+                alg.basis(l) for alg, l in zip(algs, key))).scaled(coeff())
         return t
 
+    # two legs of T_2, integer coefficients
+    algs = (taft2.algebra, taft2.algebra)
+    dom = taft2.algebra.domain
+
+    def integer():
+        return dom.from_fraction(rng.randint(-3, 3))
+
     for _ in range(10):
-        xt, yt = rand_tensor(), rand_tensor()
+        xt, yt = rand_tensor(algs, 3, integer), rand_tensor(algs, 3, integer)
+        assert tensor_multiply(xt, yt) == _brute_force_product(xt, yt)
+
+    # three legs over different algebras of one domain, mu/nu-dependent
+    # coefficients; x and x^* square to zero, so many slot products vanish
+    algs = (double2.algebra, taft2.algebra, double2.hdual.algebra)
+
+    def laurent():
+        c = ParamScalar(dom)
+        for _ in range(rng.randint(1, 2)):
+            c = c + ParamScalar.monomial(dom.from_fraction(rng.randint(-3, 3)),
+                                         rng.randint(-1, 2), rng.randint(0, 1))
+        return c
+
+    x = taft2.algebra.basis((0, 1))
+    x_dual = double2.hdual.algebra.basis((0, 1))
+    nilpotent = TensorElement.of(double2.embed_dual((0, 1)), x, x_dual)
+    assert tensor_multiply(nilpotent, nilpotent).is_zero()
+    zero_pairs = 0
+    for _ in range(12):
+        xt = rand_tensor(algs, 4, laurent) + nilpotent.scaled(laurent())
+        yt = rand_tensor(algs, 4, laurent) + nilpotent.scaled(laurent())
+        zero_pairs += sum(
+            any(not alg.product_basis(a, b) for alg, a, b in zip(algs, kx, ky))
+            for kx in xt.terms for ky in yt.terms)
         got = tensor_multiply(xt, yt)
-        expect = None
-        for kx, cx in xt.terms.items():
-            for ky, cy in yt.terms.items():
-                prod = TensorElement.of(
-                    multiply(alg.basis(kx[0]), alg.basis(ky[0])),
-                    multiply(alg.basis(kx[1]), alg.basis(ky[1])),
-                ).scaled(cx * cy)
-                expect = prod if expect is None else expect + prod
-        assert got == expect
+        assert got == _brute_force_product(xt, yt)
+        assert got.algebras == algs
+    assert zero_pairs > 0
+
+
+def _corrupted(alg, pair, label, factor):
+    """alg with the coefficient of `label` in the product `pair` times factor."""
+    def product(l1, l2):
+        out = dict(alg.product_basis(l1, l2))
+        if (l1, l2) == pair:
+            out[label] = out[label] * factor
+        return out
+    return Algebra(f"corrupted {alg.name}", alg.domain, alg.labels,
+                   alg._unit_terms, product, label_str=alg.label_str)
+
+
+def _element_violations(alg):
+    """Associativity and unit failures by multiplying basis elements."""
+    b = alg.basis
+    assoc = [(l1, l2, l3)
+             for l1, l2, l3 in iproduct(alg.labels, repeat=3)
+             if (b(l1) * b(l2)) * b(l3) != b(l1) * (b(l2) * b(l3))]
+    e = alg.unit()
+    unit = [l for l in alg.labels if e * b(l) != b(l) or b(l) * e != b(l)]
+    return assoc, unit
+
+
+@pytest.mark.parametrize("make", [
+    # e.x = 2x and x.e = 2x: unit failures too
+    lambda: _corrupted(build_taft(3).algebra, ((0, 0), (0, 1)), (0, 1), 2),
+    lambda: _corrupted(build_taft(3).algebra, ((0, 1), (0, 0)), (0, 1), 2),
+    # x.a = 3 q ax
+    lambda: _corrupted(build_taft(3).algebra, ((0, 1), (1, 0)), (1, 1), 3),
+    # a double of T_2 with a rejected straightening convention
+    lambda: build_double(build_taft(2), "s_inv_right").algebra,
+], ids=["left-unit", "right-unit", "cross", "rejected-double"])
+def test_table_checks_match_element_loop(make):
+    alg = make()
+    assoc, unit = _element_violations(alg)
+    assert assoc
+    assert associativity_violations(alg) == assoc
+    assert unit_violations(alg) == unit
 
 
 def test_embed_two_into_three(taft2):

@@ -185,6 +185,10 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
     {"dim": 4, "domain": "sqrt_q", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "(1+s)^99999999"}]},
     {"dim": 10 ** 8, "domain": "sqrt_q", "param": None, "entries": []},
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "((1+s)^1000)^1000"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": "mu",
+     "entries": [{"row": 1, "col": 1, "value": "((1+mu)^1000)^1000"}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -213,6 +217,7 @@ def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     ("double", "--N", "1000"),
     ("taft", "--N", "4", "--q", "2^99999999"),
     ("taft", "--N", "4", "--q", "(1+q)^99999999"),
+    ("taft", "--N", "7", "--q", "((1+q)^1000)^1000"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -258,6 +258,13 @@ def test_param_scalar_ring_axioms(a, b, c):
     assert (a - a).is_zero()
 
 
+@settings(max_examples=50)
+@given(strategies.param_scalars(), strategies.sqrt_scalars() | st.just(SQRT_Q.zero()))
+def test_param_scalar_times_scalar_is_times_constant(a, x):
+    # a Scalar operand scales each coefficient; it must act as the constant
+    assert a * x == a * ParamScalar.constant(x) == x * a
+
+
 def test_param_scalar_components_and_at_one():
     mu = ParamScalar.mu(SQRT_Q)
     nu = ParamScalar.nu(SQRT_Q)
@@ -318,6 +325,47 @@ def test_parse_rejects_garbage():
                 "2^99999999", "(1+s)^99999999", "s^-1001"]:
         with pytest.raises(ValueError):
             parse_param_scalar(bad, SQRT_Q)
+
+
+def test_parse_bounds_what_a_power_grows():
+    # |k| times the exponents of the enclosing powers times the base's
+    # spread in s, mu or nu (at least 1) may not exceed MAX_EXPONENT
+    for bad, dom in [("((1+s)^1000)^1000", SQRT_Q),
+                     ("((1+mu)^1000)^1000", SQRT_Q),
+                     ("-((1 + nu)^2)^600", SQRT_Q),
+                     ("(1+s^2)^1000", SQRT_Q),
+                     ("((1+q)^-1)^1000", SQRT_Q),
+                     ("(mu^10)^101", SQRT_Q),
+                     ("((1+q)^1000)^1000", cyclotomic(7)),
+                     ("((2)^1000)^1000", RATIONAL),
+                     ("(2^10)^101", RATIONAL)]:
+        with pytest.raises(ValueError):
+            parse_param_scalar(bad, dom)
+    assert parse_param_scalar("(mu^10)^100", SQRT_Q) == ParamScalar.mu(
+        SQRT_Q, 1000)
+    assert parse_param_scalar("(2^10)^100", RATIONAL) == ParamScalar.constant(
+        RATIONAL.from_fraction(2 ** 1000))
+    assert parse_param_scalar("((1 + s)^5)^2", SQRT_Q) == parse_param_scalar(
+        "(1 + s)^10", SQRT_Q)
+
+
+# every token of the grammar, plus an unknown word and a stray character;
+# exponents stay small so that the values stay cheap, except 1001
+_FUZZ_TOKENS = ("0", "1", "2", "3", "1001", "q", "s", "mu", "nu", "x", "(",
+                ")", "+", "-", "*", "/", "^", "**", "#")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12),
+       st.sampled_from((RATIONAL, SQRT_Q, cyclotomic(5))))
+def test_parse_fuzz_gives_a_value_or_a_value_error(tokens, dom):
+    # ScalarDomainError is the parser's other documented failure (1/0, s
+    # outside sqrt_q, q over the rationals); anything else is a bug
+    try:
+        v = parse_param_scalar(" ".join(tokens), dom)
+    except (ValueError, ScalarDomainError):
+        return
+    assert isinstance(v, ParamScalar) and v.domain == dom
 
 
 @settings(max_examples=40)
