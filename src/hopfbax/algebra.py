@@ -1,10 +1,13 @@
 """Finite-dimensional algebras over exact scalars, and tensor powers.
 
 An Algebra is a basis (hashable, orderable labels) plus structure constants:
-``product(l1, l2) -> {label: Scalar}``.  Elements are sparse dictionaries over
-basis labels.  TensorElement holds elements of tensor products of (possibly
-different) algebras, with ParamScalar coefficients so that the same code path
-serves constant and spectral-parameter-dependent objects.
+``product(l1, l2) -> {label: Scalar}``.  Labels are numbered once, in basis
+order, and the structure constants are read by number: ``row(i, j)`` is the
+product of basis elements i and j as ``((k, Scalar), ...)``, computed on
+first use and kept.  Elements are sparse dictionaries over basis labels.
+TensorElement holds elements of tensor products of (possibly different)
+algebras, with ParamScalar coefficients so that the same code path serves
+constant and spectral-parameter-dependent objects.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class Algebra:
             raise ValueError("duplicate basis labels")
         self._unit_terms = {l: c for l, c in unit_terms.items() if not c.is_zero()}
         self._product = product
-        self._cache = {}
+        self._rows = [{} for _ in self.labels]   # i -> {j: row(i, j)}, filled lazily
         self._label_str = label_str or repr
 
     @property
@@ -58,12 +61,20 @@ class Algebra:
 
     # -- structure constants ----------------------------------------------------
     def product_basis(self, l1, l2):
-        """Structure constants of l1*l2 as a {label: Scalar} dict (cached)."""
-        key = (l1, l2)
-        hit = self._cache.get(key)
+        """Structure constants of l1*l2 as a {label: Scalar} dict, computed
+        afresh on every call; row() keeps each result."""
+        return {l: c for l, c in self._product(l1, l2).items() if not c.is_zero()}
+
+    def row(self, i: int, j: int) -> tuple:
+        """Basis element i times basis element j, as ((k, Scalar), ...) over
+        basis indices with zeros dropped; each cell is computed once."""
+        cells = self._rows[i]
+        hit = cells.get(j)
         if hit is None:
-            hit = {l: c for l, c in self._product(l1, l2).items() if not c.is_zero()}
-            self._cache[key] = hit
+            index, labels = self.index, self.labels
+            hit = cells[j] = tuple(
+                (index[l], c)
+                for l, c in self.product_basis(labels[i], labels[j]).items())
         return hit
 
     def __repr__(self):
@@ -121,16 +132,19 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
-        product_basis = self.algebra.product_basis
+        alg = self.algebra
+        index, labels, row = alg.index, alg.labels, alg.row
+        right = [(index[l], c) for l, c in other.terms.items()]
         out = {}
         for l1, c1 in self.terms.items():
-            for l2, c2 in other.terms.items():
-                row = product_basis(l1, l2)
-                if row:
+            i = index[l1]
+            for j, c2 in right:
+                cell = row(i, j)
+                if cell:
                     c12 = c1 * c2
-                    for l3, c3 in row.items():
-                        accumulate(out, l3, c12 * c3)
-        return AlgebraElement(self.algebra, out)
+                    for k, c3 in cell:
+                        accumulate(out, labels[k], c12 * c3)
+        return AlgebraElement(alg, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -263,58 +277,67 @@ class TensorElement:
     __repr__ = __str__
 
 
-def _slot_trie(terms: dict) -> dict:
-    """Tensor terms {(l_1, ..., l_k): c} nested slot by slot, as
-    {l_1: {l_2: ... {l_k: c}}}."""
+def _slot_trie(t: TensorElement) -> dict:
+    """The terms of t over basis indices, nested slot by slot as
+    {i_1: {i_2: ... {i_k: c}}}."""
+    *upper, bottom = [a.index for a in t.algebras]
     trie = {}
-    for key, c in terms.items():
+    for key, c in t.terms.items():
         node = trie
-        for l in key[:-1]:
-            child = node.get(l)
+        for ix, l in zip(upper, key):
+            i = ix[l]
+            child = node.get(i)
             if child is None:
-                child = node[l] = {}
+                child = node[i] = {}
             node = child
-        node[key[-1]] = c
+        node[bottom[key[-1]]] = c
     return trie
 
 
 def _add_products(out: dict, c, rows):
-    """out += c * (row_1 (x) ... (x) row_k) for {label: Scalar} rows."""
-    for combo in iproduct(*(row.items() for row in rows)):
+    """out += c * (row_1 (x) ... (x) row_k) for ((index, Scalar), ...) rows."""
+    for combo in iproduct(*rows):
         s = combo[0][1]
         for _, v in combo[1:]:
             s = s * v
-        accumulate(out, tuple(l for l, _ in combo), c * s)
+        accumulate(out, tuple(k for k, _ in combo), c * s)
 
 
 def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     """Slot-wise product of two tensor elements of equal arity.
 
-    The terms of y are walked slot by slot (see _slot_trie): a zero basis
-    product in one slot drops every term of y below it before any later slot
-    is looked up, and coefficients are multiplied only for the terms whose
-    products are nonzero in every slot.
+    Keys become basis indices on entry and labels again on exit.  The terms
+    of x and of y are each nested slot by slot (see _slot_trie) and the two
+    nestings are walked together: a zero basis product in one slot drops
+    every pair of terms below it before any later slot is looked up, and
+    coefficients are multiplied only for the pairs whose products are
+    nonzero in every slot.
     """
     x._check(y)
     algebras = x.algebras
     last = len(algebras) - 1
-    trie = _slot_trie(y.terms)
     out = {}
-    for k1, c1 in x.terms.items():
-        stack = [(trie, ())]     # (node of the trie, rows of the slots above)
-        while stack:
-            node, rows = stack.pop()
-            i = len(rows)
-            product_basis, l1 = algebras[i].product_basis, k1[i]
-            for l2, below in node.items():
-                row = product_basis(l1, l2)
+    stack = [(_slot_trie(x), _slot_trie(y), ())]   # (nodes of both, rows above)
+    while stack:
+        xnode, ynode, rows = stack.pop()
+        s = len(rows)
+        alg = algebras[s]
+        table, fill = alg._rows, alg.row
+        for i, xbelow in xnode.items():
+            cells = table[i]
+            for j, ybelow in ynode.items():
+                row = cells.get(j)
+                if row is None:
+                    row = fill(i, j)
                 if not row:
                     continue
-                if i < last:
-                    stack.append((below, rows + (row,)))
+                if s < last:
+                    stack.append((xbelow, ybelow, rows + (row,)))
                 else:
-                    _add_products(out, c1 * below, rows + (row,))
-    return TensorElement(algebras, out)
+                    _add_products(out, xbelow * ybelow, rows + (row,))
+    labels = [a.labels for a in algebras]
+    return TensorElement(algebras, {
+        tuple(ls[k] for ls, k in zip(labels, key)): c for key, c in out.items()})
 
 
 def embed(x: TensorElement, positions, algebras) -> "TensorElement":
@@ -352,38 +375,39 @@ def embed(x: TensorElement, positions, algebras) -> "TensorElement":
 # structural spot checks
 # ---------------------------------------------------------------------------
 
-def _times_basis(algebra: Algebra, row: dict, label, row_first: bool) -> dict:
-    """row * label (row_first) or label * row, for a {label: Scalar} row."""
-    product_basis = algebra.product_basis
+def _times_basis(algebra: Algebra, terms, j: int, terms_first: bool) -> dict:
+    """terms * basis j (terms_first) or basis j * terms, for (index, Scalar)
+    pairs, as {index: Scalar}."""
+    row = algebra.row
     out = {}
-    for m, c in row.items():
-        pair = product_basis(m, label) if row_first else product_basis(label, m)
-        for l, v in pair.items():
-            accumulate(out, l, c * v)
+    for m, c in terms:
+        for k, v in (row(m, j) if terms_first else row(j, m)):
+            accumulate(out, k, c * v)
     return out
 
 
 def associativity_violations(algebra: Algebra, triples=None):
     """Basis triples where (ab)c != a(bc); empty list means associative."""
-    labels = algebra.labels
+    labels, index, row = algebra.labels, algebra.index, algebra.row
     if triples is None:
         triples = iproduct(labels, labels, labels)
-    product_basis = algebra.product_basis
     bad = []
     for l1, l2, l3 in triples:
-        if (_times_basis(algebra, product_basis(l1, l2), l3, True)
-                != _times_basis(algebra, product_basis(l2, l3), l1, False)):
+        i, j, k = index[l1], index[l2], index[l3]
+        if (_times_basis(algebra, row(i, j), k, True)
+                != _times_basis(algebra, row(j, k), i, False)):
             bad.append((l1, l2, l3))
     return bad
 
 
 def unit_violations(algebra: Algebra):
     """Basis labels where e*b != b or b*e != b."""
-    unit, one = algebra._unit_terms, algebra.domain.one()
+    index, one = algebra.index, algebra.domain.one()
+    unit = [(index[l], c) for l, c in algebra._unit_terms.items()]
     bad = []
-    for l in algebra.labels:
-        b = {l: one}
-        if (_times_basis(algebra, unit, l, True) != b
-                or _times_basis(algebra, unit, l, False) != b):
+    for j, l in enumerate(algebra.labels):
+        b = {j: one}
+        if (_times_basis(algebra, unit, j, True) != b
+                or _times_basis(algebra, unit, j, False) != b):
             bad.append(l)
     return bad

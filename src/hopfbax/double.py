@@ -112,11 +112,14 @@ class DoubleAlgebra:
     def _pair_product(self, p1, p2):
         (g1, f1), (g2, f2) = p1, p2
         halg, dalg = self.h.algebra, self.hdual.algebra
+        hidx, didx = halg.index, dalg.index
+        hlab, dlab = halg.labels, dalg.labels
+        i1, j2 = hidx[g1], didx[f2]
         out = {}
         for (v, k), c in self._cross_for(g2)[f1].items():
-            for gg, cg in halg.product_basis(g1, v).items():
-                for ff, cf in dalg.product_basis(k, f2).items():
-                    accumulate(out, (gg, ff), c * cg * cf)
+            for gg, cg in halg.row(i1, hidx[v]):
+                for ff, cf in dalg.row(didx[k], j2):
+                    accumulate(out, (hlab[gg], dlab[ff]), c * cg * cf)
         return out
 
     # -- embeddings -------------------------------------------------------------
@@ -164,10 +167,12 @@ class CanonicalR:
     def tensor(self) -> TensorElement:
         """Expansion in the pair basis of D (x) D."""
         d = self.double
-        out = TensorElement((d.algebra, d.algebra))
+        out = {}
         for g, f in self.factors:
-            out = out + TensorElement.of(d.embed_h(g), d.embed_dual(f))
-        return out
+            for key, c in TensorElement.of(d.embed_h(g),
+                                           d.embed_dual(f)).terms.items():
+                accumulate(out, key, c)
+        return TensorElement((d.algebra, d.algebra), out)
 
 
 def canonical_r(double: DoubleAlgebra) -> CanonicalR:

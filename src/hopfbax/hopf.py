@@ -254,9 +254,9 @@ def dual(h: HopfAlgebra) -> HopfAlgebra:
             prod_table[(l0, l1)][k] = c.as_scalar()
 
     coprod_terms = {k: {} for k in labels}
-    for l0, l1 in iproduct(labels, labels):
-        for k, c in alg.product_basis(l0, l1).items():
-            accumulate(coprod_terms[k], (l0, l1), c)
+    for (i, l0), (j, l1) in iproduct(enumerate(labels), repeat=2):
+        for k, c in alg.row(i, j):
+            accumulate(coprod_terms[labels[k]], (l0, l1), c)
 
     unit_terms = {l: h.counit[l] for l in labels if not h.counit[l].is_zero()}
 
@@ -340,9 +340,11 @@ class GradingReport:
 def check_grading(algebra: Algebra, grading: Grading) -> GradingReport:
     """Multiplicative homogeneity: deg(b_i b_j) = deg(b_i) + deg(b_j)."""
     viol = []
-    for l1, l2 in iproduct(algebra.labels, algebra.labels):
+    labels = algebra.labels
+    for (i, l1), (j, l2) in iproduct(enumerate(labels), repeat=2):
         want = _deg_add(grading.degree(l1), grading.degree(l2))
-        for m in algebra.product_basis(l1, l2):
+        for k, _ in algebra.row(i, j):
+            m = labels[k]
             if grading.degree(m) != want:
                 viol.append((algebra.label_str(l1), algebra.label_str(l2),
                              algebra.label_str(m)))

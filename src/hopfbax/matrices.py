@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 
-from .scalars import (Domain, ParamScalar, RATIONAL, SQRT_Q, accumulate,
-                      as_param_scalar, cyclotomic, latex_str, parse_param_scalar,
-                      proportionality_ratio)
+from .scalars import (Domain, ParamScalar, RATIONAL, SQRT_Q, ScalarDomainError,
+                      accumulate, as_param_scalar, cyclotomic, latex_str,
+                      parse_param_scalar, proportionality_ratio)
 
 
 # largest "dim" accepted from JSON; braid and YBE checks build dim-sized
@@ -111,20 +111,28 @@ class ParametricMatrix:
                 and self.entries == other.entries)
 
     # -- arithmetic ---------------------------------------------------------------
+    def _check_shape(self, other):
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        if other.domain is not self.domain and other.domain != self.domain:
+            raise ScalarDomainError("cannot mix parameter scalars across domains")
+
     def __add__(self, other):
         if not isinstance(other, ParametricMatrix):
             return NotImplemented
+        self._check_shape(other)
         out = self.copy()
-        for (r, c), v in other.entries.items():
-            out.set(r, c, out.get(r, c) + v)
+        for k, v in other.entries.items():
+            accumulate(out.entries, k, v)
         return out
 
     def __sub__(self, other):
         if not isinstance(other, ParametricMatrix):
             return NotImplemented
+        self._check_shape(other)
         out = self.copy()
-        for (r, c), v in other.entries.items():
-            out.set(r, c, out.get(r, c) - v)
+        for k, v in other.entries.items():
+            accumulate(out.entries, k, -v)
         return out
 
     def __neg__(self):
@@ -143,8 +151,7 @@ class ParametricMatrix:
     def __matmul__(self, other):
         if not isinstance(other, ParametricMatrix):
             return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
+        self._check_shape(other)
         m = ParametricMatrix(self.dim, self.domain)
         m.entries = matmul_entries(self.entries, other.entries)
         return m

@@ -844,9 +844,11 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # ---------------------------------------------------------------------------
 
 # largest |k| accepted in x^k: (1 + s)^k expands to k + 1 terms.  It also
-# bounds how far a power may grow its base: |k| times the exponents of the
-# powers around it, times the base's spread (at least 1), may not exceed it,
-# so ((1 + s)^1000)^1000 and (1 + s^2)^1000 fail before any expansion.
+# bounds the terms a power may create: with n = |k| times the exponents of
+# the powers around it (at most MAX_EXPONENT itself), a base spanning d_v
+# degrees in each of mu, nu and s gives at most prod (d_v * n + 1) terms,
+# which may not exceed MAX_EXPONENT + 1.  So ((1 + s)^1000)^1000,
+# (1 + s^2)^1000 and (1 + mu + nu)^1000 fail before any expansion.
 MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
@@ -864,18 +866,18 @@ def _tokenize(text: str):
     return out
 
 
-def _spread(v: ParamScalar) -> int:
-    """The most degrees v spans in mu, in nu, or in s (numerator or
-    denominator); v^k spans k times as many."""
-    out = 0
+def _spread(v: ParamScalar) -> tuple:
+    """The degrees v spans in mu, in nu and in s (the most of any
+    coefficient's numerator or denominator); v^k spans k times as many."""
+    out = []
     for i in (0, 1):
         exps = [key[i] for key in v.terms]
-        if exps:
-            out = max(out, max(exps) - min(exps))
+        out.append(max(exps) - min(exps) if exps else 0)
+    s = 0
     if v.domain.kind == "sqrt_q":
         for c in v.terms.values():
-            out = max(out, len(c.num) - 1, len(c.den) - 1)
-    return out
+            s = max(s, len(c.num) - 1, len(c.den) - 1)
+    return (*out, s)
 
 
 class _Parser:
@@ -943,7 +945,11 @@ class _Parser:
         if k is None:
             return v
         self.i = after
-        if outer * abs(k) * max(_spread(v), 1) > MAX_EXPONENT:
+        n = outer * abs(k)
+        terms = 1
+        for d in _spread(v):
+            terms *= d * n + 1
+        if n > MAX_EXPONENT or terms > MAX_EXPONENT + 1:
             raise ValueError(f"power ^{k} grows its base past the limit "
                              f"{MAX_EXPONENT}")
         return v ** k

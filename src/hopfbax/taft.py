@@ -26,12 +26,14 @@ Index conventions for the modules (documented choices):
 
 from __future__ import annotations
 
+from itertools import product as iproduct
+
 from .algebra import Algebra, TensorElement
 from .baxterize import baxterize, decompose_graded
 from .double import DoubleAlgebra, canonical_r, double_grading
 from .hopf import Grading, HopfAlgebra
 from .matrices import ParametricMatrix
-from .scalars import (ParamScalar, Scalar, ScalarDomainError, cyclotomic,
+from .scalars import (Scalar, ScalarDomainError, accumulate, cyclotomic,
                       gauss_binomial, q_bracket, q_bracket_factorial)
 
 
@@ -142,27 +144,31 @@ class Representation:
         return hit
 
     def _combine(self, image, terms) -> ParametricMatrix:
-        """sum_z c * image(z) over the {label z: c} dict terms."""
+        """sum_z c * image(z) over the (label z, Scalar c) pairs terms."""
         out = ParametricMatrix(self.dim, self.domain)
-        for z, c in terms.items():
-            out = out + image(z).scaled(c)
+        entries = out.entries
+        for z, c in terms:
+            for k, v in image(z).entries.items():
+                accumulate(entries, k, v * c)
         return out
 
     def tensor_image(self, te: TensorElement) -> ParametricMatrix:
         """Matrix of an element of D (x) ... (x) D on (C^dim)^arity."""
-        total = self.dim ** te.arity
-        out = ParametricMatrix(total, self.domain)
+        out = ParametricMatrix(self.dim ** te.arity, self.domain)
+        entries = out.entries
         for key, c in te.terms.items():
             m = self.pair_image(key[0])
             for lab in key[1:]:
                 m = m.kron(self.pair_image(lab))
-            out = out + m.scaled(c)
+            for k, v in m.entries.items():
+                accumulate(entries, k, c * v)
         return out
 
 
 def _check_algebra_map(rep: Representation, image, table, where,
                        left=None, right=None):
-    """pi(x) pi(y) must equal sum c * pi(z) for each (x, y, {z: c}) in table.
+    """pi(x) pi(y) must equal sum c * pi(z) for each (x, y, terms) in table,
+    terms being (z, c) pairs.
 
     `image` is pi on the labels z; `left` and `right` are pi on the factors
     x and y when those are labels of another kind.  `where(x, y)` names a
@@ -174,14 +180,20 @@ def _check_algebra_map(rep: Representation, image, table, where,
             raise RepresentationError(f"{rep.name} {where(x, y)}")
 
 
+def _row_table(alg: Algebra, pairs):
+    """(x, y, (z, c) pairs of x*y) for label pairs (x, y) of alg."""
+    index, labels = alg.index, alg.labels
+    for x, y in pairs:
+        yield x, y, ((labels[k], c) for k, c in alg.row(index[x], index[y]))
+
+
 def _check_subalgebra(rep: Representation, alg: Algebra, image, name: str):
     """pi restricted to the subalgebra alg (H or H*) is a unital algebra map."""
     _check_algebra_map(
-        rep, image, ((x, y, alg.product_basis(x, y))
-                     for x in alg.labels for y in alg.labels),
+        rep, image, _row_table(alg, iproduct(alg.labels, repeat=2)),
         lambda x, y: (f"is not multiplicative on {name} at "
                       f"{alg.label_str(x)}, {alg.label_str(y)}"))
-    if rep._combine(image, alg._unit_terms) != ParametricMatrix.identity(
+    if rep._combine(image, alg._unit_terms.items()) != ParametricMatrix.identity(
             rep.dim, rep.domain):
         raise RepresentationError(
             f"{rep.name} does not send 1_{name} to the identity")
@@ -194,8 +206,7 @@ def check_double_multiplicative(rep: Representation, pairs=None) -> bool:
         pairs = ((u, v) for u in alg.labels for v in alg.labels)
     try:
         _check_algebra_map(
-            rep, rep.pair_image,
-            ((u, v, alg.product_basis(u, v)) for u, v in pairs),
+            rep, rep.pair_image, _row_table(alg, pairs),
             lambda u, v: "is not multiplicative on D")
     except RepresentationError:
         return False
@@ -261,7 +272,7 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     _check_subalgebra(rep, dalg, rep.dual_image, "H*")
     _check_algebra_map(
         rep, rep.pair_image,
-        ((f, g, double._cross_for(g)[f])
+        ((f, g, double._cross_for(g)[f].items())
          for g in halg.labels for f in dalg.labels),
         lambda f, g: (f"breaks the straightening rule at "
                       f"f={dalg.label_str(f)}, g={halg.label_str(g)}"),
@@ -304,8 +315,9 @@ def rep_indecomposable(double: DoubleAlgebra, alpha: Scalar, l: int) -> Represen
 
 def _taft_q(h: HopfAlgebra) -> Scalar:
     """Recover q from the commutation x a = q a x."""
-    prod = h.algebra.product_basis((0, 1), (1, 0))
-    return prod[(1, 1)]
+    alg = h.algebra
+    (_, q), = alg.row(alg.index[(0, 1)], alg.index[(1, 0)])
+    return q
 
 
 # ---------------------------------------------------------------------------

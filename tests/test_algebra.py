@@ -3,8 +3,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from hopfbax import (ParamScalar, TensorElement, build_double, build_taft,
-                     embed, multiply, tensor_multiply)
+from hopfbax import (CONVENTIONS, ParamScalar, TensorElement, build_double,
+                     build_taft, canonical_r, check_constant_ybe_algebraic,
+                     dual, embed, multiply, tensor_multiply)
 from hopfbax.algebra import Algebra, associativity_violations, unit_violations
 
 
@@ -238,3 +239,50 @@ def test_tensor_arity_mismatch_rejected(taft2):
     t3 = TensorElement.of(a, a, a)
     with pytest.raises(ValueError):
         tensor_multiply(t2, t3)
+
+
+# ---------------------------------------------------------------------------
+# the int-indexed structure-constant table
+# ---------------------------------------------------------------------------
+
+def _row_cases():
+    for n in (2, 3, 4, 5):
+        h = build_taft(n)
+        yield f"T_{n}", h.algebra
+        yield f"T_{n}^*", dual(h).algebra
+    for conv in CONVENTIONS:
+        yield f"D(T_2) {conv}", build_double(build_taft(2), conv).algebra
+
+
+@pytest.mark.parametrize("name, alg", list(_row_cases()),
+                         ids=[name for name, _ in _row_cases()])
+def test_row_agrees_with_product_basis(name, alg):
+    labels, index = alg.labels, alg.index
+    for i, l1 in enumerate(labels):
+        for j, l2 in enumerate(labels):
+            row = alg.row(i, j)
+            assert row == tuple((index[l], c)
+                                for l, c in alg.product_basis(l1, l2).items())
+            assert all(not c.is_zero() for _, c in row)
+            assert alg.row(i, j) is row      # kept, not recomputed
+
+
+def test_row_table_fills_lazily():
+    d = build_double(build_taft(3))
+    alg = d.algebra
+    assert check_constant_ybe_algebraic(d, canonical_r(d)).passed
+    filled = sum(len(cells) for cells in alg._rows)
+    assert 0 < filled < alg.dim ** 2
+
+
+def test_no_label_keyed_product_cache():
+    d = build_double(build_taft(2))
+    assert check_constant_ybe_algebraic(d, canonical_r(d)).passed
+    for alg in (d.algebra, d.h.algebra, d.hdual.algebra):
+        assert not hasattr(alg, "_cache")
+        pairs = set(iproduct(alg.labels, repeat=2))
+        for value in vars(alg).values():
+            if isinstance(value, dict):
+                assert not pairs.intersection(value)
+        for cells in alg._rows:
+            assert all(isinstance(j, int) for j in cells)

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +191,10 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
      "entries": [{"row": 1, "col": 1, "value": "((1+s)^1000)^1000"}]},
     {"dim": 4, "domain": "sqrt_q", "param": "mu",
      "entries": [{"row": 1, "col": 1, "value": "((1+mu)^1000)^1000"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": "mu",
+     "entries": [{"row": 1, "col": 1, "value": "(1+mu+nu)^1000"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": "mu",
+     "entries": [{"row": 1, "col": 1, "value": "((1+mu+nu)^10)^100"}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -218,12 +224,36 @@ def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     ("taft", "--N", "4", "--q", "2^99999999"),
     ("taft", "--N", "4", "--q", "(1+q)^99999999"),
     ("taft", "--N", "7", "--q", "((1+q)^1000)^1000"),
+    ("double", "--N", "9"),                   # above MAX_DOUBLE_N
+    ("double", "--N", "16"),
+    ("baxterize", "--N", "9"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err.lower()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hopfbax", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    done = run("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: hopfbax")
+    done = run("double", "--N", "2")
+    assert done.returncode == 0
+    assert done.stderr.startswith("PASS  constant-algebraic")
+    done = run("double", "--N", "9")
+    assert done.returncode == 2
+    assert done.stderr == "error: --N must be at most 8\n"
 
 
 def test_argparse_failures_exit_2(capsys):

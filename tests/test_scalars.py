@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -328,9 +329,14 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_bounds_what_a_power_grows():
-    # |k| times the exponents of the enclosing powers times the base's
-    # spread in s, mu or nu (at least 1) may not exceed MAX_EXPONENT
-    for bad, dom in [("((1+s)^1000)^1000", SQRT_Q),
+    # n = |k| times the exponents of the enclosing powers may not exceed
+    # MAX_EXPONENT, nor may prod (spread * n + 1) over mu, nu and s exceed
+    # MAX_EXPONENT + 1
+    for bad, dom in [("(1+mu+nu)^1000", SQRT_Q),
+                     ("((1+mu+nu)^10)^100", SQRT_Q),
+                     ("(1+mu+nu)^31", SQRT_Q),
+                     ("(1+mu+s)^31", SQRT_Q),
+                     ("((1+s)^1000)^1000", SQRT_Q),
                      ("((1+mu)^1000)^1000", SQRT_Q),
                      ("-((1 + nu)^2)^600", SQRT_Q),
                      ("(1+s^2)^1000", SQRT_Q),
@@ -339,14 +345,19 @@ def test_parse_bounds_what_a_power_grows():
                      ("((1+q)^1000)^1000", cyclotomic(7)),
                      ("((2)^1000)^1000", RATIONAL),
                      ("(2^10)^101", RATIONAL)]:
+        t0 = time.perf_counter()
         with pytest.raises(ValueError):
             parse_param_scalar(bad, dom)
+        assert time.perf_counter() - t0 < 0.5
     assert parse_param_scalar("(mu^10)^100", SQRT_Q) == ParamScalar.mu(
         SQRT_Q, 1000)
     assert parse_param_scalar("(2^10)^100", RATIONAL) == ParamScalar.constant(
         RATIONAL.from_fraction(2 ** 1000))
     assert parse_param_scalar("((1 + s)^5)^2", SQRT_Q) == parse_param_scalar(
         "(1 + s)^10", SQRT_Q)
+    # (30 + 1)^2 <= 1001: the largest power of a bivariate linear base
+    assert len(parse_param_scalar("(1+mu+nu)^30", SQRT_Q).terms) == 496
+    assert len(parse_param_scalar("(1+mu+s)^30", SQRT_Q).terms) == 31
 
 
 # every token of the grammar, plus an unknown word and a stray character;

@@ -6,6 +6,7 @@ from hopfbax import (
     ParamScalar,
     ParametricMatrix,
     SQRT_Q,
+    ScalarDomainError,
     braid_check,
     check_constant_ybe,
     check_parametric_ybe,
@@ -34,6 +35,18 @@ def test_flip_operator_squares_to_identity():
     # P e_(a,b) = e_(b,a)
     assert p.get(1 * 3 + 2, 2 * 3 + 1).as_scalar().is_one()
     assert p.get(1, 2).is_zero()
+
+
+def test_matrix_sums_need_equal_dimensions_and_domains():
+    i2, i3 = (ParametricMatrix.identity(d, SQRT_Q) for d in (2, 3))
+    for a, b in ((i3, i2), (i2, i3)):
+        for op in (a.__add__, a.__sub__, a.__matmul__):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(b)
+    with pytest.raises(ScalarDomainError):
+        i2 + ParametricMatrix.identity(2, cyclotomic(3))
+    assert i3 + i3 == i3.scaled(2)
+    assert (i3 - i3).is_zero() and (i3 - i3).dim == 3
 
 
 def test_corrupted_entry_fails_with_located_worst(r_half):
