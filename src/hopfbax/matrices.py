@@ -18,6 +18,7 @@ emit):
 from __future__ import annotations
 
 import json
+import re
 
 from .scalars import (Domain, ParamScalar, RATIONAL, SQRT_Q, ScalarDomainError,
                       accumulate, as_param_scalar, cyclotomic, latex_str,
@@ -27,6 +28,7 @@ from .scalars import (Domain, ParamScalar, RATIONAL, SQRT_Q, ScalarDomainError,
 # largest "dim" accepted from JSON; braid and YBE checks build dim-sized
 # operators and their triple-space embeddings
 MAX_DIM = 4096
+MAX_ORDER = 1000   # largest n of a "cyclotomic(n)" tag; the package emits n <= 16
 
 
 def _domain_from_tag(tag: str) -> Domain:
@@ -34,9 +36,10 @@ def _domain_from_tag(tag: str) -> Domain:
         return RATIONAL
     if tag == "sqrt_q":
         return SQRT_Q
-    if tag.startswith("cyclotomic(") and tag.endswith(")"):
-        return cyclotomic(int(tag[len("cyclotomic("):-1]))
-    raise ValueError(f"unknown domain tag {tag!r}")
+    m = re.fullmatch(r"cyclotomic\(([0-9]+)\)", tag)
+    if m and int(m[1]) <= MAX_ORDER:
+        return cyclotomic(int(m[1]))
+    raise ValueError(f"unknown domain tag {tag!r} (orders go up to {MAX_ORDER})")
 
 
 def matmul_entries(a: dict, b: dict) -> dict:
@@ -205,13 +208,16 @@ class ParametricMatrix:
     @staticmethod
     def from_json_dict(obj: dict) -> "ParametricMatrix":
         domain = _domain_from_tag(obj["domain"])
-        dim = int(obj["dim"])
-        if dim > MAX_DIM:
-            raise ValueError(f"dim {dim} exceeds the limit {MAX_DIM}")
+        dim = obj["dim"]
+        if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
         m = ParametricMatrix(dim, domain)
         for ent in obj["entries"]:
             v = parse_param_scalar(ent["value"], domain)
-            m.set(int(ent["row"]) - 1, int(ent["col"]) - 1, v)
+            r, c = ent["row"], ent["col"]
+            if type(r) is not int or type(c) is not int:
+                raise ValueError(f"row and col must be integers, got {r!r}, {c!r}")
+            m.set(r - 1, c - 1, v)
         return m
 
     @staticmethod

@@ -25,7 +25,8 @@ sqrt_q, a and b (in s) are coprime with nonzero constant terms, so a Laurent
 polynomial (constant b) needs no polynomial gcd.  Zero is a = (), b = (1,),
 k = 0.  The normal forms are unique, so == and hash compare the fields.
 
-Canonical string grammar (used by ``str()`` and accepted by the parsers):
+Canonical string grammar (``str()`` emits it; ``parse_param_scalar`` checks
+the tokens, then walks the ``ast.parse`` tree and refuses any node outside it):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
@@ -40,6 +41,7 @@ denominators are monic, so emit -> parse -> emit is the identity.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -816,11 +818,13 @@ def latex_str(v: ParamScalar) -> str:
 
 def as_param_scalar(c, domain: Domain) -> ParamScalar:
     """c (a ParamScalar, Scalar, int or Fraction) as a ParamScalar over domain."""
-    if isinstance(c, ParamScalar):
-        return c
-    if isinstance(c, Scalar):
-        return ParamScalar.constant(c)
-    return ParamScalar.constant(domain.from_fraction(c))
+    if c.__class__ is ParamScalar and c.domain is domain:
+        return c    # the common case, checked first because it is hot
+    if not isinstance(c, (ParamScalar, Scalar)):
+        return ParamScalar.constant(domain.from_fraction(c))
+    if c.domain is not domain and c.domain != domain:
+        raise ScalarDomainError(f"cannot use a scalar from {c.domain} over {domain}")
+    return c if isinstance(c, ParamScalar) else ParamScalar.constant(c)
 
 
 def proportionality_ratio(a: ParamScalar, b: ParamScalar):
@@ -853,17 +857,32 @@ MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
+_NAMES = {"q": lambda d: ParamScalar.constant(d.q()),
+          "s": lambda d: ParamScalar.constant(d.s()),
+          "mu": ParamScalar.mu, "nu": ParamScalar.nu}
 
-def _tokenize(text: str):
+_OPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
+        ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b}
+
+
+def _python_source(text: str) -> str:
+    """text respelt as Python (^ as **, digit runs as ASCII ints) once each
+    token is checked against the grammar; an exponent must be an int literal."""
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise ValueError(f"bad character in scalar string at {text[pos:]!r}")
-        tok = m.group(1)
-        out.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return out
+        tok, pos = m.group(1), m.end()
+        if tok.isdigit():
+            tok = str(int(tok))
+        elif tok.isalpha() and tok not in _NAMES:
+            raise ValueError(f"unknown symbol {tok!r}")
+        out.append("**" if tok == "^" else tok)
+    source = " ".join(out)
+    if re.search(r"\*\*(?! (- )?\d)", source):
+        raise ValueError("exponent must be an integer")
+    return source
 
 
 def _spread(v: ParamScalar) -> tuple:
@@ -880,122 +899,54 @@ def _spread(v: ParamScalar) -> tuple:
     return (*out, s)
 
 
-class _Parser:
-    def __init__(self, tokens, domain):
-        self.toks = tokens
-        self.i = 0
-        self.domain = domain
-        self.scale = 1    # product of the exponents of the enclosing powers
-        self.close = {}   # index of each matched "(" -> index of its ")"
-        opened = []
-        for i, t in enumerate(tokens):
-            if t == "(":
-                opened.append(i)
-            elif t == ")" and opened:
-                self.close[opened.pop()] = i
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, t):
-        got = self.take()
-        if got != t:
-            raise ValueError(f"expected {t!r}, got {got!r}")
-
-    def parse(self):
-        v = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input {self.toks[self.i:]!r}")
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                v = v + self.term()
-            else:
-                v = v - self.term()
-        return v
-
-    def term(self):
-        v = self.factor()
-        while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                v = v * self.factor()
-            else:
-                v = v / self.factor()
-        return v
-
-    def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return -self.factor()
-        # the exponent is read before the base, so that powers inside the
-        # base are bounded by how far their results will be raised
-        k, after = self.exponent(self.close.get(self.i, self.i) + 1)
-        outer = self.scale
-        self.scale = outer * max(abs(k or 0), 1)
-        v = self.atom()
-        self.scale = outer
-        if k is None:
-            return v
-        self.i = after
-        n = outer * abs(k)
+def _evaluate(node, domain: Domain, scale: int) -> ParamScalar:
+    """The value of a syntax tree of the grammar, scale being the product of
+    the exponents around node; a chain a + b - c ... costs no recursion."""
+    chain = []
+    while isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        chain.append(node)
+        node = node.left
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        k, sign = node.right, 1
+        if isinstance(k, ast.UnaryOp) and isinstance(k.op, ast.USub):
+            k, sign = k.operand, -1
+        if not (isinstance(k, ast.Constant) and type(k.value) is int):
+            raise ValueError("exponent must be an integer")
+        if k.value > MAX_EXPONENT:
+            raise ValueError(f"exponent {k.value} is above {MAX_EXPONENT}")
+        # the exponent is known before the base is evaluated, so powers
+        # inside the base are bounded by how far their results are raised
+        k = sign * k.value
+        v = _evaluate(node.left, domain, scale * max(abs(k), 1))
+        n = scale * abs(k)
         terms = 1
         for d in _spread(v):
             terms *= d * n + 1
         if n > MAX_EXPONENT or terms > MAX_EXPONENT + 1:
             raise ValueError(f"power ^{k} grows its base past the limit "
                              f"{MAX_EXPONENT}")
-        return v ** k
-
-    def exponent(self, j):
-        """(k, index after it) for a "^ [-] integer" at token j, else (None, j)."""
-        toks = self.toks
-        if j >= len(toks) or toks[j] != "^":
-            return None, j
-        sign = 1
-        if j + 1 < len(toks) and toks[j + 1] == "-":
-            sign, j = -1, j + 1
-        t = toks[j + 1] if j + 1 < len(toks) else None
-        if t is None or not t.isdigit():
-            raise ValueError("exponent must be an integer")
-        if int(t) > MAX_EXPONENT:
-            raise ValueError(f"exponent {t} is above {MAX_EXPONENT}")
-        return sign * int(t), j + 2
-
-    def atom(self):
-        t = self.take()
-        if t == "(":
-            v = self.expr()
-            self.expect(")")
-            return v
-        if t is None:
-            raise ValueError("unexpected end of scalar string")
-        if t.isdigit():
-            return ParamScalar.constant(self.domain.from_fraction(int(t)))
-        if t == "q":
-            return ParamScalar.constant(self.domain.q())
-        if t == "s":
-            return ParamScalar.constant(self.domain.s())
-        if t == "mu":
-            return ParamScalar.mu(self.domain)
-        if t == "nu":
-            return ParamScalar.nu(self.domain)
-        raise ValueError(f"unknown symbol {t!r}")
+        v = v ** k
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        v = -_evaluate(node.operand, domain, scale)
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        v = ParamScalar.constant(domain.from_fraction(node.value))
+    elif isinstance(node, ast.Name):
+        v = _NAMES[node.id](domain)
+    else:
+        raise ValueError("scalar string does not follow the grammar")
+    for op in reversed(chain):
+        v = _OPS[type(op.op)](v, _evaluate(op.right, domain, scale))
+    return v
 
 
 def parse_param_scalar(text: str, domain: Domain) -> ParamScalar:
     """Parse the canonical grammar into a ParamScalar over `domain`."""
     try:
-        return _Parser(_tokenize(text), domain).parse()
-    except RecursionError:
-        raise ValueError("scalar string is nested too deeply") from None
+        return _evaluate(ast.parse(_python_source(text), mode="eval").body,
+                         domain, 1)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ValueError(f"malformed or too deeply nested scalar string "
+                         f"({exc.__class__.__name__})") from None
 
 
 def parse_scalar(text: str, domain: Domain) -> Scalar:

@@ -1,0 +1,145 @@
+"""The hand-written recursive-descent parser of the scalar grammar.
+
+hopfbax.scalars parses scalar strings with the standard library's `ast`
+after a token check.  This is the descent parser it replaced, kept as the
+reference that the differential test in test_scalars.py compares against:
+both must accept the same strings, give the same canonical string, and
+refuse the same strings.  It uses the package's ParamScalar arithmetic and
+its power bound (`_spread` and `MAX_EXPONENT`), nothing of the new parser.
+"""
+
+import re
+
+from hopfbax.scalars import MAX_EXPONENT, ParamScalar, _spread
+
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
+
+
+def _tokenize(text: str):
+    pos, out = 0, []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"bad character in scalar string at {text[pos:]!r}")
+        tok = m.group(1)
+        out.append("^" if tok == "**" else tok)
+        pos = m.end()
+    return out
+
+
+class _Parser:
+    def __init__(self, tokens, domain):
+        self.toks = tokens
+        self.i = 0
+        self.domain = domain
+        self.scale = 1    # product of the exponents of the enclosing powers
+        self.close = {}   # index of each matched "(" -> index of its ")"
+        opened = []
+        for i, t in enumerate(tokens):
+            if t == "(":
+                opened.append(i)
+            elif t == ")" and opened:
+                self.close[opened.pop()] = i
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def take(self):
+        t = self.peek()
+        self.i += 1
+        return t
+
+    def expect(self, t):
+        got = self.take()
+        if got != t:
+            raise ValueError(f"expected {t!r}, got {got!r}")
+
+    def parse(self):
+        v = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input {self.toks[self.i:]!r}")
+        return v
+
+    def expr(self):
+        v = self.term()
+        while self.peek() in ("+", "-"):
+            if self.take() == "+":
+                v = v + self.term()
+            else:
+                v = v - self.term()
+        return v
+
+    def term(self):
+        v = self.factor()
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                v = v * self.factor()
+            else:
+                v = v / self.factor()
+        return v
+
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return -self.factor()
+        # the exponent is read before the base, so that powers inside the
+        # base are bounded by how far their results will be raised
+        k, after = self.exponent(self.close.get(self.i, self.i) + 1)
+        outer = self.scale
+        self.scale = outer * max(abs(k or 0), 1)
+        v = self.atom()
+        self.scale = outer
+        if k is None:
+            return v
+        self.i = after
+        n = outer * abs(k)
+        terms = 1
+        for d in _spread(v):
+            terms *= d * n + 1
+        if n > MAX_EXPONENT or terms > MAX_EXPONENT + 1:
+            raise ValueError(f"power ^{k} grows its base past the limit "
+                             f"{MAX_EXPONENT}")
+        return v ** k
+
+    def exponent(self, j):
+        """(k, index after it) for a "^ [-] integer" at token j, else (None, j)."""
+        toks = self.toks
+        if j >= len(toks) or toks[j] != "^":
+            return None, j
+        sign = 1
+        if j + 1 < len(toks) and toks[j + 1] == "-":
+            sign, j = -1, j + 1
+        t = toks[j + 1] if j + 1 < len(toks) else None
+        if t is None or not t.isdigit():
+            raise ValueError("exponent must be an integer")
+        if int(t) > MAX_EXPONENT:
+            raise ValueError(f"exponent {t} is above {MAX_EXPONENT}")
+        return sign * int(t), j + 2
+
+    def atom(self):
+        t = self.take()
+        if t == "(":
+            v = self.expr()
+            self.expect(")")
+            return v
+        if t is None:
+            raise ValueError("unexpected end of scalar string")
+        if t.isdigit():
+            return ParamScalar.constant(self.domain.from_fraction(int(t)))
+        if t == "q":
+            return ParamScalar.constant(self.domain.q())
+        if t == "s":
+            return ParamScalar.constant(self.domain.s())
+        if t == "mu":
+            return ParamScalar.mu(self.domain)
+        if t == "nu":
+            return ParamScalar.nu(self.domain)
+        raise ValueError(f"unknown symbol {t!r}")
+
+
+def parse_param_scalar(text: str, domain) -> ParamScalar:
+    """Parse the canonical grammar into a ParamScalar over `domain`."""
+    try:
+        return _Parser(_tokenize(text), domain).parse()
+    except RecursionError:
+        raise ValueError("scalar string is nested too deeply") from None

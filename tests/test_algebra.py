@@ -3,9 +3,10 @@ from itertools import product as iproduct
 
 import pytest
 
-from hopfbax import (CONVENTIONS, ParamScalar, TensorElement, build_double,
-                     build_taft, canonical_r, check_constant_ybe_algebraic,
-                     dual, embed, multiply, tensor_multiply)
+from hopfbax import (CONVENTIONS, SQRT_Q, ParamScalar, ScalarDomainError,
+                     TensorElement, build_double, build_taft, canonical_r,
+                     check_constant_ybe_algebraic, cyclotomic, dual, embed,
+                     multiply, tensor_multiply)
 from hopfbax.algebra import Algebra, associativity_violations, unit_violations
 
 
@@ -230,6 +231,19 @@ def test_mismatched_algebras_rejected(taft2, taft3):
     t3 = TensorElement.of(a3, a3)
     with pytest.raises(ValueError):
         tensor_multiply(t2, t3)
+
+
+def test_tensor_coefficients_keep_the_algebra_domain(taft2):
+    # T_2 lives over Q(zeta_2); a Q(s) coefficient is another field's value
+    alg = taft2.algebra
+    key = ((1, 0), (0, 1))
+    for c in (SQRT_Q.s(), ParamScalar.mu(SQRT_Q), cyclotomic(4).q()):
+        with pytest.raises(ScalarDomainError):
+            TensorElement((alg, alg), {key: c})
+        with pytest.raises(ScalarDomainError):
+            TensorElement.of(alg.basis((1, 0)), alg.basis((0, 1))).scaled(c)
+    q = cyclotomic(2).q()
+    assert TensorElement((alg, alg), {key: q}).coefficient(key) == q
 
 
 def test_tensor_arity_mismatch_rejected(taft2):

@@ -3,11 +3,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfbax import ParametricMatrix, spin_half, uqsl2_r_matrix
 from hopfbax.cli import main
+from hopfbax.matrices import MAX_DIM
 from hopfbax.regressions import reference_spin_half, reference_taft_9x9
 
 
@@ -195,13 +199,62 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
      "entries": [{"row": 1, "col": 1, "value": "(1+mu+nu)^1000"}]},
     {"dim": 4, "domain": "sqrt_q", "param": "mu",
      "entries": [{"row": 1, "col": 1, "value": "((1+mu+nu)^10)^100"}]},
+    {"dim": 0, "domain": "sqrt_q", "param": None, "entries": []},
+    {"dim": -4, "domain": "sqrt_q", "param": None, "entries": []},
+    {"dim": True, "domain": "sqrt_q", "param": None, "entries": []},
+    {"dim": "9", "domain": "sqrt_q", "param": None, "entries": []},
+    {"dim": 4.0, "domain": "sqrt_q", "param": None, "entries": []},
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1.5, "col": 1, "value": "1"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1, "col": True, "value": "1"}]},
+    {"dim": 1, "domain": "cyclotomic(32000)", "param": None, "entries": []},
+    {"dim": 1, "domain": "cyclotomic(1001)", "param": None, "entries": []},
+    {"dim": 1, "domain": 5, "param": None, "entries": []},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
+    t0 = time.perf_counter()
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert time.perf_counter() - t0 < 0.5
+
+
+# what run_verify turns into exit 2 when a matrix file does not load
+_LOAD_ERRORS = (OSError, ValueError, LookupError, TypeError, ArithmeticError,
+                RecursionError)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False)
+    | st.integers(min_value=-10 ** 30, max_value=10 ** 30) | st.text(max_size=8)
+    | st.sampled_from(("rational", "sqrt_q", "cyclotomic(4)", "cyclotomic(1000)",
+                       "cyclotomic(1001)", "cyclotomic(0)", "cyclotomic(-3)",
+                       "cyclotomic(99999999)", "cyclotomic(x)", "q", "1/0",
+                       "s^-2 + mu", "(1+mu)^3", "(1+mu+nu)^1000")),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=6)
+
+_indices = st.integers(min_value=-2, max_value=6) | _json_values
+
+_matrix_objects = st.fixed_dictionaries(
+    {"dim": st.integers(min_value=-5, max_value=5000) | _json_values,
+     "domain": _json_values,
+     "entries": st.lists(st.fixed_dictionaries(
+         {"row": _indices, "col": _indices, "value": _json_values}),
+         max_size=4) | _json_values})
+
+
+@settings(max_examples=200, deadline=1000)
+@given(_matrix_objects | _json_values)
+def test_json_loader_fuzz_gives_a_matrix_or_a_load_error(obj):
+    try:
+        m = ParametricMatrix.from_json(json.dumps(obj))
+    except _LOAD_ERRORS:
+        return
+    assert isinstance(m, ParametricMatrix) and 1 <= m.dim <= MAX_DIM
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hopfbax import (
 )
 from hopfbax.scalars import cyclotomic_polynomial, proportionality_ratio
 
+import reference_parser
 import strategies
 
 Q = SQRT_Q.q()  # generic q = s^2, no algebraic relations
@@ -323,9 +324,12 @@ def test_parse_scalar_rejects_parameters():
 def test_parse_rejects_garbage():
     for bad in ["q +", "(q", "q^", "foo", "2..5", "mu nu",
                 "(" * 400 + "q" + ")" * 400, "-" * 2000 + "q",
-                "2^99999999", "(1+s)^99999999", "s^-1001"]:
+                "2^99999999", "(1+s)^99999999", "s^-1001",
+                "-" * 100_000 + "q"]:
+        t0 = time.perf_counter()
         with pytest.raises(ValueError):
             parse_param_scalar(bad, SQRT_Q)
+        assert time.perf_counter() - t0 < 0.5
 
 
 def test_parse_bounds_what_a_power_grows():
@@ -377,6 +381,52 @@ def test_parse_fuzz_gives_a_value_or_a_value_error(tokens, dom):
     except (ValueError, ScalarDomainError):
         return
     assert isinstance(v, ParamScalar) and v.domain == dom
+
+
+def _grammar_strings():
+    """Strings of the scalar grammar, with nested and chained powers.
+
+    The exponents 30, 31, 1000 and 1001 go only on a bare symbol or
+    integer, and a compound base gets 0 to 3, so that no accepted value
+    needs seconds to expand."""
+    leaves = st.sampled_from(("0", "1", "2", "3", "q", "s", "mu", "nu", "x"))
+
+    def power(base, exps):
+        return st.tuples(base, st.sampled_from(("^", "**")),
+                         st.sampled_from(("", "-")),
+                         st.sampled_from(exps)).map(lambda t: "".join(map(str, t)))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(" + | - | * | / |*|-".split("|")),
+                      inner).map("".join),
+            inner.map(lambda t: "-" + t),
+            inner.map(lambda t: f"({t})"),
+            power(inner, (0, 1, 2, 3)))
+
+    return st.recursive(
+        leaves | power(leaves, (0, 1, 2, 3, 30, 31, 1000, 1001)), extend,
+        max_leaves=8)
+
+
+def _parsed_or_refused(parse, text, dom):
+    """The canonical string of parse(text, dom), or None if it refuses."""
+    try:
+        return str(parse(text, dom))
+    except (ValueError, ScalarDomainError):
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grammar_strings() | st.lists(st.sampled_from(_FUZZ_TOKENS),
+                                     max_size=12).map(" ".join),
+       st.sampled_from((RATIONAL, SQRT_Q, cyclotomic(5))))
+def test_parse_agrees_with_the_descent_parser(text, dom):
+    # the descent parser in reference_parser.py is the reference for the
+    # accepted language, the values and the power bounds; the two may only
+    # differ in which of ValueError and ScalarDomainError refuses a string
+    assert _parsed_or_refused(parse_param_scalar, text, dom) == \
+        _parsed_or_refused(reference_parser.parse_param_scalar, text, dom)
 
 
 @settings(max_examples=40)

@@ -49,6 +49,21 @@ def test_matrix_sums_need_equal_dimensions_and_domains():
     assert (i3 - i3).is_zero() and (i3 - i3).dim == 3
 
 
+def test_matrix_entries_keep_the_matrix_domain():
+    # a Q(zeta_3) q stored over Q(s) would serialize as "q" and reload as s^2
+    m = ParametricMatrix(2, SQRT_Q)
+    for c in (cyclotomic(3).q(), ParamScalar.constant(cyclotomic(3).q())):
+        with pytest.raises(ScalarDomainError):
+            m.set(0, 0, c)
+        with pytest.raises(ScalarDomainError):
+            ParametricMatrix(2, SQRT_Q, {(0, 1): c})
+        with pytest.raises(ScalarDomainError):
+            ParametricMatrix.identity(2, SQRT_Q).scaled(c)
+    assert m.is_zero()
+    m.set(0, 0, SQRT_Q.q())
+    assert ParametricMatrix.from_json(m.to_json()) == m
+
+
 def test_corrupted_entry_fails_with_located_worst(r_half):
     bad = r_half.copy()
     bad.set(1, 2, bad.get(1, 2) * 2)
