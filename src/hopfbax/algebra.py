@@ -32,14 +32,11 @@ class Algebra:
         self._unit_terms = {l: c for l, c in unit_terms.items() if not c.is_zero()}
         self._product = product
         self._rows = [{} for _ in self.labels]   # i -> {j: row(i, j)}, filled lazily
-        self._label_str = label_str or repr
+        self.label_str = label_str or repr   # basis label -> display string
 
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def label_str(self, label) -> str:
-        return self._label_str(label)
 
     # -- element constructors -------------------------------------------------
     def zero(self) -> "AlgebraElement":

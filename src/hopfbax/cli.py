@@ -32,11 +32,10 @@ from .uqsl2 import spin_half, spin_one, uqsl2_r_matrix
 from .ybe import braid_check, check_constant_ybe, check_parametric_ybe
 
 OUTPUT_DIR_ENV = "HOPFBAX_OUTPUT_DIR"
-# largest --N accepted by taft, whose modules stay small
-MAX_N = 16
-# largest --N accepted by double and baxterize: D(T_N) has N^4 basis
-# elements, and the two algebraic YBE checks of D(T_8) take about a minute
-MAX_DOUBLE_N = 8
+# largest --N: D(T_N), which --rep, --indecomposable, double and baxterize
+# build, has N^4 basis elements, and its two algebraic YBE checks take about
+# a minute at N = 8
+MAX_N = 8
 
 
 class UsageError(ValueError):
@@ -99,11 +98,11 @@ def _scalar_arg(text: str, domain):
         raise UsageError(f"bad scalar {text!r}: {exc}") from exc
 
 
-def _taft(args, max_n=MAX_N):
+def _taft(args):
     if args.N < 2:
         raise UsageError("--N must be at least 2")
-    if args.N > max_n:
-        raise UsageError(f"--N must be at most {max_n}")
+    if args.N > MAX_N:
+        raise UsageError(f"--N must be at most {MAX_N}")
     domain = cyclotomic(args.N)
     q = domain.q() if args.q is None else _scalar_arg(args.q, domain)
     return build_taft(args.N, q)
@@ -149,7 +148,7 @@ def run_uqsl2(args) -> int:
 
 
 def run_double(args) -> int:
-    d = build_double(_taft(args, MAX_DOUBLE_N), args.convention)
+    d = build_double(_taft(args), args.convention)
     r = canonical_r(d)
     status = _report_out(check_constant_ybe_algebraic(d, r), args)
     if args.parametric:
@@ -160,7 +159,7 @@ def run_double(args) -> int:
 
 
 def run_baxterize(args) -> int:
-    d = build_double(_taft(args, MAX_DOUBLE_N), args.convention)
+    d = build_double(_taft(args), args.convention)
     r = canonical_r(d).tensor()
     grading = double_grading(d, x_degree_grading(d.h))
     if args.zn:

@@ -17,7 +17,7 @@ The dual Hopf algebra is built by transposing tables through the pairing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 
 from .algebra import Algebra, AlgebraElement, TensorElement, \
@@ -42,9 +42,6 @@ class HopfAlgebra:
     @property
     def domain(self):
         return self.algebra.domain
-
-    def unit(self) -> AlgebraElement:
-        return self.algebra.unit()
 
     # -- linear extensions ----------------------------------------------------
     @staticmethod
@@ -93,9 +90,9 @@ def invert_linear_table(algebra: Algebra, table) -> dict:
     n = len(labels)
     idx = algebra.index
     one, zero = algebra.domain.one(), algebra.domain.zero()
-    # columns of the map in basis coordinates, augmented with the identity
-    a = [[zero] * n for _ in range(n)]
-    inv = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    # [A | I], A holding the map's columns in basis coordinates
+    a = [[zero] * n + [one if r == c else zero for c in range(n)]
+         for r in range(n)]
     for c, l in enumerate(labels):
         for m, v in table[l].terms.items():
             a[idx[m]][c] = v
@@ -104,19 +101,16 @@ def invert_linear_table(algebra: Algebra, table) -> dict:
         if piv is None:
             raise ValueError("linear map is not invertible")
         a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
         d = a[col][col].inverse()
         a[col] = [x * d for x in a[col]]
-        inv[col] = [x * d for x in inv[col]]
         for r in range(n):
             if r != col and not a[r][col].is_zero():
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     out = {}
     for c, l in enumerate(labels):
-        out[l] = algebra.element(
-            {labels[r]: inv[r][c] for r in range(n) if not inv[r][c].is_zero()})
+        out[l] = algebra.element({labels[r]: a[r][n + c] for r in range(n)
+                                  if not a[r][n + c].is_zero()})
     return out
 
 
@@ -130,9 +124,7 @@ class AxiomResult:
     passed: bool
     counterexample: str | None = None
 
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "counterexample": self.counterexample}
+    to_dict = asdict
 
 
 @dataclass

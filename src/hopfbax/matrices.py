@@ -28,7 +28,7 @@ from .scalars import (Domain, ParamScalar, RATIONAL, SQRT_Q, ScalarDomainError,
 # largest "dim" accepted from JSON; braid and YBE checks build dim-sized
 # operators and their triple-space embeddings
 MAX_DIM = 4096
-MAX_ORDER = 1000   # largest n of a "cyclotomic(n)" tag; the package emits n <= 16
+MAX_ORDER = 64   # largest n of a "cyclotomic(n)" tag; the package emits n <= 8
 
 
 def _domain_from_tag(tag: str) -> Domain:
@@ -261,15 +261,13 @@ def embed_two_site(r: ParametricMatrix, d: int, legs) -> ParametricMatrix:
     if r.dim != d * d:
         raise ValueError("matrix is not two-site for this local dimension")
     legs = tuple(legs)
-    out = ParametricMatrix(d ** 3, r.domain)
     if legs == (0, 1):
-        ident = ParametricMatrix.identity(d, r.domain)
-        return r.kron(ident)
+        return r.kron(ParametricMatrix.identity(d, r.domain))
     if legs == (1, 2):
-        ident = ParametricMatrix.identity(d, r.domain)
-        return ident.kron(r)
+        return ParametricMatrix.identity(d, r.domain).kron(r)
     if legs != (0, 2):
         raise ValueError(f"bad legs {legs}")
+    out = ParametricMatrix(d ** 3, r.domain)
     for (rc, cc), v in r.entries.items():
         a, x = divmod(rc, d)
         b, y = divmod(cc, d)
@@ -296,55 +294,46 @@ def find_diagonal_gauge(a: ParametricMatrix, b: ParametricMatrix):
     """Find (c, lambdas) with b = c * L a L^-1, L = diag(lambdas), or None.
 
     The scalar c and the diagonal gauge are discovered, not assumed: c is
-    read off the diagonal (which diagonal conjugation fixes), lambda ratios
-    are propagated along the graph of common nonzero off-diagonal entries,
-    and the candidate is verified entry by entry before being returned.
+    read off the first diagonal entry (which diagonal conjugation fixes),
+    each lambda ratio off one edge of a spanning forest of the graph of
+    nonzero off-diagonal entries, and the candidate is verified entry by
+    entry before being returned.
     """
     if a.dim != b.dim or a.domain != b.domain:
         return None
     if a.support() != b.support():
         return None
-    dom = a.domain
-    n = a.dim
-    c = None
-    for (r, cc), v in sorted(a.entries.items()):
-        if r == cc:
-            ratio = proportionality_ratio(b.entries[(r, cc)], v)
-            if ratio is None:
-                return None
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
+    one = a.domain.one()
+
+    def ratio(key):
+        return proportionality_ratio(b.entries[key], a.entries[key])
+
+    first = min((k for k in a.entries if k[0] == k[1]), default=None)
+    c = one if first is None else ratio(first)
     if c is None:
-        c = dom.one()
-    lam = [None] * n
-    # propagate lambda_r / lambda_c = b_rc / (c * a_rc) through the support graph
+        return None
     edges = {}
-    for (r, cc), v in a.entries.items():
-        if r == cc:
+    for key in a.entries:
+        r, cc = key
+        if r != cc:
+            edges.setdefault(r, []).append((cc, key))
+            edges.setdefault(cc, []).append((r, key))
+    lam = [None] * a.dim
+    for start in range(a.dim):
+        if lam[start] is not None:
             continue
-        ratio = proportionality_ratio(b.entries[(r, cc)], v)
-        if ratio is None:
-            return None
-        edges.setdefault(r, []).append((cc, ratio / c))
-        edges.setdefault(cc, []).append((r, c / ratio))
-    for start in range(n):
-        if lam[start] is not None or start not in edges:
-            continue
-        lam[start] = dom.one()
+        lam[start] = one
         stack = [start]
         while stack:
             i = stack.pop()
-            for j, g in edges.get(i, ()):
-                want = lam[i] / g      # lambda_i / lambda_j = g
+            for j, key in edges.get(i, ()):
                 if lam[j] is None:
-                    lam[j] = want
+                    # b_rc / a_rc = c * lambda_r / lambda_c on the edge (r, c)
+                    g = ratio(key)
+                    if g is None:
+                        return None
+                    lam[j] = lam[i] * c / g if key[0] == i else lam[i] * g / c
                     stack.append(j)
-                elif lam[j] != want:
-                    return None
-    lam = [x if x is not None else dom.one() for x in lam]
-    # verify
     cinv = [x.inverse() for x in lam]
     for (r, cc), v in a.entries.items():
         if b.entries[(r, cc)] != ParamScalar.constant(c * lam[r] * cinv[cc]) * v:

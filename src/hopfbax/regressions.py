@@ -16,7 +16,7 @@ import io
 import os
 import tempfile
 from contextlib import redirect_stdout
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .algebra import TensorElement
@@ -46,9 +46,7 @@ class RegressionResult:
         tail = f"  [{self.detail}]" if (self.detail and not self.passed) else ""
         return f"{flag}  criterion {self.number:2d}: {self.title}{tail}"
 
-    def to_dict(self):
-        return {"number": self.number, "title": self.title,
-                "passed": self.passed, "detail": self.detail}
+    to_dict = asdict
 
 
 # ---------------------------------------------------------------------------

@@ -231,15 +231,26 @@ def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
     return images
 
 
-def _h_images(h: HopfAlgebra, a_mat: ParametricMatrix,
-              x_mat: ParametricMatrix) -> dict:
-    """pi(a^i x^j) = pi(a)^i pi(x)^j for every basis label (i, j) of H."""
-    pow_a = [ParametricMatrix.identity(a_mat.dim, a_mat.domain)]
-    pow_x = [ParametricMatrix.identity(a_mat.dim, a_mat.domain)]
+def _module(double: DoubleAlgebra, q: Scalar, name: str, a_exponents,
+            x_entries, l: int) -> Representation:
+    """The module with pi(a) = diag(q^e : e in a_exponents), pi(x) given by its
+    {(row, col): scalar} entries, pi(a^i x^j) = pi(a)^i pi(x)^j and the dual
+    window l of _dual_images; pi is verified to be an algebra map on H."""
+    h = double.h
+    n = len(a_exponents)
+    a_mat = ParametricMatrix(n, q.domain,
+                             {(k, k): q ** e for k, e in enumerate(a_exponents)})
+    x_mat = ParametricMatrix(n, q.domain, x_entries)
+    ident = ParametricMatrix.identity(n, q.domain)
+    pow_a, pow_x = [ident], [ident]
     for _ in range(_taft_order(h) - 1):
         pow_a.append(pow_a[-1] @ a_mat)
         pow_x.append(pow_x[-1] @ x_mat)
-    return {(i, j): pow_a[i] @ pow_x[j] for (i, j) in h.algebra.labels}
+    rep = Representation(
+        double, n, {(i, j): pow_a[i] @ pow_x[j] for (i, j) in h.algebra.labels},
+        _dual_images(h, q, n, l), name)
+    _check_subalgebra(rep, h.algebra, rep.h_image, "H")
+    return rep
 
 
 def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
@@ -256,19 +267,12 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     if not (1 <= n <= N and 1 <= l <= N):
         raise ValueError(f"need 1 <= n, l <= N (got n={n}, l={l}, N={N})")
     q = _taft_q(h)
-    domain = q.domain
-
-    a_mat = ParametricMatrix(n, domain)
-    for k in range(1, n + 1):
-        a_mat.set(k - 1, k - 1, q ** (k - l - n))
-    x_mat = ParametricMatrix(n, domain)
-    for k in range(1, n):
-        x_mat.set(k - 1, k, q_bracket(k, q) * (domain.one() - q ** (k - n)))
-
-    rep = Representation(double, n, _h_images(h, a_mat, x_mat),
-                         _dual_images(h, q, n, l), f"V_{{{n},{l}}}")
+    one = q.domain.one()
+    rep = _module(double, q, f"V_{{{n},{l}}}",
+                  [k - l - n for k in range(1, n + 1)],
+                  {(k - 1, k): q_bracket(k, q) * (one - q ** (k - n))
+                   for k in range(1, n)}, l)
     halg, dalg = h.algebra, double.hdual.algebra
-    _check_subalgebra(rep, halg, rep.h_image, "H")
     _check_subalgebra(rep, dalg, rep.dual_image, "H*")
     _check_algebra_map(
         rep, rep.pair_image,
@@ -295,22 +299,14 @@ def rep_indecomposable(double: DoubleAlgebra, alpha: Scalar, l: int) -> Represen
     if not (1 <= l <= N):
         raise ValueError(f"need 1 <= l <= N (got l={l})")
     q = _taft_q(h)
-    domain = q.domain
-    if alpha.domain != domain:
+    if alpha.domain != q.domain:
         raise ScalarDomainError("alpha must live in the algebra's scalar domain")
-
-    a_mat = ParametricMatrix(N, domain)
-    for k in range(1, N + 1):
-        a_mat.set(k - 1, k - 1, q ** (k - 1 - l))
-    x_mat = ParametricMatrix(N, domain)
-    x_mat.set(N - 1, 0, alpha)
+    one = q.domain.one()
+    links = {(N - 1, 0): alpha}
     for k in range(2, N):
-        x_mat.set(k - 1, k, q_bracket(k - 1, q) * (domain.one() - q ** k))
-
-    rep = Representation(double, N, _h_images(h, a_mat, x_mat),
-                         _dual_images(h, q, N, l), f"W_{{{l}}}(alpha)")
-    _check_subalgebra(rep, h.algebra, rep.h_image, "H")
-    return rep
+        links[(k - 1, k)] = q_bracket(k - 1, q) * (one - q ** k)
+    return _module(double, q, f"W_{{{l}}}(alpha)",
+                   [k - 1 - l for k in range(1, N + 1)], links, l)
 
 
 def _taft_q(h: HopfAlgebra) -> Scalar:

@@ -9,7 +9,7 @@ Laurent expansion has the most terms (ties broken by smallest index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .matrices import ParametricMatrix, embed_two_site, flip_operator
 
@@ -28,9 +28,7 @@ class YbeReport:
         return (f"FAIL  {self.kind} Yang-Baxter check (dim {self.dim}): "
                 f"{self.residual_terms} residual terms, worst {self.worst}")
 
-    def to_dict(self):
-        return {"kind": self.kind, "dim": self.dim, "passed": self.passed,
-                "residual_terms": self.residual_terms, "worst": self.worst}
+    to_dict = asdict
 
 
 def _local_dim(matrix_dim: int) -> int:

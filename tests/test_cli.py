@@ -211,6 +211,8 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
     {"dim": 1, "domain": "cyclotomic(32000)", "param": None, "entries": []},
     {"dim": 1, "domain": "cyclotomic(1001)", "param": None, "entries": []},
     {"dim": 1, "domain": 5, "param": None, "entries": []},
+    {"dim": 1, "domain": "cyclotomic(65)", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "(1+q)^1000"}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -220,6 +222,17 @@ def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_verify_loads_the_largest_cyclotomic_order(tmp_path, capsys):
+    payload = {"dim": 1, "domain": "cyclotomic(64)", "param": None,
+               "entries": [{"row": 1, "col": 1, "value": "(1+q)^1000"}]}
+    m = ParametricMatrix.from_json(json.dumps(payload))
+    assert str(m.domain) == "cyclotomic(64)" and not m.is_zero()
+    path = tmp_path / "order64.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 0 and err.startswith("PASS")
 
 
 # what run_verify turns into exit 2 when a matrix file does not load
@@ -277,9 +290,11 @@ def test_json_loader_fuzz_gives_a_matrix_or_a_load_error(obj):
     ("taft", "--N", "4", "--q", "2^99999999"),
     ("taft", "--N", "4", "--q", "(1+q)^99999999"),
     ("taft", "--N", "7", "--q", "((1+q)^1000)^1000"),
-    ("double", "--N", "9"),                   # above MAX_DOUBLE_N
+    ("double", "--N", "9"),                   # above MAX_N
     ("double", "--N", "16"),
     ("baxterize", "--N", "9"),
+    ("taft", "--N", "9"),
+    ("taft", "--N", "16", "--rep", "16,1"),   # would build D(T_16)
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

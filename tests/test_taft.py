@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hopfbax import (
+    ParamScalar,
     ParametricMatrix,
     RATIONAL,
     ScalarDomainError,
@@ -174,22 +175,48 @@ def test_straightening_check_rejects_wrong_convention(taft3):
 # indecomposable modules
 # ---------------------------------------------------------------------------
 
-def test_indecomposable_generator_action(double3):
-    q = double3.domain.q()
-    alpha = q + double3.domain.one()
-    rep = rep_indecomposable(double3, alpha, 2)
-    am = rep.h_image((1, 0))
-    for k in range(1, 4):
-        assert am.get(k - 1, k - 1).as_scalar() == q ** (k - 1 - 2)
-    xm = rep.h_image((0, 1))
-    # x v_1 = alpha v_N, x v_2 = 0
-    assert xm.get(2, 0).as_scalar() == alpha
-    assert all(r == 2 or xm.get(r, 0).is_zero() for r in range(3))
-    assert all(xm.get(r, 1).is_zero() for r in range(3))
-    # x a = q a x transported through the module
-    assert xm @ am == (am @ xm).scaled(q)
-    # powers generate the rest of the basis action
-    assert rep.h_image((2, 1)) == am @ am @ xm
+def test_indecomposable_generator_action():
+    for N in (2, 3, 4, 5):
+        _check_indecomposable_generator_action(N)
+
+
+def _check_indecomposable_generator_action(N):
+    """Every entry of pi(a) and pi(x) on W_l(alpha) against its closed form,
+    for every l and alpha in {1, q}; the dual images are those of V_{N,l}."""
+    d = build_double(build_taft(N))
+    dom = d.domain
+    q = dom.q()
+    one = dom.one()
+
+    def bracket(m):        # (m)_q = 1 + q + ... + q^(m-1)
+        return sum((q ** p for p in range(m)), dom.zero())
+
+    for l in range(1, N + 1):
+        irreducible = rep_irreducible(d, N, l)
+        for alpha in (one, q):
+            rep = rep_indecomposable(d, alpha, l)
+            am, xm = rep.h_image((1, 0)), rep.h_image((0, 1))
+            # a v_k = q^{k-1-l} v_k; x v_1 = alpha v_N, x v_2 = 0 and
+            # x v_{k+1} = (k-1)_q (1 - q^k) v_k for k = 2..N-1
+            want_x = {(N - 1, 0): alpha}
+            for k in range(2, N):
+                want_x[(k - 1, k)] = bracket(k - 1) * (one - q ** k)
+            for r in range(N):
+                for c in range(N):
+                    want_a = q ** (r - l) if r == c else dom.zero()
+                    assert am.get(r, c) == ParamScalar.constant(want_a)
+                    assert xm.get(r, c) == ParamScalar.constant(
+                        want_x.get((r, c), dom.zero()))
+            # x a = q a x transported through the module
+            assert xm @ am == (am @ xm).scaled(q)
+            # powers generate the rest of the basis action
+            for (i, j) in d.h.algebra.labels:
+                power = ParametricMatrix.identity(N, dom)
+                for m in [am] * i + [xm] * j:
+                    power = power @ m
+                assert rep.h_image((i, j)) == power
+            for label in d.h.algebra.labels:
+                assert rep.dual_image(label) == irreducible.dual_image(label)
 
 
 def test_indecomposable_rejects_foreign_alpha(double3):

@@ -16,6 +16,8 @@ from hopfbax import (
     flip_operator,
     parse_param_scalar,
 )
+from hopfbax.regressions import reference_taft_9x9
+from hopfbax.scalars import proportionality_ratio
 from hopfbax.ybe import worst_matrix_entry
 
 
@@ -177,6 +179,116 @@ def test_gauge_identity_pair(r_one):
     assert got is not None
     c, _ = got
     assert c.is_one()
+
+
+def _reference_gauge(a, b):
+    """The earlier gauge search, kept as the reference: every diagonal ratio
+    must equal c and every off-diagonal ratio must agree with the lambdas
+    propagated so far, before the final entry-by-entry verification."""
+    if a.dim != b.dim or a.domain != b.domain:
+        return None
+    if a.support() != b.support():
+        return None
+    dom = a.domain
+    n = a.dim
+    c = None
+    for (r, cc), v in sorted(a.entries.items()):
+        if r == cc:
+            ratio = proportionality_ratio(b.entries[(r, cc)], v)
+            if ratio is None:
+                return None
+            if c is None:
+                c = ratio
+            elif c != ratio:
+                return None
+    if c is None:
+        c = dom.one()
+    lam = [None] * n
+    edges = {}
+    for (r, cc), v in a.entries.items():
+        if r == cc:
+            continue
+        ratio = proportionality_ratio(b.entries[(r, cc)], v)
+        if ratio is None:
+            return None
+        edges.setdefault(r, []).append((cc, ratio / c))
+        edges.setdefault(cc, []).append((r, c / ratio))
+    for start in range(n):
+        if lam[start] is not None or start not in edges:
+            continue
+        lam[start] = dom.one()
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j, g in edges.get(i, ()):
+                want = lam[i] / g
+                if lam[j] is None:
+                    lam[j] = want
+                    stack.append(j)
+                elif lam[j] != want:
+                    return None
+    lam = [x if x is not None else dom.one() for x in lam]
+    cinv = [x.inverse() for x in lam]
+    for (r, cc), v in a.entries.items():
+        if b.entries[(r, cc)] != ParamScalar.constant(c * lam[r] * cinv[cc]) * v:
+            return None
+    return c, lam
+
+
+def _gauge_transform(a, c, lam):
+    """c * L a L^-1 with L = diag(lam)."""
+    b = ParametricMatrix(a.dim, a.domain)
+    for (r, cc), v in a.entries.items():
+        b.set(r, cc, ParamScalar.constant(c * lam[r] / lam[cc]) * v)
+    return b
+
+
+def _gauges(dom, dim):
+    """Several (c, lambdas): integers, powers of q, and mixed products."""
+    q = dom.q()
+    return [(dom.one(), [dom.one()] * dim),
+            (q ** -2, [dom.from_fraction(k + 1) for k in range(dim)]),
+            (dom.from_fraction(3), [q ** (k * k - 3) for k in range(dim)]),
+            (q - dom.one(), [dom.from_fraction(-(k % 3) - 1) * q ** (k % 4)
+                             for k in reversed(range(dim))])]
+
+
+def test_gauge_matches_the_propagating_reference(r_half, r_one):
+    for a in [r_half, r_one] + [reference_taft_9x9(l) for l in (1, 2, 3, 4)]:
+        for c, lam in _gauges(a.domain, a.dim):
+            b = _gauge_transform(a, c, lam)
+            got = find_diagonal_gauge(a, b)
+            assert got is not None
+            assert got == _reference_gauge(a, b)
+            assert got[0] == c
+            assert _gauge_transform(a, *got) == b
+
+
+def test_gauge_rejects_a_rescaled_cycle_entry(r_one):
+    # spin-1's support holds the cycle (3,5), (5,7), (3,7) (1-based): one
+    # rescaled entry on it leaves every edge proportional but no gauge fits
+    dom = r_one.domain
+    for c, lam in _gauges(dom, r_one.dim):
+        for key in ((2, 4), (4, 6), (2, 6)):
+            b = _gauge_transform(r_one, c, lam)
+            b.set(*key, b.get(*key) * 2)
+            assert find_diagonal_gauge(r_one, b) is None
+            assert _reference_gauge(r_one, b) is None
+
+
+def test_gauge_rejects_a_mu_term_off_the_diagonal(r_half, r_one):
+    # entries hold mu or mu^2, so an added mu^3 makes one entry of b no
+    # constant multiple of the entry of a
+    mu3 = parse_param_scalar("mu^3", SQRT_Q)
+    for a in (r_half, r_one):
+        for c, lam in _gauges(a.domain, a.dim):
+            for key in a.entries:
+                if key[0] == key[1]:
+                    continue
+                b = _gauge_transform(a, c, lam)
+                b.set(*key, b.get(*key) + mu3)
+                assert find_diagonal_gauge(a, b) is None
+                assert _reference_gauge(a, b) is None
 
 
 # ---------------------------------------------------------------------------
