@@ -22,8 +22,8 @@ from .matrices import ParametricMatrix, embed_two_site, find_diagonal_gauge, \
     flip_operator
 from .scalars import RATIONAL, SQRT_Q, Domain, ParamScalar, Scalar, \
     ScalarDomainError, cyclotomic, eval_q_powers, gauss_binomial, \
-    lift_cyclotomic, parse_param_scalar, parse_scalar, q_bracket, \
-    q_bracket_factorial, q_number, q_number_factorial
+    parse_param_scalar, parse_scalar, q_bracket, q_bracket_factorial, \
+    q_number, q_number_factorial
 from .taft import Representation, build_taft, canonical_q, \
     rep_indecomposable, rep_irreducible, taft_r_matrix, x_degree_grading
 from .uqsl2 import SqrtExt, WeightedRep, r_matrix_terms, spin_half, \
@@ -47,8 +47,8 @@ __all__ = [
     "flip_operator",
     "RATIONAL", "SQRT_Q", "Domain", "ParamScalar", "Scalar",
     "ScalarDomainError", "cyclotomic", "eval_q_powers", "gauss_binomial",
-    "lift_cyclotomic", "parse_param_scalar", "parse_scalar", "q_bracket",
-    "q_bracket_factorial", "q_number", "q_number_factorial",
+    "parse_param_scalar", "parse_scalar", "q_bracket", "q_bracket_factorial",
+    "q_number", "q_number_factorial",
     "Representation", "build_taft", "canonical_q",
     "rep_indecomposable", "rep_irreducible", "taft_r_matrix",
     "x_degree_grading",

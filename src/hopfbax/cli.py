@@ -114,14 +114,10 @@ def run_taft(args) -> int:
         raise UsageError("--rep and --indecomposable are mutually exclusive")
     h = _taft(args)
     if rep is None and args.alpha is None:
-        status = 0
         reports = [check_hopf_axioms(h),
                    check_grading(h.algebra, x_degree_grading(h)),
                    check_coproduct_grading(h, x_degree_grading(h))]
-        for r in reports:
-            print(r.summary(), file=sys.stderr)
-            status |= 0 if r.passed else 1
-        return status
+        return max(_report_out(r, args) for r in reports)
     d = build_double(h, args.convention)
     if rep is not None:
         n, l = rep

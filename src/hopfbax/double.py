@@ -226,6 +226,8 @@ def check_constant_ybe_algebraic(double: DoubleAlgebra, r) -> YbeReport:
 
 def check_parametric_ybe_algebraic(double: DoubleAlgebra, r_mu: TensorElement) -> YbeReport:
     """R12(mu) R13(mu nu) R23(nu) = R23(nu) R13(mu nu) R12(mu), exactly."""
+    if any(e_nu for v in r_mu.terms.values() for (_, e_nu) in v.terms):
+        raise ValueError("input element must depend on mu only")
     return _triple_compare(
         "parametric-algebraic", double, r_mu,
         r_mu.map_coefficients(lambda v: v.remap_exponents(mu_to=(1, 1))),

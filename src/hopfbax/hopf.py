@@ -76,42 +76,28 @@ class HopfAlgebra:
         return self._extend(self.antipode, x, self.algebra.zero)
 
     def gamma_inverse(self, x) -> AlgebraElement:
+        """S^-1 as S^(m-1), m the order of S.
+
+        The antipode of a finite-dimensional Hopf algebra has finite order
+        dividing 4 dim H (Radford, Amer. J. Math. 98, 1976); a map none of
+        whose powers up to the 4 dim H-th is the identity is refused.
+        """
         if self._antipode_inv is None:
-            self._antipode_inv = invert_linear_table(self.algebra, self.antipode)
+            alg = self.algebra
+            identity = {l: alg.basis(l) for l in alg.labels}
+            previous, power = identity, self.antipode
+            for _ in range(4 * alg.dim):
+                if power == identity:
+                    self._antipode_inv = previous
+                    break
+                previous, power = power, {l: self.gamma(v)
+                                          for l, v in power.items()}
+            else:
+                raise ValueError("antipode has no finite order up to 4 dim H")
         return self._extend(self._antipode_inv, x, self.algebra.zero)
 
     def __repr__(self):
         return f"HopfAlgebra({self.name}, dim={self.algebra.dim})"
-
-
-def invert_linear_table(algebra: Algebra, table) -> dict:
-    """Invert a linear map given on the basis, by Gaussian elimination."""
-    labels = algebra.labels
-    n = len(labels)
-    idx = algebra.index
-    one, zero = algebra.domain.one(), algebra.domain.zero()
-    # [A | I], A holding the map's columns in basis coordinates
-    a = [[zero] * n + [one if r == c else zero for c in range(n)]
-         for r in range(n)]
-    for c, l in enumerate(labels):
-        for m, v in table[l].terms.items():
-            a[idx[m]][c] = v
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("linear map is not invertible")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col].inverse()
-        a[col] = [x * d for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = {}
-    for c, l in enumerate(labels):
-        out[l] = algebra.element({labels[r]: a[r][n + c] for r in range(n)
-                                  if not a[r][n + c].is_zero()})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -139,17 +139,11 @@ class ParametricMatrix:
         return out
 
     def __neg__(self):
-        out = ParametricMatrix(self.dim, self.domain)
-        out.entries = {k: -v for k, v in self.entries.items()}
-        return out
+        return self.map_entries(lambda v: -v)
 
     def scaled(self, v) -> "ParametricMatrix":
         v = as_param_scalar(v, self.domain)
-        out = ParametricMatrix(self.dim, self.domain)
-        if not v.is_zero():
-            for k, w in self.entries.items():
-                out.entries[k] = v * w
-        return out
+        return self.map_entries(lambda w: v * w)
 
     def __matmul__(self, other):
         if not isinstance(other, ParametricMatrix):
@@ -179,17 +173,12 @@ class ParametricMatrix:
         out.entries = mapped
         return out
 
-    def remap_exponents(self, mu_to=(1, 0), nu_to=(0, 1)) -> "ParametricMatrix":
-        return self.map_entries(lambda v: v.remap_exponents(mu_to, nu_to))
+    def remap_exponents(self, mu_to=(1, 0)) -> "ParametricMatrix":
+        return self.map_entries(lambda v: v.remap_exponents(mu_to))
 
     def at_one(self) -> "ParametricMatrix":
         """Evaluate all spectral parameters at 1."""
-        out = ParametricMatrix(self.dim, self.domain)
-        for k, v in self.entries.items():
-            s = v.at_one()
-            if not s.is_zero():
-                out.entries[k] = ParamScalar.constant(s)
-        return out
+        return self.map_entries(lambda v: ParamScalar.constant(v.at_one()))
 
     # -- display / serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:

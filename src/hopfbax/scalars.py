@@ -487,23 +487,8 @@ def _latex_frac(f: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# field embeddings / q-power evaluation
+# q-power evaluation
 # ---------------------------------------------------------------------------
-
-def lift_cyclotomic(x: Scalar, m: int) -> Scalar:
-    """Embed Q(zeta_n) into Q(zeta_m) (n | m) via zeta_n -> zeta_m^(m/n)."""
-    if x.domain.kind != "cyclotomic":
-        raise ScalarDomainError("lift_cyclotomic expects a cyclotomic scalar")
-    n = x.domain.n
-    if m % n:
-        raise ScalarDomainError(f"Q(zeta_{n}) does not embed in Q(zeta_{m})")
-    tgt = cyclotomic(m)
-    g = tgt.q() ** (m // n)
-    out = tgt.zero()
-    for e in range(len(x.num) - 1, -1, -1):
-        out = out * g + x.num[e]
-    return _normal(tgt, list(out.num), (out.den[0] * x.den[0],))
-
 
 def eval_q_powers(x: Scalar, q_target: Scalar) -> Scalar:
     """Evaluate a sqrt_q scalar that is Laurent in q at a concrete q.
@@ -617,20 +602,14 @@ class ParamScalar:
     def nu(domain: Domain, power: int = 1) -> "ParamScalar":
         return ParamScalar(domain, {(0, power): domain.one()})
 
-    def _same_domain(self, other, what="scalars"):
+    def _same_domain(self, other):
         """Raise unless other (a Scalar or ParamScalar) shares the domain."""
         if other.domain is not self.domain and other.domain != self.domain:
-            raise ScalarDomainError(f"cannot mix {what} across domains")
+            raise ScalarDomainError("cannot mix scalars across domains")
 
     def _coerce(self, other):
-        if isinstance(other, ParamScalar):
-            self._same_domain(other, "parameter scalars")
-            return other
-        if isinstance(other, Scalar):
-            self._same_domain(other)
-            return ParamScalar.constant(other)
-        if isinstance(other, (int, Fraction)):
-            return ParamScalar.constant(self.domain.from_fraction(other))
+        if isinstance(other, (ParamScalar, Scalar, int, Fraction)):
+            return as_param_scalar(other, self.domain)
         return None
 
     # -- predicates ------------------------------------------------------------
@@ -726,18 +705,17 @@ class ParamScalar:
         return hash(self.as_scalar())
 
     # -- substitutions -------------------------------------------------------------
-    def remap_exponents(self, mu_to=(1, 0), nu_to=(0, 1)) -> "ParamScalar":
-        """Monomial substitution mu -> mu^a nu^b, nu -> mu^c nu^d.
+    def remap_exponents(self, mu_to=(1, 0)) -> "ParamScalar":
+        """Monomial substitution mu -> mu^a nu^b (mu_to=(a, b)), nu fixed.
 
-        mu_to=(a, b), nu_to=(c, d).  Used to place a one-parameter matrix
-        into the three slots of the parametric Yang-Baxter equation:
-        slot 12 keeps mu, slot 13 maps mu -> mu*nu, slot 23 maps mu -> nu.
+        Used to place a one-parameter matrix into the three slots of the
+        parametric Yang-Baxter equation: slot 12 keeps mu, slot 13 maps
+        mu -> mu*nu, slot 23 maps mu -> nu.
         """
         a, b = mu_to
-        c, d = nu_to
         out = {}
         for (e, f), v in self.terms.items():
-            accumulate(out, (e * a + f * c, e * b + f * d), v)
+            accumulate(out, (e * a, e * b + f), v)
         return ParamScalar(self.domain, out)
 
     def at_one(self) -> Scalar:

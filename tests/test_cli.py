@@ -66,6 +66,19 @@ def test_taft_hopf_report_mode(capsys):
     assert "homogeneity" in err
 
 
+def test_taft_hopf_report_json(capsys):
+    code, out, err = run_cli(capsys, "taft", "--N", "2", "--format", "json")
+    assert code == 0 and out == ""
+    decoder, reports, pos = json.JSONDecoder(), [], 0
+    while pos < len(err):
+        obj, end = decoder.raw_decode(err, pos)
+        reports.append(obj)
+        pos = end + 1       # the newline after each report
+    assert [r.get("kind") for r in reports] == [None, "product", "coproduct"]
+    assert reports[0]["algebra"] == "T_2" and len(reports[0]["axioms"]) == 7
+    assert all(r["passed"] for r in reports)
+
+
 def test_taft_explicit_q(capsys):
     code, out, _ = run_cli(capsys, "taft", "--N", "3", "--q", "q^2",
                            "--rep", "2,1", "--format", "json")

@@ -110,6 +110,18 @@ def test_baxterized_r_satisfies_parametric_ybe(double2, taft2):
     assert report.kind == "parametric-algebraic"
 
 
+def test_parametric_ybe_algebraic_refuses_nu_dependent_input(double2, taft2):
+    # the check substitutes mu itself, so a nu in the input has no meaning;
+    # the matrix check refuses such input the same way
+    grading = double_grading(double2, x_degree_grading(taft2))
+    graded = decompose_graded(canonical_r(double2).tensor(), grading, grading)
+    r_mu = baxterize(graded)
+    r_nu = r_mu.map_coefficients(lambda v: v.remap_exponents(mu_to=(0, 1)))
+    with pytest.raises(ValueError, match="mu only"):
+        check_parametric_ybe_algebraic(double2, r_nu)
+    assert check_parametric_ybe_algebraic(double2, r_mu).passed
+
+
 def test_double_grading_adds_leg_degrees(double3, taft3):
     g = double_grading(double3, x_degree_grading(taft3))
     # deg(a^i x^j . (a^k x^l)*) = j + l

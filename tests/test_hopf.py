@@ -1,4 +1,6 @@
 import random
+import time
+from math import gcd
 
 import pytest
 
@@ -6,9 +8,11 @@ from hopfbax import (
     Grading,
     HopfAlgebra,
     TensorElement,
+    build_taft,
     check_coproduct_grading,
     check_grading,
     check_hopf_axioms,
+    cyclotomic,
     dual,
     dual_grading,
     multiply,
@@ -86,12 +90,34 @@ def test_antipode_closed_values(taft4):
     assert taft4.gamma(alg.basis((1, 1))) == alg.basis((2, 1)).scaled(-(q ** -1))
 
 
-def test_antipode_is_invertible(taft3):
-    alg = taft3.algebra
-    for l in alg.labels:
-        b = alg.basis(l)
-        assert taft3.gamma_inverse(taft3.gamma(b)) == b
-        assert taft3.gamma(taft3.gamma_inverse(b)) == b
+def test_antipode_is_invertible():
+    # T_2..T_6 at every primitive root, and their duals: gamma_inverse must
+    # be a two-sided inverse of gamma on every basis element
+    for n in range(2, 7):
+        z = cyclotomic(n).q()
+        for k in (k for k in range(1, n) if gcd(k, n) == 1):
+            h = build_taft(n, z ** k)
+            for hh in (h, dual(h)):
+                alg = hh.algebra
+                for l in alg.labels:
+                    b = alg.basis(l)
+                    assert hh.gamma_inverse(hh.gamma(b)) == b, (alg.name, k, l)
+                    assert hh.gamma(hh.gamma_inverse(b)) == b, (alg.name, k, l)
+
+
+@pytest.mark.parametrize("broken", ["doubled", "zero image"])
+def test_gamma_inverse_refuses_a_map_that_is_no_antipode(taft4, broken):
+    # 2S is invertible but of infinite order; a zero image is singular
+    alg = taft4.algebra
+    if broken == "doubled":
+        antipode = {l: v.scaled(2) for l, v in taft4.antipode.items()}
+    else:
+        antipode = {**taft4.antipode, (1, 1): alg.zero()}
+    h = HopfAlgebra(alg, taft4.coproduct, taft4.counit, antipode)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        h.gamma_inverse(alg.basis((0, 1)))
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_counit_values(taft3):

@@ -7,15 +7,30 @@ are ring homomorphisms, so they must respect +, * and inverse, and equal
 scalars must have equal images.  A scalar's image is read off its canonical
 string, so the oracle shares no code with the kernel.  It is a test only;
 no verdict of the package rests on it.
+
+The same maps give a differential oracle for the parametric Yang-Baxter
+check: a family R(mu) is evaluated in F_P at mu0, mu0*nu0 and nu0 for drawn
+mu0, nu0, and R12 R13 R23 - R23 R13 R12 is formed there with a sparse
+product written below.  A zero exact residual maps to zero; a nonzero one
+maps to a nonzero polynomial in the draws unless P divides the norm of
+every coefficient, and by Schwartz-Zippel such a polynomial vanishes at a
+random draw with probability at most deg/P.  So the oracle must agree with
+the exact verdict both ways.
 """
 
+import random
 import re
+from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies
+from hopfbax import build_double, build_taft, check_parametric_ybe, \
+    rep_indecomposable, rep_irreducible, taft_r_matrix
+from hopfbax.regressions import reference_taft_9x9
 
 ORDERS = (3, 4, 5, 6, 7, 8, 12)
 
@@ -62,11 +77,12 @@ def _root_of_unity(n: int) -> int:
             return w
 
 
-_TOKEN = re.compile(r"\d+|[qs]|[-+*/^()]")
+_TOKEN = re.compile(r"\d+|mu|[qs]|[-+*/^()]")
 
 
-def image(x, gen: int) -> int:
-    """x's canonical string evaluated in F_P with its generator at gen.
+def image(x, gen: int, mu: int | None = None) -> int:
+    """x's canonical string evaluated in F_P with its generator at gen and,
+    for a parameter scalar, mu at mu.
 
     Raises ZeroDivisionError when a denominator vanishes mod P.
     """
@@ -107,6 +123,8 @@ def image(x, gen: int) -> int:
             v = expr()
             assert toks.pop() == ")"
             return v
+        if t == "mu":
+            return mu
         return gen if t in "qs" else int(t) % P
 
     v = expr()
@@ -155,3 +173,97 @@ def test_sqrt_q_map_respects_arithmetic(data, s0):
     except ZeroDivisionError:
         assume(False)
     _check_homomorphism(a, b, s0)
+
+
+# ---------------------------------------------------------------------------
+# differential Yang-Baxter oracle
+# ---------------------------------------------------------------------------
+
+def _on_legs(r: dict, d: int, legs) -> dict:
+    """A d^2 x d^2 matrix {(row, col): value} acting on two legs of
+    V (x) V (x) V, the identity on the third; indices are leg triples."""
+    out = {}
+    for (row, col), v in r.items():
+        for m in range(d):
+            x, y = [m] * 3, [m] * 3
+            x[legs[0]], x[legs[1]] = divmod(row, d)
+            y[legs[0]], y[legs[1]] = divmod(col, d)
+            out[tuple(x), tuple(y)] = v
+    return out
+
+
+def _matmul(a: dict, b: dict) -> dict:
+    rows = {}
+    for (r, k), v in b.items():
+        rows.setdefault(r, []).append((k, v))
+    out = {}
+    for (r, k), v in a.items():
+        for c, w in rows.get(k, ()):
+            out[r, c] = (out.get((r, c), 0) + v * w) % P
+    return out
+
+
+def ybe_residual(m, gen: int, mu0: int, nu0: int) -> set:
+    """Entries where R12(a) R13(b) R23(c) and R23(c) R13(b) R12(a) differ
+    in F_P, at a = mu0, b = mu0*nu0, c = nu0."""
+    d = isqrt(m.dim)
+
+    def at(mu, legs):
+        return _on_legs({k: image(v, gen, mu) for k, v in m.entries.items()},
+                        d, legs)
+
+    r12, r13, r23 = at(mu0, (0, 1)), at(mu0 * nu0 % P, (0, 2)), at(nu0, (1, 2))
+    lhs = _matmul(_matmul(r12, r13), r23)
+    rhs = _matmul(_matmul(r23, r13), r12)
+    return {k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0)}
+
+
+@lru_cache(maxsize=None)
+def _zoo(n: int) -> dict:
+    """Every V_{k,l} and every W_l(alpha), alpha in {1, q}, of D(T_n)."""
+    h = build_taft(n)
+    d = build_double(h)
+    out = {}
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            out[f"V_{{{k},{l}}}"] = taft_r_matrix(
+                rep_irreducible(d, k, l), parametric=True, normalize=k > 1)
+    for alpha, tag in ((h.domain.one(), "1"), (h.domain.q(), "q")):
+        for l in range(1, n + 1):
+            out[f"W_{l}({tag})"] = taft_r_matrix(
+                rep_indecomposable(d, alpha, l), parametric=True,
+                normalize=False)
+    return out
+
+
+def _perturbed(r_half, r_one) -> dict:
+    """Criterion 12's perturbed spin matrices."""
+    bad_half, bad_one = r_half.copy(), r_one.copy()
+    bad_half.set(1, 2, bad_half.get(1, 2) + bad_half.get(1, 2))
+    bad_one.set(2, 6, bad_one.get(2, 6) * 2)
+    return {"perturbed spin-1/2": bad_half, "perturbed spin-1": bad_one}
+
+
+@pytest.mark.parametrize("group", ["spin", "taft 9x9", "N=2", "N=3", "N=4",
+                                   "perturbed"])
+def test_ybe_oracle_agrees_with_the_exact_check(group, r_half, r_one):
+    if group == "spin":
+        families = {"spin-1/2": r_half, "spin-1": r_one}
+    elif group == "taft 9x9":
+        families = {f"l={l}": reference_taft_9x9(l) for l in (1, 2, 3, 4)}
+    elif group == "perturbed":
+        families = _perturbed(r_half, r_one)
+    else:
+        families = _zoo(int(group[2:]))
+    disagree, verdicts = [], {}
+    for name, m in families.items():
+        verdicts[name] = exact = check_parametric_ybe(m).passed
+        rng = random.Random(f"{group} {name}")
+        for _ in range(3):
+            mu0, nu0, s0 = (rng.randrange(1, P) for _ in range(3))
+            gen = s0 if m.domain.kind == "sqrt_q" else _root_of_unity(m.domain.n)
+            if (not ybe_residual(m, gen, mu0, nu0)) != exact:
+                disagree.append((name, exact, mu0, nu0))
+    assert not disagree
+    # criterion 12's matrices fail exactly, so every draw found a residual
+    assert group != "perturbed" or not any(verdicts.values())

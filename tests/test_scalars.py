@@ -13,7 +13,6 @@ from hopfbax import (
     cyclotomic,
     eval_q_powers,
     gauss_binomial,
-    lift_cyclotomic,
     parse_param_scalar,
     parse_scalar,
     q_bracket,
@@ -224,18 +223,6 @@ def k_not_one(n):
     return 1
 
 
-def test_lift_cyclotomic_embeds_consistently():
-    z2 = cyclotomic(2).q()
-    up = lift_cyclotomic(z2, 8)
-    assert up == cyclotomic(8).q() ** 4
-    z3 = cyclotomic(3).q()
-    up3 = lift_cyclotomic(z3 + z3 ** 2, 6)
-    z6 = cyclotomic(6).q()
-    assert up3 == z6 ** 2 + z6 ** 4
-    with pytest.raises(ScalarDomainError):
-        lift_cyclotomic(z3, 8)
-
-
 def test_eval_q_powers_even_only():
     x = Q ** 2 + Q ** -1  # s^4 + s^-2, all even in s
     z8 = cyclotomic(8)
@@ -282,7 +269,7 @@ def test_param_scalar_remap_exponents():
     mu = ParamScalar.mu(SQRT_Q)
     nu = ParamScalar.nu(SQRT_Q)
     # mu -> mu*nu, nu -> nu
-    y = (mu ** 2).remap_exponents(mu_to=(1, 1), nu_to=(0, 1))
+    y = (mu ** 2).remap_exponents(mu_to=(1, 1))
     assert y == (mu * nu) ** 2
 
 
