@@ -41,7 +41,7 @@ def main() -> int:
         d = build_double(h, conv)
         assoc = not associativity_violations(d.algebra)
         unit = not unit_violations(d.algebra)
-        ybe = (check_constant_ybe_algebraic(d, canonical_r(d)).passed
+        ybe = (check_constant_ybe_algebraic(d, canonical_r(d).tensor()).passed
                if assoc else False)
         dt = time.perf_counter() - t0
         if assoc and unit and ybe:

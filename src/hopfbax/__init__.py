@@ -10,9 +10,9 @@ Q(zeta_N), and Laurent polynomials in a formal square root of q.
 """
 
 from .algebra import Algebra, AlgebraElement, TensorElement, embed, \
-    multiply, tensor_multiply
-from .baxterize import GradedRElement, NotDiagonallyGraded, baxterize, \
-    baxterize_zn, decompose_graded, evaluate_at_one, mu_components
+    tensor_multiply
+from .baxterize import NotDiagonallyGraded, baxterize, baxterize_zn, \
+    decompose_graded, evaluate_at_one, mu_components
 from .double import CONVENTIONS, DEFAULT_CONVENTION, CanonicalR, \
     DoubleAlgebra, build_double, canonical_r, check_constant_ybe_algebraic, \
     check_parametric_ybe_algebraic, double_grading
@@ -34,9 +34,8 @@ from .ybe import YbeReport, braid_check, check_constant_ybe, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "AlgebraElement", "TensorElement", "embed", "multiply",
-    "tensor_multiply",
-    "GradedRElement", "NotDiagonallyGraded", "baxterize", "baxterize_zn",
+    "Algebra", "AlgebraElement", "TensorElement", "embed", "tensor_multiply",
+    "NotDiagonallyGraded", "baxterize", "baxterize_zn",
     "decompose_graded", "evaluate_at_one", "mu_components",
     "CONVENTIONS", "DEFAULT_CONVENTION", "CanonicalR", "DoubleAlgebra",
     "build_double", "canonical_r", "check_constant_ybe_algebraic",

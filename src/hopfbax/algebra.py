@@ -90,9 +90,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, label) -> Scalar:
-        return self.terms.get(label, self.algebra.domain.zero())
-
     def _check(self, other):
         if other.algebra is not self.algebra:
             raise ValueError(
@@ -168,11 +165,6 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product in the common algebra of x and y."""
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # tensor elements
 # ---------------------------------------------------------------------------
@@ -215,10 +207,6 @@ class TensorElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, key) -> ParamScalar:
-        return self.terms.get(tuple(key),
-                              ParamScalar(self.domain))
 
     def _check(self, other):
         if self.algebras != other.algebras:

@@ -18,8 +18,6 @@ weighting trick is not available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import TensorElement
 from .hopf import Grading, _deg_add, _deg_zero
 from .scalars import ParamScalar
@@ -29,28 +27,9 @@ class NotDiagonallyGraded(ValueError):
     """Raised when some term g (x) f has deg(g) != deg(f)."""
 
 
-@dataclass
-class GradedRElement:
-    """A two-leg tensor element split into its diagonal degree blocks."""
-    by_degree: dict = field(default_factory=dict)   # degree -> TensorElement
-    left: Grading | None = None
-    right: Grading | None = None
-
-    @property
-    def degrees(self):
-        return sorted(self.by_degree)
-
-    def total(self) -> TensorElement:
-        it = iter(self.by_degree.values())
-        out = next(it)
-        for te in it:
-            out = out + te
-        return out
-
-
 def decompose_graded(r: TensorElement, left: Grading,
-                     right: Grading) -> GradedRElement:
-    """Split r = sum_i r_i with r_i in (degree i) (x) (degree i)."""
+                     right: Grading) -> dict:
+    """Split r = sum_i r_i, r_i in (degree i) (x) (degree i), as {i: r_i}."""
     if r.arity != 2:
         raise ValueError("degree decomposition expects a two-leg element")
     blocks = {}
@@ -62,20 +41,14 @@ def decompose_graded(r: TensorElement, left: Grading,
                 f"term {left.algebra.label_str(l0)} (x) "
                 f"{right.algebra.label_str(l1)} has left degree {d0} "
                 f"but right degree {d1}")
-        blk = blocks.get(d0)
-        if blk is None:
-            blk = {}
-            blocks[d0] = blk
-        blk[(l0, l1)] = c
-    return GradedRElement(
-        {d: TensorElement(r.algebras, t) for d, t in blocks.items()},
-        left, right)
+        blocks.setdefault(d0, {})[(l0, l1)] = c
+    return {d: TensorElement(r.algebras, t) for d, t in blocks.items()}
 
 
-def _weighted_sum(graded: GradedRElement, weight) -> TensorElement:
+def _weighted_sum(graded: dict, weight) -> TensorElement:
     """sum_p mu^weight(p) R_p over the degree blocks R_p."""
     out = None
-    for d, te in graded.by_degree.items():
+    for d, te in graded.items():
         piece = te.scaled(ParamScalar.monomial(te.domain.one(), weight(d), 0))
         out = piece if out is None else out + piece
     if out is None:
@@ -83,9 +56,9 @@ def _weighted_sum(graded: GradedRElement, weight) -> TensorElement:
     return out
 
 
-def baxterize(graded: GradedRElement) -> TensorElement:
+def baxterize(graded: dict) -> TensorElement:
     """R(mu) = sum_i mu^i R_i for an integer-graded decomposition."""
-    for d in graded.by_degree:
+    for d in graded:
         if not isinstance(d, int):
             raise TypeError(
                 f"degree {d!r} is not an integer; use baxterize_zn with a "
@@ -100,7 +73,7 @@ def _as_tau(tau):
     return lambda d: sum(w * c for w, c in zip(weights, d))
 
 
-def baxterize_zn(graded: GradedRElement, tau) -> TensorElement:
+def baxterize_zn(graded: dict, tau) -> TensorElement:
     """R(mu) = sum_p mu^{tau(p)} R_p for a Z^n-graded decomposition.
 
     tau may be a callable or a weight vector (c_1, ..., c_n) encoding
@@ -109,7 +82,7 @@ def baxterize_zn(graded: GradedRElement, tau) -> TensorElement:
     break the parametric equation otherwise.
     """
     fn = _as_tau(tau)
-    degs = list(graded.by_degree)
+    degs = list(graded)
     if degs:
         z = _deg_zero(degs[0])
         if fn(z) != 0:

@@ -21,8 +21,8 @@ import os
 import sys
 
 from .baxterize import baxterize, baxterize_zn, decompose_graded, evaluate_at_one
-from .double import CONVENTIONS, DEFAULT_CONVENTION, build_double, canonical_r, \
-    check_constant_ybe_algebraic, check_parametric_ybe_algebraic, double_grading
+from .double import build_double, canonical_r, check_constant_ybe_algebraic, \
+    check_parametric_ybe_algebraic, double_grading
 from .hopf import check_coproduct_grading, check_grading, check_hopf_axioms
 from .matrices import ParametricMatrix
 from .scalars import cyclotomic, parse_scalar
@@ -40,6 +40,11 @@ MAX_N = 8
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one "error:" line, like every usage error
+        raise UsageError(message)
 
 
 def _parse_rep(text: str) -> tuple:
@@ -112,13 +117,18 @@ def run_taft(args) -> int:
     rep = None if args.rep is None else _parse_rep(args.rep)
     if rep is not None and args.alpha is not None:
         raise UsageError("--rep and --indecomposable are mutually exclusive")
+    if args.l is not None and args.alpha is None:
+        raise UsageError("--l needs --indecomposable")
+    if rep is None and args.alpha is None and (args.parametric or args.verify):
+        raise UsageError("--parametric and --verify need --rep or "
+                         "--indecomposable")
     h = _taft(args)
     if rep is None and args.alpha is None:
         reports = [check_hopf_axioms(h),
                    check_grading(h.algebra, x_degree_grading(h)),
                    check_coproduct_grading(h, x_degree_grading(h))]
         return max(_report_out(r, args) for r in reports)
-    d = build_double(h, args.convention)
+    d = build_double(h)
     if rep is not None:
         n, l = rep
         if not (1 <= n <= args.N and 1 <= l <= args.N):
@@ -129,10 +139,8 @@ def run_taft(args) -> int:
             raise UsageError("--indecomposable needs --l")
         alpha = _scalar_arg(args.alpha, h.domain)
         module = rep_indecomposable(d, alpha, args.l)
-    normalize = (rep is not None) and not args.raw
-    return _emit_family(
-        taft_r_matrix(module, parametric=args.parametric, normalize=normalize),
-        args)
+    return _emit_family(taft_r_matrix(module, parametric=args.parametric,
+                                      normalize=rep is not None), args)
 
 
 def run_uqsl2(args) -> int:
@@ -144,18 +152,18 @@ def run_uqsl2(args) -> int:
 
 
 def run_double(args) -> int:
-    d = build_double(_taft(args), args.convention)
-    r = canonical_r(d)
+    d = build_double(_taft(args))
+    r = canonical_r(d).tensor()
     status = _report_out(check_constant_ybe_algebraic(d, r), args)
     if args.parametric:
         grading = double_grading(d, x_degree_grading(d.h))
-        r_mu = baxterize(decompose_graded(r.tensor(), grading, grading))
+        r_mu = baxterize(decompose_graded(r, grading, grading))
         status |= _report_out(check_parametric_ybe_algebraic(d, r_mu), args)
     return status
 
 
 def run_baxterize(args) -> int:
-    d = build_double(_taft(args), args.convention)
+    d = build_double(_taft(args))
     r = canonical_r(d).tensor()
     grading = double_grading(d, x_degree_grading(d.h))
     if args.zn:
@@ -170,7 +178,7 @@ def run_baxterize(args) -> int:
               file=sys.stderr)
         return 1
     if args.fmt == "json":
-        payload = {"degrees": [str(k) for k in graded.degrees],
+        payload = {"degrees": [str(k) for k in sorted(graded)],
                    "terms": str(r_mu)}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args)
     else:
@@ -212,7 +220,7 @@ def run_regressions(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hopfbax",
         description="Exact Yang-Baxter solutions from graded Hopf algebras")
     sub = p.add_subparsers(dest="command", required=True)
@@ -236,11 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar="ALPHA", help="wrap parameter (scalar string)")
     sp.add_argument("--l", type=int, default=None)
     sp.add_argument("--parametric", action="store_true")
-    sp.add_argument("--raw", action="store_true",
-                    help="emit the unnormalized canonical-element image")
     sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--convention", choices=CONVENTIONS,
-                    default=DEFAULT_CONVENTION)
     common(sp, run_taft)
 
     sp = sub.add_parser("uqsl2", help="spin-1/2 and spin-1 R-matrices")
@@ -254,8 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", default=None)
     sp.add_argument("--parametric", action="store_true",
                     help="also check the mu,nu identity")
-    sp.add_argument("--convention", choices=CONVENTIONS,
-                    default=DEFAULT_CONVENTION)
     common(sp, run_double)
 
     sp = sub.add_parser("baxterize",
@@ -264,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", default=None)
     sp.add_argument("--zn", action="store_true",
                     help="route through the Z^2 lift with coordinate-sum tau")
-    sp.add_argument("--convention", choices=CONVENTIONS,
-                    default=DEFAULT_CONVENTION)
     common(sp, run_baxterize)
 
     sp = sub.add_parser("verify", help="re-check a serialized matrix")
@@ -283,10 +283,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.run(args)
+    except SystemExit as exc:              # --help
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:   # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -137,15 +137,6 @@ class DoubleAlgebra:
         return self.algebra.element(
             _pair_terms(self.h.algebra._unit_terms, x.terms))
 
-    def counit(self, x) -> "Scalar":
-        """Counit of the double: eps(g f) = eps_H(g) * f(1_H)."""
-        if not isinstance(x, AlgebraElement):
-            x = self.algebra.basis(x)
-        out = self.domain.zero()
-        for (g, f), c in x.terms.items():
-            out = out + c * self.h.counit[g] * self.hdual.counit[f]
-        return out
-
     def __repr__(self):
         return f"DoubleAlgebra({self.algebra.name}, dim={self.algebra.dim})"
 
@@ -198,10 +189,6 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
 # algebraic Yang-Baxter checks (exact expansion in D (x) D (x) D)
 # ---------------------------------------------------------------------------
 
-def _as_tensor(r) -> TensorElement:
-    return r.tensor() if isinstance(r, CanonicalR) else r
-
-
 def _triple_compare(kind, double, r12, r13, r23) -> YbeReport:
     """Place two-leg elements at slots 12, 13, 23 of D (x) D (x) D and
     report the residual R12 R13 R23 - R23 R13 R12."""
@@ -218,9 +205,8 @@ def _triple_compare(kind, double, r12, r13, r23) -> YbeReport:
                      residual_terms=len(residual.terms), worst=worst)
 
 
-def check_constant_ybe_algebraic(double: DoubleAlgebra, r) -> YbeReport:
+def check_constant_ybe_algebraic(double: DoubleAlgebra, r: TensorElement) -> YbeReport:
     """R12 R13 R23 = R23 R13 R12 for R in D (x) D, expanded exactly."""
-    r = _as_tensor(r)
     return _triple_compare("constant-algebraic", double, r, r, r)
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from .algebra import TensorElement
 from .baxterize import baxterize, decompose_graded
 from .double import build_double, canonical_r, check_constant_ybe_algebraic, \
-    check_parametric_ybe_algebraic, double_grading
+    double_grading
 from .hopf import HopfAlgebra, check_coproduct_grading, check_grading, \
     check_hopf_axioms, dual, dual_grading
 from .matrices import ParametricMatrix, find_diagonal_gauge
@@ -282,7 +282,7 @@ def criterion_8() -> RegressionResult:
 def criterion_9() -> RegressionResult:
     bad = []
     for n, d in _doubles().items():
-        if not check_constant_ybe_algebraic(d, canonical_r(d)).passed:
+        if not check_constant_ybe_algebraic(d, canonical_r(d).tensor()).passed:
             bad.append(n)
     return RegressionResult(9, "canonical element of D(T_N) solves the "
                                "constant YBE by exact expansion, N=2,3",

@@ -6,7 +6,7 @@ import pytest
 from hopfbax import (CONVENTIONS, SQRT_Q, ParamScalar, ScalarDomainError,
                      TensorElement, build_double, build_taft, canonical_r,
                      check_constant_ybe_algebraic, cyclotomic, dual, embed,
-                     multiply, tensor_multiply)
+                     tensor_multiply)
 from hopfbax.algebra import Algebra, associativity_violations, unit_violations
 
 
@@ -20,12 +20,12 @@ def test_generator_relations_n3(taft3):
     a = alg.basis((1, 0))
     x = alg.basis((0, 1))
     # x a = q a x
-    assert multiply(x, a) == multiply(a, x).scaled(q)
+    assert x * a == (a * x).scaled(q)
     # a^N = e
     assert a * a * a == alg.unit()
     # x^N = 0
     assert (x * x * x).is_zero()
-    assert multiply(alg.unit(), x) == x
+    assert alg.unit() * x == x
 
 
 def test_power_labels(taft4):
@@ -64,8 +64,7 @@ def test_element_arithmetic(taft3):
     a = alg.basis((1, 0))
     x = alg.basis((0, 1))
     y = a + x.scaled(q)
-    assert y.coefficient((1, 0)) == alg.domain.one()
-    assert y.coefficient((0, 1)) == q
+    assert y.terms == {(1, 0): alg.domain.one(), (0, 1): q}
     assert (y - y).is_zero()
     assert (-y + y).is_zero()
 
@@ -80,7 +79,7 @@ def test_tensor_multiply_is_slotwise(taft3):
     right = TensorElement.of(a, x)
     got = tensor_multiply(left, right)
     # (x(x)e)(a(x)x) = xa (x) x = q * (ax (x) x)
-    expect = TensorElement.of(multiply(a, x), x).scaled(q)
+    expect = TensorElement.of(a * x, x).scaled(q)
     assert got == expect
 
 
@@ -91,7 +90,7 @@ def _brute_force_product(xt, yt):
     for kx, cx in xt.terms.items():
         for ky, cy in yt.terms.items():
             expect = expect + TensorElement.of(*(
-                multiply(alg.basis(a), alg.basis(b))
+                alg.basis(a) * alg.basis(b)
                 for alg, a, b in zip(algs, kx, ky))).scaled(cx * cy)
     return expect
 
@@ -206,7 +205,7 @@ def test_embed_then_multiply_matches_slotwise(taft3):
     t12 = embed(TensorElement.of(a, x), (0, 1), algs)
     t23 = embed(TensorElement.of(x, a), (1, 2), algs)
     prod = tensor_multiply(t12, t23)
-    assert prod == TensorElement.of(a, multiply(x, x), a)
+    assert prod == TensorElement.of(a, x * x, a)
     # disjoint legs commute
     t1 = embed(TensorElement.of(x), (0,), algs)
     t3 = embed(TensorElement.of(a), (2,), algs)
@@ -226,7 +225,7 @@ def test_mismatched_algebras_rejected(taft2, taft3):
     a2 = taft2.algebra.basis((1, 0))
     a3 = taft3.algebra.basis((1, 0))
     with pytest.raises(ValueError):
-        multiply(a2, a3)
+        a2 * a3
     t2 = TensorElement.of(a2, a2)
     t3 = TensorElement.of(a3, a3)
     with pytest.raises(ValueError):
@@ -243,7 +242,7 @@ def test_tensor_coefficients_keep_the_algebra_domain(taft2):
         with pytest.raises(ScalarDomainError):
             TensorElement.of(alg.basis((1, 0)), alg.basis((0, 1))).scaled(c)
     q = cyclotomic(2).q()
-    assert TensorElement((alg, alg), {key: q}).coefficient(key) == q
+    assert TensorElement((alg, alg), {key: q}).terms == {key: q}
 
 
 def test_tensor_arity_mismatch_rejected(taft2):
@@ -284,14 +283,14 @@ def test_row_agrees_with_product_basis(name, alg):
 def test_row_table_fills_lazily():
     d = build_double(build_taft(3))
     alg = d.algebra
-    assert check_constant_ybe_algebraic(d, canonical_r(d)).passed
+    assert check_constant_ybe_algebraic(d, canonical_r(d).tensor()).passed
     filled = sum(len(cells) for cells in alg._rows)
     assert 0 < filled < alg.dim ** 2
 
 
 def test_no_label_keyed_product_cache():
     d = build_double(build_taft(2))
-    assert check_constant_ybe_algebraic(d, canonical_r(d)).passed
+    assert check_constant_ybe_algebraic(d, canonical_r(d).tensor()).passed
     for alg in (d.algebra, d.h.algebra, d.hdual.algebra):
         assert not hasattr(alg, "_cache")
         pairs = set(iproduct(alg.labels, repeat=2))

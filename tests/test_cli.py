@@ -101,13 +101,6 @@ def test_double_checks(capsys):
     assert err.count("PASS") == 2
 
 
-def test_double_rejected_convention_fails(capsys):
-    code, _, err = run_cli(capsys, "double", "--N", "2",
-                           "--convention", "left_s")
-    assert code == 1
-    assert "FAIL" in err
-
-
 def test_baxterize_flat_and_lifted(capsys):
     code, out, _ = run_cli(capsys, "baxterize", "--N", "2", "--format", "json")
     assert code == 0
@@ -308,6 +301,12 @@ def test_json_loader_fuzz_gives_a_matrix_or_a_load_error(obj):
     ("baxterize", "--N", "9"),
     ("taft", "--N", "9"),
     ("taft", "--N", "16", "--rep", "16,1"),   # would build D(T_16)
+    ("taft", "--N", "3", "--l", "1"),         # --l without --indecomposable
+    ("taft", "--N", "4", "--rep", "3,1", "--l", "1"),
+    ("taft", "--N", "3", "--parametric"),     # no module selected
+    ("taft", "--N", "3", "--verify"),
+    ("double", "--N", "2", "--convention", "left_s"),   # removed options
+    ("taft", "--N", "4", "--rep", "3,1", "--raw"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

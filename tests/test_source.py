@@ -1,0 +1,38 @@
+"""Checks on the package source and on the README's Python example."""
+
+import ast
+import pathlib
+import re
+
+from hopfbax import check_parametric_ybe
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hopfbax"
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Module-level imports that the module never names (__future__ exempt)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in named]
+
+
+def test_every_module_level_import_is_used():
+    unused = {p.name: _unused_imports(p) for p in sorted(SRC.glob("*.py"))
+              if p.name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_readme_python_api_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert check_parametric_ybe(namespace["r"]).passed
