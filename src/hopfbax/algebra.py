@@ -6,8 +6,9 @@ order, and the structure constants are read by number: ``row(i, j)`` is the
 product of basis elements i and j as ``((k, Scalar), ...)``, computed on
 first use and kept.  Elements are sparse dictionaries over basis labels.
 TensorElement holds elements of tensor products of (possibly different)
-algebras, with ParamScalar coefficients so that the same code path serves
-constant and spectral-parameter-dependent objects.
+algebras, with Scalar coefficients over basis-label keys.  A family that
+depends on the spectral parameter, R(mu) = sum_e mu^e R_e, is not a tensor
+but the dict {e: TensorElement} of its constant blocks (see baxterize.py).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .scalars import Scalar, ParamScalar, Domain, accumulate, as_param_scalar
+from .scalars import Scalar, Domain, ScalarDomainError, accumulate
 
 
 class Algebra:
@@ -170,7 +171,7 @@ class AlgebraElement:
 # ---------------------------------------------------------------------------
 
 class TensorElement:
-    """Sparse element of A_1 (x) ... (x) A_k with ParamScalar coefficients."""
+    """Sparse element of A_1 (x) ... (x) A_k with Scalar coefficients."""
 
     __slots__ = ("algebras", "terms")
 
@@ -180,17 +181,16 @@ class TensorElement:
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = as_param_scalar(v, domain)
+                if v.__class__ is not Scalar or (v.domain is not domain
+                                                 and v.domain != domain):
+                    raise ScalarDomainError(
+                        f"tensor coefficient {v!r} is not a Scalar of {domain}")
                 if not v.is_zero():
                     self.terms[tuple(k)] = v
 
     @property
     def arity(self) -> int:
         return len(self.algebras)
-
-    @property
-    def domain(self):
-        return self.algebras[0].domain
 
     @staticmethod
     def of(*factors) -> "TensorElement":
@@ -221,45 +221,32 @@ class TensorElement:
             accumulate(out, k, v)
         return TensorElement(self.algebras, out)
 
-    def __neg__(self):
-        return TensorElement(self.algebras, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, c) -> "TensorElement":
-        c = as_param_scalar(c, self.domain)
+    def scaled(self, c: Scalar) -> "TensorElement":
         return TensorElement(self.algebras,
                              {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, ParamScalar)):
-            return self.scaled(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
         return self.algebras == other.algebras and self.terms == other.terms
 
-    def map_coefficients(self, fn) -> "TensorElement":
-        return TensorElement(self.algebras,
-                             {k: fn(v) for k, v in self.terms.items()})
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms, key=repr):
-            v = self.terms[k]
-            name = " (x) ".join(a.label_str(l) for a, l in zip(self.algebras, k))
-            vs = str(v)
-            bits.append(f"[{name}]" if vs == "1" else f"({vs})*[{name}]")
-        return " + ".join(bits)
+        return tensor_str(self.algebras, self.terms)
 
     __repr__ = __str__
+
+
+def tensor_str(algebras, terms: dict) -> str:
+    """terms {label key: coefficient} as a sum of [l_1 (x) ... (x) l_k]
+    over repr-sorted keys; any coefficient with a str() prints."""
+    if not terms:
+        return "0"
+    bits = []
+    for k in sorted(terms, key=repr):
+        name = " (x) ".join(a.label_str(l) for a, l in zip(algebras, k))
+        vs = str(terms[k])
+        bits.append(f"[{name}]" if vs == "1" else f"({vs})*[{name}]")
+    return " + ".join(bits)
 
 
 def _slot_trie(t: TensorElement) -> dict:
@@ -360,39 +347,34 @@ def embed(x: TensorElement, positions, algebras) -> "TensorElement":
 # structural spot checks
 # ---------------------------------------------------------------------------
 
-def _times_basis(algebra: Algebra, terms, j: int, terms_first: bool) -> dict:
-    """terms * basis j (terms_first) or basis j * terms, for (index, Scalar)
-    pairs, as {index: Scalar}."""
-    row = algebra.row
-    out = {}
-    for m, c in terms:
-        for k, v in (row(m, j) if terms_first else row(j, m)):
-            accumulate(out, k, c * v)
-    return out
-
-
 def associativity_violations(algebra: Algebra, triples=None):
-    """Basis triples where (ab)c != a(bc); empty list means associative."""
+    """Basis triples where (ab)c != a(bc), in the order given (all triples
+    in basis order by default); empty list means associative.  A triple
+    is skipped only when ab and bc are both zero: both sides are then 0."""
     labels, index, row = algebra.labels, algebra.index, algebra.row
     if triples is None:
-        triples = iproduct(labels, labels, labels)
+        triples = iproduct(range(algebra.dim), repeat=3)
+    else:
+        triples = ((index[a], index[b], index[c]) for a, b, c in triples)
     bad = []
-    for l1, l2, l3 in triples:
-        i, j, k = index[l1], index[l2], index[l3]
-        if (_times_basis(algebra, row(i, j), k, True)
-                != _times_basis(algebra, row(j, k), i, False)):
-            bad.append((l1, l2, l3))
+    for i, j, k in triples:
+        ab, bc = row(i, j), row(j, k)
+        if not (ab or bc):
+            continue
+        left, right = {}, {}
+        for m, c in ab:
+            for p, v in row(m, k):
+                accumulate(left, p, c * v)
+        for m, c in bc:
+            for p, v in row(i, m):
+                accumulate(right, p, c * v)
+        if left != right:
+            bad.append((labels[i], labels[j], labels[k]))
     return bad
 
 
 def unit_violations(algebra: Algebra):
     """Basis labels where e*b != b or b*e != b."""
-    index, one = algebra.index, algebra.domain.one()
-    unit = [(index[l], c) for l, c in algebra._unit_terms.items()]
-    bad = []
-    for j, l in enumerate(algebra.labels):
-        b = {j: one}
-        if (_times_basis(algebra, unit, j, True) != b
-                or _times_basis(algebra, unit, j, False) != b):
-            bad.append(l)
-    return bad
+    e, basis = algebra.unit(), algebra.basis
+    return [l for l in algebra.labels
+            if e * basis(l) != basis(l) or basis(l) * e != basis(l)]

@@ -10,6 +10,9 @@ solves the parametric equation R_12(mu) R_13(mu nu) R_23(nu) =
 R_23(nu) R_13(mu nu) R_12(mu).  The same works for Z^n gradings with
 mu^{tau(i)} weights for any additive tau: Z^n -> Z.
 
+A family R(mu) is held as the dict {e: R_e} of its constant blocks, one
+TensorElement per mu-exponent e that occurs.
+
 ``decompose_graded`` performs the required diagonal split and fails with
 NotDiagonallyGraded (naming the offending term) when the two legs of some
 term sit in different degrees, which is exactly the situation where the
@@ -18,9 +21,10 @@ weighting trick is not available.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .algebra import TensorElement
 from .hopf import Grading, _deg_add, _deg_zero
-from .scalars import ParamScalar
 
 
 class NotDiagonallyGraded(ValueError):
@@ -45,18 +49,18 @@ def decompose_graded(r: TensorElement, left: Grading,
     return {d: TensorElement(r.algebras, t) for d, t in blocks.items()}
 
 
-def _weighted_sum(graded: dict, weight) -> TensorElement:
-    """sum_p mu^weight(p) R_p over the degree blocks R_p."""
-    out = None
-    for d, te in graded.items():
-        piece = te.scaled(ParamScalar.monomial(te.domain.one(), weight(d), 0))
-        out = piece if out is None else out + piece
-    if out is None:
+def _weighted_sum(graded: dict, weight) -> dict:
+    """{e: sum of the blocks R_p with weight(p) = e} over the degree blocks."""
+    if not graded:
         raise ValueError("nothing to Baxterize: empty decomposition")
-    return out
+    out = {}
+    for d, te in graded.items():
+        e = weight(d)
+        out[e] = out[e] + te if e in out else te
+    return dict(sorted(out.items()))
 
 
-def baxterize(graded: dict) -> TensorElement:
+def baxterize(graded: dict) -> dict:
     """R(mu) = sum_i mu^i R_i for an integer-graded decomposition."""
     for d in graded:
         if not isinstance(d, int):
@@ -73,7 +77,7 @@ def _as_tau(tau):
     return lambda d: sum(w * c for w, c in zip(weights, d))
 
 
-def baxterize_zn(graded: dict, tau) -> TensorElement:
+def baxterize_zn(graded: dict, tau) -> dict:
     """R(mu) = sum_p mu^{tau(p)} R_p for a Z^n-graded decomposition.
 
     tau may be a callable or a weight vector (c_1, ..., c_n) encoding
@@ -95,22 +99,17 @@ def baxterize_zn(graded: dict, tau) -> TensorElement:
     return _weighted_sum(graded, fn)
 
 
-def mu_components(r: TensorElement) -> dict:
-    """Split a mu-dependent element into {power: constant element}."""
-    powers = set()
-    for c in r.terms.values():
-        for (e_mu, e_nu) in c.terms:
-            if e_nu:
-                raise ValueError("element depends on nu; expected mu only")
-            powers.add(e_mu)
-    out = {}
-    for p in sorted(powers):
-        comp = r.map_coefficients(lambda c: c.mu_component(p))
-        if comp.terms:
-            out[p] = comp
-    return out
+def mu_components(r_mu: dict) -> dict:
+    """The nonzero blocks {e: R_e} of a family R(mu) = sum_e mu^e R_e, in
+    exponent order; a key that is not an int mu-exponent (such as an
+    (e_mu, e_nu) pair) is refused, since the family must depend on mu only."""
+    for e in r_mu:
+        if type(e) is not int:
+            raise ValueError(f"family key {e!r} is not a mu-exponent: "
+                             "the family must depend on mu only")
+    return {e: te for e, te in sorted(r_mu.items()) if te.terms}
 
 
-def evaluate_at_one(r: TensorElement) -> TensorElement:
-    """Specialize mu = nu = 1, collapsing a family to a constant element."""
-    return r.map_coefficients(lambda c: ParamScalar.constant(c.at_one()))
+def evaluate_at_one(r_mu: dict) -> TensorElement:
+    """Specialize mu = 1: the sum of the blocks of a family."""
+    return reduce(TensorElement.__add__, r_mu.values())

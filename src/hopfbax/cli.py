@@ -20,12 +20,13 @@ import json
 import os
 import sys
 
+from .algebra import tensor_str
 from .baxterize import baxterize, baxterize_zn, decompose_graded, evaluate_at_one
 from .double import build_double, canonical_r, check_constant_ybe_algebraic, \
     check_parametric_ybe_algebraic, double_grading
 from .hopf import check_coproduct_grading, check_grading, check_hopf_axioms
 from .matrices import ParametricMatrix
-from .scalars import cyclotomic, parse_scalar
+from .scalars import cyclotomic, laurent_by_key, parse_scalar
 from .taft import build_taft, rep_indecomposable, rep_irreducible, \
     taft_r_matrix, x_degree_grading
 from .uqsl2 import spin_half, spin_one, uqsl2_r_matrix
@@ -122,6 +123,9 @@ def run_taft(args) -> int:
     if rep is None and args.alpha is None and (args.parametric or args.verify):
         raise UsageError("--parametric and --verify need --rep or "
                          "--indecomposable")
+    if rep is None and args.alpha is None and (args.output or args.fmt == "latex"):
+        raise UsageError("--output and --format latex need --rep or "
+                         "--indecomposable")
     h = _taft(args)
     if rep is None and args.alpha is None:
         reports = [check_hopf_axioms(h),
@@ -177,12 +181,14 @@ def run_baxterize(args) -> int:
         print("FAIL  mu=1 does not recover the constant element",
               file=sys.stderr)
         return 1
+    # R(mu) prints as one element with a Laurent coefficient per key
+    text = tensor_str(r.algebras, laurent_by_key(
+        {(k, e, 0): c for e, t in r_mu.items() for k, c in t.terms.items()}))
     if args.fmt == "json":
-        payload = {"degrees": [str(k) for k in sorted(graded)],
-                   "terms": str(r_mu)}
+        payload = {"degrees": [str(k) for k in sorted(graded)], "terms": text}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args)
     else:
-        _emit(str(r_mu), args)
+        _emit(text, args)
     return 0
 
 
@@ -214,8 +220,7 @@ def run_regressions(args) -> int:
         _emit(json.dumps([r.to_dict() for r in results], indent=2,
                          sort_keys=True), args)
     else:
-        for r in results:
-            print(r.line())
+        _emit("\n".join(r.line() for r in results), args)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -225,13 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Yang-Baxter solutions from graded Hopf algebras")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, run):
+    def common(sp, run, formats=("json", "latex", "text"), output=True):
+        """--format offers only the formats the command writes, and --output
+        exists only where a matrix or a result text can go to a file."""
         sp.set_defaults(run=run)
-        sp.add_argument("--format", choices=("json", "latex", "text"),
-                        default="text", dest="fmt")
-        sp.add_argument("--output", default=None,
-                        help=f"file path; relative paths resolve against "
-                             f"${OUTPUT_DIR_ENV} when it is set")
+        sp.add_argument("--format", choices=formats, default="text", dest="fmt")
+        if output:
+            sp.add_argument("--output", default=None,
+                            help=f"file path; relative paths resolve against "
+                                 f"${OUTPUT_DIR_ENV} when it is set")
 
     sp = sub.add_parser("taft", help="Taft algebra checks and R-matrices")
     sp.add_argument("--N", type=int, required=True)
@@ -258,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", default=None)
     sp.add_argument("--parametric", action="store_true",
                     help="also check the mu,nu identity")
-    common(sp, run_double)
+    common(sp, run_double, ("json", "text"), output=False)
 
     sp = sub.add_parser("baxterize",
                         help="graded decomposition of the canonical element")
@@ -266,16 +273,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", default=None)
     sp.add_argument("--zn", action="store_true",
                     help="route through the Z^2 lift with coordinate-sum tau")
-    common(sp, run_baxterize)
+    common(sp, run_baxterize, ("json", "text"))
 
     sp = sub.add_parser("verify", help="re-check a serialized matrix")
     sp.add_argument("--input", required=True, dest="input_path")
     sp.add_argument("--kind", choices=("auto", "constant", "parametric",
                                        "braid"), default="auto")
-    common(sp, run_verify)
+    common(sp, run_verify, ("json", "text"), output=False)
 
     sp = sub.add_parser("all-regressions", help="run the acceptance ladder")
-    common(sp, run_regressions)
+    common(sp, run_regressions, ("json", "text"))
     return p
 
 

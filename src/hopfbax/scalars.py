@@ -769,6 +769,14 @@ class ParamScalar:
         return f"ParamScalar[{self.domain}]({self})"
 
 
+def laurent_by_key(terms: dict) -> dict:
+    """{(key, e_mu, e_nu): nonzero Scalar} as {key: ParamScalar}."""
+    out = {}
+    for (key, e_mu, e_nu), c in terms.items():
+        out.setdefault(key, ParamScalar(c.domain)).terms[(e_mu, e_nu)] = c
+    return out
+
+
 def latex_str(v: ParamScalar) -> str:
     """LaTeX form of a ParamScalar, the display twin of its str()."""
     parts = []
@@ -830,7 +838,10 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # the powers around it (at most MAX_EXPONENT itself), a base spanning d_v
 # degrees in each of mu, nu and s gives at most prod (d_v * n + 1) terms,
 # which may not exceed MAX_EXPONENT + 1.  So ((1 + s)^1000)^1000,
-# (1 + s^2)^1000 and (1 + mu + nu)^1000 fail before any expansion.
+# (1 + s^2)^1000 and (1 + mu + nu)^1000 fail before any expansion, and so
+# does (1+mu)^300*(1+nu)^300, a product spanning the sum of its factors'
+# spreads.  Every computed value, sums included, keeps within the same
+# bound and prints no exponent above MAX_EXPONENT, so its str() parses.
 MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
@@ -865,7 +876,8 @@ def _python_source(text: str) -> str:
 
 def _spread(v: ParamScalar) -> tuple:
     """The degrees v spans in mu, in nu and in s (the most of any
-    coefficient's numerator or denominator); v^k spans k times as many."""
+    coefficient's numerator and denominator spans added); v^k spans k
+    times as many, a product or quotient at most the sum of its factors'."""
     out = []
     for i in (0, 1):
         exps = [key[i] for key in v.terms]
@@ -873,8 +885,26 @@ def _spread(v: ParamScalar) -> tuple:
     s = 0
     if v.domain.kind == "sqrt_q":
         for c in v.terms.values():
-            s = max(s, len(c.num) - 1, len(c.den) - 1)
+            s = max(s, len(c.num) + len(c.den) - 2)
     return (*out, s)
+
+
+def _bounded(v: ParamScalar, spread=None, what="value") -> ParamScalar:
+    """v if its spread, or the spread predicted for it, gives at most
+    MAX_EXPONENT + 1 terms and, once computed, str(v) prints no exponent
+    above MAX_EXPONENT; ValueError otherwise."""
+    terms = 1
+    for d in spread or _spread(v):
+        terms *= d + 1
+    reach = 0 if spread else max((abs(e) for k in v.terms for e in k), default=0)
+    if not spread and v.domain.kind == "sqrt_q":   # str() spells s^shift out
+        for c in v.terms.values():
+            reach = max(reach, max(c.shift, 0) + len(c.num) - 1,
+                        max(-c.shift, 0) + len(c.den) - 1)
+    if terms > MAX_EXPONENT + 1 or reach > MAX_EXPONENT:
+        raise ValueError(f"{what} spans more than {MAX_EXPONENT + 1} terms "
+                         f"or prints an exponent above {MAX_EXPONENT}")
+    return v
 
 
 def _evaluate(node, domain: Domain, scale: int) -> ParamScalar:
@@ -897,13 +927,11 @@ def _evaluate(node, domain: Domain, scale: int) -> ParamScalar:
         k = sign * k.value
         v = _evaluate(node.left, domain, scale * max(abs(k), 1))
         n = scale * abs(k)
-        terms = 1
-        for d in _spread(v):
-            terms *= d * n + 1
-        if n > MAX_EXPONENT or terms > MAX_EXPONENT + 1:
+        if n > MAX_EXPONENT:
             raise ValueError(f"power ^{k} grows its base past the limit "
                              f"{MAX_EXPONENT}")
-        v = v ** k
+        _bounded(v, tuple(d * n for d in _spread(v)), f"power ^{k}")
+        v = _bounded(v ** k)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         v = -_evaluate(node.operand, domain, scale)
     elif isinstance(node, ast.Constant) and type(node.value) is int:
@@ -913,7 +941,10 @@ def _evaluate(node, domain: Domain, scale: int) -> ParamScalar:
     else:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
-        v = _OPS[type(op.op)](v, _evaluate(op.right, domain, scale))
+        w = _evaluate(op.right, domain, scale)
+        if type(op.op) in (ast.Mult, ast.Div):
+            _bounded(v, tuple(map(sum, zip(_spread(v), _spread(w)))), "product")
+        v = _bounded(_OPS[type(op.op)](v, w))
     return v
 
 

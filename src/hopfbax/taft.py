@@ -33,8 +33,9 @@ from .baxterize import baxterize, decompose_graded
 from .double import DoubleAlgebra, canonical_r, double_grading
 from .hopf import Grading, HopfAlgebra
 from .matrices import ParametricMatrix
-from .scalars import (Scalar, ScalarDomainError, accumulate, cyclotomic,
-                      gauss_binomial, q_bracket, q_bracket_factorial)
+from .scalars import (ParamScalar, Scalar, ScalarDomainError, accumulate,
+                      cyclotomic, gauss_binomial, q_bracket,
+                      q_bracket_factorial)
 
 
 def canonical_q(N: int) -> Scalar:
@@ -152,16 +153,21 @@ class Representation:
                 accumulate(entries, k, v * c)
         return out
 
-    def tensor_image(self, te: TensorElement) -> ParametricMatrix:
-        """Matrix of an element of D (x) ... (x) D on (C^dim)^arity."""
-        out = ParametricMatrix(self.dim ** te.arity, self.domain)
+    def tensor_image(self, te) -> ParametricMatrix:
+        """Matrix of an element of D (x) ... (x) D on (C^dim)^arity; a family
+        {e: element} (see baxterize.py) maps to sum_e mu^e image(element)."""
+        family = te if isinstance(te, dict) else {0: te}
+        arity = next(iter(family.values())).arity
+        out = ParametricMatrix(self.dim ** arity, self.domain)
         entries = out.entries
-        for key, c in te.terms.items():
-            m = self.pair_image(key[0])
-            for lab in key[1:]:
-                m = m.kron(self.pair_image(lab))
-            for k, v in m.entries.items():
-                accumulate(entries, k, c * v)
+        for e, block in family.items():
+            for key, c in block.terms.items():
+                c = ParamScalar.monomial(c, e)
+                m = self.pair_image(key[0])
+                for lab in key[1:]:
+                    m = m.kron(self.pair_image(lab))
+                for k, v in m.entries.items():
+                    accumulate(entries, k, c * v)
         return out
 
 

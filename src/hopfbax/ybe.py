@@ -50,13 +50,14 @@ def worst_matrix_entry(residual: ParametricMatrix):
     return f"({r + 1},{c + 1}): {residual.entries[key]}"
 
 
-def worst_tensor_term(residual, label_str):
-    if residual.is_zero():
+def worst_tensor_term(residual: dict, label_str):
+    """The entry of {label key: ParamScalar} with the most Laurent terms."""
+    if not residual:
         return None
-    key = max(sorted(residual.terms, key=repr),
-              key=lambda k: len(residual.terms[k].terms))
+    key = max(sorted(residual, key=repr),
+              key=lambda k: len(residual[k].terms))
     name = " (x) ".join(label_str(l) for l in key)
-    return f"[{name}]: {residual.terms[key]}"
+    return f"[{name}]: {residual[key]}"
 
 
 def _report(kind, residual, matrix_dim) -> YbeReport:

@@ -5,12 +5,13 @@ after a token check.  This is the descent parser it replaced, kept as the
 reference that the differential test in test_scalars.py compares against:
 both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
-its power bound (`_spread` and `MAX_EXPONENT`), nothing of the new parser.
+its size bounds (`_spread`, `_bounded` and `MAX_EXPONENT`), nothing of the
+new parser.
 """
 
 import re
 
-from hopfbax.scalars import MAX_EXPONENT, ParamScalar, _spread
+from hopfbax.scalars import MAX_EXPONENT, ParamScalar, _bounded, _spread
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -64,18 +65,19 @@ class _Parser:
         v = self.term()
         while self.peek() in ("+", "-"):
             if self.take() == "+":
-                v = v + self.term()
+                v = _bounded(v + self.term())
             else:
-                v = v - self.term()
+                v = _bounded(v - self.term())
         return v
 
     def term(self):
         v = self.factor()
         while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                v = v * self.factor()
-            else:
-                v = v / self.factor()
+            op = self.take()
+            w = self.factor()
+            # a product spans at most the sum of its factors' spreads
+            _bounded(v, tuple(a + b for a, b in zip(_spread(v), _spread(w))))
+            v = _bounded(v * w if op == "*" else v / w)
         return v
 
     def factor(self):
@@ -93,13 +95,11 @@ class _Parser:
             return v
         self.i = after
         n = outer * abs(k)
-        terms = 1
-        for d in _spread(v):
-            terms *= d * n + 1
-        if n > MAX_EXPONENT or terms > MAX_EXPONENT + 1:
+        if n > MAX_EXPONENT:
             raise ValueError(f"power ^{k} grows its base past the limit "
                              f"{MAX_EXPONENT}")
-        return v ** k
+        _bounded(v, tuple(d * n for d in _spread(v)))
+        return _bounded(v ** k)
 
     def exponent(self, j):
         """(k, index after it) for a "^ [-] integer" at token j, else (None, j)."""

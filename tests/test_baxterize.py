@@ -1,11 +1,14 @@
+from itertools import product as iproduct
+
 import pytest
 
 from hopfbax import (
     NotDiagonallyGraded,
-    ParamScalar,
     TensorElement,
     baxterize,
     baxterize_zn,
+    build_double,
+    build_taft,
     canonical_r,
     double_grading,
     evaluate_at_one,
@@ -55,18 +58,29 @@ def test_baxterize_attaches_mu_powers(double2, taft2):
     graded, _ = _graded(double2, taft2)
     r_mu = baxterize(graded)
     comps = mu_components(r_mu)
-    assert sorted(comps) == sorted(graded)
-    dom = r_mu.domain
+    assert list(comps) == sorted(graded)
     for d, block in graded.items():
-        assert comps[d] == block.scaled(ParamScalar.mu(dom, d))
+        assert comps[d] == block
     assert evaluate_at_one(r_mu) == canonical_r(double2).tensor()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_baxterize_blocks_are_the_graded_blocks(n):
+    # R(mu) = sum_i mu^i R_i is held as {i: R_i}: exactly the blocks
+    d = build_double(build_taft(n))
+    graded, _ = _graded(d, d.h)
+    assert sorted(graded) == list(range(n))
+    r_mu = baxterize(graded)
+    assert r_mu == graded
+    assert list(r_mu) == sorted(graded)
 
 
 def test_degree_zero_block_needs_no_parameter(double2, taft2):
     graded, _ = _graded(double2, taft2)
     r = baxterize({0: graded[0]})
-    assert all(not c.uses_parameters() for c in r.terms.values())
-    assert r == graded[0]
+    assert r == {0: graded[0]}
+    assert mu_components(r) == {0: graded[0]}
+    assert evaluate_at_one(r) == graded[0]
 
 
 def test_baxterize_rejects_tuple_degrees(double2, taft2):
@@ -93,7 +107,7 @@ def test_zn_lift_recovers_flat_family(double3, taft3):
     assert baxterize_zn(lifted, (1, 0)) == flat
     assert baxterize_zn(lifted, lambda p: p[0]) == flat
     # tau = 0 forgets the parameter entirely
-    assert baxterize_zn(lifted, (0, 0)) == canonical_r(double3).tensor()
+    assert baxterize_zn(lifted, (0, 0)) == {0: canonical_r(double3).tensor()}
     # a genuinely different additive tau reweights the powers
     comps = mu_components(baxterize_zn(lifted, (1, 1)))
     assert sorted(comps) == [0, 3, 6]
@@ -111,28 +125,28 @@ def test_zn_rejects_non_additive_tau(double3, taft3):
 
 
 def test_mu_components_rejects_nu_dependence(double2):
+    # a family keyed by (mu, nu) exponent pairs depends on nu
     alg = double2.algebra
-    t = TensorElement.of(alg.unit(), alg.unit()).scaled(
-        ParamScalar.nu(double2.domain))
-    with pytest.raises(ValueError):
+    t = {(0, 1): TensorElement.of(alg.unit(), alg.unit())}
+    with pytest.raises(ValueError, match="mu only"):
         mu_components(t)
 
 
 def test_triple_product_exponents_follow_degrees(double2, taft2):
-    # in R12(mu) R13(mu nu) R23(nu) every surviving monomial carries
-    # mu^(deg of slot 1) nu^(deg of slot 3): homogeneity transports the
-    # grading onto the parameters
+    # in R12(mu) R13(mu nu) R23(nu) the product of the blocks of degrees
+    # a, b, c carries mu^(a+b) nu^(b+c), and each of its terms has degree
+    # a+b in slot 1 and b+c in slot 3: homogeneity transports the grading
+    # onto the parameters
     graded, g = _graded(double2, taft2)
     r_mu = baxterize(graded)
     algs = (double2.algebra,) * 3
-    r12 = embed(r_mu, (0, 1), algs)
-    r13 = embed(r_mu.map_coefficients(
-        lambda v: v.remap_exponents(mu_to=(1, 1))), (0, 2), algs)
-    r23 = embed(r_mu.map_coefficients(
-        lambda v: v.remap_exponents(mu_to=(0, 1))), (1, 2), algs)
-    lhs = tensor_multiply(tensor_multiply(r12, r13), r23)
-    assert lhs.terms
-    for (k1, _, k3), c in lhs.terms.items():
-        for (e_mu, e_nu) in c.terms:
-            assert e_mu == g.degree(k1)
-            assert e_nu == g.degree(k3)
+    r12, r13, r23 = ({e: embed(t, slots, algs) for e, t in r_mu.items()}
+                     for slots in ((0, 1), (0, 2), (1, 2)))
+    surviving = 0
+    for a, b, c in iproduct(r_mu, repeat=3):
+        lhs = tensor_multiply(tensor_multiply(r12[a], r13[b]), r23[c])
+        surviving += len(lhs.terms)
+        for (k1, _, k3) in lhs.terms:
+            assert g.degree(k1) == a + b
+            assert g.degree(k3) == b + c
+    assert surviving

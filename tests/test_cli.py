@@ -15,6 +15,10 @@ from hopfbax.matrices import MAX_DIM
 from hopfbax.regressions import reference_spin_half, reference_taft_9x9
 
 
+# a V_{3,1} family as JSON, frozen by the golden tests
+_R_JSON = str(pathlib.Path(__file__).parent / "golden" / "taft_rep31_json.out")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -307,6 +311,16 @@ def test_json_loader_fuzz_gives_a_matrix_or_a_load_error(obj):
     ("taft", "--N", "3", "--verify"),
     ("double", "--N", "2", "--convention", "left_s"),   # removed options
     ("taft", "--N", "4", "--rep", "3,1", "--raw"),
+    # LaTeX is written only for matrices, and --output only takes a matrix
+    # or a result text: reports go to stderr
+    ("double", "--N", "2", "--format", "latex"),
+    ("verify", "--input", _R_JSON, "--format", "latex"),
+    ("baxterize", "--N", "2", "--format", "latex"),
+    ("all-regressions", "--format", "latex"),
+    ("taft", "--N", "2", "--format", "latex"),
+    ("double", "--N", "2", "--output", "report.txt"),
+    ("verify", "--input", _R_JSON, "--output", "report.txt"),
+    ("taft", "--N", "2", "--output", "report.txt"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -359,6 +373,17 @@ def test_output_resolves_against_env_dir(tmp_path, capsys, monkeypatch):
     assert target.is_file()
     assert ParametricMatrix.from_json(target.read_text()) == \
         uqsl2_r_matrix(spin_half(), parametric=True)
+
+
+def test_regressions_text_goes_to_output(tmp_path, capsys, monkeypatch):
+    from hopfbax import regressions
+    results = [regressions.RegressionResult(1, "first", True),
+               regressions.RegressionResult(2, "second", False, "why")]
+    monkeypatch.setattr(regressions, "run_all", lambda: results)
+    target = tmp_path / "ladder.txt"
+    code, out, _ = run_cli(capsys, "all-regressions", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert target.read_text() == "".join(r.line() + "\n" for r in results)
 
 
 def test_absolute_output_ignores_env_dir(tmp_path, capsys, monkeypatch):

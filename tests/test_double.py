@@ -7,6 +7,7 @@ from hopfbax import (
     DEFAULT_CONVENTION,
     TensorElement,
     build_double,
+    build_taft,
     canonical_r,
     check_constant_ybe_algebraic,
     check_parametric_ybe_algebraic,
@@ -100,13 +101,44 @@ def test_baxterized_r_satisfies_parametric_ybe(double2, taft2):
     assert report.kind == "parametric-algebraic"
 
 
+# the residual reports of perturbed families, frozen from the check that
+# multiplied Laurent-polynomial coefficients: (N, index of the perturbed key
+# among the repr-sorted keys of the mu^1 block, the block it is added to,
+# residual terms, worst entry)
+_PERTURBED_FAMILIES = [
+    (2, 0, 1, 8, "[x.(e)* (x) e.(a)* (x) e.(ax)*]: -1*mu*nu"),
+    (3, 3, 1, 92, "[x.(e)* (x) x^2.(x)* (x) e.(x^2)*]: mu*nu^2"),
+    (2, 0, 0, 14, "[x.(e)* (x) e.(e)* (x) e.(x)*]: 1 + -1*mu"),
+    (3, 0, 0, 103, "[x.(e)* (x) e.(e)* (x) e.(x)*]: 1 + -1*mu"),
+]
+
+
+@pytest.mark.parametrize("n, pick, block, terms, worst", _PERTURBED_FAMILIES)
+def test_perturbed_family_keeps_its_worst_entry(n, pick, block, terms, worst):
+    # a mu^1 term doubled (block 1), or also put into the mu^0 block, so
+    # that one key carries 1 + mu: the regrouped residual names the same
+    # worst entry as the Laurent-coefficient residual did
+    d = build_double(build_taft(n))
+    grading = double_grading(d, x_degree_grading(d.h))
+    r_mu = baxterize(decompose_graded(canonical_r(d).tensor(), grading,
+                                      grading))
+    key = sorted(r_mu[1].terms, key=repr)[pick]
+    c = r_mu[1].terms[key]
+    bad = dict(r_mu)
+    bad[block] = r_mu[block] + TensorElement(r_mu[1].algebras, {key: c})
+    report = check_parametric_ybe_algebraic(d, bad)
+    assert not report.passed
+    assert (report.residual_terms, report.worst) == (terms, worst)
+
+
 def test_parametric_ybe_algebraic_refuses_nu_dependent_input(double2, taft2):
     # the check substitutes mu itself, so a nu in the input has no meaning;
     # the matrix check refuses such input the same way
     grading = double_grading(double2, x_degree_grading(taft2))
     graded = decompose_graded(canonical_r(double2).tensor(), grading, grading)
     r_mu = baxterize(graded)
-    r_nu = r_mu.map_coefficients(lambda v: v.remap_exponents(mu_to=(0, 1)))
+    # R(nu) as a family keyed by (mu, nu) exponent pairs
+    r_nu = {(0, e): block for e, block in r_mu.items()}
     with pytest.raises(ValueError, match="mu only"):
         check_parametric_ybe_algebraic(double2, r_nu)
     assert check_parametric_ybe_algebraic(double2, r_mu).passed

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hopfbax import (
     Grading,
     HopfAlgebra,
+    HopfReport,
     TensorElement,
     build_taft,
     check_coproduct_grading,
@@ -19,6 +21,9 @@ from hopfbax import (
     tensor_multiply,
     x_degree_grading,
 )
+from hopfbax.algebra import Algebra
+from hopfbax.hopf import AxiomResult
+from hopfbax.scalars import accumulate
 from hopfbax.taft import a_degree_grading
 
 
@@ -44,6 +49,129 @@ def test_corrupted_coproduct_fails_loudly(taft3):
     compat = next(a for a in report.axioms if a.name == "bialgebra compatibility")
     assert not compat.passed
     assert compat.counterexample
+
+
+def _reference_hopf_axioms(h):
+    """The axiom suite on AlgebraElement and TensorElement arithmetic: the
+    reference for check_hopf_axioms, which compares index tables."""
+    alg = h.algebra
+    labels = alg.labels
+    report = HopfReport(alg.name)
+
+    def record(name, failures):
+        bad = next(iter(failures), None)
+        report.axioms.append(AxiomResult(name, bad is None, None if bad is None
+                                         else ", ".join(map(alg.label_str, bad))))
+
+    b = alg.basis
+    record("associativity", (t for t in iproduct(labels, repeat=3)
+                             if (b(t[0]) * b(t[1])) * b(t[2])
+                             != b(t[0]) * (b(t[1]) * b(t[2]))))
+    e = alg.unit()
+    record("unit", ((l,) for l in labels if e * b(l) != b(l) or b(l) * e != b(l)))
+
+    def coassoc_fail(l):
+        right = {}
+        for (l0, l1), c in h.delta(l).terms.items():
+            for (m0, m1), d in h.coproduct[l1].terms.items():
+                accumulate(right, (l0, m0, m1), c * d)
+        return h.delta_squared(l) != TensorElement((alg,) * 3, right)
+
+    record("coassociativity", ((l,) for l in labels if coassoc_fail(l)))
+
+    def counit_fail(l):
+        left, right = alg.zero(), alg.zero()
+        for (l0, l1), c in h.delta(l).terms.items():
+            left = left + b(l1).scaled(c * h.counit[l0])
+            right = right + b(l0).scaled(c * h.counit[l1])
+        return left != b(l) or right != b(l)
+
+    record("counit", ((l,) for l in labels if counit_fail(l)))
+
+    def compat_fail(pair):
+        prod = b(pair[0]) * b(pair[1])
+        return (h.delta(prod) != tensor_multiply(h.coproduct[pair[0]],
+                                                 h.coproduct[pair[1]])
+                or h.eps(prod) != h.counit[pair[0]] * h.counit[pair[1]])
+
+    record("bialgebra compatibility",
+           (p for p in iproduct(labels, labels) if compat_fail(p)))
+    unit_ok = h.delta(e) == TensorElement.of(e, e) and h.eps(e).is_one()
+    report.axioms.append(AxiomResult("bialgebra unit/counit of 1", unit_ok,
+                                     None if unit_ok else "unit element"))
+
+    def antipode_fail(l):
+        want = e.scaled(h.counit[l])
+        left, right = alg.zero(), alg.zero()
+        for (l0, l1), c in h.delta(l).terms.items():
+            left = left + (h.antipode[l0] * b(l1)).scaled(c)
+            right = right + (b(l0) * h.antipode[l1]).scaled(c)
+        return left != want or right != want
+
+    record("antipode", ((l,) for l in labels if antipode_fail(l)))
+    return report
+
+
+def _every_primitive_root(n):
+    z = cyclotomic(n).q()
+    return [z ** k for k in range(1, n) if gcd(k, n) == 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_axioms_match_the_reference_checker(n):
+    for q in _every_primitive_root(n):
+        h = build_taft(n, q)
+        report = check_hopf_axioms(h)
+        assert report.passed
+        assert report.to_dict() == _reference_hopf_axioms(h).to_dict()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_corrupted_axioms_match_the_reference_checker(n):
+    # every label of T_2 and T_3 with a corrupted coproduct (an extra
+    # l (x) a term), antipode (doubled) or counit (shifted by 1): the same
+    # verdicts and the same first witnesses as the reference
+    h = build_taft(n)
+    alg = h.algebra
+    one = alg.domain.one()
+    for l in alg.labels:
+        coproduct, counit, antipode = (dict(h.coproduct), dict(h.counit),
+                                       dict(h.antipode))
+        coproduct[l] = coproduct[l] + TensorElement((alg, alg),
+                                                    {(l, (1, 0)): one})
+        counit[l] = counit[l] + one
+        antipode[l] = antipode[l].scaled(2)
+        for broken in (HopfAlgebra(alg, coproduct, h.counit, h.antipode),
+                       HopfAlgebra(alg, h.coproduct, counit, h.antipode),
+                       HopfAlgebra(alg, h.coproduct, h.counit, antipode)):
+            report = check_hopf_axioms(broken)
+            assert not report.passed
+            assert report.to_dict() == _reference_hopf_axioms(broken).to_dict()
+
+
+def test_associativity_needs_both_products_zero_to_skip(taft2):
+    # T_2 with a * a = 0 instead of e: (x a) a = x but x (a a) = 0, and
+    # (a a) x = 0 but a (a x) = x.  In each failing triple one of the rows
+    # ab, bc is empty, so a check that skipped a triple when either row is
+    # empty would pass this algebra
+    alg = taft2.algebra
+
+    def product(l1, l2):
+        return {} if l1 == l2 == (1, 0) else alg.product_basis(l1, l2)
+
+    broken = Algebra("T_2 with a^2 = 0", alg.domain, alg.labels,
+                     alg._unit_terms, product, label_str=alg.label_str)
+    h = HopfAlgebra(
+        broken,
+        {l: TensorElement((broken, broken), t.terms)
+         for l, t in taft2.coproduct.items()},
+        taft2.counit,
+        {l: broken.element(v.terms) for l, v in taft2.antipode.items()})
+    report = check_hopf_axioms(h)
+    assoc = report.axioms[0]
+    assert assoc.name == "associativity"
+    assert (assoc.passed, assoc.counterexample) == (False, "x, a, a")
+    assert report.to_dict() == _reference_hopf_axioms(h).to_dict()
 
 
 def test_coproduct_of_x_squared(taft3):
@@ -160,8 +288,7 @@ def test_dual_product_is_adjoint_to_coproduct(taft3):
         lhs = pair(f * g, z)
         rhs = alg.domain.zero()
         for (l0, l1), c in taft3.delta(z).terms.items():
-            rhs = rhs + (pair(f, alg.basis(l0)) * pair(g, alg.basis(l1))
-                         * c.as_scalar())
+            rhs = rhs + (pair(f, alg.basis(l0)) * pair(g, alg.basis(l1)) * c)
         assert lhs == rhs
 
 

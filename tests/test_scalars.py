@@ -416,6 +416,32 @@ def test_parse_agrees_with_the_descent_parser(text, dom):
         _parsed_or_refused(reference_parser.parse_param_scalar, text, dom)
 
 
+@settings(max_examples=400, deadline=None)
+@given(_grammar_strings(), st.sampled_from((RATIONAL, SQRT_Q, cyclotomic(5))))
+def test_accepted_values_reparse_to_their_canonical_string(text, dom):
+    # whatever the parser accepts, its str() is accepted again with the
+    # same canonical string: products and sums are bounded like powers, and
+    # no value prints an exponent the parser would refuse
+    canonical = _parsed_or_refused(parse_param_scalar, text, dom)
+    if canonical is not None:
+        assert _parsed_or_refused(parse_param_scalar, canonical, dom) == canonical
+
+
+def test_parse_bounds_products_and_printed_exponents():
+    # each product is bounded before it is expanded (101 * 11 and 41 * 41
+    # terms exceed 1001), every value after it is computed
+    for bad in ["(1+mu)^100*(1+nu)^10", "mu^-5*(1+mu)^100*(1+nu)^10",
+                "(1+mu)^100/(1+s)^10", "mu^1000*mu", "s^-1000/s",
+                "(1+mu)^40 + (1+nu)^40", "(s^500)^2*s"]:
+        with pytest.raises(ValueError):
+            parse_param_scalar(bad, SQRT_Q)
+    v = parse_param_scalar("mu^-500*(1+mu)^10*(1+s)^50", SQRT_Q)
+    assert len(v.terms) == 11
+    assert str(parse_param_scalar(str(v), SQRT_Q)) == str(v)
+    assert parse_param_scalar("mu^1000*mu^-1000", SQRT_Q) == \
+        ParamScalar.constant(SQRT_Q.one())
+
+
 @settings(max_examples=40)
 @given(strategies.param_scalars() | strategies.cyclotomic_param_scalars())
 def test_emit_parse_identity_property(x):
