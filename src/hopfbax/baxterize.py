@@ -101,8 +101,14 @@ def baxterize_zn(graded: dict, tau) -> dict:
 
 def mu_components(r_mu: dict) -> dict:
     """The nonzero blocks {e: R_e} of a family R(mu) = sum_e mu^e R_e, in
-    exponent order; a key that is not an int mu-exponent (such as an
-    (e_mu, e_nu) pair) is refused, since the family must depend on mu only."""
+    exponent order.  Anything but a nonempty {int: TensorElement} dict is
+    refused: TypeError for another type, ValueError otherwise."""
+    if not isinstance(r_mu, dict) or not all(
+            isinstance(te, TensorElement) for te in r_mu.values()):
+        raise TypeError("not a family: a family R(mu) = sum_e mu^e R_e is a "
+                        f"dict {{e: TensorElement}}, got {type(r_mu).__name__}")
+    if not r_mu:
+        raise ValueError("empty family: a family needs at least one block")
     for e in r_mu:
         if type(e) is not int:
             raise ValueError(f"family key {e!r} is not a mu-exponent: "
@@ -112,4 +118,5 @@ def mu_components(r_mu: dict) -> dict:
 
 def evaluate_at_one(r_mu: dict) -> TensorElement:
     """Specialize mu = 1: the sum of the blocks of a family."""
+    mu_components(r_mu)
     return reduce(TensorElement.__add__, r_mu.values())

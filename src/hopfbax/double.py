@@ -29,6 +29,9 @@ otherwise the left leg h_(1) is twisted; a leading "s_" puts the twisted
 leg on the left of x, otherwise on the right.  So "inv_left_s" puts the
 plain leg h_(3) on the left and S^{-1} of the left coproduct leg h_(1) on
 the right, "s_inv_right" means x |-> f(S^{-1}(h_(3)) x h_(1)), and so on.
+
+The sandwich L x R is read off the index rows of H (Algebra.row) for each
+basis element x, one table per h, filled when a product first needs it.
 """
 
 from __future__ import annotations
@@ -80,15 +83,6 @@ class DoubleAlgebra:
         return self.h.domain
 
     # -- the straightening rule ------------------------------------------------
-    def _sandwich_legs(self, u, w):
-        """The (left, right) sandwich elements for coproduct legs (u, _, w),
-        decoded from the convention tokens (see the module docstring)."""
-        h, conv = self.h, self.convention
-        twisted, plain = (w, u) if "right" in conv else (u, w)
-        twist = h.gamma_inverse if "inv" in conv else h.gamma
-        legs = (twist(twisted), h.algebra.basis(plain))
-        return legs if conv.startswith("s_") else legs[::-1]
-
     def _cross_for(self, g):
         """Straightening of f.g for every dual basis label f at once.
 
@@ -98,14 +92,24 @@ class DoubleAlgebra:
         hit = self._cross.get(g)
         if hit is not None:
             return hit
-        halg = self.h.algebra
-        out = {f: {} for f in halg.labels}
-        for (u, v, w), c in self.h.delta_squared(g).terms.items():
-            left, right = self._sandwich_legs(u, w)
-            for k in halg.labels:
-                sandwiched = left * halg.basis(k) * right
-                for m, val in sandwiched.terms.items():
-                    accumulate(out[m], (v, k), c * val)
+        h, conv = self.h, self.convention
+        labels, index, row = h.algebra.labels, h.algebra.index, h.algebra.row
+        twist = h.gamma_inverse if "inv" in conv else h.gamma
+        out = {f: {} for f in labels}
+        for (u, v, w), c in h.delta_squared(g).terms.items():
+            # legs L, R as [(basis index, Scalar)], decoded from the convention
+            # tokens (see the module docstring); c rides on the plain leg
+            twisted, plain = (w, u) if "right" in conv else (u, w)
+            legs = ([(index[l], ct) for l, ct in twist(twisted).terms.items()],
+                    [(index[plain], c)])
+            left, right = legs if conv.startswith("s_") else legs[::-1]
+            outer = [(a, b, ca * cb) for a, ca in left for b, cb in right]
+            for k, lab in enumerate(labels):
+                for a, b, cab in outer:
+                    for p, cp in row(a, k):
+                        cabp = cab * cp
+                        for m, cm in row(p, b):
+                            accumulate(out[labels[m]], (v, lab), cabp * cm)
         self._cross[g] = out
         return out
 

@@ -58,6 +58,12 @@ def matmul_entries(a: dict, b: dict) -> dict:
     return out
 
 
+def kron_entries(a: dict, b: dict, d: int) -> dict:
+    """Kronecker product of {(row, col): entry} dicts, d the dimension of b."""
+    return {(r1 * d + r2, c1 * d + c2): v * w for (r1, c1), v in a.items()
+            for (r2, c2), w in b.items()}
+
+
 class ParametricMatrix:
     """Square matrix with ParamScalar entries, stored sparsely."""
 
@@ -154,11 +160,8 @@ class ParametricMatrix:
         return m
 
     def kron(self, other: "ParametricMatrix") -> "ParametricMatrix":
-        d = other.dim
-        out = ParametricMatrix(self.dim * d, self.domain)
-        for (r1, c1), v in self.entries.items():
-            for (r2, c2), w in other.entries.items():
-                out.entries[(r1 * d + r2, c1 * d + c2)] = v * w
+        out = ParametricMatrix(self.dim * other.dim, self.domain)
+        out.entries = kron_entries(self.entries, other.entries, other.dim)
         return out
 
     def map_entries(self, fn) -> "ParametricMatrix":

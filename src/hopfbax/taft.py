@@ -11,6 +11,8 @@ gamma(x) = -a^{-1} x.  Basis labels are exponent pairs (i, j) <-> a^i x^j.
 The x-degree j is a Z-grading compatible with the coproduct, so the
 canonical R of the double Baxterizes with mu^j weights.  Pushing that
 through the n-dimensional modules below yields parametric R-matrices.
+A module's images are sparse {(row, col): Scalar} dicts; only the
+R-matrix, where mu enters, is a ParametricMatrix.
 
 Index conventions for the modules (documented choices):
 
@@ -29,12 +31,12 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebra import Algebra, TensorElement
-from .baxterize import baxterize, decompose_graded
+from .baxterize import baxterize, decompose_graded, mu_components
 from .double import DoubleAlgebra, canonical_r, double_grading
 from .hopf import Grading, HopfAlgebra
-from .matrices import ParametricMatrix
-from .scalars import (ParamScalar, Scalar, ScalarDomainError, accumulate,
-                      cyclotomic, gauss_binomial, q_bracket,
+from .matrices import ParametricMatrix, kron_entries, matmul_entries
+from .scalars import (Scalar, ScalarDomainError, accumulate, cyclotomic,
+                      gauss_binomial, laurent_by_key, q_bracket,
                       q_bracket_factorial)
 
 
@@ -115,60 +117,56 @@ class RepresentationError(ValueError):
 
 
 class Representation:
-    """A module of D(T_N): matrices for H labels, dual labels, and pairs."""
+    """A module of D(T_N): {(row, col): Scalar} images of H, H* and pairs."""
 
     def __init__(self, double: DoubleAlgebra, dim: int, h_images, dual_images,
                  name: str):
         self.double = double
         self.dim = dim
         self.name = name
-        self._h = h_images          # (i, j) -> ParametricMatrix
-        self._dual = dual_images    # (m, j) -> ParametricMatrix
+        self._h = h_images          # (i, j) -> {(row, col): Scalar}
+        self._dual = dual_images    # (m, j) -> {(row, col): Scalar}
         self._pair = {}
 
     @property
     def domain(self):
         return self.double.domain
 
-    def h_image(self, label) -> ParametricMatrix:
+    def h_image(self, label) -> dict:
         return self._h[label]
 
-    def dual_image(self, label) -> ParametricMatrix:
+    def dual_image(self, label) -> dict:
         return self._dual[label]
 
-    def pair_image(self, pair) -> ParametricMatrix:
-        hit = self._pair.get(pair)
-        if hit is None:
+    def pair_image(self, pair) -> dict:
+        if pair not in self._pair:
             g, f = pair
-            hit = self._h[g] @ self._dual[f]
-            self._pair[pair] = hit
-        return hit
+            self._pair[pair] = matmul_entries(self._h[g], self._dual[f])
+        return self._pair[pair]
 
-    def _combine(self, image, terms) -> ParametricMatrix:
+    def _combine(self, image, terms) -> dict:
         """sum_z c * image(z) over the (label z, Scalar c) pairs terms."""
-        out = ParametricMatrix(self.dim, self.domain)
-        entries = out.entries
+        out = {}
         for z, c in terms:
-            for k, v in image(z).entries.items():
-                accumulate(entries, k, v * c)
+            for k, v in image(z).items():
+                accumulate(out, k, v * c)
         return out
 
     def tensor_image(self, te) -> ParametricMatrix:
         """Matrix of an element of D (x) ... (x) D on (C^dim)^arity; a family
         {e: element} (see baxterize.py) maps to sum_e mu^e image(element)."""
         family = te if isinstance(te, dict) else {0: te}
-        arity = next(iter(family.values())).arity
-        out = ParametricMatrix(self.dim ** arity, self.domain)
-        entries = out.entries
-        for e, block in family.items():
+        entries = {}
+        for e, block in mu_components(family).items():
             for key, c in block.terms.items():
-                c = ParamScalar.monomial(c, e)
                 m = self.pair_image(key[0])
                 for lab in key[1:]:
-                    m = m.kron(self.pair_image(lab))
-                for k, v in m.entries.items():
-                    accumulate(entries, k, c * v)
-        return out
+                    m = kron_entries(m, self.pair_image(lab), self.dim)
+                for k, v in m.items():
+                    accumulate(entries, (k, e, 0), c * v)
+        arity = next(iter(family.values())).arity
+        return ParametricMatrix(self.dim ** arity, self.domain,
+                                laurent_by_key(entries))
 
 
 def _check_algebra_map(rep: Representation, image, table, where,
@@ -182,7 +180,7 @@ def _check_algebra_map(rep: Representation, image, table, where,
     """
     left, right = left or image, right or image
     for x, y, terms in table:
-        if left(x) @ right(y) != rep._combine(image, terms):
+        if matmul_entries(left(x), right(y)) != rep._combine(image, terms):
             raise RepresentationError(f"{rep.name} {where(x, y)}")
 
 
@@ -199,8 +197,8 @@ def _check_subalgebra(rep: Representation, alg: Algebra, image, name: str):
         rep, image, _row_table(alg, iproduct(alg.labels, repeat=2)),
         lambda x, y: (f"is not multiplicative on {name} at "
                       f"{alg.label_str(x)}, {alg.label_str(y)}"))
-    if rep._combine(image, alg._unit_terms.items()) != ParametricMatrix.identity(
-            rep.dim, rep.domain):
+    ident = {(k, k): rep.domain.one() for k in range(rep.dim)}
+    if rep._combine(image, alg._unit_terms.items()) != ident:
         raise RepresentationError(
             f"{rep.name} does not send 1_{name} to the identity")
 
@@ -229,31 +227,29 @@ def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
     N = _taft_order(h)
     images = {}
     for (m, j) in h.algebra.labels:
-        mat = ParametricMatrix(n, q.domain)
         i = (m - l) % N + 1
-        if i + j <= n:
-            mat.set(i + j - 1, i - 1, q_bracket_factorial(j, q).inverse())
-        images[(m, j)] = mat
+        images[(m, j)] = ({(i + j - 1, i - 1): q_bracket_factorial(j, q).inverse()}
+                          if i + j <= n else {})
     return images
 
 
 def _module(double: DoubleAlgebra, q: Scalar, name: str, a_exponents,
             x_entries, l: int) -> Representation:
     """The module with pi(a) = diag(q^e : e in a_exponents), pi(x) given by its
-    {(row, col): scalar} entries, pi(a^i x^j) = pi(a)^i pi(x)^j and the dual
+    {(row, col): Scalar} entries, pi(a^i x^j) = pi(a)^i pi(x)^j and the dual
     window l of _dual_images; pi is verified to be an algebra map on H."""
     h = double.h
     n = len(a_exponents)
-    a_mat = ParametricMatrix(n, q.domain,
-                             {(k, k): q ** e for k, e in enumerate(a_exponents)})
-    x_mat = ParametricMatrix(n, q.domain, x_entries)
-    ident = ParametricMatrix.identity(n, q.domain)
+    a_mat = {(k, k): q ** e for k, e in enumerate(a_exponents)}
+    x_mat = {k: v for k, v in x_entries.items() if not v.is_zero()}
+    ident = {(k, k): q.domain.one() for k in range(n)}
     pow_a, pow_x = [ident], [ident]
     for _ in range(_taft_order(h) - 1):
-        pow_a.append(pow_a[-1] @ a_mat)
-        pow_x.append(pow_x[-1] @ x_mat)
+        pow_a.append(matmul_entries(pow_a[-1], a_mat))
+        pow_x.append(matmul_entries(pow_x[-1], x_mat))
     rep = Representation(
-        double, n, {(i, j): pow_a[i] @ pow_x[j] for (i, j) in h.algebra.labels},
+        double, n, {(i, j): matmul_entries(pow_a[i], pow_x[j])
+                    for (i, j) in h.algebra.labels},
         _dual_images(h, q, n, l), name)
     _check_subalgebra(rep, h.algebra, rep.h_image, "H")
     return rep

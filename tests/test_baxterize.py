@@ -10,9 +10,11 @@ from hopfbax import (
     build_double,
     build_taft,
     canonical_r,
+    check_parametric_ybe_algebraic,
     double_grading,
     evaluate_at_one,
     mu_components,
+    rep_irreducible,
     tensor_multiply,
     x_degree_grading,
 )
@@ -150,3 +152,24 @@ def test_triple_product_exponents_follow_degrees(double2, taft2):
             assert g.degree(k1) == a + b
             assert g.degree(k3) == b + c
     assert surviving
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda d, r: check_parametric_ybe_algebraic(d, r), TypeError,
+     "not a family"),
+    (lambda d, r: evaluate_at_one(r), TypeError, "not a family"),
+    (lambda d, r: mu_components({0: [r]}), TypeError, "not a family"),
+    (lambda d, r: evaluate_at_one({}), ValueError, "empty family"),
+    (lambda d, r: check_parametric_ybe_algebraic(d, {}), ValueError,
+     "empty family"),
+    (lambda d, r: rep_irreducible(d, 2, 1).tensor_image({}), ValueError,
+     "empty family"),
+], ids=["check-tensor", "evaluate-tensor", "list-block", "evaluate-empty",
+        "check-empty", "image-empty"])
+def test_family_consumers_say_what_a_family_is(double2, call, error, match):
+    # a family R(mu) = sum_e mu^e R_e is a nonempty {e: TensorElement} dict;
+    # a bare TensorElement (the form before families) or an empty dict is
+    # refused with an error that says so
+    r = canonical_r(double2).tensor()
+    with pytest.raises(error, match=match):
+        call(double2, r)

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -11,11 +12,13 @@ from hopfbax import (
     canonical_r,
     check_constant_ybe_algebraic,
     check_parametric_ybe_algebraic,
+    cyclotomic,
     double_grading,
     x_degree_grading,
 )
 from hopfbax.algebra import associativity_violations, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded
+from hopfbax.scalars import accumulate
 
 
 def test_double_dimension_and_labels(double2, taft2):
@@ -187,3 +190,37 @@ def test_convention_scan_has_unique_winner(taft2):
         if _assoc_ok(d) and check_constant_ybe_algebraic(d, r).passed:
             winners.append(conv)
     assert winners == ["inv_left_s"]
+
+
+# ---------------------------------------------------------------------------
+# straightening from index rows against the AlgebraElement sandwich
+# ---------------------------------------------------------------------------
+
+def _reference_cross_for(d, g):
+    """f.g for every dual label f, each sandwich L k R formed as a product of
+    AlgebraElements, with the legs decoded from the convention tokens."""
+    h, conv = d.h, d.convention
+    halg = h.algebra
+    out = {f: {} for f in halg.labels}
+    for (u, v, w), c in h.delta_squared(g).terms.items():
+        twisted, plain = (w, u) if "right" in conv else (u, w)
+        twist = h.gamma_inverse if "inv" in conv else h.gamma
+        legs = (twist(twisted), halg.basis(plain))
+        left, right = legs if conv.startswith("s_") else legs[::-1]
+        for k in halg.labels:
+            sandwiched = left * halg.basis(k) * right
+            for m, val in sandwiched.terms.items():
+                accumulate(out[m], (v, k), c * val)
+    return out
+
+
+@pytest.mark.parametrize("n, conventions", [
+    (2, CONVENTIONS), (3, CONVENTIONS), (4, (DEFAULT_CONVENTION,))])
+def test_straightening_matches_the_element_sandwich(n, conventions):
+    z = cyclotomic(n).q()
+    for q in (z ** k for k in range(1, n) if gcd(k, n) == 1):
+        h = build_taft(n, q)
+        for conv in conventions:
+            d = build_double(h, conv)
+            for g in h.algebra.labels:
+                assert d._cross_for(g) == _reference_cross_for(d, g), (q, conv, g)

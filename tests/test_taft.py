@@ -3,8 +3,6 @@ import random
 import pytest
 
 from hopfbax import (
-    ParamScalar,
-    ParametricMatrix,
     RATIONAL,
     ScalarDomainError,
     build_double,
@@ -18,6 +16,7 @@ from hopfbax import (
     rep_irreducible,
     taft_r_matrix,
 )
+from hopfbax.matrices import matmul_entries
 from hopfbax.taft import (
     Representation,
     RepresentationError,
@@ -56,11 +55,11 @@ def test_taft_q_recovered_from_table(taft3, taft4):
 
 def test_irreducible_identity_and_vanishing(double3):
     rep = rep_irreducible(double3, 2, 1)
-    dom = rep.domain
-    assert rep.h_image((0, 0)) == ParametricMatrix.identity(2, dom)
+    one = rep.domain.one()
+    assert rep.h_image((0, 0)) == {(0, 0): one, (1, 1): one}
     # x^j kills an n-dimensional module for j >= n
-    assert rep.h_image((0, 2)).is_zero()
-    assert rep.h_image((1, 2)).is_zero()
+    assert rep.h_image((0, 2)) == {}
+    assert rep.h_image((1, 2)) == {}
 
 
 def test_irreducible_generator_entries(double3):
@@ -70,13 +69,11 @@ def test_irreducible_generator_entries(double3):
     one = double3.domain.one()
     for l in (1, 2, 3):
         rep = rep_irreducible(double3, 3, l)
-        xm = rep.h_image((0, 1))
-        assert xm.get(0, 1).as_scalar() == one - q ** -2
-        assert xm.get(1, 2).as_scalar() == (one + q) * (one - q ** -1)
-        assert xm.get(1, 0).is_zero() and xm.get(2, 2).is_zero()
-        am = rep.h_image((1, 0))
-        for k in range(1, 4):
-            assert am.get(k - 1, k - 1).as_scalar() == q ** (k - l - 3)
+        # every entry is compared: an absent key is a zero entry
+        assert rep.h_image((0, 1)) == {(0, 1): one - q ** -2,
+                                       (1, 2): (one + q) * (one - q ** -1)}
+        assert rep.h_image((1, 0)) == {(k - 1, k - 1): q ** (k - l - 3)
+                                       for k in range(1, 4)}
 
 
 def test_irreducible_dual_entries(double3):
@@ -84,13 +81,12 @@ def test_irreducible_dual_entries(double3):
     q = double3.domain.q()
     one = double3.domain.one()
     # (a^m x^j)* lands at a single matrix unit scaled by 1/(j)_q!
-    d = rep.dual_image((0, 1))    # m=0, l=1 -> window i=3: i+j=4 > 3 -> zero
-    assert d.is_zero()
-    d = rep.dual_image((1, 1))    # window i=1, entry (i+j, i) = (2, 1)
-    assert d.get(1, 0).as_scalar() == one
-    assert len(d.support()) == 1
-    d2 = rep.dual_image((1, 2))   # 1/(2)_q! = 1/(1+q)
-    assert d2.get(2, 0).as_scalar() == (one + q).inverse()
+    # m=0, l=1 -> window i=3: i+j=4 > 3 -> zero
+    assert rep.dual_image((0, 1)) == {}
+    # window i=1, entry (i+j, i) = (2, 1)
+    assert rep.dual_image((1, 1)) == {(1, 0): one}
+    # 1/(2)_q! = 1/(1+q)
+    assert rep.dual_image((1, 2)) == {(2, 0): (one + q).inverse()}
 
 
 def _closed_form_h_image(q, n, l, i, j):
@@ -98,13 +94,14 @@ def _closed_form_h_image(q, n, l, i, j):
     generator-built images: entry (k, k+j), k = 1..n-j, is
     q^{(k-l-n)i} (k+j-1)_q!/(k-1)_q! prod_{p<j} (1 - q^{p+k-n})."""
     one = q.domain.one()
-    m = ParametricMatrix(n, q.domain)
+    m = {}
     for k in range(1, n - j + 1):
         c = (q ** ((k - l - n) * i) * q_bracket_factorial(k + j - 1, q)
              / q_bracket_factorial(k - 1, q))
         for p in range(j):
             c = c * (one - q ** (p + k - n))
-        m.set(k - 1, k + j - 1, c)
+        if not c.is_zero():
+            m[(k - 1, k + j - 1)] = c
     return m
 
 
@@ -141,7 +138,7 @@ def test_double_multiplicative_sampled_n3(double3):
 def test_double_multiplicative_rejects_doubled_x(double3):
     rep = rep_irreducible(double3, 3, 1)
     bad_h = dict(rep._h)
-    bad_h[(0, 1)] = bad_h[(0, 1)].scaled(2)
+    bad_h[(0, 1)] = {k: v * 2 for k, v in bad_h[(0, 1)].items()}
     broken = Representation(double3, 3, bad_h, rep._dual, "x doubled")
     assert not check_double_multiplicative(broken)
 
@@ -149,20 +146,32 @@ def test_double_multiplicative_rejects_doubled_x(double3):
 def test_corrupted_module_fails_loudly(double3, taft3):
     rep = rep_irreducible(double3, 3, 1)
     bad_h = dict(rep._h)
-    m = bad_h[(1, 0)].copy()
-    m.set(0, 0, m.get(0, 0) * 2)
-    bad_h[(1, 0)] = m
+    bad_h[(1, 0)] = dict(bad_h[(1, 0)])
+    bad_h[(1, 0)][(0, 0)] = bad_h[(1, 0)][(0, 0)] * 2
     broken = Representation(double3, 3, bad_h, rep._dual, "broken")
     with pytest.raises(RepresentationError):
         _check_subalgebra(broken, taft3.algebra, broken.h_image, "H")
     bad_d = dict(rep._dual)
-    md = bad_d[(1, 1)].copy()
-    md.set(0, 2, double3.domain.one())
-    bad_d[(1, 1)] = md
+    bad_d[(1, 1)] = dict(bad_d[(1, 1)])
+    bad_d[(1, 1)][(0, 2)] = double3.domain.one()
     broken2 = Representation(double3, 3, rep._h, bad_d, "broken2")
     with pytest.raises(RepresentationError):
         _check_subalgebra(broken2, double3.hdual.algebra, broken2.dual_image,
                           "H*")
+    # doubling any one nonzero entry of any H image (H* image) must make
+    # the H (H*) check refuse the module
+    for side, alg, images in (("H", taft3.algebra, rep._h),
+                              ("H*", double3.hdual.algebra, rep._dual)):
+        assert any(images.values())
+        for label, image in images.items():
+            for key in image:
+                bad = {**images, label: {**image, key: image[key] * 2}}
+                broken = (Representation(double3, 3, bad, rep._dual, "bad")
+                          if side == "H" else
+                          Representation(double3, 3, rep._h, bad, "bad"))
+                with pytest.raises(RepresentationError):
+                    _check_subalgebra(broken, alg, broken.h_image if side == "H"
+                                      else broken.dual_image, side)
 
 
 def test_straightening_check_rejects_wrong_convention(taft3):
@@ -201,19 +210,17 @@ def _check_indecomposable_generator_action(N):
             want_x = {(N - 1, 0): alpha}
             for k in range(2, N):
                 want_x[(k - 1, k)] = bracket(k - 1) * (one - q ** k)
-            for r in range(N):
-                for c in range(N):
-                    want_a = q ** (r - l) if r == c else dom.zero()
-                    assert am.get(r, c) == ParamScalar.constant(want_a)
-                    assert xm.get(r, c) == ParamScalar.constant(
-                        want_x.get((r, c), dom.zero()))
+            # every entry is compared: an absent key is a zero entry
+            assert am == {(r, r): q ** (r - l) for r in range(N)}
+            assert xm == want_x
             # x a = q a x transported through the module
-            assert xm @ am == (am @ xm).scaled(q)
+            assert matmul_entries(xm, am) == {
+                k: v * q for k, v in matmul_entries(am, xm).items()}
             # powers generate the rest of the basis action
             for (i, j) in d.h.algebra.labels:
-                power = ParametricMatrix.identity(N, dom)
+                power = {(r, r): one for r in range(N)}
                 for m in [am] * i + [xm] * j:
-                    power = power @ m
+                    power = matmul_entries(power, m)
                 assert rep.h_image((i, j)) == power
             for label in d.h.algebra.labels:
                 assert rep.dual_image(label) == irreducible.dual_image(label)
