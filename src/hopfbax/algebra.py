@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .scalars import Scalar, Domain, ScalarDomainError, accumulate
+from .scalars import Scalar, Domain, ScalarDomainError, accumulate, \
+    normal_key
 
 
 class Algebra:
@@ -33,6 +34,7 @@ class Algebra:
         self._unit_terms = {l: c for l, c in unit_terms.items() if not c.is_zero()}
         self._product = product
         self._rows = [{} for _ in self.labels]   # i -> {j: row(i, j)}, filled lazily
+        self._constants = {}   # normal_key -> the one Scalar the rows share
         self.label_str = label_str or repr   # basis label -> display string
 
     @property
@@ -65,13 +67,14 @@ class Algebra:
 
     def row(self, i: int, j: int) -> tuple:
         """Basis element i times basis element j, as ((k, Scalar), ...) over
-        basis indices with zeros dropped; each cell is computed once."""
+        basis indices with zeros dropped; each cell is computed once, and
+        equal constants in any cells are one shared Scalar object."""
         cells = self._rows[i]
         hit = cells.get(j)
         if hit is None:
-            index, labels = self.index, self.labels
+            index, labels, shared = self.index, self.labels, self._constants
             hit = cells[j] = tuple(
-                (index[l], c)
+                (index[l], shared.setdefault(normal_key(c), c))
                 for l, c in self.product_basis(labels[i], labels[j]).items())
         return hit
 

@@ -64,6 +64,12 @@ def _power(base, k: int, one):
     return out
 
 
+def normal_key(x: "Scalar") -> tuple:
+    """x's normal-form fields: equal for equal Scalars of one domain, and
+    cheaper to hash than x, whose hash builds a Fraction if x is rational."""
+    return x.num, x.den, x.shift
+
+
 def accumulate(terms: dict, key, value):
     """terms[key] += value for a sparse dict, dropping the key if the sum is 0."""
     old = terms.get(key)

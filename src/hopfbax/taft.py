@@ -327,18 +327,20 @@ def taft_r_matrix(rep: Representation, parametric: bool = True,
     """Image of the (Baxterized) canonical R of D(T_N) on V (x) V.
 
     The canonical element is decomposed along the x-degree grading of the
-    double and Baxterized with mu^j weights, then pushed through the module.
+    double and Baxterized with mu^j weights, once per double (the family is
+    kept on it), then pushed through the module.
     With normalize=True the result is rescaled by the inverse of its
     top-left entry (a unit scalar), which is the display normalization of
     the known closed forms; normalize=False returns the raw sum, which is
     what evaluating the un-Baxterized canonical element gives at mu = 1.
     """
     double = rep.double
-    r = canonical_r(double)
-    grading = double_grading(double, x_degree_grading(double.h))
-    graded = decompose_graded(r.tensor(), grading, grading)
-    r_alg = baxterize(graded) if parametric else r.tensor()
-    mat = rep.tensor_image(r_alg)
+    if parametric and double._r_mu is None:
+        grading = double_grading(double, x_degree_grading(double.h))
+        double._r_mu = baxterize(decompose_graded(
+            canonical_r(double).tensor(), grading, grading))
+    mat = rep.tensor_image(double._r_mu if parametric
+                           else canonical_r(double).tensor())
     if normalize:
         top = mat.get(0, 0)
         if top.uses_parameters() or top.is_zero():

@@ -16,9 +16,11 @@ from hopfbax import (
     double_grading,
     x_degree_grading,
 )
-from hopfbax.algebra import associativity_violations, unit_violations
-from hopfbax.baxterize import baxterize, decompose_graded
-from hopfbax.scalars import accumulate
+from hopfbax.algebra import associativity_violations, embed, \
+    tensor_multiply, unit_violations
+from hopfbax.baxterize import baxterize, decompose_graded, mu_components
+from hopfbax.scalars import accumulate, laurent_by_key
+from hopfbax.ybe import YbeReport, worst_tensor_term
 
 
 def test_double_dimension_and_labels(double2, taft2):
@@ -224,3 +226,87 @@ def test_straightening_matches_the_element_sandwich(n, conventions):
             d = build_double(h, conv)
             for g in h.algebra.labels:
                 assert d._cross_for(g) == _reference_cross_for(d, g), (q, conv, g)
+
+
+# ---------------------------------------------------------------------------
+# the index-space walk against the block-pair engine it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_triple_compare(kind, double, f12, f13, f23) -> YbeReport:
+    """The residual R12 R13 R23 - R23 R13 R12 from one tensor_multiply per
+    pair and per triple of exponent blocks, over label keys."""
+    algs = (double.algebra,) * 3
+    f12, f13, f23 = ({e: embed(t, slots, algs) for e, t in f.items()}
+                     for f, slots in ((f12, (0, 1)), (f13, (0, 2)),
+                                      (f23, (1, 2))))
+    residual = {}
+    for x, y, z, neg in ((f12, f13, f23, False), (f23, f13, f12, True)):
+        for (a, b), tx in x.items():
+            for (c, d), ty in y.items():
+                txy = tensor_multiply(tx, ty)
+                for (e, f), tz in z.items():
+                    mu, nu = a + c + e, b + d + f
+                    for key, v in tensor_multiply(txy, tz).terms.items():
+                        accumulate(residual, (key, mu, nu), -v if neg else v)
+    by_key = laurent_by_key(residual)
+    return YbeReport(kind=kind, dim=double.algebra.dim, passed=not residual,
+                     residual_terms=len(by_key),
+                     worst=worst_tensor_term(by_key, double.algebra.label_str))
+
+
+def _reports(d, r):
+    """(engine, reference) reports: the constant check for a TensorElement
+    r, the parametric check for a family {e: R_e}."""
+    if isinstance(r, TensorElement):
+        family = {(0, 0): r}
+        return (check_constant_ybe_algebraic(d, r), _reference_triple_compare(
+            "constant-algebraic", d, family, family, family))
+    blocks = mu_components(r)
+    return (check_parametric_ybe_algebraic(d, r), _reference_triple_compare(
+        "parametric-algebraic", d, {(e, 0): t for e, t in blocks.items()},
+        {(e, e): t for e, t in blocks.items()},
+        {(0, e): t for e, t in blocks.items()}))
+
+
+def _family(d):
+    grading = double_grading(d, x_degree_grading(d.h))
+    return baxterize(decompose_graded(canonical_r(d).tensor(), grading,
+                                      grading))
+
+
+def _doubled(r, key):
+    return TensorElement(r.algebras, {**r.terms, key: r.terms[key] * 2})
+
+
+def _engine_inputs():
+    doubles = {n: build_double(build_taft(n)) for n in (2, 3, 4)}
+    for n, d in doubles.items():
+        yield f"canonical R, D(T_{n})", d, canonical_r(d).tensor()
+        yield f"canonical family, D(T_{n})", d, _family(d)
+    for n, keys in ((2, None), (3, 5)):
+        d = doubles[n]
+        r = canonical_r(d).tensor()
+        ordered = sorted(r.terms, key=repr)
+        if keys is not None:
+            ordered = random.Random(n).sample(ordered, keys)
+        for key in ordered:
+            yield f"D(T_{n}) term {key} doubled", d, _doubled(r, key)
+    left = build_double(build_taft(2), "left_s")
+    yield "left_s, D(T_2)", left, canonical_r(left).tensor()
+    family = _family(doubles[3])
+    yield "block 1 scaled by 2, D(T_3)", doubles[3], {
+        **family, 1: family[1].scaled(family[1].algebras[0].domain.one() * 2)}
+    top = max(family)
+    yield "top block moved up one, D(T_3)", doubles[3], {
+        **{e: t for e, t in family.items() if e != top}, top + 1: family[top]}
+
+
+def test_walk_reports_equal_the_block_pair_engine():
+    seen = []
+    for name, d, r in _engine_inputs():
+        got, expect = _reports(d, r)
+        assert got == expect, name
+        seen.append(got)
+    # the inputs reach both verdicts, and Laurent residuals of several terms
+    assert any(r.passed for r in seen) and any(not r.passed for r in seen)
+    assert any(r.worst and r.worst.count("mu") > 1 for r in seen)

@@ -9,13 +9,15 @@ string, so the oracle shares no code with the kernel.  It is a test only;
 no verdict of the package rests on it.
 
 The same maps give a differential oracle for the parametric Yang-Baxter
-check: a family R(mu) is evaluated in F_P at mu0, mu0*nu0 and nu0 for drawn
-mu0, nu0, and R12 R13 R23 - R23 R13 R12 is formed there with a sparse
-product written below.  A zero exact residual maps to zero; a nonzero one
-maps to a nonzero polynomial in the draws unless P divides the norm of
-every coefficient, and by Schwartz-Zippel such a polynomial vanishes at a
-random draw with probability at most deg/P.  So the oracle must agree with
-the exact verdict both ways.
+checks: a family R(mu) is evaluated in F_P at mu0, mu0*nu0 and nu0 for
+drawn mu0, nu0, and R12 R13 R23 - R23 R13 R12 is formed there with a sparse
+product written below: of matrices for the matrix check, and for the
+algebraic check in D (x) D (x) D of tensors over the structure constants
+of the double, each sent to F_P.  A zero exact residual maps to zero; a
+nonzero one maps to a nonzero polynomial in the draws unless P divides the
+norm of every coefficient, and by Schwartz-Zippel such a polynomial
+vanishes at a random draw with probability at most deg/P.  So the oracle
+must agree with the exact verdict both ways.
 """
 
 import random
@@ -28,8 +30,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies
-from hopfbax import build_double, build_taft, check_parametric_ybe, \
-    rep_indecomposable, rep_irreducible, taft_r_matrix
+from hopfbax import TensorElement, baxterize, build_double, build_taft, \
+    canonical_r, check_constant_ybe_algebraic, check_parametric_ybe, \
+    check_parametric_ybe_algebraic, decompose_graded, double_grading, \
+    rep_indecomposable, rep_irreducible, taft_r_matrix, x_degree_grading
 from hopfbax.regressions import reference_taft_9x9
 
 ORDERS = (3, 4, 5, 6, 7, 8, 12)
@@ -267,3 +271,111 @@ def test_ybe_oracle_agrees_with_the_exact_check(group, r_half, r_one):
     assert not disagree
     # criterion 12's matrices fail exactly, so every draw found a residual
     assert group != "perturbed" or not any(verdicts.values())
+
+
+# ---------------------------------------------------------------------------
+# differential oracle of the algebraic Yang-Baxter checks in D (x) D (x) D
+# ---------------------------------------------------------------------------
+
+def _fp_rows(alg, gen):
+    """alg.row(i, j) with every structure constant sent to F_P."""
+    cells, images = {}, {}
+
+    def row(i, j):
+        hit = cells.get((i, j))
+        if hit is None:
+            hit = cells[i, j] = []
+            for k, c in alg.row(i, j):
+                if id(c) not in images:   # c stays alive in the entry
+                    images[id(c)] = (c, image(c, gen))
+                hit.append((k, images[id(c)][1]))
+        return hit
+    return row
+
+
+def _fp_slots(family: dict, gen: int, weight: int, slots, alg) -> dict:
+    """sum_e weight^e R_e at two slots of D (x) D (x) D and the unit at
+    the third, as {(i0, i1, i2): value in F_P}."""
+    index = alg.index
+    unit = [(index[l], image(c, gen)) for l, c in alg.unit().terms.items()]
+    out = {}
+    for e, t in family.items():
+        w = pow(weight, e, P)
+        for (l0, l1), c in t.terms.items():
+            v = image(c, gen) * w % P
+            for u, cu in unit:
+                key = [u] * 3
+                key[slots[0]], key[slots[1]] = index[l0], index[l1]
+                key = tuple(key)
+                out[key] = (out.get(key, 0) + v * cu) % P
+    return out
+
+
+def _fp_product(x: dict, y: dict, row) -> dict:
+    """x y for tensors {(i0, i1, i2): value} of D (x) D (x) D over F_P."""
+    by_first = {}
+    for (j0, j1, j2), b in y.items():
+        by_first.setdefault(j0, []).append((j1, j2, b))
+    out = {}
+    for (i0, i1, i2), a in x.items():
+        for j0, rest in by_first.items():
+            r0 = row(i0, j0)
+            for j1, j2, b in rest if r0 else ():
+                r1, r2 = row(i1, j1), row(i2, j2)
+                if not (r1 and r2):
+                    continue
+                for k0, c0 in r0:
+                    for k1, c1 in r1:
+                        for k2, c2 in r2:
+                            key = (k0, k1, k2)
+                            out[key] = (out.get(key, 0)
+                                        + a * b * c0 * c1 * c2) % P
+    return {k: v for k, v in out.items() if v}
+
+
+def algebraic_ybe_passes_mod_p(double, family: dict, mu0: int, nu0: int) -> bool:
+    """R12(mu0) R13(mu0 nu0) R23(nu0) = R23(nu0) R13(mu0 nu0) R12(mu0) in
+    F_P for a family {e: R_e} in D (x) D."""
+    alg = double.algebra
+    gen = _root_of_unity(alg.domain.n)
+    row = _fp_rows(alg, gen)
+    r12, r13, r23 = (_fp_slots(family, gen, w, slots, alg) for w, slots in (
+        (mu0, (0, 1)), (mu0 * nu0 % P, (0, 2)), (nu0, (1, 2))))
+    return (_fp_product(_fp_product(r12, r13, row), r23, row)
+            == _fp_product(_fp_product(r23, r13, row), r12, row))
+
+
+def _algebraic_cases(n: int):
+    """(name, double, family, parametric) for D(T_n): the canonical R and
+    its Baxterized family, doubled-term controls, and for n = 2 the double
+    of the left_s convention."""
+    d = build_double(build_taft(n))
+    r = canonical_r(d).tensor()
+    grading = double_grading(d, x_degree_grading(d.h))
+    yield "canonical R", d, {0: r}, False
+    yield "canonical family", d, baxterize(decompose_graded(r, grading,
+                                                            grading)), True
+    keys = sorted(r.terms, key=repr)
+    for key in keys if n == 2 else random.Random(n).sample(keys, 7 - n):
+        doubled = TensorElement(r.algebras, {**r.terms, key: r.terms[key] * 2})
+        yield f"term {key} doubled", d, {0: doubled}, False
+    if n == 2:
+        left = build_double(build_taft(2), "left_s")
+        yield "left_s", left, {0: canonical_r(left).tensor()}, False
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_algebraic_ybe_oracle_agrees_with_the_exact_check(n):
+    disagree, verdicts = [], []
+    for name, d, family, parametric in _algebraic_cases(n):
+        exact = (check_parametric_ybe_algebraic(d, family) if parametric
+                 else check_constant_ybe_algebraic(d, family[0])).passed
+        verdicts.append(exact)
+        rng = random.Random(f"D(T_{n}) {name}")
+        mu0, nu0 = ((rng.randrange(2, P), rng.randrange(2, P)) if parametric
+                    else (1, 1))
+        if algebraic_ybe_passes_mod_p(d, family, mu0, nu0) != exact:
+            disagree.append((name, exact, mu0, nu0))
+    assert not disagree
+    # both verdicts occur: the canonical elements pass, the controls fail
+    assert verdicts[:2] == [True, True] and not any(verdicts[2:])

@@ -278,6 +278,26 @@ def test_r_matrix_constant_is_mu_one(double3):
     assert para.uses_parameters() and not const.uses_parameters()
 
 
+def test_r_matrix_family_is_computed_once_per_double(monkeypatch):
+    import hopfbax.taft as taft
+    d = build_double(build_taft(3))
+    calls, decompose = [], taft.decompose_graded
+
+    def counted(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(taft, "decompose_graded", counted)
+    rep = rep_irreducible(d, 2, 1)
+    taft_r_matrix(rep, parametric=False)
+    assert not calls        # the constant R needs no grading
+    first = taft_r_matrix(rep)
+    assert len(calls) == 1
+    assert taft_r_matrix(rep) == first
+    assert taft_r_matrix(rep_irreducible(d, 3, 2)).dim == 9
+    assert len(calls) == 1
+
+
 def test_r_matrix_parametric_ybe(double3):
     rep = rep_irreducible(double3, 3, 3)
     report = check_parametric_ybe(taft_r_matrix(rep, parametric=True))
