@@ -18,8 +18,7 @@ from .double import CONVENTIONS, DEFAULT_CONVENTION, CanonicalR, \
     check_parametric_ybe_algebraic, double_grading
 from .hopf import Grading, HopfAlgebra, HopfReport, check_coproduct_grading, \
     check_grading, check_hopf_axioms, dual, dual_grading, pair
-from .matrices import ParametricMatrix, embed_two_site, find_diagonal_gauge, \
-    flip_operator
+from .matrices import ParametricMatrix, embed_two_site, find_diagonal_gauge
 from .scalars import RATIONAL, SQRT_Q, Domain, ParamScalar, Scalar, \
     ScalarDomainError, cyclotomic, eval_q_powers, gauss_binomial, \
     parse_param_scalar, parse_scalar, q_bracket, q_bracket_factorial, \
@@ -43,7 +42,6 @@ __all__ = [
     "Grading", "HopfAlgebra", "HopfReport", "check_coproduct_grading",
     "check_grading", "check_hopf_axioms", "dual", "dual_grading", "pair",
     "ParametricMatrix", "embed_two_site", "find_diagonal_gauge",
-    "flip_operator",
     "RATIONAL", "SQRT_Q", "Domain", "ParamScalar", "Scalar",
     "ScalarDomainError", "cyclotomic", "eval_q_powers", "gauss_binomial",
     "parse_param_scalar", "parse_scalar", "q_bracket", "q_bracket_factorial",

@@ -252,23 +252,6 @@ def tensor_str(algebras, terms: dict) -> str:
     return " + ".join(bits)
 
 
-def _slot_trie(t: TensorElement) -> dict:
-    """The terms of t over basis indices, nested slot by slot as
-    {i_1: {i_2: ... {i_k: c}}}."""
-    *upper, bottom = [a.index for a in t.algebras]
-    trie = {}
-    for key, c in t.terms.items():
-        node = trie
-        for ix, l in zip(upper, key):
-            i = ix[l]
-            child = node.get(i)
-            if child is None:
-                child = node[i] = {}
-            node = child
-        node[bottom[key[-1]]] = c
-    return trie
-
-
 def _add_products(out: dict, c, rows):
     """out += c * (row_1 (x) ... (x) row_k) for ((index, Scalar), ...) rows."""
     for combo in iproduct(*rows):
@@ -281,35 +264,26 @@ def _add_products(out: dict, c, rows):
 def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     """Slot-wise product of two tensor elements of equal arity.
 
-    Keys become basis indices on entry and labels again on exit.  The terms
-    of x and of y are each nested slot by slot (see _slot_trie) and the two
-    nestings are walked together: a zero basis product in one slot drops
-    every pair of terms below it before any later slot is looked up, and
-    coefficients are multiplied only for the pairs whose products are
-    nonzero in every slot.
+    Keys become basis indices on entry and labels again on exit.  A pair of
+    terms is dropped at its first slot whose basis product is zero, before
+    any later slot's structure constants are looked up.
     """
     x._check(y)
     algebras = x.algebras
-    last = len(algebras) - 1
+    indices = [a.index for a in algebras]
+    ys = [(tuple(ix[l] for ix, l in zip(indices, key)), c)
+          for key, c in y.terms.items()]
     out = {}
-    stack = [(_slot_trie(x), _slot_trie(y), ())]   # (nodes of both, rows above)
-    while stack:
-        xnode, ynode, rows = stack.pop()
-        s = len(rows)
-        alg = algebras[s]
-        table, fill = alg._rows, alg.row
-        for i, xbelow in xnode.items():
-            cells = table[i]
-            for j, ybelow in ynode.items():
-                row = cells.get(j)
-                if row is None:
-                    row = fill(i, j)
-                if not row:
-                    continue
-                if s < last:
-                    stack.append((xbelow, ybelow, rows + (row,)))
-                else:
-                    _add_products(out, xbelow * ybelow, rows + (row,))
+    for key, cx in x.terms.items():
+        kx = [ix[l] for ix, l in zip(indices, key)]
+        for ky, cy in ys:
+            rows = []
+            for a, i, j in zip(algebras, kx, ky):
+                rows.append(a.row(i, j))
+                if not rows[-1]:
+                    break
+            else:
+                _add_products(out, cx * cy, rows)
     labels = [a.labels for a in algebras]
     return TensorElement(algebras, {
         tuple(ls[k] for ls, k in zip(labels, key)): c for key, c in out.items()})

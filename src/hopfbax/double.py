@@ -33,24 +33,19 @@ the right, "s_inv_right" means x |-> f(S^{-1}(h_(3)) x h_(1)), and so on.
 The sandwich L x R is read off the index rows of H (Algebra.row) for each
 basis element x, one table per h, filled when a product first needs it.
 
-The algebraic Yang-Baxter checks expand R12 R13 R23 - R23 R13 R12 over
-basis indices.  Each slot family is one trie, nested from the third slot
-down (zero products prune soonest there), with the (mu, nu) exponents in
-its leaf keys.  A side is two walks, its first two families into a trie
-and that times the third, into one residual {(i2, i1, i0, e_mu, e_nu):
-Scalar} (the second side negated).  Every product and sum goes through
-one _Memo of interned values, made by the check and dropped with it.
+The algebraic Yang-Baxter checks expand R12 R13 R23 - R23 R13 R12 in
+D (x) D (x) D through the residual engine of ybe.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, AlgebraElement, TensorElement, embed
+from .algebra import Algebra, AlgebraElement, TensorElement
 from .baxterize import mu_components
 from .hopf import HopfAlgebra, Grading, _deg_add, dual, dual_grading
-from .scalars import accumulate, laurent_by_key, normal_key
-from .ybe import YbeReport, worst_tensor_term
+from .scalars import accumulate, laurent_by_key
+from .ybe import YbeReport, worst_tensor_term, ybe_residual
 
 
 CONVENTIONS = ("s_inv_right", "s_inv_left", "s_right", "s_left",
@@ -201,117 +196,25 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
 # algebraic Yang-Baxter checks (exact expansion in D (x) D (x) D)
 # ---------------------------------------------------------------------------
 
-class _Memo:
-    """Scalar products and sums of one check, memoized by the ids of their
-    operands: canonical values kept in `values` (one per normal_key, `zero`
-    among them) or structure constants kept by the algebra's row table.
-    Both outlive the memo, so no id in a key is ever reused."""
-
-    def __init__(self, domain):
-        self.values, self.muls, self.adds = {}, {}, {}
-        self.zero = self.intern(domain.zero())
-
-    def intern(self, x):
-        return self.values.setdefault(normal_key(x), x)
-
-    def mul(self, a, b):
-        c = self.muls.get((id(a), id(b)))
-        if c is None:
-            c = self.muls[id(a), id(b)] = self.intern(a * b)
-        return c
-
-    def add(self, a, b):
-        c = self.adds.get((id(a), id(b)))
-        if c is None:
-            c = self.adds[id(a), id(b)] = self.intern(a + b)
-        return c
-
-
-def _trie(terms) -> dict:
-    """{(i, j, k, e_mu, e_nu): c} nested as {i: {j: {(k, e_mu, e_nu): c}}}."""
-    trie = {}
-    for (i, j, *leaf), c in terms.items():
-        trie.setdefault(i, {}).setdefault(j, {})[tuple(leaf)] = c
-    return trie
-
-
-def _walk(x, y, alg, memo, out):
-    """out += x y for tries of D (x) D (x) D, slot by slot: a zero basis
-    product in one slot drops every pair of terms below it, and the
-    exponents in the leaf keys add."""
-    mul, add, zero, muls = memo.mul, memo.add, memo.zero, memo.muls
-    row = alg.row
-    for i0, x1 in x.items():
-        for j0, y1 in y.items():
-            row0 = row(i0, j0)
-            if not row0:
-                continue
-            for i1, x2 in x1.items():
-                for j1, y2 in y1.items():
-                    row1 = row(i1, j1)
-                    if not row1:
-                        continue
-                    upper = [(k0, k1, mul(c0, c1))
-                             for k0, c0 in row0 for k1, c1 in row1]
-                    for (i2, mx, nx), cx in x2.items():
-                        for (j2, my, ny), cy in y2.items():
-                            row2 = row(i2, j2)
-                            if not row2:
-                                continue
-                            cxy, e_mu, e_nu = mul(cx, cy), mx + my, nx + ny
-                            for k0, k1, c01 in upper:
-                                c01 = mul(c01, cxy)
-                                i01 = id(c01)
-                                for k2, c2 in row2:
-                                    key = (k0, k1, k2, e_mu, e_nu)
-                                    v = muls.get((i01, id(c2))) or mul(c01, c2)
-                                    old = out.get(key)
-                                    if old is not None:
-                                        v = add(old, v)
-                                        if v is zero:
-                                            del out[key]
-                                            continue
-                                    out[key] = v
-
-
-def _triple_compare(kind, double, f12, f13, f23) -> YbeReport:
-    """Place families {(e_mu, e_nu): two-leg element} at slots 12, 13, 23
-    of D (x) D (x) D and report the residual R12 R13 R23 - R23 R13 R12,
-    expanded as the module docstring describes."""
-    alg = double.algebra
-    index, labels = alg.index, alg.labels
-    memo = _Memo(alg.domain)
-    f12, f13, f23 = (_trie({
-        (*(index[l] for l in reversed(key)), *e): memo.intern(c)
-        for e, t in f.items()
-        for key, c in embed(t, slots, (alg,) * 3).terms.items()})
-        for f, slots in ((f12, (0, 1)), (f13, (0, 2)), (f23, (1, 2))))
-    residual = {}
-    for x, y, z, sign in ((f12, f13, f23, 1), (f23, f13, f12, -1)):
-        xy, sign = {}, memo.intern(alg.domain.from_fraction(sign))
-        _walk(x, y, alg, memo, xy)
-        _walk(_trie({k: memo.mul(c, sign) for k, c in xy.items()}), z, alg,
-              memo, residual)
+def _report(kind, alg: Algebra, res: dict) -> YbeReport:
+    """A YbeReport of residual() over the double's basis labels."""
+    labels = alg.labels
     by_key = laurent_by_key({
         ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
-        for (i2, i1, i0, e_mu, e_nu), c in residual.items()})
-    return YbeReport(kind=kind, dim=alg.dim, passed=not residual,
+        for (i2, i1, i0, e_mu, e_nu), c in res.items()})
+    return YbeReport(kind=kind, dim=alg.dim, passed=not res,
                      residual_terms=len(by_key),
                      worst=worst_tensor_term(by_key, alg.label_str))
 
 
 def check_constant_ybe_algebraic(double: DoubleAlgebra, r: TensorElement) -> YbeReport:
     """R12 R13 R23 = R23 R13 R12 for R in D (x) D, expanded exactly."""
-    family = {(0, 0): r}
-    return _triple_compare("constant-algebraic", double, family, family, family)
+    return _report("constant-algebraic", double.algebra,
+                   ybe_residual(double.algebra, {0: r}, False))
 
 
 def check_parametric_ybe_algebraic(double: DoubleAlgebra, r_mu: dict) -> YbeReport:
     """R12(mu) R13(mu nu) R23(nu) = R23(nu) R13(mu nu) R12(mu), exactly,
     for a family r_mu = {e: R_e} meaning R(mu) = sum_e mu^e R_e."""
-    blocks = mu_components(r_mu)
-    return _triple_compare(
-        "parametric-algebraic", double,
-        {(e, 0): t for e, t in blocks.items()},
-        {(e, e): t for e, t in blocks.items()},
-        {(0, e): t for e, t in blocks.items()})
+    return _report("parametric-algebraic", double.algebra,
+                   ybe_residual(double.algebra, mu_components(r_mu), True))

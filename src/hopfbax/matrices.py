@@ -176,9 +176,6 @@ class ParametricMatrix:
         out.entries = mapped
         return out
 
-    def remap_exponents(self, mu_to=(1, 0)) -> "ParametricMatrix":
-        return self.map_entries(lambda v: v.remap_exponents(mu_to))
-
     def at_one(self) -> "ParametricMatrix":
         """Evaluate all spectral parameters at 1."""
         return self.map_entries(lambda v: ParamScalar.constant(v.at_one()))
@@ -203,12 +200,15 @@ class ParametricMatrix:
         dim = obj["dim"]
         if type(dim) is not int or not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
-        m = ParametricMatrix(dim, domain)
+        m, seen = ParametricMatrix(dim, domain), set()
         for ent in obj["entries"]:
             v = parse_param_scalar(ent["value"], domain)
             r, c = ent["row"], ent["col"]
             if type(r) is not int or type(c) is not int:
                 raise ValueError(f"row and col must be integers, got {r!r}, {c!r}")
+            if (r, c) in seen:
+                raise ValueError(f"entry ({r},{c}) is given more than once")
+            seen.add((r, c))
             m.set(r - 1, c - 1, v)
         return m
 
@@ -266,16 +266,6 @@ def embed_two_site(r: ParametricMatrix, d: int, legs) -> ParametricMatrix:
         for m in range(d):
             out.entries[((a * d + m) * d + x, (b * d + m) * d + y)] = v
     return out
-
-
-def flip_operator(d: int, domain: Domain) -> ParametricMatrix:
-    """The swap P(u (x) v) = v (x) u on V (x) V."""
-    p = ParametricMatrix(d * d, domain)
-    one = ParamScalar.constant(domain.one())
-    for a in range(d):
-        for b in range(d):
-            p.entries[(a * d + b, b * d + a)] = one
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -710,20 +710,6 @@ class ParamScalar:
         # zero or constant: equal to its coefficient, so it hashes like it
         return hash(self.as_scalar())
 
-    # -- substitutions -------------------------------------------------------------
-    def remap_exponents(self, mu_to=(1, 0)) -> "ParamScalar":
-        """Monomial substitution mu -> mu^a nu^b (mu_to=(a, b)), nu fixed.
-
-        Used to place a one-parameter matrix into the three slots of the
-        parametric Yang-Baxter equation: slot 12 keeps mu, slot 13 maps
-        mu -> mu*nu, slot 23 maps mu -> nu.
-        """
-        a, b = mu_to
-        out = {}
-        for (e, f), v in self.terms.items():
-            accumulate(out, (e * a, e * b + f), v)
-        return ParamScalar(self.domain, out)
-
     def at_one(self) -> Scalar:
         """Evaluate at mu = nu = 1."""
         out = self.domain.zero()

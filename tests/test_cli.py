@@ -223,6 +223,15 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
     {"dim": 1, "domain": 5, "param": None, "entries": []},
     {"dim": 1, "domain": "cyclotomic(65)", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "(1+q)^1000"}]},
+    # spin-1/2 with (2,3) given again as 0: read last-wins, the diagonal
+    # matrix left over passes every check
+    {"dim": 4, "domain": "sqrt_q", "param": "mu",
+     "entries": [{"row": 1, "col": 1, "value": "s"},
+                 {"row": 2, "col": 2, "value": "(1)/(s)"},
+                 {"row": 2, "col": 3, "value": "((-1 + s^4)/(s^3))*mu"},
+                 {"row": 3, "col": 3, "value": "(1)/(s)"},
+                 {"row": 4, "col": 4, "value": "s"},
+                 {"row": 2, "col": 3, "value": "0"}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"

@@ -31,6 +31,15 @@ _MATRIX_FAIL = {
     "braid": (2, "(5,5): (2 - 4*s^4 + 2*s^8)/(s^5)"),
 }
 
+# spin-1/2's R(mu) given straight to the constant and braid checks: R(mu)
+# stands in every slot, so the residual is a polynomial in mu
+_MATRIX_MU = {
+    "constant": (2, "(2,5): ((1 - 2*s^4 + s^8)/(s^5))*mu"
+                    " + ((-1 + 2*s^4 - s^8)/(s^5))*mu^2"),
+    "braid": (2, "(5,5): ((-1 + 2*s^4 - s^8)/(s^5))*mu"
+                 " + ((1 - 2*s^4 + s^8)/(s^5))*mu^2"),
+}
+
 _ALGEBRAIC_FAIL = {
     "constant-algebraic": (17, "[e.(e)* (x) x.(e)* (x) e.(x)*]: -3"),
     "parametric-algebraic": (17, "[e.(e)* (x) x.(e)* (x) e.(x)*]: -3*nu"),
@@ -72,6 +81,8 @@ def test_report_texts_are_frozen():
         for kind, report in reports.items():
             _assert_frozen(report, kind, 4,
                            _MATRIX_FAIL[kind] if failing else None)
+    _assert_frozen(check_constant_ybe(good), "constant", 4, _MATRIX_MU["constant"])
+    _assert_frozen(braid_check(good), "braid", 4, _MATRIX_MU["braid"])
 
     d = build_double(build_taft(2))
     r = canonical_r(d).tensor()

@@ -265,14 +265,6 @@ def test_param_scalar_components_and_at_one():
     assert ParamScalar.constant(Q).as_scalar() == Q
 
 
-def test_param_scalar_remap_exponents():
-    mu = ParamScalar.mu(SQRT_Q)
-    nu = ParamScalar.nu(SQRT_Q)
-    # mu -> mu*nu, nu -> nu
-    y = (mu ** 2).remap_exponents(mu_to=(1, 1))
-    assert y == (mu * nu) ** 2
-
-
 def test_proportionality_ratio():
     mu = ParamScalar.mu(SQRT_Q)
     a = mu * ParamScalar.constant(Q) + ParamScalar.constant(SQRT_Q.one())

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -7,18 +8,42 @@ from hopfbax import (
     ParametricMatrix,
     SQRT_Q,
     ScalarDomainError,
+    SqrtExt,
+    WeightedRep,
+    YbeReport,
     braid_check,
+    build_double,
+    build_taft,
     check_constant_ybe,
     check_parametric_ybe,
     cyclotomic,
     embed_two_site,
     find_diagonal_gauge,
-    flip_operator,
     parse_param_scalar,
+    q_number,
+    rep_indecomposable,
+    rep_irreducible,
+    spin_half,
+    spin_one,
+    taft_r_matrix,
+    uqsl2_r_matrix,
 )
 from hopfbax.regressions import reference_taft_9x9
 from hopfbax.scalars import proportionality_ratio
 from hopfbax.ybe import worst_matrix_entry
+
+
+def _flip(d, domain):
+    """The swap P(u (x) v) = v (x) u on V (x) V."""
+    one = ParamScalar.constant(domain.one())
+    return ParametricMatrix(d * d, domain, {
+        (a * d + b, b * d + a): one for a in range(d) for b in range(d)})
+
+
+def _substitute(r, a, b):
+    """r(mu) with mu -> mu^a nu^b, for r depending on mu only."""
+    return r.map_entries(lambda v: ParamScalar(v.domain, {
+        (e * a, e * b): c for (e, _), c in v.terms.items()}))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -26,13 +51,13 @@ def test_identity_and_flip_pass(d):
     ident = ParametricMatrix.identity(d * d, SQRT_Q)
     assert check_constant_ybe(ident).passed
     assert braid_check(ident).passed       # B = P satisfies the braid relation
-    p = flip_operator(d, SQRT_Q)
+    p = _flip(d, SQRT_Q)
     assert check_constant_ybe(p).passed    # P12 P13 P23 = P23 P13 P12
     assert check_parametric_ybe(ident).passed  # degenerate constant family
 
 
 def test_flip_operator_squares_to_identity():
-    p = flip_operator(3, SQRT_Q)
+    p = _flip(3, SQRT_Q)
     assert p @ p == ParametricMatrix.identity(9, SQRT_Q)
     # P e_(a,b) = e_(b,a)
     assert p.get(1 * 3 + 2, 2 * 3 + 1).as_scalar().is_one()
@@ -83,8 +108,8 @@ def test_report_counts_match_manual_residual(r_half):
     report = check_parametric_ybe(bad)
     d = 2
     r12 = embed_two_site(bad, d, (0, 1))
-    r13 = embed_two_site(bad.remap_exponents(mu_to=(1, 1)), d, (0, 2))
-    r23 = embed_two_site(bad.remap_exponents(mu_to=(0, 1)), d, (1, 2))
+    r13 = embed_two_site(_substitute(bad, 1, 1), d, (0, 2))
+    r23 = embed_two_site(_substitute(bad, 0, 1), d, (1, 2))
     residual = (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
     assert not report.passed
     assert report.residual_terms == len(residual.entries)
@@ -116,16 +141,92 @@ def test_worst_entry_is_one_based():
 
 
 # ---------------------------------------------------------------------------
+# the residual engine in M_d against the matrix-product path it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_three_slot(kind, r) -> YbeReport:
+    """The check `kind` by d^3 x d^3 matrix products in ParamScalar
+    arithmetic: R12 R13 R23 - R23 R13 R12 with R(mu) in every slot
+    (constant) or R12(mu) R13(mu nu) R23(nu) (parametric), and
+    B12 B23 B12 - B23 B12 B23 for B = P R (braid)."""
+    d = math.isqrt(r.dim)
+    if kind == "braid":
+        b = _flip(d, r.domain) @ r
+        x, y = embed_two_site(b, d, (0, 1)), embed_two_site(b, d, (1, 2))
+        residual = (x @ y @ x) - (y @ x @ y)
+    else:
+        slots = (r, r, r) if kind == "constant" else (
+            r, _substitute(r, 1, 1), _substitute(r, 0, 1))
+        x, y, z = (embed_two_site(m, d, legs) for m, legs in
+                   zip(slots, ((0, 1), (0, 2), (1, 2))))
+        residual = (x @ y @ z) - (z @ y @ x)
+    return YbeReport(kind=kind, dim=r.dim, passed=residual.is_zero(),
+                     residual_terms=len(residual.entries),
+                     worst=worst_matrix_entry(residual))
+
+
+def _spin_rep(two_j):
+    """Spin j = two_j/2 in the gauge e_{i-1,i} = [i][d-i], f_{i,i-1} = 1."""
+    d = two_j + 1
+    q = SQRT_Q.q()
+    e = {(i - 1, i): SqrtExt.of(q_number(i, q) * q_number(d - i, q))
+         for i in range(1, d)}
+    f = {(i, i - 1): SqrtExt.of(SQRT_Q.one()) for i in range(1, d)}
+    return WeightedRep(f"spin-{two_j}/2",
+                       tuple(d - 1 - 2 * i for i in range(d)), e, f)
+
+
+def _doubled_entries(m):
+    for key in sorted(m.entries):
+        bad = m.copy()
+        bad.set(*key, bad.get(*key) * 2)
+        yield bad
+
+
+def _reference_inputs():
+    spins = [spin_half(), spin_one(), _spin_rep(3), _spin_rep(4)]
+    yield from (uqsl2_r_matrix(rep, parametric=True) for rep in spins)
+    doubles = {n: build_double(build_taft(n)) for n in (2, 3, 4)}
+    for n, d in doubles.items():
+        for dim in range(1, n + 1):
+            for l in range(1, n + 1):
+                yield taft_r_matrix(rep_irreducible(d, dim, l),
+                                    parametric=True, normalize=dim > 1)
+        for alpha in (d.domain.one(), d.domain.q()):
+            for l in range(1, n + 1):
+                yield taft_r_matrix(rep_indecomposable(d, alpha, l),
+                                    parametric=True, normalize=False)
+    for rep in spins[:2]:
+        yield from _doubled_entries(uqsl2_r_matrix(rep, parametric=True))
+    v31 = rep_irreducible(doubles[3], 3, 1)
+    yield from _doubled_entries(taft_r_matrix(v31, parametric=True))
+
+
+def test_matrix_checks_match_the_matrix_product_reference():
+    checks = {"constant": check_constant_ybe,
+              "parametric": check_parametric_ybe, "braid": braid_check}
+    reports = failing = 0
+    for m in _reference_inputs():
+        for kind, r in (("constant", m), ("constant", m.at_one()),
+                        ("braid", m), ("braid", m.at_one()), ("parametric", m)):
+            got = checks[kind](r).to_dict()
+            assert got == _reference_three_slot(kind, r).to_dict(), (kind, r)
+            reports += 1
+            failing += not got["passed"]
+    assert (reports, failing) == (420, 241)
+
+
+# ---------------------------------------------------------------------------
 # leg embeddings
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_leg_02_embedding_is_flip_conjugate(d, r_half, r_one):
     r = {2: r_half, 3: r_one}[d]
-    p23 = embed_two_site(flip_operator(d, r.domain), d, (1, 2))
+    p23 = embed_two_site(_flip(d, r.domain), d, (1, 2))
     direct = embed_two_site(r, d, (0, 2))
     assert direct == p23 @ embed_two_site(r, d, (0, 1)) @ p23
-    p12 = embed_two_site(flip_operator(d, r.domain), d, (0, 1))
+    p12 = embed_two_site(_flip(d, r.domain), d, (0, 1))
     assert embed_two_site(r, d, (1, 2)) == p12 @ direct @ p12
 
 
