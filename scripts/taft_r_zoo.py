@@ -22,7 +22,6 @@ from hopfbax import build_double, build_taft, check_parametric_ybe, \
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4])
-    ap.add_argument("--skip-indecomposable", action="store_true")
     args = ap.parse_args()
 
     status = 0
@@ -43,8 +42,6 @@ def main() -> int:
                 flag = "PASS" if rep_ok.passed else f"FAIL {rep_ok.worst}"
                 print(f"V_{{{n},{l}}}       {N}  {r.dim:4d}  {len(r.entries):5d}"
                       f"  {flag:14s}  {dt:5.2f}s")
-        if args.skip_indecomposable:
-            continue
         for alpha, tag in ((h.domain.one(), "1"), (q, "q")):
             for l in (1, N):
                 t0 = time.perf_counter()

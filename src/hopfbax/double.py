@@ -34,7 +34,7 @@ The sandwich L x R is read off the index rows of H (Algebra.row) for each
 basis element x, one table per h, filled when a product first needs it.
 
 The algebraic Yang-Baxter checks expand R12 R13 R23 - R23 R13 R12 in
-D (x) D (x) D through the residual engine of ybe.py.
+D (x) D (x) D through the residual engine of ybe.py, on basis indices.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from .algebra import Algebra, AlgebraElement, TensorElement
 from .baxterize import mu_components
 from .hopf import HopfAlgebra, Grading, _deg_add, dual, dual_grading
-from .scalars import accumulate, laurent_by_key
-from .ybe import YbeReport, worst_tensor_term, ybe_residual
+from .scalars import accumulate
+from .ybe import YbeReport, residual_report, ybe_residual
 
 
 CONVENTIONS = ("s_inv_right", "s_inv_left", "s_right", "s_left",
@@ -196,25 +196,27 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
 # algebraic Yang-Baxter checks (exact expansion in D (x) D (x) D)
 # ---------------------------------------------------------------------------
 
-def _report(kind, alg: Algebra, res: dict) -> YbeReport:
-    """A YbeReport of residual() over the double's basis labels."""
-    labels = alg.labels
-    by_key = laurent_by_key({
+def _algebraic_report(kind, double, blocks, parametric) -> YbeReport:
+    """ybe_residual() of R(mu) = sum_e mu^e blocks[e] in D (x) D (x) D,
+    reported by label triple (ties to the first by repr)."""
+    alg = double.algebra
+    index, labels = alg.index, alg.labels
+    res = ybe_residual(alg, {
+        e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
+        for e, t in blocks.items()}, parametric)
+    return residual_report(kind, alg.dim, {
         ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
-        for (i2, i1, i0, e_mu, e_nu), c in res.items()})
-    return YbeReport(kind=kind, dim=alg.dim, passed=not res,
-                     residual_terms=len(by_key),
-                     worst=worst_tensor_term(by_key, alg.label_str))
+        for (i2, i1, i0, e_mu, e_nu), c in res.items()},
+        lambda key: f"[{' (x) '.join(map(alg.label_str, key))}]", repr)
 
 
 def check_constant_ybe_algebraic(double: DoubleAlgebra, r: TensorElement) -> YbeReport:
     """R12 R13 R23 = R23 R13 R12 for R in D (x) D, expanded exactly."""
-    return _report("constant-algebraic", double.algebra,
-                   ybe_residual(double.algebra, {0: r}, False))
+    return _algebraic_report("constant-algebraic", double, {0: r}, False)
 
 
 def check_parametric_ybe_algebraic(double: DoubleAlgebra, r_mu: dict) -> YbeReport:
     """R12(mu) R13(mu nu) R23(nu) = R23(nu) R13(mu nu) R12(mu), exactly,
     for a family r_mu = {e: R_e} meaning R(mu) = sum_e mu^e R_e."""
-    return _report("parametric-algebraic", double.algebra,
-                   ybe_residual(double.algebra, mu_components(r_mu), True))
+    return _algebraic_report("parametric-algebraic", double,
+                             mu_components(r_mu), True)

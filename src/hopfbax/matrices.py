@@ -135,18 +135,6 @@ class ParametricMatrix:
             accumulate(out.entries, k, v)
         return out
 
-    def __sub__(self, other):
-        if not isinstance(other, ParametricMatrix):
-            return NotImplemented
-        self._check_shape(other)
-        out = self.copy()
-        for k, v in other.entries.items():
-            accumulate(out.entries, k, -v)
-        return out
-
-    def __neg__(self):
-        return self.map_entries(lambda v: -v)
-
     def scaled(self, v) -> "ParametricMatrix":
         v = as_param_scalar(v, self.domain)
         return self.map_entries(lambda w: v * w)

@@ -2,11 +2,12 @@
 
 All checks are symbolic and exact: a check passes iff the residual
 (difference of the two triple products) is identically zero.  Failures
-report the worst residual entry, where "worst" means the entry whose
-Laurent expansion has the most terms (ties broken by smallest index).
+report the worst residual entry: the one whose Laurent expansion has the
+most terms, ties to the smallest (row, col) or label-triple repr.
 
 residual() expands both sides over basis indices of A (x) A (x) A.  Each
-placed family is one trie, nested from the third slot down (zero products
+placed family {(e_mu, e_nu): {(i, j): Scalar}}, with the unit of A in its
+free slot, is one trie nested from the third slot down (zero products
 prune soonest there), with the (mu, nu) exponents in its leaf keys.  A
 side is two walks, its first two factors into a trie and that times the
 third, into one residual {(i2, i1, i0, e_mu, e_nu): Scalar} (the second
@@ -14,8 +15,9 @@ side negated).  Every product and sum goes through one _Memo of interned
 values, made by the check and dropped with it.
 
 A d^2 x d^2 matrix is an element of End V (x) End V = M_d (x) M_d, so the
-matrix checks run the same engine in the matrix-unit algebra M_d, built
-by each check (the memo's id keys need its row table to outlive them).
+matrix checks run the same engine in the matrix-unit algebra M_d (E_ac
+is basis index a d + c), built by each check (the memo's id keys need
+its row table to outlive them).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .algebra import Algebra, TensorElement, embed
+from .algebra import Algebra
 from .matrices import ParametricMatrix
 from .scalars import laurent_by_key, normal_key
 
@@ -45,24 +47,25 @@ class YbeReport:
     to_dict = asdict
 
 
-def worst_matrix_entry(residual: ParametricMatrix):
-    if residual.is_zero():
-        return None
-    key = max(sorted(residual.entries),
-              key=lambda k: (len(residual.entries[k].terms),
-                             (-k[0], -k[1])))
+def cell(key) -> str:
+    """A 0-based (row, col) key as the 1-based "(row,col)"."""
     r, c = key
-    return f"({r + 1},{c + 1}): {residual.entries[key]}"
+    return f"({r + 1},{c + 1})"
 
 
-def worst_tensor_term(residual: dict, label_str):
-    """The entry of {label key: ParamScalar} with the most Laurent terms."""
-    if not residual:
-        return None
-    key = max(sorted(residual, key=repr),
-              key=lambda k: len(residual[k].terms))
-    name = " (x) ".join(label_str(l) for l in key)
-    return f"[{name}]: {residual[key]}"
+def residual_report(kind, dim, terms: dict, label, order=None) -> YbeReport:
+    """The YbeReport of a residual {(key, e_mu, e_nu): nonzero Scalar}, the
+    one maker of YbeReports: one residual term per key, and the worst key
+    the one whose Laurent polynomial has the most terms, the first by
+    `order` (a sort key; the keys' own order if None) on a tie, printed as
+    label(key)."""
+    by_key = laurent_by_key(terms)
+    worst = None
+    if by_key:
+        key = max(sorted(by_key, key=order), key=lambda k: len(by_key[k].terms))
+        worst = f"{label(key)}: {by_key[key]}"
+    return YbeReport(kind=kind, dim=dim, passed=not by_key,
+                     residual_terms=len(by_key), worst=worst)
 
 
 class _Memo:
@@ -141,14 +144,22 @@ def _walk(x, y, alg, memo, out):
 def residual(alg: Algebra, placed, sides) -> dict:
     """Side 0 minus side 1 in alg^(x)3 as {(i2, i1, i0, e_mu, e_nu): Scalar}
     (i_s the basis index in slot s), for `placed` a list of (family
-    {(e_mu, e_nu): two-leg TensorElement}, target slots) and each side a
-    triple of positions in it: the YBE is ((0, 1, 2), (2, 1, 0))."""
-    index, memo = alg.index, _Memo(alg.domain)
-    tries = [_trie({
-        (*(index[l] for l in reversed(key)), *e): memo.intern(c)
-        for e, t in family.items()
-        for key, c in embed(t, slots, (alg,) * 3).terms.items()})
-        for family, slots in placed]
+    {(e_mu, e_nu): {(i, j): nonzero Scalar}}, target slots; the unit in the
+    third) and each side a triple of positions in it: the YBE is
+    ((0, 1, 2), (2, 1, 0))."""
+    memo = _Memo(alg.domain)
+    units = [(alg.index[l], memo.intern(c)) for l, c in alg._unit_terms.items()]
+    tries = []
+    for family, (s, t) in placed:
+        terms = {}
+        for e, block in family.items():
+            for (i, j), c in block.items():
+                c = memo.intern(c)
+                for u, cu in units:
+                    key = [u, u, u]
+                    key[s], key[t] = i, j
+                    terms[(*reversed(key), *e)] = memo.mul(c, cu)
+        tries.append(_trie(terms))
     out = {}
     for (x, y, z), sign in zip(sides, (1, -1)):
         xy, sign = {}, memo.intern(alg.domain.from_fraction(sign))
@@ -186,8 +197,7 @@ def _matrix_report(kind, r: ParametricMatrix) -> YbeReport:
         for (e_mu, e_nu), s in v.terms.items():
             if e_nu:
                 raise ValueError("input matrix must depend on mu only")
-            blocks.setdefault(e_mu, {})[(a, c), (b, e)] = s
-    blocks = {e: TensorElement((alg, alg), t) for e, t in blocks.items()}
+            blocks.setdefault(e_mu, {})[a * d + c, b * d + e] = s
     if kind == "braid":
         b = {(e, 0): t for e, t in blocks.items()}
         res = residual(alg, [(b, (0, 1)), (b, (1, 2))], ((0, 1, 0), (1, 0, 1)))
@@ -195,12 +205,9 @@ def _matrix_report(kind, r: ParametricMatrix) -> YbeReport:
         res = ybe_residual(alg, blocks, kind == "parametric")
     entries = {}
     for (i2, i1, i0, e_mu, e_nu), v in res.items():   # to V (x) V (x) V
-        (a0, c0), (a1, c1), (a2, c2) = (alg.labels[i] for i in (i0, i1, i2))
+        (a0, c0), (a1, c1), (a2, c2) = (divmod(i, d) for i in (i0, i1, i2))
         entries[((a0 * d + a1) * d + a2, (c0 * d + c1) * d + c2), e_mu, e_nu] = v
-    m = ParametricMatrix(d ** 3, r.domain, laurent_by_key(entries))
-    return YbeReport(kind=kind, dim=r.dim, passed=not res,
-                     residual_terms=len(m.entries),
-                     worst=worst_matrix_entry(m))
+    return residual_report(kind, r.dim, entries, cell)
 
 
 def check_constant_ybe(r: ParametricMatrix) -> YbeReport:

@@ -5,8 +5,6 @@ inside the criteria is exact symbolic equality; a failure prints the
 stored one-line summary of what broke.
 """
 
-import pytest
-
 from hopfbax import regressions
 
 

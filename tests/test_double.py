@@ -20,7 +20,7 @@ from hopfbax.algebra import associativity_violations, embed, \
     tensor_multiply, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
 from hopfbax.scalars import accumulate, laurent_by_key
-from hopfbax.ybe import YbeReport, worst_tensor_term
+from hopfbax.ybe import YbeReport
 
 
 def test_double_dimension_and_labels(double2, taft2):
@@ -232,6 +232,17 @@ def test_straightening_matches_the_element_sandwich(n, conventions):
 # the index-space walk against the block-pair engine it replaced
 # ---------------------------------------------------------------------------
 
+def _worst_tensor_term(residual: dict, label_str):
+    """The entry of {label key: ParamScalar} with the most Laurent terms,
+    the first in repr order on a tie."""
+    if not residual:
+        return None
+    key = max(sorted(residual, key=repr),
+              key=lambda k: len(residual[k].terms))
+    name = " (x) ".join(label_str(l) for l in key)
+    return f"[{name}]: {residual[key]}"
+
+
 def _reference_triple_compare(kind, double, f12, f13, f23) -> YbeReport:
     """The residual R12 R13 R23 - R23 R13 R12 from one tensor_multiply per
     pair and per triple of exponent blocks, over label keys."""
@@ -251,7 +262,7 @@ def _reference_triple_compare(kind, double, f12, f13, f23) -> YbeReport:
     by_key = laurent_by_key(residual)
     return YbeReport(kind=kind, dim=double.algebra.dim, passed=not residual,
                      residual_terms=len(by_key),
-                     worst=worst_tensor_term(by_key, double.algebra.label_str))
+                     worst=_worst_tensor_term(by_key, double.algebra.label_str))
 
 
 def _reports(d, r):

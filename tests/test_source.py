@@ -1,4 +1,5 @@
-"""Checks on the package source and on the README's Python example."""
+"""Checks on the package, script and test sources and on the README's Python
+example."""
 
 import ast
 import pathlib
@@ -24,8 +25,10 @@ def _unused_imports(path: pathlib.Path) -> list:
 
 
 def test_every_module_level_import_is_used():
-    unused = {p.name: _unused_imports(p) for p in sorted(SRC.glob("*.py"))
-              if p.name != "__init__.py"}
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    for folder in ("scripts", "tests"):
+        paths += sorted((ROOT / folder).glob("*.py"))
+    unused = {str(p.relative_to(ROOT)): _unused_imports(p) for p in paths}
     assert {k: v for k, v in unused.items() if v} == {}
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -28,9 +29,10 @@ from hopfbax import (
     taft_r_matrix,
     uqsl2_r_matrix,
 )
+from hopfbax.algebra import Algebra, TensorElement, embed, tensor_multiply
 from hopfbax.regressions import reference_taft_9x9
-from hopfbax.scalars import proportionality_ratio
-from hopfbax.ybe import worst_matrix_entry
+from hopfbax.scalars import accumulate, proportionality_ratio
+from hopfbax.ybe import cell, residual, residual_report, ybe_residual
 
 
 def _flip(d, domain):
@@ -38,6 +40,23 @@ def _flip(d, domain):
     one = ParamScalar.constant(domain.one())
     return ParametricMatrix(d * d, domain, {
         (a * d + b, b * d + a): one for a in range(d) for b in range(d)})
+
+
+def _minus(a, b):
+    """a - b for ParametricMatrix a and b."""
+    return a + b.scaled(-1)
+
+
+def _worst_matrix_entry(residual):
+    """The entry with the most Laurent terms, the first by (row, col) on a
+    tie, printed 1-based."""
+    if residual.is_zero():
+        return None
+    key = max(sorted(residual.entries),
+              key=lambda k: (len(residual.entries[k].terms),
+                             (-k[0], -k[1])))
+    r, c = key
+    return f"({r + 1},{c + 1}): {residual.entries[key]}"
 
 
 def _substitute(r, a, b):
@@ -67,13 +86,12 @@ def test_flip_operator_squares_to_identity():
 def test_matrix_sums_need_equal_dimensions_and_domains():
     i2, i3 = (ParametricMatrix.identity(d, SQRT_Q) for d in (2, 3))
     for a, b in ((i3, i2), (i2, i3)):
-        for op in (a.__add__, a.__sub__, a.__matmul__):
+        for op in (a.__add__, a.__matmul__):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 op(b)
     with pytest.raises(ScalarDomainError):
         i2 + ParametricMatrix.identity(2, cyclotomic(3))
     assert i3 + i3 == i3.scaled(2)
-    assert (i3 - i3).is_zero() and (i3 - i3).dim == 3
 
 
 def test_matrix_entries_keep_the_matrix_domain():
@@ -110,12 +128,12 @@ def test_report_counts_match_manual_residual(r_half):
     r12 = embed_two_site(bad, d, (0, 1))
     r13 = embed_two_site(_substitute(bad, 1, 1), d, (0, 2))
     r23 = embed_two_site(_substitute(bad, 0, 1), d, (1, 2))
-    residual = (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
+    residual = _minus(r12 @ r13 @ r23, r23 @ r13 @ r12)
     assert not report.passed
     assert report.residual_terms == len(residual.entries)
     # swapping the two sides flips the sign of the residual
-    swapped = (r23 @ r13 @ r12) - (r12 @ r13 @ r23)
-    assert swapped == -residual
+    swapped = _minus(r23 @ r13 @ r12, r12 @ r13 @ r23)
+    assert swapped == residual.scaled(-1)
 
 
 def test_parametric_rejects_nu_dependence():
@@ -134,10 +152,10 @@ def test_non_square_total_dimension_rejected():
 
 def test_worst_entry_is_one_based():
     dom = cyclotomic(4)
-    m = ParametricMatrix(4, dom)
-    m.set(0, 2, dom.q())
-    assert worst_matrix_entry(m) == "(1,3): q"
-    assert worst_matrix_entry(ParametricMatrix(4, SQRT_Q)) is None
+    report = residual_report("constant", 4, {((0, 2), 0, 0): dom.q()}, cell)
+    assert (report.passed, report.residual_terms) == (False, 1)
+    assert report.worst == "(1,3): q"
+    assert residual_report("constant", 4, {}, cell).worst is None
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +171,16 @@ def _reference_three_slot(kind, r) -> YbeReport:
     if kind == "braid":
         b = _flip(d, r.domain) @ r
         x, y = embed_two_site(b, d, (0, 1)), embed_two_site(b, d, (1, 2))
-        residual = (x @ y @ x) - (y @ x @ y)
+        residual = _minus(x @ y @ x, y @ x @ y)
     else:
         slots = (r, r, r) if kind == "constant" else (
             r, _substitute(r, 1, 1), _substitute(r, 0, 1))
         x, y, z = (embed_two_site(m, d, legs) for m, legs in
                    zip(slots, ((0, 1), (0, 2), (1, 2))))
-        residual = (x @ y @ z) - (z @ y @ x)
+        residual = _minus(x @ y @ z, z @ y @ x)
     return YbeReport(kind=kind, dim=r.dim, passed=residual.is_zero(),
                      residual_terms=len(residual.entries),
-                     worst=worst_matrix_entry(residual))
+                     worst=_worst_matrix_entry(residual))
 
 
 def _spin_rep(two_j):
@@ -214,6 +232,61 @@ def test_matrix_checks_match_the_matrix_product_reference():
             reports += 1
             failing += not got["passed"]
     assert (reports, failing) == (420, 241)
+
+
+# ---------------------------------------------------------------------------
+# the residual engine on an algebra whose unit has a coefficient other than 1
+# ---------------------------------------------------------------------------
+
+def _doubled_matrix_units(domain):
+    """M_2 on the basis F_ac = 2 E_ac: F_ac F_be = 2 [c = b] F_ae, and the
+    unit is (F_00 + F_11) / 2."""
+    two, half = domain.from_fraction(2), domain.from_fraction(Fraction(1, 2))
+    return Algebra("M_2 on 2E", domain, [divmod(i, 2) for i in range(4)],
+                   {(k, k): half for k in range(2)},
+                   lambda x, y: {(x[0], y[1]): two} if x[1] == y[0] else {})
+
+
+def _reference_residual(alg, placed, sides) -> dict:
+    """residual() by embed and tensor_multiply over label keys, one product
+    per pair and per triple of exponent blocks."""
+    algs, index, labels = (alg,) * 3, alg.index, alg.labels
+    legs = [{e: embed(TensorElement((alg, alg), {
+        (labels[i], labels[j]): c for (i, j), c in block.items()}), slots, algs)
+        for e, block in family.items()} for family, slots in placed]
+    out = {}
+    for (x, y, z), neg in zip(sides, (False, True)):
+        for (a, b), tx in legs[x].items():
+            for (c, d), ty in legs[y].items():
+                txy = tensor_multiply(tx, ty)
+                for (e, f), tz in legs[z].items():
+                    for key, v in tensor_multiply(txy, tz).terms.items():
+                        accumulate(out, (*(index[l] for l in reversed(key)),
+                                         a + c + e, b + d + f),
+                                   -v if neg else v)
+    return out
+
+
+def test_residual_places_the_unit_with_its_coefficients():
+    dom = cyclotomic(3)
+    alg = _doubled_matrix_units(dom)
+    q, one = dom.q(), dom.one()
+    # a family in mu whose YBE and braid relation both fail
+    blocks = {0: {(0, 0): one, (3, 3): one, (1, 2): q},
+              1: {(2, 1): one - q, (0, 3): dom.from_fraction(3)}}
+    cases = [([({(e * a, e * b): t for e, t in blocks.items()}, slots)
+               for (a, b), slots in zip(subs, ((0, 1), (0, 2), (1, 2)))],
+              ((0, 1, 2), (2, 1, 0)))     # constant, then parametric
+             for subs in (((1, 0),) * 3, ((1, 0), (1, 1), (0, 1)))]
+    braid = {(e, 0): t for e, t in blocks.items()}
+    cases.append(([(braid, (0, 1)), (braid, (1, 2))], ((0, 1, 0), (1, 0, 1))))
+    for placed, sides in cases:
+        got = residual(alg, placed, sides)
+        assert got, sides
+        assert got == _reference_residual(alg, placed, sides), sides
+    for parametric, (placed, sides) in zip((False, True), cases):
+        assert ybe_residual(alg, blocks, parametric) == residual(
+            alg, placed, sides)
 
 
 # ---------------------------------------------------------------------------
