@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Rebuild the three R-matrix families and diff them against the frozen ones.
 
-Writes JSON (and optionally LaTeX) for the spin-1/2, spin-1 and Taft
-(N=4, V_{3,l}) families into --outdir, then compares each against the
-stored reference entry tables.  Exit code 0 iff everything matches.
+Writes JSON for the spin-1/2, spin-1 and Taft (N=4, V_{3,l}) families into
+--outdir, then compares each against the stored reference entry tables.
+Exit code 0 iff everything matches.  For LaTeX, use
+``hopfbax uqsl2 ... --format latex`` or ``hopfbax taft ... --format latex``.
 """
 
 import argparse
@@ -30,7 +31,6 @@ def families():
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out", help="where to write matrices")
-    ap.add_argument("--latex", action="store_true", help="also emit LaTeX")
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
@@ -38,8 +38,6 @@ def main() -> int:
     status = 0
     for name, built, ref in families():
         (outdir / f"{name}.json").write_text(built.to_json())
-        if args.latex:
-            (outdir / f"{name}.tex").write_text(built.to_latex() + "\n")
         ok = built == ref
         status |= 0 if ok else 1
         nnz = len(built.entries)

@@ -26,16 +26,16 @@ from hopfbax import CONVENTIONS, DEFAULT_CONVENTION, build_double, \
 from hopfbax.algebra import associativity_violations, unit_violations
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--N", type=int, default=2,
-                    help="Taft order (associativity is exhaustive: dim N^4)")
-    args = ap.parse_args()
+# Taft order of the scan (associativity is exhaustive: dim N^4)
+N = 2
 
-    h = build_taft(args.N)
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__).parse_args()
+
+    h = build_taft(N)
     winners = []
-    print(f"convention     assoc  unit   constant-YBE   (D(T_{args.N}), "
-          f"dim {args.N ** 4})")
+    print(f"convention     assoc  unit   constant-YBE   (D(T_{N}), dim {N ** 4})")
     for conv in CONVENTIONS:
         t0 = time.perf_counter()
         d = build_double(h, conv)

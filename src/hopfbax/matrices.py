@@ -58,6 +58,14 @@ def matmul_entries(a: dict, b: dict) -> dict:
     return out
 
 
+def matrix_powers(m: dict, n: int, ident: dict) -> list:
+    """[ident, m, m^2, ..., m^n]; the products start from m, not ident."""
+    out = [ident, m][:n + 1]
+    while len(out) <= n:
+        out.append(matmul_entries(out[-1], m))
+    return out
+
+
 def kron_entries(a: dict, b: dict, d: int) -> dict:
     """Kronecker product of {(row, col): entry} dicts, d the dimension of b."""
     return {(r1 * d + r2, c1 * d + c2): v * w for (r1, c1), v in a.items()
@@ -126,15 +134,6 @@ class ParametricMatrix:
         if other.domain is not self.domain and other.domain != self.domain:
             raise ScalarDomainError("cannot mix parameter scalars across domains")
 
-    def __add__(self, other):
-        if not isinstance(other, ParametricMatrix):
-            return NotImplemented
-        self._check_shape(other)
-        out = self.copy()
-        for k, v in other.entries.items():
-            accumulate(out.entries, k, v)
-        return out
-
     def scaled(self, v) -> "ParametricMatrix":
         v = as_param_scalar(v, self.domain)
         return self.map_entries(lambda w: v * w)
@@ -162,6 +161,17 @@ class ParametricMatrix:
                 domain = w.domain
         out = ParametricMatrix(self.dim, domain)
         out.entries = mapped
+        return out
+
+    def blocks(self) -> dict:
+        """The mu-blocks {e: {(row, col): Scalar}} of R(mu) = sum_e mu^e
+        blocks[e]; the matrix must not involve nu."""
+        out = {}
+        for key, v in self.entries.items():
+            for (e_mu, e_nu), c in v.terms.items():
+                if e_nu:
+                    raise ValueError("input matrix must depend on mu only")
+                out.setdefault(e_mu, {})[key] = c
         return out
 
     def at_one(self) -> "ParametricMatrix":

@@ -34,9 +34,11 @@ the tokens, then walks the ``ast.parse`` tree and refuses any node outside it):
     atom    := integer | 'q' | 's' | 'mu' | 'nu' | '(' expr ')'
 
 ``q`` denotes the domain's deformation parameter (s^2 in sqrt_q), ``s`` is
-only legal in sqrt_q.  Division is exact; a divisor may not involve mu or
-nu.  Emission is canonical: polynomials are expanded, exponents ascend,
-denominators are monic, so emit -> parse -> emit is the identity.
+only legal in sqrt_q.  Division is exact; a divisor involving mu or nu
+must be one Laurent monomial c*mu^a*nu^b (``1/mu`` is ``mu^-1``, while
+``1/(1+mu)`` raises ScalarDomainError).  Emission is canonical: polynomials
+are expanded, exponents ascend, denominators are monic, so emit -> parse ->
+emit is the identity.
 """
 
 from __future__ import annotations
@@ -597,10 +599,6 @@ class ParamScalar:
         return ParamScalar(x.domain, {(0, 0): x})
 
     @staticmethod
-    def monomial(x: Scalar, e_mu: int = 0, e_nu: int = 0) -> "ParamScalar":
-        return ParamScalar(x.domain, {(e_mu, e_nu): x})
-
-    @staticmethod
     def mu(domain: Domain, power: int = 1) -> "ParamScalar":
         return ParamScalar(domain, {(power, 0): domain.one()})
 
@@ -716,11 +714,6 @@ class ParamScalar:
         for v in self.terms.values():
             out = out + v
         return out
-
-    def mu_component(self, power: int) -> "ParamScalar":
-        """Terms whose mu-exponent equals `power` (nu untouched)."""
-        return ParamScalar(self.domain,
-                           {k: v for k, v in self.terms.items() if k[0] == power})
 
     def map_scalars(self, fn) -> "ParamScalar":
         """Apply fn to every coefficient (fn may change the scalar domain)."""

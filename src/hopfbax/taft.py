@@ -34,7 +34,8 @@ from .algebra import Algebra, TensorElement
 from .baxterize import baxterize, decompose_graded, mu_components
 from .double import DoubleAlgebra, canonical_r, double_grading
 from .hopf import Grading, HopfAlgebra
-from .matrices import ParametricMatrix, kron_entries, matmul_entries
+from .matrices import ParametricMatrix, kron_entries, matmul_entries, \
+    matrix_powers
 from .scalars import (Scalar, ScalarDomainError, accumulate, cyclotomic,
                       gauss_binomial, laurent_by_key, q_bracket,
                       q_bracket_factorial)
@@ -243,10 +244,8 @@ def _module(double: DoubleAlgebra, q: Scalar, name: str, a_exponents,
     a_mat = {(k, k): q ** e for k, e in enumerate(a_exponents)}
     x_mat = {k: v for k, v in x_entries.items() if not v.is_zero()}
     ident = {(k, k): q.domain.one() for k in range(n)}
-    pow_a, pow_x = [ident], [ident]
-    for _ in range(_taft_order(h) - 1):
-        pow_a.append(matmul_entries(pow_a[-1], a_mat))
-        pow_x.append(matmul_entries(pow_x[-1], x_mat))
+    pow_a, pow_x = (matrix_powers(m, _taft_order(h) - 1, ident)
+                    for m in (a_mat, x_mat))
     rep = Representation(
         double, n, {(i, j): matmul_entries(pow_a[i], pow_x[j])
                     for (i, j) in h.algebra.labels},

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import ParametricMatrix, matmul_entries
-from .scalars import SQRT_Q, ParamScalar, Scalar, accumulate, q_number, \
+from .matrices import ParametricMatrix, kron_entries, matmul_entries, \
+    matrix_powers
+from .scalars import SQRT_Q, Scalar, accumulate, laurent_by_key, q_number, \
     q_number_factorial
 
-
-def _r_squared() -> Scalar:
-    q = SQRT_Q.q()
-    return q + q.inverse()
+_R_SQUARED = SQRT_Q.q() + SQRT_Q.q().inverse()
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,7 @@ class SqrtExt:
         return SqrtExt(-self.a, -self.b)
 
     def __mul__(self, o: "SqrtExt") -> "SqrtExt":
-        rr = _r_squared()
-        return SqrtExt(self.a * o.a + self.b * o.b * rr,
+        return SqrtExt(self.a * o.a + self.b * o.b * _R_SQUARED,
                        self.a * o.b + self.b * o.a)
 
     def is_zero(self) -> bool:
@@ -66,6 +63,10 @@ class SqrtExt:
         if not self.b.is_zero():
             raise ValueError(f"residual sqrt(q+1/q) term: {self.b}")
         return self.a
+
+
+def _identity(d: int) -> dict:
+    return {(k, k): SqrtExt.of(SQRT_Q.one()) for k in range(d)}
 
 
 class WeightedRep:
@@ -95,15 +96,9 @@ class WeightedRep:
         if comm != want:
             raise ValueError(
                 f"{self.name}: [e,f] != (q^h - q^-h)/(q - q^-1)")
-        if self.power(self.e, self.dim) or self.power(self.f, self.dim):
+        ident = _identity(self.dim)
+        if any(matrix_powers(m, self.dim, ident)[-1] for m in (self.e, self.f)):
             raise ValueError(f"{self.name}: e, f are not nilpotent of order dim")
-
-    @staticmethod
-    def power(m: dict, n: int) -> dict:
-        out = None
-        for _ in range(n):
-            out = dict(m) if out is None else matmul_entries(out, m)
-        return {} if out is None else out
 
 
 def spin_half() -> WeightedRep:
@@ -119,7 +114,7 @@ def spin_one() -> WeightedRep:
 
 
 def r_matrix_terms(rep: WeightedRep) -> dict:
-    """Constant matrices {n: image of the degree-n series term}.
+    """The series terms as {n: {(row, col): Scalar}}, the mu^n blocks.
 
     Term n is c_n q^{(h (x) h)/2} (e^n (x) f^n) with
     c_n = q^{n(n+1)/2} (1-q^{-2})^n / [n]_q!; terms with e^n = 0 vanish.
@@ -127,34 +122,26 @@ def r_matrix_terms(rep: WeightedRep) -> dict:
     s = SQRT_Q.s()
     q = s * s
     one = SQRT_Q.one()
+    d, w = rep.dim, rep.weights
+    ident = _identity(d)
     out = {}
-    e_pow = {(k, k): SqrtExt.of(one) for k in range(rep.dim)}
-    f_pow = dict(e_pow)
-    for n in range(rep.dim):
-        if n:
-            e_pow = matmul_entries(e_pow, rep.e)
-            f_pow = matmul_entries(f_pow, rep.f)
-            if not e_pow:
-                break
+    for n, (e_n, f_n) in enumerate(zip(matrix_powers(rep.e, d - 1, ident),
+                                       matrix_powers(rep.f, d - 1, ident))):
+        if not e_n:
+            break
         c_n = (q ** (n * (n + 1) // 2)
                * (one - q ** -2) ** n
                / q_number_factorial(n, q))
-        term = ParametricMatrix(rep.dim ** 2, SQRT_Q)
-        for (r1, c1), ve in e_pow.items():
-            for (r2, c2), vf in f_pow.items():
-                v = (ve * vf).even_part()
-                # the diagonal q^{(h (x) h)/2} acts on the output vector
-                v = v * s ** (rep.weights[r1] * rep.weights[r2]) * c_n
-                term.set(rep.dim * r1 + r2, rep.dim * c1 + c2, v)
-        out[n] = term
+        # the diagonal q^{(h (x) h)/2} acts on the output vector
+        out[n] = {(r, c): v.even_part() * s ** (w[r // d] * w[r % d]) * c_n
+                  for (r, c), v in kron_entries(e_n, f_n, d).items()}
     return out
 
 
 def uqsl2_r_matrix(rep: WeightedRep, parametric: bool = True) -> ParametricMatrix:
     """The (dim^2 x dim^2) R-matrix of the module, mu-weighted if asked."""
-    out = ParametricMatrix(rep.dim ** 2, SQRT_Q)
+    entries = {}
     for n, term in r_matrix_terms(rep).items():
-        if parametric and n:
-            term = term.scaled(ParamScalar.monomial(SQRT_Q.one(), n, 0))
-        out = out + term
-    return out
+        for k, c in term.items():
+            accumulate(entries, (k, n if parametric else 0, 0), c)
+    return ParametricMatrix(rep.dim ** 2, SQRT_Q, laurent_by_key(entries))

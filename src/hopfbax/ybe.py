@@ -190,14 +190,13 @@ def _matrix_report(kind, r: ParametricMatrix) -> YbeReport:
                   {(k, k): one for k in range(d)},   # E_ac E_be = [c = b] E_ae
                   lambda x, y: {(x[0], y[1]): one} if x[1] == y[0] else {})
     blocks = {}
-    for (row, col), v in r.entries.items():
-        (a, b), (c, e) = divmod(row, d), divmod(col, d)
-        if kind == "braid":
-            a, b = b, a
-        for (e_mu, e_nu), s in v.terms.items():
-            if e_nu:
-                raise ValueError("input matrix must depend on mu only")
-            blocks.setdefault(e_mu, {})[a * d + c, b * d + e] = s
+    for e_mu, block in r.blocks().items():
+        out = blocks[e_mu] = {}
+        for (row, col), s in block.items():
+            (a, b), (c, e) = divmod(row, d), divmod(col, d)
+            if kind == "braid":
+                a, b = b, a
+            out[a * d + c, b * d + e] = s
     if kind == "braid":
         b = {(e, 0): t for e, t in blocks.items()}
         res = residual(alg, [(b, (0, 1)), (b, (1, 2))], ((0, 1, 0), (1, 0, 1)))

@@ -76,7 +76,7 @@ def param_scalars(base=None, domain=SQRT_Q):
     def build(items):
         acc = ParamScalar(domain)
         for (emu, enu), coeff in items:
-            acc = acc + ParamScalar.monomial(coeff, emu, enu)
+            acc = acc + ParamScalar(coeff.domain, {(emu, enu): coeff})
         return acc
 
     exponents = st.tuples(st.integers(min_value=-3, max_value=3),

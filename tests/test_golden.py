@@ -7,6 +7,11 @@ the V_{3,1} family, the LaTeX of the spin-1 family (fractions in s) and a
 constant JSON verify.  The verify cases read the frozen JSON of the
 V_{3,1} family, so they need no temporary file.
 
+The JSON of the spin-3/2 and spin-2 U_q[sl(2)] families, parametric and
+constant, is frozen there too, as uqsl2_spin<2j>_2_<kind>.json: the
+spin-1/2 and spin-1 entries are pinned elsewhere, and these catch an
+index slip in the series terms at dimension 4 and up.
+
 Regenerate the files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,7 +24,10 @@ import sys
 
 import pytest
 
+from hopfbax import uqsl2_r_matrix
 from hopfbax.cli import main
+
+from spins import spin_rep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 _R_JSON = "{golden}/taft_rep31_json.out"
@@ -64,10 +72,27 @@ def test_cli_output_is_frozen(name):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+SPINS = {f"uqsl2_spin{two_j}_2_{kind}.json": (two_j, kind == "parametric")
+         for two_j in (3, 4) for kind in ("parametric", "constant")}
+
+
+def _spin_json(name):
+    two_j, parametric = SPINS[name]
+    return uqsl2_r_matrix(spin_rep(two_j), parametric=parametric).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(SPINS))
+def test_larger_spin_families_are_frozen(name):
+    assert _spin_json(name) == (GOLDEN / name).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     # the verify cases read taft_rep31_json.out, so it is written first
     for name in sorted(CASES, key=lambda n: n != "taft_rep31_json"):
         for suffix, text in zip(("out", "err", "exit"), _run(CASES[name])):
             (GOLDEN / f"{name}.{suffix}").write_text(text)
+        print(name, file=sys.stderr)
+    for name in SPINS:
+        (GOLDEN / name).write_text(_spin_json(name))
         print(name, file=sys.stderr)

@@ -69,9 +69,9 @@ def test_gauss_binomial_q_binomial_theorem():
         prod = ParamScalar.constant(SQRT_Q.one())
         for k in range(n):
             prod = prod * (ParamScalar.constant(SQRT_Q.one())
-                           + ParamScalar.monomial(Q ** k, 1, 0))
+                           + ParamScalar(SQRT_Q, {(1, 0): Q ** k}))
         for m in range(n + 1):
-            coeff = prod.mu_component(m).at_one()
+            coeff = prod.terms[(m, 0)]
             assert coeff == Q ** (m * (m - 1) // 2) * gauss_binomial(n, m, Q)
 
 
@@ -171,6 +171,13 @@ def test_parsed_division_by_zero_says_so():
         parse_scalar("1/0", RATIONAL)
 
 
+def test_parsed_divisor_in_mu_must_be_a_monomial():
+    assert parse_param_scalar("1/mu", SQRT_Q) == ParamScalar.mu(SQRT_Q, -1)
+    assert str(parse_param_scalar("1/mu", SQRT_Q)) == "mu^-1"
+    with pytest.raises(ScalarDomainError, match="single Laurent monomial"):
+        parse_param_scalar("1/(1+mu)", SQRT_Q)
+
+
 _DOMAINS = (RATIONAL, SQRT_Q, cyclotomic(3), cyclotomic(4))
 _numbers = st.integers(min_value=-50, max_value=50) | st.fractions(
     min_value=-50, max_value=50, max_denominator=20)
@@ -259,7 +266,7 @@ def test_param_scalar_components_and_at_one():
     nu = ParamScalar.nu(SQRT_Q)
     x = mu ** 2 * ParamScalar.constant(Q) + nu - ParamScalar.constant(SQRT_Q.one())
     assert x.uses_parameters()
-    assert x.mu_component(2) == mu ** 2 * ParamScalar.constant(Q)
+    assert {k: v for k, v in x.terms.items() if k[0] == 2} == {(2, 0): Q}
     assert x.at_one() == Q - SQRT_Q.one() + SQRT_Q.one()
     assert not ParamScalar.constant(Q).uses_parameters()
     assert ParamScalar.constant(Q).as_scalar() == Q

@@ -1,9 +1,12 @@
-"""Checks on the package, script and test sources and on the README's Python
-example."""
+"""Checks on the package, script and test sources, on the README's Python
+example and on the package names the benchmark's tracer wraps."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from hopfbax import check_parametric_ybe
 
@@ -39,3 +42,14 @@ def test_readme_python_api_block_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert check_parametric_ybe(namespace["r"]).passed
+
+
+def test_perfbench_trace_targets_exist():
+    # perfbench/tracer.py looks its targets up by name, so a deleted or
+    # renamed one would break every traced benchmark run
+    path = os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

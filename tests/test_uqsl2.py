@@ -2,6 +2,7 @@ import pytest
 
 from hopfbax import (
     SQRT_Q,
+    Scalar,
     SqrtExt,
     WeightedRep,
     braid_check,
@@ -13,6 +14,8 @@ from hopfbax import (
     spin_one,
     uqsl2_r_matrix,
 )
+from hopfbax.matrices import matmul_entries, matrix_powers
+from hopfbax.scalars import accumulate
 
 ONE = SQRT_Q.one()
 Q = SQRT_Q.q()
@@ -87,7 +90,6 @@ def test_weighted_rep_rejects_non_nilpotent():
 def test_ef_commutator_value_spin_half():
     h = spin_half()
     comm = {}
-    from hopfbax.matrices import matmul_entries
     for k, v in matmul_entries(h.e, h.f).items():
         comm[k] = v
     for k, v in matmul_entries(h.f, h.e).items():
@@ -100,9 +102,20 @@ def test_ef_commutator_value_spin_half():
 # R-matrices
 # ---------------------------------------------------------------------------
 
+def test_matrix_powers_start_from_the_matrix():
+    e = spin_one().e
+    ident = {"never": "multiplied"}
+    pows = matrix_powers(e, 3, ident)
+    assert pows[0] is ident and pows[1] is e
+    assert pows[2] == matmul_entries(e, e) and pows[2] and not pows[3]
+    assert matrix_powers(e, 0, ident) == [ident]
+
+
 def test_series_terminates_with_nilpotency():
     assert sorted(r_matrix_terms(spin_half())) == [0, 1]
-    assert sorted(r_matrix_terms(spin_one())) == [0, 1, 2]
+    terms = r_matrix_terms(spin_one())
+    assert sorted(terms) == [0, 1, 2]
+    assert all(isinstance(c, Scalar) for t in terms.values() for c in t.values())
 
 
 def test_spin_half_entries(r_half):
@@ -158,8 +171,8 @@ def test_parametric_specializes_to_constant():
         const = uqsl2_r_matrix(rep, parametric=False)
         assert para.at_one() == const
         assert para != const
-        terms = r_matrix_terms(rep)
-        acc = None
-        for t in terms.values():
-            acc = t if acc is None else acc + t
-        assert acc == const
+        total = {}
+        for term in r_matrix_terms(rep).values():
+            for k, c in term.items():
+                accumulate(total, k, c)
+        assert const.blocks() == {0: total}

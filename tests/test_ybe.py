@@ -9,8 +9,6 @@ from hopfbax import (
     ParametricMatrix,
     SQRT_Q,
     ScalarDomainError,
-    SqrtExt,
-    WeightedRep,
     YbeReport,
     braid_check,
     build_double,
@@ -21,7 +19,6 @@ from hopfbax import (
     embed_two_site,
     find_diagonal_gauge,
     parse_param_scalar,
-    q_number,
     rep_indecomposable,
     rep_irreducible,
     spin_half,
@@ -34,6 +31,8 @@ from hopfbax.regressions import reference_taft_9x9
 from hopfbax.scalars import accumulate, proportionality_ratio
 from hopfbax.ybe import cell, residual, residual_report, ybe_residual
 
+from spins import spin_rep
+
 
 def _flip(d, domain):
     """The swap P(u (x) v) = v (x) u on V (x) V."""
@@ -44,7 +43,10 @@ def _flip(d, domain):
 
 def _minus(a, b):
     """a - b for ParametricMatrix a and b."""
-    return a + b.scaled(-1)
+    out = a.copy()
+    for k, v in b.entries.items():
+        accumulate(out.entries, k, -v)
+    return out
 
 
 def _worst_matrix_entry(residual):
@@ -86,12 +88,10 @@ def test_flip_operator_squares_to_identity():
 def test_matrix_sums_need_equal_dimensions_and_domains():
     i2, i3 = (ParametricMatrix.identity(d, SQRT_Q) for d in (2, 3))
     for a, b in ((i3, i2), (i2, i3)):
-        for op in (a.__add__, a.__matmul__):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                op(b)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a @ b
     with pytest.raises(ScalarDomainError):
-        i2 + ParametricMatrix.identity(2, cyclotomic(3))
-    assert i3 + i3 == i3.scaled(2)
+        i2 @ ParametricMatrix.identity(2, cyclotomic(3))
 
 
 def test_matrix_entries_keep_the_matrix_domain():
@@ -139,7 +139,7 @@ def test_report_counts_match_manual_residual(r_half):
 def test_parametric_rejects_nu_dependence():
     m = ParametricMatrix.identity(4, SQRT_Q)
     m.set(0, 0, ParamScalar.nu(SQRT_Q))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must depend on mu only"):
         check_parametric_ybe(m)
 
 
@@ -183,17 +183,6 @@ def _reference_three_slot(kind, r) -> YbeReport:
                      worst=_worst_matrix_entry(residual))
 
 
-def _spin_rep(two_j):
-    """Spin j = two_j/2 in the gauge e_{i-1,i} = [i][d-i], f_{i,i-1} = 1."""
-    d = two_j + 1
-    q = SQRT_Q.q()
-    e = {(i - 1, i): SqrtExt.of(q_number(i, q) * q_number(d - i, q))
-         for i in range(1, d)}
-    f = {(i, i - 1): SqrtExt.of(SQRT_Q.one()) for i in range(1, d)}
-    return WeightedRep(f"spin-{two_j}/2",
-                       tuple(d - 1 - 2 * i for i in range(d)), e, f)
-
-
 def _doubled_entries(m):
     for key in sorted(m.entries):
         bad = m.copy()
@@ -202,7 +191,7 @@ def _doubled_entries(m):
 
 
 def _reference_inputs():
-    spins = [spin_half(), spin_one(), _spin_rep(3), _spin_rep(4)]
+    spins = [spin_half(), spin_one(), spin_rep(3), spin_rep(4)]
     yield from (uqsl2_r_matrix(rep, parametric=True) for rep in spins)
     doubles = {n: build_double(build_taft(n)) for n in (2, 3, 4)}
     for n, d in doubles.items():
