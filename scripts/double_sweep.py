@@ -18,9 +18,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hopfbax import baxterize, build_double, build_taft, canonical_r, \
-    check_constant_ybe_algebraic, check_parametric_ybe_algebraic, \
-    decompose_graded, double_grading, x_degree_grading
+from hopfbax import build_double, build_taft, canonical_r, \
+    check_constant_ybe_algebraic, check_parametric_ybe_algebraic
+from hopfbax.taft import canonical_r_mu
 
 
 def _peak_rss_mb() -> float:
@@ -38,11 +38,10 @@ def main() -> int:
     for N in args.orders:
         d = build_double(build_taft(N))
         r = canonical_r(d).tensor()
-        grading = double_grading(d, x_degree_grading(d.h))
         checks = (
             ("constant", lambda: check_constant_ybe_algebraic(d, r)),
             ("parametric", lambda: check_parametric_ybe_algebraic(
-                d, baxterize(decompose_graded(r, grading, grading)))),
+                d, canonical_r_mu(d))),
         )
         for kind, check in checks:
             t0 = time.perf_counter()

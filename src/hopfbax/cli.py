@@ -27,8 +27,8 @@ from .double import build_double, canonical_r, check_constant_ybe_algebraic, \
 from .hopf import check_coproduct_grading, check_grading, check_hopf_axioms
 from .matrices import ParametricMatrix
 from .scalars import cyclotomic, laurent_by_key, parse_scalar
-from .taft import build_taft, rep_indecomposable, rep_irreducible, \
-    taft_r_matrix, x_degree_grading
+from .taft import build_taft, canonical_r_mu, rep_indecomposable, \
+    rep_irreducible, taft_r_matrix, x_degree_grading
 from .uqsl2 import spin_half, spin_one, uqsl2_r_matrix
 from .ybe import braid_check, check_constant_ybe, check_parametric_ybe
 
@@ -160,9 +160,8 @@ def run_double(args) -> int:
     r = canonical_r(d).tensor()
     status = _report_out(check_constant_ybe_algebraic(d, r), args)
     if args.parametric:
-        grading = double_grading(d, x_degree_grading(d.h))
-        r_mu = baxterize(decompose_graded(r, grading, grading))
-        status |= _report_out(check_parametric_ybe_algebraic(d, r_mu), args)
+        status |= _report_out(
+            check_parametric_ybe_algebraic(d, canonical_r_mu(d)), args)
     return status
 
 

@@ -80,7 +80,6 @@ class DoubleAlgebra:
         self.algebra = Algebra(f"D({halg.name})", halg.domain, labels,
                                unit_terms, self._pair_product, label_str=label_str)
         self._cross = {}     # h label -> {dual label -> {pair: Scalar}}
-        self._r_mu = None    # canonical R Baxterized by x-degree (taft.py)
 
     @property
     def domain(self):

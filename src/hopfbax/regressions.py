@@ -20,15 +20,15 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .algebra import TensorElement
-from .baxterize import baxterize, decompose_graded
+from .baxterize import baxterize_zn, decompose_graded
 from .double import build_double, canonical_r, check_constant_ybe_algebraic, \
     double_grading
 from .hopf import HopfAlgebra, check_coproduct_grading, check_grading, \
     check_hopf_axioms, dual, dual_grading
 from .matrices import ParametricMatrix, find_diagonal_gauge
 from .scalars import SQRT_Q, cyclotomic, eval_q_powers, parse_param_scalar
-from .taft import a_degree_grading, build_taft, rep_irreducible, \
-    taft_r_matrix, x_degree_grading
+from .taft import a_degree_grading, build_taft, canonical_r_mu, \
+    rep_irreducible, taft_r_matrix, x_degree_grading
 from .uqsl2 import r_matrix_terms, spin_half, spin_one, uqsl2_r_matrix
 from .ybe import check_constant_ybe, check_parametric_ybe
 
@@ -279,13 +279,11 @@ def criterion_9() -> RegressionResult:
 
 
 def criterion_10() -> RegressionResult:
-    from .baxterize import baxterize_zn
     d = _doubles()[3]
-    grading = double_grading(d, x_degree_grading(d.h))
-    r = canonical_r(d).tensor()
-    flat = baxterize(decompose_graded(r, grading, grading))
-    lifted = grading.lift_zn(lambda j: (j, 0))
-    g2 = decompose_graded(r, lifted, lifted)
+    flat = canonical_r_mu(d)
+    lifted = double_grading(d, x_degree_grading(d.h)).lift_zn(
+        lambda j: (j, 0))
+    g2 = decompose_graded(canonical_r(d).tensor(), lifted, lifted)
     ok = (baxterize_zn(g2, (1, 1)) == flat
           and baxterize_zn(g2, lambda p: p[0] + p[1]) == flat)
     return RegressionResult(10, "Z^2-lifted Baxterization with coordinate-sum "

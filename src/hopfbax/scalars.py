@@ -606,11 +606,6 @@ class ParamScalar:
     def nu(domain: Domain, power: int = 1) -> "ParamScalar":
         return ParamScalar(domain, {(0, power): domain.one()})
 
-    def _same_domain(self, other):
-        """Raise unless other (a Scalar or ParamScalar) shares the domain."""
-        if other.domain is not self.domain and other.domain != self.domain:
-            raise ScalarDomainError("cannot mix scalars across domains")
-
     def _coerce(self, other):
         if isinstance(other, (ParamScalar, Scalar, int, Fraction)):
             return as_param_scalar(other, self.domain)
@@ -655,11 +650,6 @@ class ParamScalar:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            # scale each coefficient in place of a constant ParamScalar
-            self._same_domain(other)
-            return ParamScalar(self.domain,
-                               {k: v * other for k, v in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -28,6 +28,7 @@ Index conventions for the modules (documented choices):
 
 from __future__ import annotations
 
+import weakref
 from itertools import product as iproduct
 
 from .algebra import Algebra, TensorElement
@@ -321,24 +322,35 @@ def _taft_q(h: HopfAlgebra) -> Scalar:
 # R-matrices through the canonical element
 # ---------------------------------------------------------------------------
 
+# R(mu) per double as index terms: a TensorElement would keep its double alive
+_R_MU_TERMS = weakref.WeakKeyDictionary()
+
+
+def canonical_r_mu(double: DoubleAlgebra) -> dict:
+    """R(mu) of the double: its canonical R, decomposed along the x-degree
+    grading and Baxterized with mu^j weights; computed once per double."""
+    terms = _R_MU_TERMS.get(double)
+    if terms is None:
+        grading = double_grading(double, x_degree_grading(double.h))
+        family = baxterize(decompose_graded(canonical_r(double).tensor(),
+                                            grading, grading))
+        terms = _R_MU_TERMS[double] = {e: t.terms for e, t in family.items()}
+    algebras = (double.algebra, double.algebra)
+    return {e: TensorElement(algebras, t) for e, t in terms.items()}
+
+
 def taft_r_matrix(rep: Representation, parametric: bool = True,
                   normalize: bool = True) -> ParametricMatrix:
     """Image of the (Baxterized) canonical R of D(T_N) on V (x) V.
 
-    The canonical element is decomposed along the x-degree grading of the
-    double and Baxterized with mu^j weights, once per double (the family is
-    kept on it), then pushed through the module.
+    R(mu) is ``canonical_r_mu`` of the double, pushed through the module.
     With normalize=True the result is rescaled by the inverse of its
     top-left entry (a unit scalar), which is the display normalization of
     the known closed forms; normalize=False returns the raw sum, which is
     what evaluating the un-Baxterized canonical element gives at mu = 1.
     """
     double = rep.double
-    if parametric and double._r_mu is None:
-        grading = double_grading(double, x_degree_grading(double.h))
-        double._r_mu = baxterize(decompose_graded(
-            canonical_r(double).tensor(), grading, grading))
-    mat = rep.tensor_image(double._r_mu if parametric
+    mat = rep.tensor_image(canonical_r_mu(double) if parametric
                            else canonical_r(double).tensor())
     if normalize:
         top = mat.get(0, 0)

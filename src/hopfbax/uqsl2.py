@@ -10,63 +10,27 @@ nilpotent, the series terminates, and the term e^n (x) f^n is homogeneous
 of degree n for the grading by e-power, so weighting term n with mu^n
 yields a multiplicative-parameter family.
 
-Everything is computed over Q(s) with s^2 = q.  The spin-1 module needs
-sqrt(q + q^{-1}) on e and f; that lives in the quadratic extension
-SqrtExt and provably cancels (entries of e^n (x) f^n carry r^{2n}), which
-the builder asserts before emitting plain Q(s) matrices.
+Everything is computed over Q(s) with s^2 = q.  Both modules are given
+in a gauge with Q(s) entries: spin-1 takes e = [2]_q E and f = F, where E
+and F have 1 on every link of the weight ladder.  The usual symmetric
+choice puts sqrt([2]_q) on both, and either way e^n (x) f^n =
+[2]_q^n E^n (x) F^n, so the R-matrix is the same.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .matrices import ParametricMatrix, kron_entries, matmul_entries, \
     matrix_powers
 from .scalars import SQRT_Q, Scalar, accumulate, laurent_by_key, q_number, \
     q_number_factorial
 
-_R_SQUARED = SQRT_Q.q() + SQRT_Q.q().inverse()
 
-
-@dataclass(frozen=True)
 class SqrtExt:
-    """a + b r with r^2 = q + q^{-1}, coefficients in Q(s)."""
-    a: Scalar
-    b: Scalar
+    """Kept for callers of ``SqrtExt.of``; module entries are Q(s) Scalars."""
 
     @staticmethod
-    def of(a: Scalar) -> "SqrtExt":
-        return SqrtExt(a, SQRT_Q.zero())
-
-    @staticmethod
-    def root() -> "SqrtExt":
-        return SqrtExt(SQRT_Q.zero(), SQRT_Q.one())
-
-    def __add__(self, o: "SqrtExt") -> "SqrtExt":
-        return SqrtExt(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "SqrtExt") -> "SqrtExt":
-        return SqrtExt(self.a - o.a, self.b - o.b)
-
-    def __neg__(self) -> "SqrtExt":
-        return SqrtExt(-self.a, -self.b)
-
-    def __mul__(self, o: "SqrtExt") -> "SqrtExt":
-        return SqrtExt(self.a * o.a + self.b * o.b * _R_SQUARED,
-                       self.a * o.b + self.b * o.a)
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def even_part(self) -> Scalar:
-        """The element as a Q(s) scalar; fails if an odd r-power survives."""
-        if not self.b.is_zero():
-            raise ValueError(f"residual sqrt(q+1/q) term: {self.b}")
-        return self.a
-
-
-def _identity(d: int) -> dict:
-    return {(k, k): SqrtExt.of(SQRT_Q.one()) for k in range(d)}
+    def of(a: Scalar) -> Scalar:
+        return a
 
 
 class WeightedRep:
@@ -87,30 +51,32 @@ class WeightedRep:
         for (r, c) in self.f:
             if self.weights[r] - self.weights[c] != -2:
                 raise ValueError(f"{self.name}: [h,f] = -2f fails at {(r, c)}")
-        q = SQRT_Q.q()
         comm = matmul_entries(self.e, self.f)
         for k, v in matmul_entries(self.f, self.e).items():
             accumulate(comm, k, -v)
-        want = {(k, k): SqrtExt.of(q_number(w, q))
+        want = {(k, k): q_number(w, SQRT_Q.q())
                 for k, w in enumerate(self.weights) if w != 0}
         if comm != want:
             raise ValueError(
                 f"{self.name}: [e,f] != (q^h - q^-h)/(q - q^-1)")
-        ident = _identity(self.dim)
-        if any(matrix_powers(m, self.dim, ident)[-1] for m in (self.e, self.f)):
+        # [1, m, ..., m^dim]; the series terms read the first dim of them
+        ident = {(k, k): SQRT_Q.one() for k in range(self.dim)}
+        self.e_powers, self.f_powers = (matrix_powers(m, self.dim, ident)
+                                        for m in (self.e, self.f))
+        if self.e_powers[-1] or self.f_powers[-1]:
             raise ValueError(f"{self.name}: e, f are not nilpotent of order dim")
 
 
 def spin_half() -> WeightedRep:
-    one = SqrtExt.of(SQRT_Q.one())
+    one = SQRT_Q.one()
     return WeightedRep("spin-1/2", (1, -1), {(0, 1): one}, {(1, 0): one})
 
 
 def spin_one() -> WeightedRep:
-    r = SqrtExt.root()
-    return WeightedRep("spin-1", (2, 0, -2),
-                       {(0, 1): r, (1, 2): r},
-                       {(1, 0): r, (2, 1): r})
+    """The ladder e = [2]_q on both links, f = 1 (see the module note)."""
+    one, two = SQRT_Q.one(), q_number(2, SQRT_Q.q())
+    return WeightedRep("spin-1", (2, 0, -2), {(0, 1): two, (1, 2): two},
+                       {(1, 0): one, (2, 1): one})
 
 
 def r_matrix_terms(rep: WeightedRep) -> dict:
@@ -123,17 +89,14 @@ def r_matrix_terms(rep: WeightedRep) -> dict:
     q = s * s
     one = SQRT_Q.one()
     d, w = rep.dim, rep.weights
-    ident = _identity(d)
     out = {}
-    for n, (e_n, f_n) in enumerate(zip(matrix_powers(rep.e, d - 1, ident),
-                                       matrix_powers(rep.f, d - 1, ident))):
+    for n, (e_n, f_n) in enumerate(zip(rep.e_powers[:d], rep.f_powers[:d])):
         if not e_n:
             break
-        c_n = (q ** (n * (n + 1) // 2)
-               * (one - q ** -2) ** n
+        c_n = (q ** (n * (n + 1) // 2) * (one - q ** -2) ** n
                / q_number_factorial(n, q))
         # the diagonal q^{(h (x) h)/2} acts on the output vector
-        out[n] = {(r, c): v.even_part() * s ** (w[r // d] * w[r % d]) * c_n
+        out[n] = {(r, c): v * s ** (w[r // d] * w[r % d]) * c_n
                   for (r, c), v in kron_entries(e_n, f_n, d).items()}
     return out
 

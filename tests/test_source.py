@@ -53,3 +53,27 @@ def test_perfbench_trace_targets_exist():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+_WORKLOADS_SCRIPT = """
+import random, sys
+import workloads
+for name, build in workloads.BUILDERS.items():
+    build(random.Random(3), False, sys.argv[1])
+    verdicts = build(random.Random(3), True, sys.argv[1])
+    assert verdicts, name
+    for v in verdicts:
+        passed, witness = v.run()
+        assert passed == v.expect and (v.expect or witness), (name, v.name)
+"""
+
+
+def test_perfbench_workloads_build_and_smoke_verdicts_hold(tmp_path):
+    # the full set-ups reach every package name the workloads call, and the
+    # smoke verdicts must give their known answers
+    path = os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKLOADS_SCRIPT, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

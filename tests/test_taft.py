@@ -320,3 +320,14 @@ def test_normalization_failure_is_loud(double3):
 
     with pytest.raises(RepresentationError):
         taft_r_matrix(Fake(), parametric=True, normalize=True)
+
+
+def test_r_matrix_family_cache_does_not_keep_the_double_alive():
+    import gc
+    import weakref
+    d = build_double(build_taft(2))
+    taft_r_matrix(rep_irreducible(d, 2, 1))
+    gone = weakref.ref(d)
+    del d
+    gc.collect()
+    assert gone() is None

@@ -3,7 +3,6 @@ import pytest
 from hopfbax import (
     SQRT_Q,
     Scalar,
-    SqrtExt,
     WeightedRep,
     braid_check,
     check_constant_ybe,
@@ -19,37 +18,6 @@ from hopfbax.scalars import accumulate
 
 ONE = SQRT_Q.one()
 Q = SQRT_Q.q()
-S = SQRT_Q.s()
-
-
-# ---------------------------------------------------------------------------
-# the quadratic extension carrying sqrt(q + 1/q)
-# ---------------------------------------------------------------------------
-
-def test_sqrt_ext_square_is_q_plus_qinv():
-    r = SqrtExt.root()
-    sq = r * r
-    assert sq.b.is_zero()
-    assert sq.a == Q + Q ** -1
-    assert sq.even_part() == Q + Q ** -1
-
-
-def test_sqrt_ext_arithmetic():
-    r = SqrtExt.root()
-    x = SqrtExt.of(Q) + r
-    y = SqrtExt.of(ONE) - r
-    prod = x * y
-    # (q + r)(1 - r) = q - (q + 1/q) + (1 - q) r
-    assert prod.a == Q - (Q + Q ** -1)
-    assert prod.b == ONE - Q
-    assert (x - x).is_zero()
-    assert (-r + r).is_zero()
-
-
-def test_sqrt_ext_even_part_guards():
-    with pytest.raises(ValueError):
-        SqrtExt.root().even_part()
-    assert SqrtExt.of(S).even_part() == S
 
 
 # ---------------------------------------------------------------------------
@@ -64,38 +32,50 @@ def test_spin_modules_validate():
 
 
 def test_weighted_rep_rejects_bad_weight_ladder():
-    one = SqrtExt.of(ONE)
     with pytest.raises(ValueError):
         # weights differ by 4, not 2, across the raising link
-        WeightedRep("bad", (3, -1), {(0, 1): one}, {(1, 0): one})
+        WeightedRep("bad", (3, -1), {(0, 1): ONE}, {(1, 0): ONE})
 
 
 def test_weighted_rep_rejects_wrong_ef_commutator():
-    one = SqrtExt.of(ONE)
-    # spin-1 shape but without the sqrt(q + 1/q) normalization:
+    # spin-1 shape but with 1 in place of [2]_q on e:
     # [e, f] then equals diag(1, 0, -1) instead of diag([2]_q, 0, -[2]_q)
     with pytest.raises(ValueError):
         WeightedRep("unnormalized", (2, 0, -2),
-                    {(0, 1): one, (1, 2): one},
-                    {(1, 0): one, (2, 1): one})
+                    {(0, 1): ONE, (1, 2): ONE},
+                    {(1, 0): ONE, (2, 1): ONE})
 
 
 def test_weighted_rep_rejects_non_nilpotent():
-    one = SqrtExt.of(ONE)
     with pytest.raises(ValueError):
         # e maps the top weight to itself: weight difference 0
-        WeightedRep("loop", (1, -1), {(0, 0): one}, {(1, 0): one})
+        WeightedRep("loop", (1, -1), {(0, 0): ONE}, {(1, 0): ONE})
 
 
 def test_ef_commutator_value_spin_half():
     h = spin_half()
-    comm = {}
-    for k, v in matmul_entries(h.e, h.f).items():
-        comm[k] = v
+    comm = matmul_entries(h.e, h.f)
     for k, v in matmul_entries(h.f, h.e).items():
-        comm[k] = comm.get(k, SqrtExt.of(SQRT_Q.zero())) - v
-    assert comm[(0, 0)].even_part() == ONE
-    assert comm[(1, 1)].even_part() == -ONE
+        accumulate(comm, k, -v)
+    assert comm == {(0, 0): ONE, (1, 1): -ONE}
+
+
+def test_spin_one_ladder_is_two_up_one_down():
+    # e = [2]_q E, f = F: every entry lies in Q(s), no square root of [2]_q
+    o = spin_one()
+    two = Q + Q ** -1
+    assert o.e == {(0, 1): two, (1, 2): two}
+    assert o.f == {(1, 0): ONE, (2, 1): ONE}
+    assert all(isinstance(v, Scalar) for m in (o.e, o.f) for v in m.values())
+
+
+def test_series_reads_the_powers_of_the_validation(monkeypatch):
+    import hopfbax.uqsl2 as uqsl2
+    o = spin_one()
+    assert o.e_powers[2] == {(0, 2): (Q + Q ** -1) ** 2} and not o.e_powers[3]
+    assert o.f_powers[2] == {(2, 0): ONE} and not o.f_powers[3]
+    monkeypatch.setattr(uqsl2, "matrix_powers", None)   # no second power loop
+    assert sorted(r_matrix_terms(o)) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +121,7 @@ def test_spin_one_entries(r_one):
         "mu*q^-2*(q^2 - q^-2)", SQRT_Q)
     assert r_one.get(2, 6) == parse_param_scalar(
         "mu^2*q^-1*(q - q^-1)^2*(q + q^-1)", SQRT_Q)
-    # entries are Laurent in q: the sqrt factors provably cancel
+    # entries are Laurent in q
     assert len(r_one.support()) == 14
 
 
