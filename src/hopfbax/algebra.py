@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .scalars import Scalar, Domain, ScalarDomainError, accumulate, \
+from .scalars import Memo, Scalar, Domain, ScalarDomainError, accumulate, \
     normal_key
 
 
@@ -324,34 +324,39 @@ def embed(x: TensorElement, positions, algebras) -> "TensorElement":
 # structural spot checks
 # ---------------------------------------------------------------------------
 
-def associativity_violations(algebra: Algebra, triples=None):
+def associativity_violations(algebra: Algebra, triples=None, memo=None):
     """Basis triples where (ab)c != a(bc), in the order given (all triples
     in basis order by default); empty list means associative.  A triple
-    is skipped only when ab and bc are both zero: both sides are then 0."""
-    labels, index, row = algebra.labels, algebra.index, algebra.row
+    is skipped only when ab and bc are both zero: both sides are then 0.
+    Every cell of the row table is read once, into a local index table;
+    the sides are {index: Scalar} dicts summed through `memo` (a new one
+    if None)."""
+    labels, index, basis = algebra.labels, algebra.index, range(algebra.dim)
+    rows = [[algebra.row(i, j) for j in basis] for i in basis]
+    memo = memo or Memo(algebra.domain)
+    mul, acc = memo.mul, memo.accumulate
     if triples is None:
-        triples = iproduct(range(algebra.dim), repeat=3)
+        triples = iproduct(basis, repeat=3)
     else:
         triples = ((index[a], index[b], index[c]) for a, b, c in triples)
     bad = []
     for i, j, k in triples:
-        ab, bc = row(i, j), row(j, k)
-        if not (ab or bc):
-            continue
-        left, right = {}, {}
-        for m, c in ab:
-            for p, v in row(m, k):
-                accumulate(left, p, c * v)
-        for m, c in bc:
-            for p, v in row(i, m):
-                accumulate(right, p, c * v)
-        if left != right:
+        ab, bc = rows[i][j], rows[j][k]
+        if (ab or bc) and (
+                acc((p, mul(c, v)) for m, c in ab for p, v in rows[m][k])
+                != acc((p, mul(c, v)) for m, c in bc for p, v in rows[i][m])):
             bad.append((labels[i], labels[j], labels[k]))
     return bad
 
 
-def unit_violations(algebra: Algebra):
-    """Basis labels where e*b != b or b*e != b."""
-    e, basis = algebra.unit(), algebra.basis
-    return [l for l in algebra.labels
-            if e * basis(l) != basis(l) or basis(l) * e != basis(l)]
+def unit_violations(algebra: Algebra, memo=None):
+    """Basis labels where e*b != b or b*e != b, compared as {index: Scalar}
+    dicts summed through `memo` (a new one if None)."""
+    memo, row = memo or Memo(algebra.domain), algebra.row
+    mul, acc = memo.mul, memo.accumulate
+    unit = [(algebra.index[u], memo.intern(c))
+            for u, c in algebra._unit_terms.items()]
+    return [l for j, l in enumerate(algebra.labels) if not (
+        acc((k, mul(c, v)) for u, c in unit for k, v in row(u, j))
+        == acc((k, mul(c, v)) for u, c in unit for k, v in row(j, u))
+        == {j: algebra.domain.one()})]

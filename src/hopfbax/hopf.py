@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 
 from .algebra import Algebra, AlgebraElement, TensorElement, \
-    associativity_violations, tensor_multiply, unit_violations
-from .scalars import Scalar, accumulate
+    associativity_violations, unit_violations
+from .scalars import Memo, Scalar, accumulate
 
 
 class HopfAlgebra:
@@ -137,80 +137,76 @@ class HopfReport:
 
 
 def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
-    """Verify all Hopf axioms on the basis; exact, no tolerances.  The two
-    sides of an identity are compared as {key: Scalar} tables built from
-    the coproduct dicts and Algebra.row."""
+    """Verify all Hopf axioms on the basis; exact, no tolerances.  The
+    tables are read once into lists over basis indices, and the two sides
+    of an identity are {index key: Scalar} dicts summed from them and
+    Algebra.row through one Memo."""
     alg = h.algebra
-    labels, index, row = alg.labels, alg.index, alg.row
-    co, counit, antipode = h.coproduct, h.counit, h.antipode
+    labels, index, row, basis = alg.labels, alg.index, alg.row, range(alg.dim)
+    memo = Memo(alg.domain)
+    mul, acc, intern = memo.mul, memo.accumulate, memo.intern
+    co = [[(index[l0], index[l1], intern(c))
+           for (l0, l1), c in h.coproduct[l].terms.items()] for l in labels]
+    counit = [intern(h.counit[l]) for l in labels]
+    antipode = [[(index[m], intern(c)) for m, c in h.antipode[l].terms.items()]
+                for l in labels]
+    unit = [(index[u], intern(c)) for u, c in alg._unit_terms.items()]
     report = HopfReport(alg.name)
-    add = report.axioms.append
 
     def record(name, failures):
         """Record an axiom; the first failing basis tuple is its witness."""
         bad = next(iter(failures), None)
-        add(AxiomResult(name, bad is None,
-                        None if bad is None else _fmt(alg, bad)))
+        report.axioms.append(AxiomResult(name, bad is None, None if bad is None
+                                         else ", ".join(map(alg.label_str, bad))))
 
-    record("associativity", associativity_violations(alg))
-    record("unit", ((l,) for l in unit_violations(alg)))
+    record("associativity", associativity_violations(alg, memo=memo))
+    record("unit", ((l,) for l in unit_violations(alg, memo)))
 
-    def coassoc_fail(l):
-        right = {}
-        for (l0, l1), c in co[l].terms.items():
-            for (m0, m1), d in co[l1].terms.items():
-                accumulate(right, (l0, m0, m1), c * d)
-        return h.delta_squared(l).terms != right
+    def coassoc_fail(i):
+        return (acc(((j0, j1, i1), mul(c, d))
+                    for i0, i1, c in co[i] for j0, j1, d in co[i0])
+                != acc(((i0, j0, j1), mul(c, d))
+                       for i0, i1, c in co[i] for j0, j1, d in co[i1]))
 
-    record("coassociativity", ((l,) for l in labels if coassoc_fail(l)))
+    record("coassociativity", ((labels[i],) for i in basis if coassoc_fail(i)))
 
-    def counit_fail(l):
-        left, right = {}, {}
-        for (l0, l1), c in co[l].terms.items():
-            accumulate(left, l1, c * counit[l0])
-            accumulate(right, l0, c * counit[l1])
-        want = {l: alg.domain.one()}
-        return left != want or right != want
+    def counit_fail(i):
+        want = {i: alg.domain.one()}
+        return (acc((i1, mul(c, counit[i0])) for i0, i1, c in co[i]) != want
+                or acc((i0, mul(c, counit[i1])) for i0, i1, c in co[i])
+                != want)
 
-    record("counit", ((l,) for l in labels if counit_fail(l)))
+    record("counit", ((labels[i],) for i in basis if counit_fail(i)))
 
-    def compat_fail(pair):
-        l1, l2 = pair
-        lhs, eps = {}, alg.domain.zero()
-        for k, c in row(index[l1], index[l2]):
-            for key, d in co[labels[k]].terms.items():
-                accumulate(lhs, key, c * d)
-            eps = eps + c * counit[labels[k]]
-        return (lhs != tensor_multiply(co[l1], co[l2]).terms
-                or eps != counit[l1] * counit[l2])
+    def compat_fail(i, j):
+        # Delta(l_i l_j) against Delta(l_i) Delta(l_j), whose second-slot
+        # row is read only where the first-slot row is not empty
+        return (acc(((k0, k1), mul(c, d))
+                    for k, c in row(i, j) for k0, k1, d in co[k])
+                != acc(((k0, k1), mul(mul(mul(ca, cb), v0), v1))
+                       for a0, a1, ca in co[i] for b0, b1, cb in co[j]
+                       for k0, v0 in row(a0, b0) for k1, v1 in row(a1, b1))
+                or acc((0, mul(c, counit[k])) for k, c in row(i, j))
+                != acc([(0, mul(counit[i], counit[j]))]))
 
     record("bialgebra compatibility",
-           (p for p in iproduct(labels, labels) if compat_fail(p)))
+           ((labels[i], labels[j]) for i, j in iproduct(basis, basis)
+            if compat_fail(i, j)))
 
     e = alg.unit()
     unit_ok = (h.delta(e) == TensorElement.of(e, e)) and h.eps(e).is_one()
-    add(AxiomResult("bialgebra unit/counit of 1", unit_ok,
-                    None if unit_ok else "unit element"))
+    report.axioms.append(AxiomResult("bialgebra unit/counit of 1", unit_ok,
+                                     None if unit_ok else "unit element"))
 
-    def antipode_fail(l):
-        want, left, right = {}, {}, {}
-        for u, c in alg._unit_terms.items():
-            accumulate(want, index[u], c * counit[l])
-        for (l0, l1), c in co[l].terms.items():
-            for m, s in antipode[l0].terms.items():
-                for k, v in row(index[m], index[l1]):
-                    accumulate(left, k, c * s * v)
-            for m, s in antipode[l1].terms.items():
-                for k, v in row(index[l0], index[m]):
-                    accumulate(right, k, c * s * v)
-        return left != want or right != want
+    def antipode_fail(i):
+        want = acc((u, mul(c, counit[i])) for u, c in unit)
+        return (acc((k, mul(mul(c, s), v)) for i0, i1, c in co[i]
+                    for m, s in antipode[i0] for k, v in row(m, i1)) != want
+                or acc((k, mul(mul(c, s), v)) for i0, i1, c in co[i]
+                       for m, s in antipode[i1] for k, v in row(i0, m)) != want)
 
-    record("antipode", ((l,) for l in labels if antipode_fail(l)))
+    record("antipode", ((labels[i],) for i in basis if antipode_fail(i)))
     return report
-
-
-def _fmt(alg, labels):
-    return ", ".join(alg.label_str(l) for l in labels)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,46 @@ def accumulate(terms: dict, key, value):
         terms[key] = value
 
 
+class Memo:
+    """Scalar products and sums of one exact check, memoized by the ids of
+    their operands: canonical values kept in `values` (one per normal_key)
+    or structure constants kept by an algebra's row table, both outliving
+    the memo, so no id in a key is ever reused."""
+
+    def __init__(self, domain):
+        self.values, self.muls, self.adds = {}, {}, {}
+        self.zero = self.intern(domain.zero())
+
+    def intern(self, x):
+        return self.values.setdefault(normal_key(x), x)
+
+    def mul(self, a, b):
+        c = self.muls.get((id(a), id(b)))
+        if c is None:
+            c = self.muls[id(a), id(b)] = self.intern(a * b)
+        return c
+
+    def add(self, a, b):
+        c = self.adds.get((id(a), id(b)))
+        if c is None:
+            c = self.adds[id(a), id(b)] = self.intern(a + b)
+        return c
+
+    def accumulate(self, pairs) -> dict:
+        """{key: the sum of its values} of (key, canonical value) pairs,
+        without the keys whose sum is (the canonical) zero."""
+        terms = {}
+        for key, value in pairs:
+            old = terms.get(key)
+            if old is not None:
+                value = self.add(old, value)
+            if value is self.zero:
+                terms.pop(key, None)
+            else:
+                terms[key] = value
+        return terms
+
+
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (ascending coefficient sequences of ints)
 # ---------------------------------------------------------------------------
@@ -819,6 +859,10 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # bound and prints no exponent above MAX_EXPONENT, so its str() parses.
 MAX_EXPONENT = 1000
 
+# the predicted work of all products and powers of one parse, about 0.4 s;
+# the degrees of s a value may span over a denominator that is no monomial
+MAX_WORK, MAX_GCD_SPREAD = 3_500_000, 32
+
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
 _NAMES = {"q": lambda d: ParamScalar.constant(d.q()),
@@ -867,9 +911,11 @@ def _spread(v: ParamScalar) -> tuple:
 def _bounded(v: ParamScalar, spread=None, what="value") -> ParamScalar:
     """v if its spread, or the spread predicted for it, gives at most
     MAX_EXPONENT + 1 terms and, once computed, str(v) prints no exponent
-    above MAX_EXPONENT; ValueError otherwise."""
-    terms = 1
-    for d in spread or _spread(v):
+    above MAX_EXPONENT; ValueError otherwise.  Where a denominator is not
+    a monomial, each sum and product runs a gcd of Q(s) polynomials, so v
+    may span at most MAX_GCD_SPREAD degrees of s."""
+    terms, spans = 1, spread or _spread(v)
+    for d in spans:
         terms *= d + 1
     reach = 0 if spread else max((abs(e) for k in v.terms for e in k), default=0)
     if not spread and v.domain.kind == "sqrt_q":   # str() spells s^shift out
@@ -879,10 +925,97 @@ def _bounded(v: ParamScalar, spread=None, what="value") -> ParamScalar:
     if terms > MAX_EXPONENT + 1 or reach > MAX_EXPONENT:
         raise ValueError(f"{what} spans more than {MAX_EXPONENT + 1} terms "
                          f"or prints an exponent above {MAX_EXPONENT}")
+    if spans[2] > MAX_GCD_SPREAD and any(len(c.den) > 1 for c in v.terms.values()):
+        raise ValueError(f"{what} spans more than {MAX_GCD_SPREAD} degrees "
+                         "of s over a denominator that is not a monomial")
     return v
 
 
-def _evaluate(node, domain: Domain, scale: int) -> ParamScalar:
+def _size(v: ParamScalar, spread: tuple, inverse=False) -> tuple:
+    """What _work reads of v (of 1/v if inverse, v a monomial), given the
+    mu, nu and s spreads of v: those in mu and nu, the degrees the
+    coefficients span in s (or q), the most words a coefficient holds, the
+    bits of all the integers, and whether a Q(s) denominator is not a
+    monomial.  The inverse of a in Q(zeta_n) is adj(a) / N(a): it may fill
+    all phi(n) words, and |N(a)| is at most (sum |a_i|)^phi(n)."""
+    mu, nu, s = spread
+    cs, phi = v.terms.values(), len(v.domain.phi) - 1   # phi(n); -1 in Q(s)
+    bits = sum(sum(map(abs, c.num)) + sum(map(abs, c.den)) for c in cs).bit_length()
+    if phi > 0:
+        s = max((len(c.num) - 1 for c in cs), default=0)
+        if inverse:
+            s, bits = phi - 1, bits + phi * (
+                sum(sum(map(abs, c.num)) for c in cs).bit_length() - 1)
+    return (mu, nu, s, phi if phi > 0 else MAX_EXPONENT + 1, bits,
+            phi < 0 and any(len(c.num if inverse else c.den) > 1 for c in cs))
+
+
+def _work(x: tuple, a: int, y: tuple, b: int) -> int:
+    """The predicted work of v^a * w^b (x and y the _size of v and w), in
+    units of about 0.1 us.  Per pair of (mu, nu) terms: an overhead plus
+    four per pair of coefficient words, scaled by the coefficients' bits,
+    linearly and squared; and where a denominator is not a monomial, a gcd
+    of Q(s) polynomials whose remainders grow with degree and bits, about
+    (degree^2 bits)^2 / 10^6."""
+    pairs, words, bits, degree, gcd = 1, 1, 0, 0, False
+    for (mu, nu, s, most, n, ratio), m in ((x, a), (y, b)):
+        pairs *= (mu * m + 1) * (nu * m + 1)
+        words *= min(most, s * m + 1)
+        bits, degree, gcd = bits + m * n, degree + s * m, gcd or ratio
+    return pairs * ((16 + 4 * words) * (1 + bits // 256 + (bits // 512) ** 2)
+                    + (degree * degree * bits) ** 2 // 10 ** 6 * gcd)
+
+
+@lru_cache(maxsize=4096)
+def _power_work(x: tuple, k: int) -> int:
+    """_work summed over the products _power makes for v^k, x = _size(v)."""
+    work, out, m = 0, 0, 1
+    while k:
+        if k & 1:
+            work, out = work + _work(x, out, x, m), out + m
+        work += _work(x, m, x, m)
+        m, k = 2 * m, k >> 1
+    return work
+
+
+def _charge(budget: list, work: int):
+    """Take work from the parse's budget; ValueError once it is spent."""
+    budget[0] -= work
+    if budget[0] < 0:
+        raise ValueError(f"scalar string needs more than {MAX_WORK} units of "
+                         "work to evaluate")
+
+
+def _small(v: ParamScalar) -> bool:
+    """v is one term c mu^a nu^b whose coefficient c is one power of s or q
+    times a ratio of integers below 2^32: its powers up to MAX_EXPONENT,
+    and its products with such values, cost next to nothing."""
+    if len(v.terms) != 1:
+        return False
+    (c,) = v.terms.values()
+    return (len(c.den) == 1 and sum(1 for x in c.num if x) == 1
+            and max(map(abs, c.num)) < 2 ** 32 and c.den[0] < 2 ** 32)
+
+
+def _bound_power(budget: list, v: ParamScalar, k: int, n: int):
+    """Refuse v^k before it is computed if v^n, n = |k| times the exponents
+    around it, is out of bounds or v^k costs more than the budget left."""
+    spread = _spread(v)
+    _bounded(v, tuple(d * n for d in spread), f"power ^{k}")
+    if not _small(v):
+        _charge(budget, _power_work(_size(v, spread, k < 0), abs(k)))
+
+
+def _bound_product(budget: list, v: ParamScalar, w: ParamScalar):
+    """Refuse v * w or v / w before it is computed if it may span too much
+    (at most the sum of the factors' spreads) or costs too much."""
+    sv, sw = _spread(v), _spread(w)
+    _bounded(v, tuple(map(sum, zip(sv, sw))), "product")
+    if not (_small(v) and _small(w)):
+        _charge(budget, _work(_size(v, sv), 1, _size(w, sw), 1))
+
+
+def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
     """The value of a syntax tree of the grammar, scale being the product of
     the exponents around node; a chain a + b - c ... costs no recursion."""
     chain = []
@@ -900,15 +1033,15 @@ def _evaluate(node, domain: Domain, scale: int) -> ParamScalar:
         # the exponent is known before the base is evaluated, so powers
         # inside the base are bounded by how far their results are raised
         k = sign * k.value
-        v = _evaluate(node.left, domain, scale * max(abs(k), 1))
+        v = _evaluate(node.left, domain, scale * max(abs(k), 1), budget)
         n = scale * abs(k)
         if n > MAX_EXPONENT:
             raise ValueError(f"power ^{k} grows its base past the limit "
                              f"{MAX_EXPONENT}")
-        _bounded(v, tuple(d * n for d in _spread(v)), f"power ^{k}")
+        _bound_power(budget, v, k, n)
         v = _bounded(v ** k)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        v = -_evaluate(node.operand, domain, scale)
+        v = -_evaluate(node.operand, domain, scale, budget)
     elif isinstance(node, ast.Constant) and type(node.value) is int:
         v = ParamScalar.constant(domain.from_fraction(node.value))
     elif isinstance(node, ast.Name):
@@ -916,9 +1049,9 @@ def _evaluate(node, domain: Domain, scale: int) -> ParamScalar:
     else:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
-        w = _evaluate(op.right, domain, scale)
+        w = _evaluate(op.right, domain, scale, budget)
         if type(op.op) in (ast.Mult, ast.Div):
-            _bounded(v, tuple(map(sum, zip(_spread(v), _spread(w)))), "product")
+            _bound_product(budget, v, w)
         v = _bounded(_OPS[type(op.op)](v, w))
     return v
 
@@ -927,7 +1060,7 @@ def parse_param_scalar(text: str, domain: Domain) -> ParamScalar:
     """Parse the canonical grammar into a ParamScalar over `domain`."""
     try:
         return _evaluate(ast.parse(_python_source(text), mode="eval").body,
-                         domain, 1)
+                         domain, 1, [MAX_WORK])
     except (SyntaxError, RecursionError, MemoryError) as exc:
         raise ValueError(f"malformed or too deeply nested scalar string "
                          f"({exc.__class__.__name__})") from None

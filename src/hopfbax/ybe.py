@@ -11,8 +11,8 @@ free slot, is one trie nested from the third slot down (zero products
 prune soonest there), with the (mu, nu) exponents in its leaf keys.  A
 side is two walks, its first two factors into a trie and that times the
 third, into one residual {(i2, i1, i0, e_mu, e_nu): Scalar} (the second
-side negated).  Every product and sum goes through one _Memo of interned
-values, made by the check and dropped with it.
+side negated).  Every product and sum goes through one scalars.Memo of
+interned values, made by the check and dropped with it.
 
 A d^2 x d^2 matrix is an element of End V (x) End V = M_d (x) M_d, so the
 matrix checks run the same engine in the matrix-unit algebra M_d (E_ac
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 from .algebra import Algebra
 from .matrices import ParametricMatrix
-from .scalars import laurent_by_key, normal_key
+from .scalars import Memo, laurent_by_key
 
 
 @dataclass
@@ -66,32 +66,6 @@ def residual_report(kind, dim, terms: dict, label, order=None) -> YbeReport:
         worst = f"{label(key)}: {by_key[key]}"
     return YbeReport(kind=kind, dim=dim, passed=not by_key,
                      residual_terms=len(by_key), worst=worst)
-
-
-class _Memo:
-    """Scalar products and sums of one check, memoized by the ids of their
-    operands: canonical values kept in `values` (one per normal_key, `zero`
-    among them) or structure constants kept by the algebra's row table.
-    Both outlive the memo, so no id in a key is ever reused."""
-
-    def __init__(self, domain):
-        self.values, self.muls, self.adds = {}, {}, {}
-        self.zero = self.intern(domain.zero())
-
-    def intern(self, x):
-        return self.values.setdefault(normal_key(x), x)
-
-    def mul(self, a, b):
-        c = self.muls.get((id(a), id(b)))
-        if c is None:
-            c = self.muls[id(a), id(b)] = self.intern(a * b)
-        return c
-
-    def add(self, a, b):
-        c = self.adds.get((id(a), id(b)))
-        if c is None:
-            c = self.adds[id(a), id(b)] = self.intern(a + b)
-        return c
 
 
 def _trie(terms) -> dict:
@@ -147,7 +121,7 @@ def residual(alg: Algebra, placed, sides) -> dict:
     {(e_mu, e_nu): {(i, j): nonzero Scalar}}, target slots; the unit in the
     third) and each side a triple of positions in it: the YBE is
     ((0, 1, 2), (2, 1, 0))."""
-    memo = _Memo(alg.domain)
+    memo = Memo(alg.domain)
     units = [(alg.index[l], memo.intern(c)) for l, c in alg._unit_terms.items()]
     tries = []
     for family, (s, t) in placed:

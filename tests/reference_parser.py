@@ -5,13 +5,14 @@ after a token check.  This is the descent parser it replaced, kept as the
 reference that the differential test in test_scalars.py compares against:
 both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
-its size bounds (`_spread`, `_bounded` and `MAX_EXPONENT`), nothing of the
-new parser.
+its size and work bounds (`_bounded`, `_bound_power`, `_bound_product`,
+`MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new parser.
 """
 
 import re
 
-from hopfbax.scalars import MAX_EXPONENT, ParamScalar, _bounded, _spread
+from hopfbax.scalars import MAX_EXPONENT, MAX_WORK, ParamScalar, _bounded, \
+    _bound_power, _bound_product
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -35,6 +36,7 @@ class _Parser:
         self.domain = domain
         self.scale = 1    # product of the exponents of the enclosing powers
         self.close = {}   # index of each matched "(" -> index of its ")"
+        self.budget = [MAX_WORK]   # work left to the products and powers
         opened = []
         for i, t in enumerate(tokens):
             if t == "(":
@@ -76,7 +78,7 @@ class _Parser:
             op = self.take()
             w = self.factor()
             # a product spans at most the sum of its factors' spreads
-            _bounded(v, tuple(a + b for a, b in zip(_spread(v), _spread(w))))
+            _bound_product(self.budget, v, w)
             v = _bounded(v * w if op == "*" else v / w)
         return v
 
@@ -98,7 +100,7 @@ class _Parser:
         if n > MAX_EXPONENT:
             raise ValueError(f"power ^{k} grows its base past the limit "
                              f"{MAX_EXPONENT}")
-        _bounded(v, tuple(d * n for d in _spread(v)))
+        _bound_power(self.budget, v, k, n)
         return _bounded(v ** k)
 
     def exponent(self, j):

@@ -232,6 +232,13 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
                  {"row": 3, "col": 3, "value": "(1)/(s)"},
                  {"row": 4, "col": 4, "value": "s"},
                  {"row": 2, "col": 3, "value": "0"}]},
+    # over the parse's work budget, or a gcd of too many degrees of s
+    {"dim": 4, "domain": "sqrt_q", "param": "mu",
+     "entries": [{"row": 1, "col": 1, "value": "(1+mu)^1000"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": "mu",
+     "entries": [{"row": 1, "col": 1, "value": "(1+mu)^500*(1+mu)^500"}]},
+    {"dim": 4, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "((1+s^3)^-1+s)^80"}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"

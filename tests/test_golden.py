@@ -2,7 +2,8 @@
 
 Each case in CASES has three files under tests/golden/: <name>.out,
 <name>.err and <name>.exit.  They cover the README command-line examples
-(all but the slow all-regressions) plus the LaTeX and text renderings of
+(all but the slow all-regressions), the Hopf report of T_8 (the largest
+--N), plus the LaTeX and text renderings of
 the V_{3,1} family, the LaTeX of the spin-1 family (fractions in s) and a
 constant JSON verify.  The verify cases read the frozen JSON of the
 V_{3,1} family, so they need no temporary file.
@@ -38,6 +39,7 @@ CASES = {
     "uqsl2_one_latex": ["uqsl2", "--spin", "1", "--parametric",
                         "--format", "latex"],
     "taft_hopf_report": ["taft", "--N", "3"],
+    "taft_n8_report": ["taft", "--N", "8"],
     "taft_rep31_json": ["taft", "--N", "4", "--rep", "3,1", "--parametric",
                         "--format", "json"],
     "taft_rep31_latex": ["taft", "--N", "4", "--rep", "3,1", "--parametric",

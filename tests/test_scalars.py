@@ -311,7 +311,16 @@ def test_parse_rejects_garbage():
     for bad in ["q +", "(q", "q^", "foo", "2..5", "mu nu",
                 "(" * 400 + "q" + ")" * 400, "-" * 2000 + "q",
                 "2^99999999", "(1+s)^99999999", "s^-1001",
-                "-" * 100_000 + "q"]:
+                "-" * 100_000 + "q",
+                # over the work budget (at the parent most took seconds)
+                "(1+mu)^1000", "((1+nu)^10)^100", "(1+mu)^500*(1+mu)^500",
+                "(2+3*mu)^1000", "(1+mu)^300", "(1+s)^1000", "(1+s)^500",
+                # a gcd of Q(s) polynomials of more than 32 degrees, or of
+                # a big enough product of degree and bits
+                "((1+s^3)^-1+s)^80", "((1+s^3)^-1+s)^8",
+                "((1+s)^-1+(1+s^3)^-1+7+(2+q)^-1)^31",
+                "(1*3)^400*(s*3+7*s+123456789+(2+q)^-1*mu)^10"
+                "*(2*s^-1+" + "9" * 60 + "+s*mu^-1)^10"]:
         t0 = time.perf_counter()
         with pytest.raises(ValueError):
             parse_param_scalar(bad, SQRT_Q)
@@ -348,6 +357,54 @@ def test_parse_bounds_what_a_power_grows():
     # (30 + 1)^2 <= 1001: the largest power of a bivariate linear base
     assert len(parse_param_scalar("(1+mu+nu)^30", SQRT_Q).terms) == 496
     assert len(parse_param_scalar("(1+mu+s)^30", SQRT_Q).terms) == 31
+
+
+def test_parse_bounds_the_work_of_every_value():
+    # powers and products are charged their predicted work, so that big
+    # coefficients, wide cyclotomic coefficients and long powers of a
+    # compound base are refused before they are expanded
+    for bad, dom in [("(999+(1+q)^-1)^-200", cyclotomic(64)),
+                     ("(q^-1+mu+7)^150", cyclotomic(8)),
+                     ("(123456789-q)^-200", cyclotomic(64))]:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_param_scalar(bad, dom)
+        assert time.perf_counter() - t0 < 0.5
+    assert len(parse_param_scalar("(1+mu)^200", SQRT_Q).terms) == 201
+    assert len(parse_param_scalar("(1+mu)^30*(1+nu)^30", SQRT_Q).terms) == 961
+    assert parse_param_scalar("(1+q)^1000", cyclotomic(64)).terms
+
+
+def _costly_strings():
+    """Compound bases raised as far as 1000, and products and sums of such
+    powers, over leaves that make big, wide or rational coefficients."""
+    leaves = st.sampled_from(("1", "2", "7", "999", "123456789", "9" * 40,
+                              "q", "s", "mu", "nu", "q^-1", "s^-1", "mu^-1",
+                              "(1+s)^-1", "(1+s^3)^-1", "(2+q)^-1"))
+    bases = st.lists(st.lists(leaves, min_size=1, max_size=2).map("*".join),
+                     min_size=1, max_size=4).map("+".join)
+    powers = st.tuples(bases, st.sampled_from(("", "-")), st.sampled_from(
+        (1, 2, 3, 10, 20, 30, 31, 50, 64, 100, 128, 150, 200, 300, 1000))).map(
+        lambda t: f"({t[0]})^{t[1]}{t[2]}")
+    powers = powers | st.tuples(powers, st.sampled_from((2, 3, 10))).map(
+        lambda t: f"({t[0]})^{t[1]}")
+    products = st.lists(powers, min_size=1, max_size=3).map("*".join)
+    return st.lists(products, min_size=1, max_size=3).map(" + ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_costly_strings(), st.sampled_from(
+    (RATIONAL, SQRT_Q, cyclotomic(5), cyclotomic(8), cyclotomic(64))))
+def test_accepted_strings_evaluate_within_a_second(text, dom):
+    # the work budget and the size bounds refuse whatever would expand for
+    # long, so every accepted string evaluates within a second (the time
+    # a string takes to be refused is not bounded by this property)
+    t0 = time.perf_counter()
+    try:
+        parse_param_scalar(text, dom)
+    except (ValueError, ScalarDomainError):
+        return
+    assert time.perf_counter() - t0 < 1
 
 
 # every token of the grammar, plus an unknown word and a stray character;
