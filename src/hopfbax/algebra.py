@@ -324,29 +324,36 @@ def embed(x: TensorElement, positions, algebras) -> "TensorElement":
 # structural spot checks
 # ---------------------------------------------------------------------------
 
+def differing(left: dict, right: dict) -> set:
+    """The key[0]s at which two {(index, ...): Scalar} dicts differ."""
+    return set() if left == right else {
+        key[0] for key in left.keys() | right.keys()
+        if left.get(key) != right.get(key)}
+
+
 def associativity_violations(algebra: Algebra, triples=None, memo=None):
     """Basis triples where (ab)c != a(bc), in the order given (all triples
-    in basis order by default); empty list means associative.  A triple
-    is skipped only when ab and bc are both zero: both sides are then 0.
-    Every cell of the row table is read once, into a local index table;
-    the sides are {index: Scalar} dicts summed through `memo` (a new one
-    if None)."""
+    in basis order by default); empty list means associative.  Every cell
+    of the row table is read once, into a local index table; for each pair
+    (a, b) both sides for every asked c are one {(c, index): Scalar} dict
+    summed through `memo` (a new one if None)."""
     labels, index, basis = algebra.labels, algebra.index, range(algebra.dim)
     rows = [[algebra.row(i, j) for j in basis] for i in basis]
     memo = memo or Memo(algebra.domain)
     mul, acc = memo.mul, memo.accumulate
-    if triples is None:
-        triples = iproduct(basis, repeat=3)
-    else:
-        triples = ((index[a], index[b], index[c]) for a, b, c in triples)
-    bad = []
-    for i, j, k in triples:
-        ab, bc = rows[i][j], rows[j][k]
-        if (ab or bc) and (
-                acc((p, mul(c, v)) for m, c in ab for p, v in rows[m][k])
-                != acc((p, mul(c, v)) for m, c in bc for p, v in rows[i][m])):
-            bad.append((labels[i], labels[j], labels[k]))
-    return bad
+    if triples is not None:
+        triples = [(index[a], index[b], index[c]) for a, b, c in triples]
+    asked = {} if triples is not None else dict.fromkeys(
+        iproduct(basis, basis), basis)
+    for i, j, k in triples or ():
+        asked.setdefault((i, j), set()).add(k)
+    bad = {(i, j, k) for (i, j), ks in asked.items() for k in differing(
+        acc(((k, p), mul(c, v)) for m, c in rows[i][j] for k in ks
+            for p, v in rows[m][k]),
+        acc(((k, p), mul(c, v)) for k in ks for m, c in rows[j][k]
+            for p, v in rows[i][m]))}
+    return [(labels[i], labels[j], labels[k]) for i, j, k in (
+        sorted(bad) if triples is None else (t for t in triples if t in bad))]
 
 
 def unit_violations(algebra: Algebra, memo=None):

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 
 from .algebra import Algebra, AlgebraElement, TensorElement, \
-    associativity_violations, unit_violations
+    associativity_violations, differing, unit_violations
 from .scalars import Memo, Scalar, accumulate
 
 
@@ -178,20 +178,23 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
 
     record("counit", ((labels[i],) for i in basis if counit_fail(i)))
 
-    def compat_fail(i, j):
-        # Delta(l_i l_j) against Delta(l_i) Delta(l_j), whose second-slot
-        # row is read only where the first-slot row is not empty
-        return (acc(((k0, k1), mul(c, d))
-                    for k, c in row(i, j) for k0, k1, d in co[k])
-                != acc(((k0, k1), mul(mul(mul(ca, cb), v0), v1))
-                       for a0, a1, ca in co[i] for b0, b1, cb in co[j]
-                       for k0, v0 in row(a0, b0) for k1, v1 in row(a1, b1))
-                or acc((0, mul(c, counit[k])) for k, c in row(i, j))
-                != acc([(0, mul(counit[i], counit[j]))]))
+    def compat_failures(i):
+        # Delta(l_i l_j) against Delta(l_i) Delta(l_j) for every j at once,
+        # keyed (j, k0, k1); the second-slot row is read only where the
+        # first-slot row is not empty.  The counit part is keyed (j,)
+        delta = differing(
+            acc(((j, k0, k1), mul(c, d)) for j in basis
+                for k, c in row(i, j) for k0, k1, d in co[k]),
+            acc(((j, k0, k1), mul(mul(mul(ca, cb), v0), v1)) for j in basis
+                for a0, a1, ca in co[i] for b0, b1, cb in co[j]
+                for k0, v0 in row(a0, b0) for k1, v1 in row(a1, b1)))
+        return delta | differing(
+            acc(((j,), mul(c, counit[k])) for j in basis for k, c in row(i, j)),
+            acc(((j,), mul(counit[i], counit[j])) for j in basis))
 
     record("bialgebra compatibility",
-           ((labels[i], labels[j]) for i, j in iproduct(basis, basis)
-            if compat_fail(i, j)))
+           ((labels[i], labels[j]) for i in basis
+            for j in sorted(compat_failures(i))))
 
     e = alg.unit()
     unit_ok = (h.delta(e) == TensorElement.of(e, e)) and h.eps(e).is_one()

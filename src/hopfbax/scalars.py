@@ -56,13 +56,14 @@ class ScalarDomainError(ArithmeticError):
 
 
 def _power(base, k: int, one):
-    """base**k for an integer k >= 0, by square-and-multiply."""
+    """base**k, k >= 0, by square-and-multiply starting from base."""
     out = one
     while k:
         if k & 1:
-            out = out * base
-        base = base * base
+            out = base if out is one else out * base
         k >>= 1
+        if k:
+            base = base * base
     return out
 
 
@@ -627,11 +628,8 @@ class ParamScalar:
 
     def __init__(self, domain, terms=None):
         self.domain = domain
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not v.is_zero():
-                    self.terms[k] = v
+        self.terms = {k: v for k, v in (terms or {}).items()
+                      if not v.is_zero()}
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -740,21 +738,13 @@ class ParamScalar:
 
     def at_one(self) -> Scalar:
         """Evaluate at mu = nu = 1."""
-        out = self.domain.zero()
-        for v in self.terms.values():
-            out = out + v
-        return out
+        return sum(self.terms.values(), self.domain.zero())
 
     def map_scalars(self, fn) -> "ParamScalar":
         """Apply fn to every coefficient (fn may change the scalar domain)."""
-        out = {}
-        domain = self.domain
-        for k, v in self.terms.items():
-            w = fn(v)
-            domain = w.domain
-            if not w.is_zero():
-                out[k] = w
-        return ParamScalar(domain, out)
+        out = {k: fn(v) for k, v in self.terms.items()}
+        return ParamScalar(next(iter(out.values())).domain if out
+                           else self.domain, out)
 
     # -- display ---------------------------------------------------------------------
     def __str__(self):
@@ -834,14 +824,9 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
         return a.domain.zero() if a.is_zero() else None
     if a.is_zero():
         return a.domain.zero()
-    k, v = next(iter(sorted(b.terms.items())))
-    w = a.terms.get(k)
-    if w is None:
-        return None
-    r = w / v
-    if a == ParamScalar.constant(r) * b:
-        return r
-    return None
+    k, v = min(b.terms.items())
+    r = a.terms[k] / v if k in a.terms else None
+    return r if r is not None and a == ParamScalar.constant(r) * b else None
 
 
 # ---------------------------------------------------------------------------
@@ -963,12 +948,19 @@ def _work(x: tuple, a: int, y: tuple, b: int) -> int:
         words *= min(most, s * m + 1)
         bits, degree, gcd = bits + m * n, degree + s * m, gcd or ratio
     return pairs * ((16 + 4 * words) * (1 + bits // 256 + (bits // 512) ** 2)
-                    + (degree * degree * bits) ** 2 // 10 ** 6 * gcd)
+                    + _gcd_work(degree, bits) * gcd)
+
+
+def _gcd_work(degree: int, bits: int) -> int:
+    """The gcd term of _work: (degree^2 bits)^2 / 10^6."""
+    return (degree * degree * bits) ** 2 // 10 ** 6
 
 
 @lru_cache(maxsize=4096)
 def _power_work(x: tuple, k: int) -> int:
-    """_work summed over the products _power makes for v^k, x = _size(v)."""
+    """An upper bound on _work summed over the products _power makes for
+    v^k, x = _size(v): it still charges a first product by one and a
+    squaring after the last bit, so the accepted language is kept."""
     work, out, m = 0, 0, 1
     while k:
         if k & 1:
@@ -1015,6 +1007,18 @@ def _bound_product(budget: list, v: ParamScalar, w: ParamScalar):
         _charge(budget, _work(_size(v, sv), 1, _size(w, sw), 1))
 
 
+def _bound_sum(budget: list, v: ParamScalar, w: ParamScalar):
+    """Charge v + w or v - w, at each (mu, nu) term both hold over a Q(s)
+    denominator that is no monomial, _work's gcd widened by the s-shift gap."""
+    for key in v.terms.keys() & w.terms.keys():
+        a, b = v.terms[key], w.terms[key]
+        if len(a.den) > 1 or len(b.den) > 1:
+            _charge(budget, _gcd_work(
+                len(a.num + a.den + b.num + b.den) - 4 + abs(a.shift - b.shift),
+                sum((sum(map(abs, c.num)) + sum(map(abs, c.den))).bit_length()
+                    for c in (a, b))))
+
+
 def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
     """The value of a syntax tree of the grammar, scale being the product of
     the exponents around node; a chain a + b - c ... costs no recursion."""
@@ -1050,8 +1054,8 @@ def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
         w = _evaluate(op.right, domain, scale, budget)
-        if type(op.op) in (ast.Mult, ast.Div):
-            _bound_product(budget, v, w)
+        (_bound_product if type(op.op) in (ast.Mult, ast.Div)
+         else _bound_sum)(budget, v, w)
         v = _bounded(_OPS[type(op.op)](v, w))
     return v
 

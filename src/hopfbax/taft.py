@@ -73,11 +73,13 @@ def build_taft(N: int, q: Scalar | None = None) -> HopfAlgebra:
         x = "" if not j else ("x" if j == 1 else f"x^{j}")
         return (a + x) or "e"
 
+    powers = [q ** k for k in range(N)]   # q^N = 1 was checked above
+
     def product(l1, l2):
         (i, j), (k, l) = l1, l2
         if j + l >= N:
             return {}
-        return {((i + k) % N, j + l): q ** (j * k)}
+        return {((i + k) % N, j + l): powers[j * k % N]}
 
     alg = Algebra(f"T_{N}", domain, labels, {(0, 0): domain.one()}, product,
                   label_str=label_str)
@@ -85,7 +87,6 @@ def build_taft(N: int, q: Scalar | None = None) -> HopfAlgebra:
     coproduct = {}
     counit = {}
     antipode = {}
-    qinv = q.inverse()
     for (i, j) in labels:
         terms = {}
         for k in range(j + 1):
@@ -94,7 +95,7 @@ def build_taft(N: int, q: Scalar | None = None) -> HopfAlgebra:
         coproduct[(i, j)] = TensorElement((alg, alg), terms)
         counit[(i, j)] = domain.one() if j == 0 else domain.zero()
         sign = domain.from_fraction(-1 if j % 2 else 1)
-        coeff = sign * qinv ** (j * (j - 1) // 2 + i * j)
+        coeff = sign * powers[-(j * (j - 1) // 2 + i * j) % N]
         antipode[(i, j)] = alg.element({((-i - j) % N, j): coeff})
 
     return HopfAlgebra(alg, coproduct, counit, antipode)

@@ -6,13 +6,14 @@ reference that the differential test in test_scalars.py compares against:
 both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
 its size and work bounds (`_bounded`, `_bound_power`, `_bound_product`,
-`MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new parser.
+`_bound_sum`, `MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the
+new parser.
 """
 
 import re
 
 from hopfbax.scalars import MAX_EXPONENT, MAX_WORK, ParamScalar, _bounded, \
-    _bound_power, _bound_product
+    _bound_power, _bound_product, _bound_sum
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -66,10 +67,10 @@ class _Parser:
     def expr(self):
         v = self.term()
         while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                v = _bounded(v + self.term())
-            else:
-                v = _bounded(v - self.term())
+            op = self.take()
+            w = self.term()
+            _bound_sum(self.budget, v, w)
+            v = _bounded(v + w if op == "+" else v - w)
         return v
 
     def term(self):

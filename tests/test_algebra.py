@@ -9,6 +9,7 @@ from hopfbax import (CONVENTIONS, SQRT_Q, ParamScalar, ScalarDomainError,
                      check_constant_ybe_algebraic, cyclotomic, dual, embed,
                      tensor_multiply)
 from hopfbax.algebra import Algebra, associativity_violations, unit_violations
+from hopfbax.scalars import Memo
 
 
 def _basis(h, i, j):
@@ -180,6 +181,51 @@ def test_table_checks_match_element_loop(make):
     assert assoc
     assert associativity_violations(alg) == assoc
     assert unit_violations(alg) == unit
+
+
+def _per_triple_violations(alg, triples=None):
+    """The per-triple scan that associativity_violations batches: for each
+    triple in the order given, (ab)c and a(bc) as two {index: Scalar}
+    dicts summed through one memo."""
+    index, basis = alg.index, range(alg.dim)
+    rows = [[alg.row(i, j) for j in basis] for i in basis]
+    memo = Memo(alg.domain)
+    mul, acc = memo.mul, memo.accumulate
+    bad = []
+    for t in iproduct(alg.labels, repeat=3) if triples is None else triples:
+        i, j, k = (index[l] for l in t)
+        if (acc((p, mul(c, v)) for m, c in rows[i][j] for p, v in rows[m][k])
+                != acc((p, mul(c, v)) for m, c in rows[j][k]
+                       for p, v in rows[i][m])):
+            bad.append(tuple(t))
+    return bad
+
+
+@pytest.mark.parametrize("n, pair, label, factor", [
+    (3, ((0, 1), (1, 0)), (1, 1), 3),       # x.a = 3 q ax
+    (3, ((1, 1), (2, 1)), (0, 2), -1),      # ax.a^2x = -q^2 x^2
+    (3, ((2, 0), (2, 0)), (1, 0), 2),       # a^2.a^2 = 2a
+    (3, ((0, 0), (1, 2)), (1, 2), 5),       # e.ax^2 = 5 ax^2
+    (4, ((0, 1), (1, 0)), (1, 1), 3),       # x.a = 3 q ax
+    (4, ((3, 2), (1, 1)), (0, 3), 2),       # a^3x^2.ax = 2 q^2 x^3
+    (4, ((1, 0), (3, 0)), (0, 0), -1),      # a.a^3 = -e
+    (4, ((0, 2), (0, 1)), (0, 3), 7),       # x^2.x = 7 x^3
+])
+def test_batched_associativity_matches_the_per_triple_scan(n, pair, label,
+                                                           factor):
+    # one corrupted structure constant breaks many triples, several of
+    # them sharing a pair (a, b): the batch over c must report every one,
+    # in basis order, and a sample in the order it was given
+    alg = _corrupted(build_taft(n).algebra, pair, label, factor)
+    want = _per_triple_violations(alg)
+    assert len(want) > len({t[:2] for t in want})
+    assert associativity_violations(alg) == want
+    sample = list(iproduct(alg.labels, repeat=3))
+    random.Random(n).shuffle(sample)
+    sample = sample[:len(sample) // 3] + want[::-1] + want[:3]
+    got = associativity_violations(alg, sample)
+    assert got == _per_triple_violations(alg, sample)
+    assert len(got) > len(want)
 
 
 def test_embed_two_into_three(taft2):

@@ -360,12 +360,16 @@ def test_parse_bounds_what_a_power_grows():
 
 
 def test_parse_bounds_the_work_of_every_value():
-    # powers and products are charged their predicted work, so that big
-    # coefficients, wide cyclotomic coefficients and long powers of a
-    # compound base are refused before they are expanded
+    # powers, products and sums are charged their predicted work, so that
+    # big coefficients, wide cyclotomic coefficients, long powers of a
+    # compound base and sums of Q(s) fractions far apart in s are refused
+    # before they are expanded
     for bad, dom in [("(999+(1+q)^-1)^-200", cyclotomic(64)),
                      ("(q^-1+mu+7)^150", cyclotomic(8)),
-                     ("(123456789-q)^-200", cyclotomic(64))]:
+                     ("(123456789-q)^-200", cyclotomic(64)),
+                     ("((1+q)^-1+999+(2+q)^-1+1)^2+((s^-1)^-300)^3*((1+s)^-1"
+                      "*123456789+(1+q)^-1*2+(1+s)^-1*(1+s)^-1)^-2*(999)^40",
+                      SQRT_Q)]:
         t0 = time.perf_counter()
         with pytest.raises(ValueError):
             parse_param_scalar(bad, dom)
