@@ -284,19 +284,30 @@ def _normal(domain, num, den, shift=0) -> "Scalar":
         i = 0
         while not num[i]:
             i += 1
-        num, shift = num[i:], shift + i
-        if len(num) > 1 and len(den) > 1:
-            g = _euclid(num, den)[0]
-            if len(g) > 1:
-                c = gcd(*g)
-                g = tuple(x // c for x in g)
-                num, den = _divexact(num, g), _divexact(den, g)
+        (num, den), shift = _cancel(num[i:], den), shift + i
+    return _primitive(domain, num, den, shift)
+
+
+def _cancel(num, den):
+    """num / g and den / g for g the gcd of two Q(s) polynomials."""
+    if len(num) > 1 and len(den) > 1:
+        g = _euclid(num, den)[0]
+        if len(g) > 1:
+            c = gcd(*g)
+            g = tuple(x // c for x in g)
+            return _divexact(num, g), _divexact(den, g)
+    return num, den
+
+
+def _primitive(domain, num, den, shift) -> "Scalar":
+    """s^shift * num/den for coprime nonzero num and den, in normal form: the
+    integer content of num and den divided out and lead(den) > 0."""
     g = gcd(*num, *den)
     if den[-1] < 0:
         g = -g
     if g != 1:
-        num, den = tuple(x // g for x in num), tuple(x // g for x in den)
-    return Scalar(domain, num, tuple(den), shift)
+        num, den = [x // g for x in num], [x // g for x in den]
+    return Scalar(domain, tuple(num), tuple(den), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +398,18 @@ class Scalar:
         a, b = self.num, other.num
         if not a or not b:
             return dom.zero()
-        num, den, phi = _mul(a, b), self.den, dom.phi
-        if not phi or den != (1,) or other.den != (1,):
-            return _normal(dom, num, _mul(den, other.den),
-                           self.shift + other.shift)
+        if a == (1,) == self.den and not self.shift:   # Scalars are immutable
+            return other
+        if b == (1,) == other.den and not other.shift:
+            return self
+        den, phi = self.den, dom.phi
+        if not phi:   # Q(s): a/den and b/d are reduced, so cancel across
+            (a, d), (b, den) = _cancel(a, other.den), _cancel(b, den)
+            return _primitive(dom, _mul(a, b), _mul(den, d),
+                              self.shift + other.shift)
+        num = _mul(a, b)
+        if den != (1,) or other.den != (1,):
+            return _normal(dom, num, _mul(den, other.den))
         # the common case: two rational or cyclotomic values over 1
         return Scalar(dom, _rem(num, phi) if len(num) >= len(phi)
                       else tuple(num), den)
@@ -941,7 +960,7 @@ def _work(x: tuple, a: int, y: tuple, b: int) -> int:
     four per pair of coefficient words, scaled by the coefficients' bits,
     linearly and squared; and where a denominator is not a monomial, a gcd
     of Q(s) polynomials whose remainders grow with degree and bits, about
-    (degree^2 bits)^2 / 10^6."""
+    (degree^2 bits)^2 / 10^6: an upper bound, as a product cancels across."""
     pairs, words, bits, degree, gcd = 1, 1, 0, 0, False
     for (mu, nu, s, most, n, ratio), m in ((x, a), (y, b)):
         pairs *= (mu * m + 1) * (nu * m + 1)

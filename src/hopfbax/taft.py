@@ -38,8 +38,7 @@ from .hopf import Grading, HopfAlgebra
 from .matrices import ParametricMatrix, kron_entries, matmul_entries, \
     matrix_powers
 from .scalars import (Scalar, ScalarDomainError, accumulate, cyclotomic,
-                      gauss_binomial, laurent_by_key, q_bracket,
-                      q_bracket_factorial)
+                      laurent_by_key, q_bracket, q_bracket_factorial)
 
 
 def canonical_q(N: int) -> Scalar:
@@ -74,6 +73,12 @@ def build_taft(N: int, q: Scalar | None = None) -> HopfAlgebra:
         return (a + x) or "e"
 
     powers = [q ** k for k in range(N)]   # q^N = 1 was checked above
+    # (j choose k)_q by q-Pascal: (j-1 choose k-1)_q + q^k (j-1 choose k)_q
+    binomials = [[domain.one()]]
+    for j in range(1, N):
+        prev = binomials[-1]
+        binomials.append([prev[0], *(prev[k - 1] + powers[k] * prev[k]
+                                     for k in range(1, j)), prev[0]])
 
     def product(l1, l2):
         (i, j), (k, l) = l1, l2
@@ -90,8 +95,7 @@ def build_taft(N: int, q: Scalar | None = None) -> HopfAlgebra:
     for (i, j) in labels:
         terms = {}
         for k in range(j + 1):
-            c = gauss_binomial(j, k, q)
-            terms[(((j - k + i) % N, k), (i, j - k))] = c
+            terms[(((j - k + i) % N, k), (i, j - k))] = binomials[j][k]
         coproduct[(i, j)] = TensorElement((alg, alg), terms)
         counit[(i, j)] = domain.one() if j == 0 else domain.zero()
         sign = domain.from_fraction(-1 if j % 2 else 1)
@@ -228,30 +232,30 @@ def _taft_order(h: HopfAlgebra) -> int:
 def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
     """(a^m x^j)^* acts as E_{i+j,i} / (j)_q!, i = m - l + 1 (mod N) in 1..N."""
     N = _taft_order(h)
+    inverses = [q_bracket_factorial(j, q).inverse() for j in range(n)]
     images = {}
     for (m, j) in h.algebra.labels:
         i = (m - l) % N + 1
-        images[(m, j)] = ({(i + j - 1, i - 1): q_bracket_factorial(j, q).inverse()}
-                          if i + j <= n else {})
+        images[(m, j)] = {(i + j - 1, i - 1): inverses[j]} if i + j <= n else {}
     return images
 
 
-def _module(double: DoubleAlgebra, q: Scalar, name: str, a_exponents,
+def _module(double: DoubleAlgebra, powers, name: str, a_exponents,
             x_entries, l: int) -> Representation:
-    """The module with pi(a) = diag(q^e : e in a_exponents), pi(x) given by its
-    {(row, col): Scalar} entries, pi(a^i x^j) = pi(a)^i pi(x)^j and the dual
-    window l of _dual_images; pi is verified to be an algebra map on H."""
+    """The module with pi(a) = diag(powers[e mod N] : e in a_exponents), powers
+    being q^0 .. q^(N-1), pi(x) given by its {(row, col): Scalar} entries,
+    pi(a^i x^j) = pi(a)^i pi(x)^j and the dual window l of _dual_images; pi
+    is verified to be an algebra map on H."""
     h = double.h
-    n = len(a_exponents)
-    a_mat = {(k, k): q ** e for k, e in enumerate(a_exponents)}
+    n, N = len(a_exponents), len(powers)
+    a_mat = {(k, k): powers[e % N] for k, e in enumerate(a_exponents)}
     x_mat = {k: v for k, v in x_entries.items() if not v.is_zero()}
-    ident = {(k, k): q.domain.one() for k in range(n)}
-    pow_a, pow_x = (matrix_powers(m, _taft_order(h) - 1, ident)
-                    for m in (a_mat, x_mat))
+    ident = {(k, k): powers[0] for k in range(n)}
+    pow_a, pow_x = (matrix_powers(m, N - 1, ident) for m in (a_mat, x_mat))
     rep = Representation(
         double, n, {(i, j): matmul_entries(pow_a[i], pow_x[j])
                     for (i, j) in h.algebra.labels},
-        _dual_images(h, q, n, l), name)
+        _dual_images(h, powers[1], n, l), name)
     _check_subalgebra(rep, h.algebra, rep.h_image, "H")
     return rep
 
@@ -270,10 +274,10 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     if not (1 <= n <= N and 1 <= l <= N):
         raise ValueError(f"need 1 <= n, l <= N (got n={n}, l={l}, N={N})")
     q = _taft_q(h)
-    one = q.domain.one()
-    rep = _module(double, q, f"V_{{{n},{l}}}",
+    powers = [q ** k for k in range(N)]
+    rep = _module(double, powers, f"V_{{{n},{l}}}",
                   [k - l - n for k in range(1, n + 1)],
-                  {(k - 1, k): q_bracket(k, q) * (one - q ** (k - n))
+                  {(k - 1, k): q_bracket(k, q) * (powers[0] - powers[k - n])
                    for k in range(1, n)}, l)
     halg, dalg = h.algebra, double.hdual.algebra
     _check_subalgebra(rep, dalg, rep.dual_image, "H*")
@@ -304,11 +308,11 @@ def rep_indecomposable(double: DoubleAlgebra, alpha: Scalar, l: int) -> Represen
     q = _taft_q(h)
     if alpha.domain != q.domain:
         raise ScalarDomainError("alpha must live in the algebra's scalar domain")
-    one = q.domain.one()
+    powers = [q ** k for k in range(N)]
     links = {(N - 1, 0): alpha}
     for k in range(2, N):
-        links[(k - 1, k)] = q_bracket(k - 1, q) * (one - q ** k)
-    return _module(double, q, f"W_{{{l}}}(alpha)",
+        links[(k - 1, k)] = q_bracket(k - 1, q) * (powers[0] - powers[k])
+    return _module(double, powers, f"W_{{{l}}}(alpha)",
                    [k - 1 - l for k in range(1, N + 1)], links, l)
 
 

@@ -151,7 +151,7 @@ def test_corrupted_axioms_match_the_reference_checker(n):
 
 def test_hopf_axioms_multiply_through_one_memo(monkeypatch):
     # every product of the check goes through one memo of interned values,
-    # so T_5 needs few Scalar multiplications: 250 here, 24,508 when
+    # so T_5 needs few Scalar multiplications: 226 here, 24,508 when
     # each axiom multiplied plain Scalars term by term
     h = build_taft(5)
     calls = []

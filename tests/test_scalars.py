@@ -20,7 +20,8 @@ from hopfbax import (
     q_number,
     q_number_factorial,
 )
-from hopfbax.scalars import cyclotomic_polynomial, proportionality_ratio
+from hopfbax.scalars import _mul, _normal, cyclotomic_polynomial, normal_key, \
+    proportionality_ratio
 
 import reference_parser
 import strategies
@@ -154,6 +155,94 @@ def _check_field_triple(a, b, c):
     if not a.is_zero():
         assert a * a.inverse() == one
         assert (one / a) * a == one
+
+
+# ---------------------------------------------------------------------------
+# products: a unit factor returns the other one, Q(s) cancels across
+# ---------------------------------------------------------------------------
+
+def _product_cases():
+    """(domain, values): zero, +-1, fractions and multi-term values."""
+    for dom, g in ((RATIONAL, RATIONAL.from_fraction(3)),
+                   (cyclotomic(5), cyclotomic(5).q()),
+                   (cyclotomic(8), cyclotomic(8).q()), (SQRT_Q, SQRT_Q.s())):
+        yield dom, [dom.zero(), dom.one(), -dom.one(),
+                    dom.from_fraction(Fraction(1, 2)),
+                    dom.from_fraction(Fraction(-3, 7)), g, g.inverse(),
+                    g * g - 3 * g + Fraction(1, 5), (g + 2).inverse(),
+                    (g * g + 1) / (g - Fraction(1, 2))]
+
+
+def _schoolbook(p, r):
+    out = [0] * (len(p) + len(r) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return out
+
+
+def _is_product(z, x, y) -> bool:
+    """z = x y, by cross-multiplying the normal-form fields:
+    s^k num_z den_x den_y = s^(k_x + k_y) num_x num_y den_z (mod Phi_n)."""
+    if x.is_zero() or y.is_zero():
+        return z.is_zero()
+    (zn, zd, zk), (xn, xd, xk), (yn, yd, yk) = map(normal_key, (z, x, y))
+    low = min(zk, xk + yk)
+    lhs = [0] * (zk - low) + _schoolbook(_schoolbook(zn, xd), yd)
+    rhs = [0] * (xk + yk - low) + _schoolbook(_schoolbook(xn, yn), zd)
+    diff = [0] * max(len(lhs), len(rhs))
+    for i, c in enumerate(lhs):
+        diff[i] += c
+    for i, c in enumerate(rhs):
+        diff[i] -= c
+    if z.domain is not SQRT_Q:
+        phi = cyclotomic_polynomial(max(z.domain.n, 1))
+        for top in range(len(diff) - 1, len(phi) - 2, -1):
+            c = diff[top]
+            for i, p in enumerate(phi):
+                diff[top - len(phi) + 1 + i] -= c * p
+    return not any(diff)
+
+
+def test_product_with_one_is_the_other_factor():
+    for dom, values in _product_cases():
+        one = dom.one()
+        for x in values:
+            for y in (x * one, one * x, x * 1, 1 * x):
+                assert y == x and normal_key(y) == normal_key(x), (dom, x)
+
+
+def test_products_agree_with_a_schoolbook_product():
+    # every pair, units included: a short-circuit taken for a factor
+    # that is not exactly 1 gives a wrong product here
+    for dom, values in _product_cases():
+        for x in values:
+            for y in values:
+                assert _is_product(x * y, x, y), (dom, x, y)
+
+
+@settings(max_examples=80)
+@given(strategies.sqrt_scalars(), strategies.sqrt_scalars(),
+       strategies.sqrt_fractions())
+def test_sqrt_products_cancel_to_the_full_gcd_normal_form(a, b, c):
+    # (a/c)(b c) cancels c's factors across the two fractions; the normal
+    # form must equal that of one gcd over the whole product
+    assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
+    for x, y in ((a, b), (a / c, b * c), (b * c, a / c)):
+        (xn, xd, xk), (yn, yd, yk) = normal_key(x), normal_key(y)
+        full = _normal(SQRT_Q, _mul(xn, yn), _mul(xd, yd), xk + yk)
+        assert normal_key(x * y) == normal_key(full)
+
+
+def test_sqrt_square_of_a_reduced_fraction_is_fast():
+    # ((1+s^3)^-1 + s)^32 squared: one gcd over the whole product took
+    # 0.5 s; cancelling across the factors leaves two coprime gcds
+    s, one = SQRT_Q.s(), SQRT_Q.one()
+    x = ((one + s ** 3).inverse() + s) ** 32
+    start = time.perf_counter()
+    y = x * x
+    assert time.perf_counter() - start < 0.25
+    assert y * (one + s ** 3) ** 64 == (one + s + s ** 4) ** 64
 
 
 def test_zero_inverse_raises():

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from hopfbax import (
     canonical_q,
     check_parametric_ybe,
     cyclotomic,
+    gauss_binomial,
     parse_param_scalar,
     q_bracket_factorial,
     rep_indecomposable,
@@ -17,6 +19,7 @@ from hopfbax import (
     taft_r_matrix,
 )
 from hopfbax.matrices import matmul_entries
+from hopfbax.scalars import Scalar
 from hopfbax.taft import (
     Representation,
     RepresentationError,
@@ -42,6 +45,37 @@ def test_canonical_q_is_primitive():
         assert is_primitive_root(z, n)
         assert z ** n == z.domain.one()
     assert not is_primitive_root(cyclotomic(6).q() ** 2, 6)
+
+
+def test_coproduct_coefficients_are_gauss_binomials():
+    # build_taft reads Delta(a^i x^j) = sum_k (j choose k)_q a^(i+j-k) x^k
+    # (x) a^i x^(j-k) off a q-Pascal table; gauss_binomial divides
+    # factorials, an independent path, at every primitive N-th root
+    roots = [(2, RATIONAL.from_fraction(-1))]
+    for N in range(2, 9):
+        z = cyclotomic(N).q()
+        roots += [(N, z ** e) for e in range(1, N) if gcd(e, N) == 1]
+    for N, q in roots:
+        h = build_taft(N, q)
+        for (i, j), delta in h.coproduct.items():
+            assert delta.terms == {
+                (((i + j - k) % N, k), (i, j - k)): gauss_binomial(j, k, q)
+                for k in range(j + 1)}, (N, q, (i, j))
+
+
+def test_build_taft_inverts_nothing(monkeypatch):
+    # the coproduct's q-binomials come from q-Pascal additions and the
+    # antipode's q^-e from the list of the N powers of q
+    calls = []
+    inverse = Scalar.inverse
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(Scalar, "inverse", counted)
+    build_taft(6)
+    assert calls == []
 
 
 def test_taft_q_recovered_from_table(taft3, taft4):
