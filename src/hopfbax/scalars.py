@@ -36,9 +36,12 @@ the tokens, then walks the ``ast.parse`` tree and refuses any node outside it):
 ``q`` denotes the domain's deformation parameter (s^2 in sqrt_q), ``s`` is
 only legal in sqrt_q.  Division is exact; a divisor involving mu or nu
 must be one Laurent monomial c*mu^a*nu^b (``1/mu`` is ``mu^-1``, while
-``1/(1+mu)`` raises ScalarDomainError).  Emission is canonical: polynomials
-are expanded, exponents ascend, denominators are monic, so emit -> parse ->
-emit is the identity.
+``1/(1+mu)`` raises ScalarDomainError).  In sqrt_q a divisor, the right
+operand of ``/`` or the base of a negative power, must have monomial
+coefficients r*s^k (``1/(1+s)`` raises ValueError), so every parsed value
+is a Laurent polynomial in s and parsing runs no polynomial gcd.  Emission
+is canonical: polynomials are expanded, exponents ascend, denominators are
+monic, so emit -> parse -> emit is the identity.
 """
 
 from __future__ import annotations
@@ -863,9 +866,8 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # bound and prints no exponent above MAX_EXPONENT, so its str() parses.
 MAX_EXPONENT = 1000
 
-# the predicted work of all products and powers of one parse, about 0.4 s;
-# the degrees of s a value may span over a denominator that is no monomial
-MAX_WORK, MAX_GCD_SPREAD = 3_500_000, 32
+# the predicted work of all products and powers of one parse, about 0.4 s
+MAX_WORK = 3_500_000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -915,9 +917,7 @@ def _spread(v: ParamScalar) -> tuple:
 def _bounded(v: ParamScalar, spread=None, what="value") -> ParamScalar:
     """v if its spread, or the spread predicted for it, gives at most
     MAX_EXPONENT + 1 terms and, once computed, str(v) prints no exponent
-    above MAX_EXPONENT; ValueError otherwise.  Where a denominator is not
-    a monomial, each sum and product runs a gcd of Q(s) polynomials, so v
-    may span at most MAX_GCD_SPREAD degrees of s."""
+    above MAX_EXPONENT; ValueError otherwise."""
     terms, spans = 1, spread or _spread(v)
     for d in spans:
         terms *= d + 1
@@ -929,50 +929,41 @@ def _bounded(v: ParamScalar, spread=None, what="value") -> ParamScalar:
     if terms > MAX_EXPONENT + 1 or reach > MAX_EXPONENT:
         raise ValueError(f"{what} spans more than {MAX_EXPONENT + 1} terms "
                          f"or prints an exponent above {MAX_EXPONENT}")
-    if spans[2] > MAX_GCD_SPREAD and any(len(c.den) > 1 for c in v.terms.values()):
-        raise ValueError(f"{what} spans more than {MAX_GCD_SPREAD} degrees "
-                         "of s over a denominator that is not a monomial")
     return v
 
 
 def _size(v: ParamScalar, spread: tuple, inverse=False) -> tuple:
     """What _work reads of v (of 1/v if inverse, v a monomial), given the
     mu, nu and s spreads of v: those in mu and nu, the degrees the
-    coefficients span in s (or q), the most words a coefficient holds, the
-    bits of all the integers, and whether a Q(s) denominator is not a
-    monomial.  The inverse of a in Q(zeta_n) is adj(a) / N(a): it may fill
-    all phi(n) words, and |N(a)| is at most (sum |a_i|)^phi(n)."""
+    coefficients span in s (or q), the most words a coefficient holds and
+    the bits of all the integers.  The inverse of a in Q(zeta_n) is
+    adj(a) / N(a): it may fill all phi(n) words, and |N(a)| is at most
+    (sum |a_i|)^phi(n).  In Q(s) only a monomial r s^k is inverted, so that
+    every parsed value is a Laurent polynomial; ValueError otherwise."""
     mu, nu, s = spread
     cs, phi = v.terms.values(), len(v.domain.phi) - 1   # phi(n); -1 in Q(s)
+    if inverse and phi < 0 and any(len(c.num) + len(c.den) > 2 for c in cs):
+        raise ValueError("a divisor in sqrt_q must be a monomial r*s^k")
     bits = sum(sum(map(abs, c.num)) + sum(map(abs, c.den)) for c in cs).bit_length()
     if phi > 0:
         s = max((len(c.num) - 1 for c in cs), default=0)
         if inverse:
             s, bits = phi - 1, bits + phi * (
                 sum(sum(map(abs, c.num)) for c in cs).bit_length() - 1)
-    return (mu, nu, s, phi if phi > 0 else MAX_EXPONENT + 1, bits,
-            phi < 0 and any(len(c.num if inverse else c.den) > 1 for c in cs))
+    return mu, nu, s, phi if phi > 0 else MAX_EXPONENT + 1, bits
 
 
 def _work(x: tuple, a: int, y: tuple, b: int) -> int:
     """The predicted work of v^a * w^b (x and y the _size of v and w), in
     units of about 0.1 us.  Per pair of (mu, nu) terms: an overhead plus
     four per pair of coefficient words, scaled by the coefficients' bits,
-    linearly and squared; and where a denominator is not a monomial, a gcd
-    of Q(s) polynomials whose remainders grow with degree and bits, about
-    (degree^2 bits)^2 / 10^6: an upper bound, as a product cancels across."""
-    pairs, words, bits, degree, gcd = 1, 1, 0, 0, False
-    for (mu, nu, s, most, n, ratio), m in ((x, a), (y, b)):
+    linearly and squared."""
+    pairs, words, bits = 1, 1, 0
+    for (mu, nu, s, most, n), m in ((x, a), (y, b)):
         pairs *= (mu * m + 1) * (nu * m + 1)
         words *= min(most, s * m + 1)
-        bits, degree, gcd = bits + m * n, degree + s * m, gcd or ratio
-    return pairs * ((16 + 4 * words) * (1 + bits // 256 + (bits // 512) ** 2)
-                    + _gcd_work(degree, bits) * gcd)
-
-
-def _gcd_work(degree: int, bits: int) -> int:
-    """The gcd term of _work: (degree^2 bits)^2 / 10^6."""
-    return (degree * degree * bits) ** 2 // 10 ** 6
+        bits += m * n
+    return pairs * (16 + 4 * words) * (1 + bits // 256 + (bits // 512) ** 2)
 
 
 @lru_cache(maxsize=4096)
@@ -1010,32 +1001,23 @@ def _small(v: ParamScalar) -> bool:
 
 def _bound_power(budget: list, v: ParamScalar, k: int, n: int):
     """Refuse v^k before it is computed if v^n, n = |k| times the exponents
-    around it, is out of bounds or v^k costs more than the budget left."""
+    around it, is out of bounds, v^k costs more than the budget left or,
+    k < 0, _size refuses v as a divisor."""
     spread = _spread(v)
     _bounded(v, tuple(d * n for d in spread), f"power ^{k}")
     if not _small(v):
         _charge(budget, _power_work(_size(v, spread, k < 0), abs(k)))
 
 
-def _bound_product(budget: list, v: ParamScalar, w: ParamScalar):
-    """Refuse v * w or v / w before it is computed if it may span too much
-    (at most the sum of the factors' spreads) or costs too much."""
+def _bound_product(budget: list, v: ParamScalar, w: ParamScalar, divide=False):
+    """Refuse v * w (v / w if divide) before it is computed if it may span
+    too much (at most the sum of the factors' spreads) or costs too much; a
+    divisor is charged as the inverse it computes (_size refuses one in s
+    that is no monomial, which a _small value is)."""
     sv, sw = _spread(v), _spread(w)
     _bounded(v, tuple(map(sum, zip(sv, sw))), "product")
     if not (_small(v) and _small(w)):
-        _charge(budget, _work(_size(v, sv), 1, _size(w, sw), 1))
-
-
-def _bound_sum(budget: list, v: ParamScalar, w: ParamScalar):
-    """Charge v + w or v - w, at each (mu, nu) term both hold over a Q(s)
-    denominator that is no monomial, _work's gcd widened by the s-shift gap."""
-    for key in v.terms.keys() & w.terms.keys():
-        a, b = v.terms[key], w.terms[key]
-        if len(a.den) > 1 or len(b.den) > 1:
-            _charge(budget, _gcd_work(
-                len(a.num + a.den + b.num + b.den) - 4 + abs(a.shift - b.shift),
-                sum((sum(map(abs, c.num)) + sum(map(abs, c.den))).bit_length()
-                    for c in (a, b))))
+        _charge(budget, _work(_size(v, sv), 1, _size(w, sw, divide), 1))
 
 
 def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
@@ -1073,8 +1055,8 @@ def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
         w = _evaluate(op.right, domain, scale, budget)
-        (_bound_product if type(op.op) in (ast.Mult, ast.Div)
-         else _bound_sum)(budget, v, w)
+        if type(op.op) in (ast.Mult, ast.Div):
+            _bound_product(budget, v, w, type(op.op) is ast.Div)
         v = _bounded(_OPS[type(op.op)](v, w))
     return v
 

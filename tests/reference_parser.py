@@ -6,14 +6,13 @@ reference that the differential test in test_scalars.py compares against:
 both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
 its size and work bounds (`_bounded`, `_bound_power`, `_bound_product`,
-`_bound_sum`, `MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the
-new parser.
+`MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new parser.
 """
 
 import re
 
 from hopfbax.scalars import MAX_EXPONENT, MAX_WORK, ParamScalar, _bounded, \
-    _bound_power, _bound_product, _bound_sum
+    _bound_power, _bound_product
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -69,7 +68,6 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             w = self.term()
-            _bound_sum(self.budget, v, w)
             v = _bounded(v + w if op == "+" else v - w)
         return v
 
@@ -79,7 +77,7 @@ class _Parser:
             op = self.take()
             w = self.factor()
             # a product spans at most the sum of its factors' spreads
-            _bound_product(self.budget, v, w)
+            _bound_product(self.budget, v, w, op == "/")
             v = _bounded(v * w if op == "*" else v / w)
         return v
 

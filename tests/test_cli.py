@@ -232,13 +232,20 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
                  {"row": 3, "col": 3, "value": "(1)/(s)"},
                  {"row": 4, "col": 4, "value": "s"},
                  {"row": 2, "col": 3, "value": "0"}]},
-    # over the parse's work budget, or a gcd of too many degrees of s
+    # over the parse's work budget, or a divisor in s that is no monomial
     {"dim": 4, "domain": "sqrt_q", "param": "mu",
      "entries": [{"row": 1, "col": 1, "value": "(1+mu)^1000"}]},
     {"dim": 4, "domain": "sqrt_q", "param": "mu",
      "entries": [{"row": 1, "col": 1, "value": "(1+mu)^500*(1+mu)^500"}]},
     {"dim": 4, "domain": "sqrt_q", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "((1+s^3)^-1+s)^80"}]},
+    # a quotient charged as the inverse it computes (it ran for about a
+    # minute when the divisor was charged as a factor)
+    {"dim": 4, "domain": "cyclotomic(64)",
+     "entries": [{"row": 1, "col": 1,
+                  "value": "1/(123456789-q+99999*q^5)^100"}]},
+    {"dim": MAX_DIM + 1, "domain": "sqrt_q", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "s"}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -259,6 +266,17 @@ def test_verify_loads_the_largest_cyclotomic_order(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
     assert code == 0 and err.startswith("PASS")
+
+
+def test_json_loads_the_largest_dim():
+    # dim = MAX_DIM is inside the documented range 1..MAX_DIM; a sparse
+    # matrix costs its entries, not dim^2
+    payload = {"dim": MAX_DIM, "domain": "sqrt_q", "param": None,
+               "entries": [{"row": MAX_DIM, "col": MAX_DIM, "value": "s"}]}
+    t0 = time.perf_counter()
+    m = ParametricMatrix.from_json(json.dumps(payload))
+    assert time.perf_counter() - t0 < 0.1
+    assert m.dim == MAX_DIM and str(m.get(MAX_DIM - 1, MAX_DIM - 1)) == "s"
 
 
 # what run_verify turns into exit 2 when a matrix file does not load

@@ -1,8 +1,9 @@
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfbax import (
@@ -20,6 +21,7 @@ from hopfbax import (
     q_number,
     q_number_factorial,
 )
+from hopfbax import scalars
 from hopfbax.scalars import _mul, _normal, cyclotomic_polynomial, normal_key, \
     proportionality_ratio
 
@@ -377,13 +379,31 @@ def test_proportionality_ratio():
 @pytest.mark.parametrize("text", [
     "q", "s", "1", "0", "-3", "q^-1", "s^3", "q^2 + q^-2",
     "mu*(q - q^-1)/s", "mu^2*q^-1*(q - q^-1)^2*(q + q^-1)",
-    "(1 - q^-1)*(1 - q^-2)", "1/2", "-q^3/(1 + q)",
+    "(1 - q^-1)*(1 - q^-2)", "1/2", "-q^3/(2*s)",
 ])
 def test_parse_emit_round_trip(text):
     x = parse_param_scalar(text, SQRT_Q)
     assert parse_param_scalar(str(x), SQRT_Q) == x
     # emitting twice is stable
     assert str(parse_param_scalar(str(x), SQRT_Q)) == str(x)
+
+
+def test_parse_refuses_a_divisor_in_s_that_is_no_monomial():
+    # in sqrt_q a divisor, the right operand of / or the base of a negative
+    # power, must be r*s^k, so every parsed value is a Laurent polynomial
+    for bad in ["-q^3/(1 + q)", "1/(1+s)", "(1+s)^-1", "(1)/(1 + s^2)",
+                "mu/(2 - s)", "(s + mu*(1 + s))^-2"]:
+        with pytest.raises(ValueError, match="must be a monomial"):
+            parse_param_scalar(bad, SQRT_Q)
+    with pytest.raises(ScalarDomainError):
+        parse_param_scalar("1/(1+mu)", SQRT_Q)
+    assert parse_param_scalar("(1 + s)/(2*s^3)", SQRT_Q) == \
+        parse_param_scalar("s^-3/2 + s^-2/2", SQRT_Q)
+    assert parse_param_scalar("(2*q^-1*mu)^-2", SQRT_Q) == \
+        parse_param_scalar("q^2*mu^-2/4", SQRT_Q)
+    # elsewhere every nonzero value divides
+    dom = cyclotomic(5)
+    assert parse_scalar("1/(1 + q)", dom) * (dom.one() + dom.q()) == dom.one()
 
 
 def test_parse_double_star_alias():
@@ -404,8 +424,7 @@ def test_parse_rejects_garbage():
                 # over the work budget (at the parent most took seconds)
                 "(1+mu)^1000", "((1+nu)^10)^100", "(1+mu)^500*(1+mu)^500",
                 "(2+3*mu)^1000", "(1+mu)^300", "(1+s)^1000", "(1+s)^500",
-                # a gcd of Q(s) polynomials of more than 32 degrees, or of
-                # a big enough product of degree and bits
+                # a divisor in s that is no monomial
                 "((1+s^3)^-1+s)^80", "((1+s^3)^-1+s)^8",
                 "((1+s)^-1+(1+s^3)^-1+7+(2+q)^-1)^31",
                 "(1*3)^400*(s*3+7*s+123456789+(2+q)^-1*mu)^10"
@@ -449,13 +468,15 @@ def test_parse_bounds_what_a_power_grows():
 
 
 def test_parse_bounds_the_work_of_every_value():
-    # powers, products and sums are charged their predicted work, so that
-    # big coefficients, wide cyclotomic coefficients, long powers of a
-    # compound base and sums of Q(s) fractions far apart in s are refused
-    # before they are expanded
+    # powers, products and quotients are charged their predicted work, so
+    # that big coefficients, wide cyclotomic coefficients, long powers of a
+    # compound base and cyclotomic inverses are refused before they are
+    # expanded; the Q(s) string divides by values that are no monomial
     for bad, dom in [("(999+(1+q)^-1)^-200", cyclotomic(64)),
                      ("(q^-1+mu+7)^150", cyclotomic(8)),
                      ("(123456789-q)^-200", cyclotomic(64)),
+                     # a quotient is charged as the inverse it computes
+                     ("1/(123456789-q+99999*q^5)^100", cyclotomic(64)),
                      ("((1+q)^-1+999+(2+q)^-1+1)^2+((s^-1)^-300)^3*((1+s)^-1"
                       "*123456789+(1+q)^-1*2+(1+s)^-1*(1+s)^-1)^-2*(999)^40",
                       SQRT_Q)]:
@@ -592,7 +613,33 @@ def test_parse_bounds_products_and_printed_exponents():
 
 
 @settings(max_examples=40)
-@given(strategies.param_scalars() | strategies.cyclotomic_param_scalars())
+@given(strategies.param_scalars(strategies.sqrt_laurents())
+       | strategies.cyclotomic_param_scalars())
 def test_emit_parse_identity_property(x):
     y = parse_param_scalar(str(x), x.domain)
     assert y == x and str(y) == str(x)
+
+
+@settings(max_examples=40)
+@given(strategies.param_scalars(strategies.sqrt_fractions()))
+def test_emitted_fractions_in_s_are_refused(x):
+    # a Q(s) value whose denominator is no power of s has no string the
+    # parser accepts
+    assume(any(len(c.den) > 1 for c in x.terms.values()))
+    with pytest.raises(ValueError, match="must be a monomial"):
+        parse_param_scalar(str(x), SQRT_Q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grammar_strings(), _grammar_strings())
+@example("s + 1", "q - mu^0")
+def test_parsing_in_s_runs_no_polynomial_gcd(a, b):
+    # every parsed Q(s) value is a Laurent polynomial, so no sum, product,
+    # quotient or power of a parse reaches Euclid's algorithm; a quotient
+    # of two strings is where one would run if any divisor were accepted
+    def euclid(*args):
+        raise AssertionError("a polynomial gcd ran while parsing")
+
+    with mock.patch.object(scalars, "_euclid", euclid):
+        for text in (a, f"({a})/({b})", f"({b})^-1*({a})"):
+            _parsed_or_refused(parse_param_scalar, text, SQRT_Q)

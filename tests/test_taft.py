@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
@@ -20,10 +22,13 @@ from hopfbax import (
 )
 from hopfbax.matrices import matmul_entries
 from hopfbax.scalars import Scalar
+from hopfbax import taft
 from hopfbax.taft import (
     Representation,
     RepresentationError,
+    _check_algebra_map,
     _check_subalgebra,
+    _row_table,
     _taft_q,
     check_double_multiplicative,
     is_primitive_root,
@@ -212,6 +217,52 @@ def test_straightening_check_rejects_wrong_convention(taft3):
     # left_s passes the H and H* checks; only the cross relation catches it
     with pytest.raises(RepresentationError, match="straightening rule"):
         rep_irreducible(build_double(taft3, "left_s"), 3, 1)
+
+
+def test_irreducible_refuses_one_wrong_dual_entry(double3, monkeypatch):
+    # rep_irreducible runs the H* check itself: doubling any one nonzero
+    # entry of the dual images it builds must fail there, before the cross
+    # relation is read
+    images = taft._dual_images(double3.h, _taft_q(double3.h), 3, 1)
+    wrong = [(label, key) for label, image in images.items() for key in image]
+    assert wrong
+    for label, key in wrong:
+        bad = {**images, label: {**images[label], key: images[label][key] * 2}}
+        monkeypatch.setattr(taft, "_dual_images", lambda *args: bad)
+        with pytest.raises(RepresentationError,
+                           match=r"is not multiplicative on H\*"):
+            rep_irreducible(double3, 3, 1)
+
+
+def test_subalgebra_check_refuses_a_wrong_image_of_one(double3, taft3,
+                                                       monkeypatch):
+    # images that are all zero are multiplicative, so only the unit check
+    # sees that 1 goes to 0 and not to the identity
+    rep = rep_irreducible(double3, 3, 1)
+    zero = {label: {} for label in rep._h}
+    broken = Representation(double3, 3, zero, rep._dual, "zero on H")
+    with pytest.raises(RepresentationError,
+                       match="does not send 1_H to the identity"):
+        _check_subalgebra(broken, taft3.algebra, broken.h_image, "H")
+    monkeypatch.setattr(taft, "_dual_images",
+                        lambda *args: {label: {} for label in rep._dual})
+    with pytest.raises(RepresentationError,
+                       match=r"does not send 1_H\* to the identity"):
+        rep_irreducible(double3, 3, 1)
+
+
+def test_algebra_map_check_reads_the_last_pair(double3, taft3):
+    rep = rep_irreducible(double3, 3, 1)
+    alg = taft3.algebra
+    table = [(x, y, list(terms)) for x, y, terms
+             in _row_table(alg, iproduct(alg.labels, repeat=2))]
+    _check_algebra_map(rep, rep.h_image, table, lambda x, y: "fails")
+    x, y, terms = table[-1]
+    table[-1] = (x, y, [*terms, ((0, 0), double3.domain.one())])
+    with pytest.raises(RepresentationError,
+                       match=re.escape(f"fails at {x}, {y}")):
+        _check_algebra_map(rep, rep.h_image, table,
+                           lambda x, y: f"fails at {x}, {y}")
 
 
 # ---------------------------------------------------------------------------
