@@ -17,7 +17,7 @@ from .double import CONVENTIONS, DEFAULT_CONVENTION, CanonicalR, \
     DoubleAlgebra, build_double, canonical_r, check_constant_ybe_algebraic, \
     check_parametric_ybe_algebraic, double_grading
 from .hopf import Grading, HopfAlgebra, HopfReport, check_coproduct_grading, \
-    check_grading, check_hopf_axioms, dual, dual_grading, pair
+    check_grading, check_hopf_axioms, dual, dual_grading
 from .matrices import ParametricMatrix, embed_two_site, find_diagonal_gauge
 from .scalars import RATIONAL, SQRT_Q, Domain, ParamScalar, Scalar, \
     ScalarDomainError, cyclotomic, eval_q_powers, gauss_binomial, \
@@ -40,7 +40,7 @@ __all__ = [
     "build_double", "canonical_r", "check_constant_ybe_algebraic",
     "check_parametric_ybe_algebraic", "double_grading",
     "Grading", "HopfAlgebra", "HopfReport", "check_coproduct_grading",
-    "check_grading", "check_hopf_axioms", "dual", "dual_grading", "pair",
+    "check_grading", "check_hopf_axioms", "dual", "dual_grading",
     "ParametricMatrix", "embed_two_site", "find_diagonal_gauge",
     "RATIONAL", "SQRT_Q", "Domain", "ParamScalar", "Scalar",
     "ScalarDomainError", "cyclotomic", "eval_q_powers", "gauss_binomial",

@@ -331,29 +331,21 @@ def differing(left: dict, right: dict) -> set:
         if left.get(key) != right.get(key)}
 
 
-def associativity_violations(algebra: Algebra, triples=None, memo=None):
-    """Basis triples where (ab)c != a(bc), in the order given (all triples
-    in basis order by default); empty list means associative.  Every cell
-    of the row table is read once, into a local index table; for each pair
-    (a, b) both sides for every asked c are one {(c, index): Scalar} dict
-    summed through `memo` (a new one if None)."""
-    labels, index, basis = algebra.labels, algebra.index, range(algebra.dim)
+def associativity_violations(algebra: Algebra, memo=None):
+    """Basis triples where (ab)c != a(bc), in basis order; empty list means
+    associative.  Every cell of the row table is read once, into a local
+    index table; for each pair (a, b) both sides for every c are one
+    {(c, index): Scalar} dict summed through `memo` (a new one if None)."""
+    labels, basis = algebra.labels, range(algebra.dim)
     rows = [[algebra.row(i, j) for j in basis] for i in basis]
     memo = memo or Memo(algebra.domain)
     mul, acc = memo.mul, memo.accumulate
-    if triples is not None:
-        triples = [(index[a], index[b], index[c]) for a, b, c in triples]
-    asked = {} if triples is not None else dict.fromkeys(
-        iproduct(basis, basis), basis)
-    for i, j, k in triples or ():
-        asked.setdefault((i, j), set()).add(k)
-    bad = {(i, j, k) for (i, j), ks in asked.items() for k in differing(
-        acc(((k, p), mul(c, v)) for m, c in rows[i][j] for k in ks
+    bad = {(i, j, k) for i, j in iproduct(basis, basis) for k in differing(
+        acc(((k, p), mul(c, v)) for m, c in rows[i][j] for k in basis
             for p, v in rows[m][k]),
-        acc(((k, p), mul(c, v)) for k in ks for m, c in rows[j][k]
+        acc(((k, p), mul(c, v)) for k in basis for m, c in rows[j][k]
             for p, v in rows[i][m]))}
-    return [(labels[i], labels[j], labels[k]) for i, j, k in (
-        sorted(bad) if triples is None else (t for t in triples if t in bad))]
+    return [(labels[i], labels[j], labels[k]) for i, j, k in sorted(bad)]
 
 
 def unit_violations(algebra: Algebra, memo=None):

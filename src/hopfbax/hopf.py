@@ -216,16 +216,6 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
 # dual Hopf algebra
 # ---------------------------------------------------------------------------
 
-def pair(f: AlgebraElement, x: AlgebraElement) -> Scalar:
-    """Evaluate a dual element on a primal element via <a_i^*, a_j> = d_ij."""
-    out = f.algebra.domain.zero()
-    for l, c in f.terms.items():
-        d = x.terms.get(l)
-        if d is not None:
-            out = out + c * d
-    return out
-
-
 def dual(h: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the dual basis {a_i^*}."""
     alg = h.algebra

@@ -30,17 +30,17 @@ the tokens, then walks the ``ast.parse`` tree and refuses any node outside it):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := ['-'] atom ['^' ['-'] integer]
-    atom    := integer | 'q' | 's' | 'mu' | 'nu' | '(' expr ')'
+    factor  := ['-'] (name '^' ['-'] integer | atom)
+    atom    := integer | name | '(' expr ')'
+    name    := 'q' | 's' | 'mu' | 'nu'
 
 ``q`` denotes the domain's deformation parameter (s^2 in sqrt_q), ``s`` is
-only legal in sqrt_q.  Division is exact; a divisor involving mu or nu
-must be one Laurent monomial c*mu^a*nu^b (``1/mu`` is ``mu^-1``, while
-``1/(1+mu)`` raises ScalarDomainError).  In sqrt_q a divisor, the right
-operand of ``/`` or the base of a negative power, must have monomial
-coefficients r*s^k (``1/(1+s)`` raises ValueError), so every parsed value
-is a Laurent polynomial in s and parsing runs no polynomial gcd.  Emission
-is canonical: polynomials are expanded, exponents ascend, denominators are
+only legal in sqrt_q.  Only names take an exponent, and a divisor, the
+right operand of ``/``, holds no binary + or -: ``(1+q)^2``, ``1/(1+mu)``
+and ``1/(1+s)`` raise ValueError, ``(1+q)*(1+q)`` and ``1/(2*s)`` parse.
+So every divisor is a monomial c*q^a*s^b*mu^c*nu^d and every parsed Q(s)
+value is a Laurent polynomial in s, reached without a gcd.  Emission is
+canonical: polynomials are expanded, exponents ascend, denominators are
 monic, so emit -> parse -> emit is the identity.
 """
 
@@ -855,18 +855,13 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # parsing
 # ---------------------------------------------------------------------------
 
-# largest |k| accepted in x^k: (1 + s)^k expands to k + 1 terms.  It also
-# bounds the terms a power may create: with n = |k| times the exponents of
-# the powers around it (at most MAX_EXPONENT itself), a base spanning d_v
-# degrees in each of mu, nu and s gives at most prod (d_v * n + 1) terms,
-# which may not exceed MAX_EXPONENT + 1.  So ((1 + s)^1000)^1000,
-# (1 + s^2)^1000 and (1 + mu + nu)^1000 fail before any expansion, and so
-# does (1+mu)^300*(1+nu)^300, a product spanning the sum of its factors'
-# spreads.  Every computed value, sums included, keeps within the same
-# bound and prints no exponent above MAX_EXPONENT, so its str() parses.
+# largest |k| accepted in name^k.  Powers and quotients are of monomials,
+# so only products of sums grow: each is refused before it is computed if
+# it may span more than MAX_EXPONENT + 1 terms, and no value may print an
+# exponent above MAX_EXPONENT, so every str() parses.
 MAX_EXPONENT = 1000
 
-# the predicted work of all products and powers of one parse, about 0.4 s
+# the predicted work of all products of one parse, about 0.4 s
 MAX_WORK = 3_500_000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
@@ -899,10 +894,29 @@ def _python_source(text: str) -> str:
     return source
 
 
+def _checked(tree):
+    """tree if only names are raised to a power and no divisor, the right
+    operand of /, holds a binary + or -; ValueError otherwise."""
+    todo = [(tree, False)]
+    while todo:
+        node, divisor = todo.pop()
+        if isinstance(node, ast.UnaryOp):
+            todo.append((node.operand, divisor))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if not isinstance(node.left, ast.Name):
+                raise ValueError("only q, s, mu and nu take an exponent")
+        elif isinstance(node, ast.BinOp):
+            if divisor and isinstance(node.op, (ast.Add, ast.Sub)):
+                raise ValueError("a divisor may hold no binary + or -")
+            todo += [(node.left, divisor),
+                     (node.right, divisor or isinstance(node.op, ast.Div))]
+    return tree
+
+
 def _spread(v: ParamScalar) -> tuple:
     """The degrees v spans in mu, in nu and in s (the most of any
-    coefficient's numerator and denominator spans added); v^k spans k
-    times as many, a product or quotient at most the sum of its factors'."""
+    coefficient's numerator and denominator spans added); a product spans
+    at most the sum of its factors'."""
     out = []
     for i in (0, 1):
         exps = [key[i] for key in v.terms]
@@ -932,66 +946,34 @@ def _bounded(v: ParamScalar, spread=None, what="value") -> ParamScalar:
     return v
 
 
-def _size(v: ParamScalar, spread: tuple, inverse=False) -> tuple:
-    """What _work reads of v (of 1/v if inverse, v a monomial), given the
-    mu, nu and s spreads of v: those in mu and nu, the degrees the
-    coefficients span in s (or q), the most words a coefficient holds and
-    the bits of all the integers.  The inverse of a in Q(zeta_n) is
-    adj(a) / N(a): it may fill all phi(n) words, and |N(a)| is at most
-    (sum |a_i|)^phi(n).  In Q(s) only a monomial r s^k is inverted, so that
-    every parsed value is a Laurent polynomial; ValueError otherwise."""
+def _size(v: ParamScalar, spread: tuple) -> tuple:
+    """What _work reads of v, given its mu, nu and s spreads: those in mu
+    and nu, the degrees the coefficients span in s (or q), the most words a
+    coefficient holds and the bits of all the integers."""
     mu, nu, s = spread
     cs, phi = v.terms.values(), len(v.domain.phi) - 1   # phi(n); -1 in Q(s)
-    if inverse and phi < 0 and any(len(c.num) + len(c.den) > 2 for c in cs):
-        raise ValueError("a divisor in sqrt_q must be a monomial r*s^k")
     bits = sum(sum(map(abs, c.num)) + sum(map(abs, c.den)) for c in cs).bit_length()
     if phi > 0:
         s = max((len(c.num) - 1 for c in cs), default=0)
-        if inverse:
-            s, bits = phi - 1, bits + phi * (
-                sum(sum(map(abs, c.num)) for c in cs).bit_length() - 1)
     return mu, nu, s, phi if phi > 0 else MAX_EXPONENT + 1, bits
 
 
-def _work(x: tuple, a: int, y: tuple, b: int) -> int:
-    """The predicted work of v^a * w^b (x and y the _size of v and w), in
-    units of about 0.1 us.  Per pair of (mu, nu) terms: an overhead plus
-    four per pair of coefficient words, scaled by the coefficients' bits,
-    linearly and squared."""
+def _work(x: tuple, y: tuple) -> int:
+    """The predicted work of v * w (x and y the _size of v and w) in units of
+    about 0.1 us: per pair of (mu, nu) terms an overhead plus four per pair
+    of coefficient words, scaled by the bits, linearly and squared."""
     pairs, words, bits = 1, 1, 0
-    for (mu, nu, s, most, n), m in ((x, a), (y, b)):
-        pairs *= (mu * m + 1) * (nu * m + 1)
-        words *= min(most, s * m + 1)
-        bits += m * n
+    for mu, nu, s, most, n in (x, y):
+        pairs *= (mu + 1) * (nu + 1)
+        words *= min(most, s + 1)
+        bits += n
     return pairs * (16 + 4 * words) * (1 + bits // 256 + (bits // 512) ** 2)
-
-
-@lru_cache(maxsize=4096)
-def _power_work(x: tuple, k: int) -> int:
-    """An upper bound on _work summed over the products _power makes for
-    v^k, x = _size(v): it still charges a first product by one and a
-    squaring after the last bit, so the accepted language is kept."""
-    work, out, m = 0, 0, 1
-    while k:
-        if k & 1:
-            work, out = work + _work(x, out, x, m), out + m
-        work += _work(x, m, x, m)
-        m, k = 2 * m, k >> 1
-    return work
-
-
-def _charge(budget: list, work: int):
-    """Take work from the parse's budget; ValueError once it is spent."""
-    budget[0] -= work
-    if budget[0] < 0:
-        raise ValueError(f"scalar string needs more than {MAX_WORK} units of "
-                         "work to evaluate")
 
 
 def _small(v: ParamScalar) -> bool:
     """v is one term c mu^a nu^b whose coefficient c is one power of s or q
-    times a ratio of integers below 2^32: its powers up to MAX_EXPONENT,
-    and its products with such values, cost next to nothing."""
+    times a ratio of integers below 2^32: its products with such values
+    cost next to nothing."""
     if len(v.terms) != 1:
         return False
     (c,) = v.terms.values()
@@ -999,30 +981,21 @@ def _small(v: ParamScalar) -> bool:
             and max(map(abs, c.num)) < 2 ** 32 and c.den[0] < 2 ** 32)
 
 
-def _bound_power(budget: list, v: ParamScalar, k: int, n: int):
-    """Refuse v^k before it is computed if v^n, n = |k| times the exponents
-    around it, is out of bounds, v^k costs more than the budget left or,
-    k < 0, _size refuses v as a divisor."""
-    spread = _spread(v)
-    _bounded(v, tuple(d * n for d in spread), f"power ^{k}")
-    if not _small(v):
-        _charge(budget, _power_work(_size(v, spread, k < 0), abs(k)))
-
-
-def _bound_product(budget: list, v: ParamScalar, w: ParamScalar, divide=False):
-    """Refuse v * w (v / w if divide) before it is computed if it may span
-    too much (at most the sum of the factors' spreads) or costs too much; a
-    divisor is charged as the inverse it computes (_size refuses one in s
-    that is no monomial, which a _small value is)."""
+def _bound_product(budget: list, v: ParamScalar, w: ParamScalar):
+    """Refuse v * w or v / w with ValueError before it is computed if it
+    may span too much (the factors' spreads added) or costs too much."""
     sv, sw = _spread(v), _spread(w)
     _bounded(v, tuple(map(sum, zip(sv, sw))), "product")
     if not (_small(v) and _small(w)):
-        _charge(budget, _work(_size(v, sv), 1, _size(w, sw, divide), 1))
+        budget[0] -= _work(_size(v, sv), _size(w, sw))
+        if budget[0] < 0:
+            raise ValueError(f"scalar string needs more than {MAX_WORK} units "
+                             "of work to evaluate")
 
 
-def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
-    """The value of a syntax tree of the grammar, scale being the product of
-    the exponents around node; a chain a + b - c ... costs no recursion."""
+def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
+    """The value of a syntax tree that _checked passed; a chain a + b - c
+    ... costs no recursion."""
     chain = []
     while isinstance(node, ast.BinOp) and type(node.op) in _OPS:
         chain.append(node)
@@ -1035,18 +1008,9 @@ def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
             raise ValueError("exponent must be an integer")
         if k.value > MAX_EXPONENT:
             raise ValueError(f"exponent {k.value} is above {MAX_EXPONENT}")
-        # the exponent is known before the base is evaluated, so powers
-        # inside the base are bounded by how far their results are raised
-        k = sign * k.value
-        v = _evaluate(node.left, domain, scale * max(abs(k), 1), budget)
-        n = scale * abs(k)
-        if n > MAX_EXPONENT:
-            raise ValueError(f"power ^{k} grows its base past the limit "
-                             f"{MAX_EXPONENT}")
-        _bound_power(budget, v, k, n)
-        v = _bounded(v ** k)
+        v = _bounded(_NAMES[node.left.id](domain) ** (sign * k.value))
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        v = -_evaluate(node.operand, domain, scale, budget)
+        v = -_evaluate(node.operand, domain, budget)
     elif isinstance(node, ast.Constant) and type(node.value) is int:
         v = ParamScalar.constant(domain.from_fraction(node.value))
     elif isinstance(node, ast.Name):
@@ -1054,9 +1018,9 @@ def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
     else:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
-        w = _evaluate(op.right, domain, scale, budget)
+        w = _evaluate(op.right, domain, budget)
         if type(op.op) in (ast.Mult, ast.Div):
-            _bound_product(budget, v, w, type(op.op) is ast.Div)
+            _bound_product(budget, v, w)
         v = _bounded(_OPS[type(op.op)](v, w))
     return v
 
@@ -1064,8 +1028,8 @@ def _evaluate(node, domain: Domain, scale: int, budget: list) -> ParamScalar:
 def parse_param_scalar(text: str, domain: Domain) -> ParamScalar:
     """Parse the canonical grammar into a ParamScalar over `domain`."""
     try:
-        return _evaluate(ast.parse(_python_source(text), mode="eval").body,
-                         domain, 1, [MAX_WORK])
+        tree = ast.parse(_python_source(text), mode="eval").body
+        return _evaluate(_checked(tree), domain, [MAX_WORK])
     except (SyntaxError, RecursionError, MemoryError) as exc:
         raise ValueError(f"malformed or too deeply nested scalar string "
                          f"({exc.__class__.__name__})") from None

@@ -5,14 +5,16 @@ after a token check.  This is the descent parser it replaced, kept as the
 reference that the differential test in test_scalars.py compares against:
 both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
-its size and work bounds (`_bounded`, `_bound_power`, `_bound_product`,
-`MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new parser.
+its size and work bounds (`_bounded`, `_bound_product`, `MAX_EXPONENT` and
+the `MAX_WORK` budget), nothing of the new parser.  It checks the two
+grammar rules on the tokens: a powered base is one name, parenthesized
+or not, and no binary + or - is read inside a divisor.
 """
 
 import re
 
 from hopfbax.scalars import MAX_EXPONENT, MAX_WORK, ParamScalar, _bounded, \
-    _bound_power, _bound_product
+    _bound_product
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -34,9 +36,9 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.domain = domain
-        self.scale = 1    # product of the exponents of the enclosing powers
+        self.sums = 0     # binary + and - read so far
         self.close = {}   # index of each matched "(" -> index of its ")"
-        self.budget = [MAX_WORK]   # work left to the products and powers
+        self.budget = [MAX_WORK]   # work left to the products
         opened = []
         for i, t in enumerate(tokens):
             if t == "(":
@@ -67,6 +69,7 @@ class _Parser:
         v = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
+            self.sums += 1
             w = self.term()
             v = _bounded(v + w if op == "+" else v - w)
         return v
@@ -75,9 +78,12 @@ class _Parser:
         v = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
+            sums = self.sums
             w = self.factor()
+            if op == "/" and self.sums != sums:
+                raise ValueError("a divisor may hold no binary + or -")
             # a product spans at most the sum of its factors' spreads
-            _bound_product(self.budget, v, w, op == "/")
+            _bound_product(self.budget, v, w)
             v = _bounded(v * w if op == "*" else v / w)
         return v
 
@@ -85,21 +91,15 @@ class _Parser:
         if self.peek() == "-":
             self.take()
             return -self.factor()
-        # the exponent is read before the base, so that powers inside the
-        # base are bounded by how far their results will be raised
-        k, after = self.exponent(self.close.get(self.i, self.i) + 1)
-        outer = self.scale
-        self.scale = outer * max(abs(k or 0), 1)
-        v = self.atom()
-        self.scale = outer
+        end = self.close.get(self.i, self.i) + 1
+        k, after = self.exponent(end)
         if k is None:
-            return v
+            return self.atom()
+        if [t for t in self.toks[self.i:end] if t not in ("(", ")")] not in \
+                (["q"], ["s"], ["mu"], ["nu"]):
+            raise ValueError("only q, s, mu and nu take an exponent")
+        v = self.atom()
         self.i = after
-        n = outer * abs(k)
-        if n > MAX_EXPONENT:
-            raise ValueError(f"power ^{k} grows its base past the limit "
-                             f"{MAX_EXPONENT}")
-        _bound_power(self.budget, v, k, n)
         return _bounded(v ** k)
 
     def exponent(self, j):

@@ -5,7 +5,7 @@ inside the criteria is exact symbolic equality; a failure prints the
 stored one-line summary of what broke.
 """
 
-from hopfbax import regressions
+from hopfbax import regressions, taft
 
 
 def _run(criterion):
@@ -33,6 +33,17 @@ def test_criterion_04_parametric_ybe_for_all_families():
 
 def test_criterion_05_mu_one_specialization():
     _run(regressions.criterion_5)
+
+
+def test_criterion_05_catches_a_scaled_tensor_image(monkeypatch):
+    # a tensor_image off by a common factor leaves every normalized family
+    # as it was; only the raw sum read off the module's own images, not
+    # another tensor_image, shows it
+    regressions._taft4()
+    image = taft.Representation.tensor_image
+    monkeypatch.setattr(taft.Representation, "tensor_image",
+                        lambda rep, te: image(rep, te).scaled(2))
+    assert not regressions.criterion_5().passed
 
 
 def test_criterion_06_hopf_axioms_and_corruption_control():

@@ -50,14 +50,7 @@ def test_power_labels(taft4):
 def test_taft_algebra_associative_and_unital(n, taft2, taft3, taft4):
     alg = {2: taft2, 3: taft3, 4: taft4}[n].algebra
     assert unit_violations(alg) == []
-    labels = list(alg.labels)
-    if alg.dim <= 16:
-        assert associativity_violations(alg) == []
-    else:
-        rng = random.Random(7)
-        triples = [tuple(rng.choice(labels) for _ in range(3))
-                   for _ in range(400)]
-        assert associativity_violations(alg, triples) == []
+    assert associativity_violations(alg) == []
 
 
 def test_element_arithmetic(taft3):
@@ -183,16 +176,16 @@ def test_table_checks_match_element_loop(make):
     assert unit_violations(alg) == unit
 
 
-def _per_triple_violations(alg, triples=None):
+def _per_triple_violations(alg):
     """The per-triple scan that associativity_violations batches: for each
-    triple in the order given, (ab)c and a(bc) as two {index: Scalar}
-    dicts summed through one memo."""
+    triple in basis order, (ab)c and a(bc) as two {index: Scalar} dicts
+    summed through one memo."""
     index, basis = alg.index, range(alg.dim)
     rows = [[alg.row(i, j) for j in basis] for i in basis]
     memo = Memo(alg.domain)
     mul, acc = memo.mul, memo.accumulate
     bad = []
-    for t in iproduct(alg.labels, repeat=3) if triples is None else triples:
+    for t in iproduct(alg.labels, repeat=3):
         i, j, k = (index[l] for l in t)
         if (acc((p, mul(c, v)) for m, c in rows[i][j] for p, v in rows[m][k])
                 != acc((p, mul(c, v)) for m, c in rows[j][k]
@@ -215,17 +208,11 @@ def test_batched_associativity_matches_the_per_triple_scan(n, pair, label,
                                                            factor):
     # one corrupted structure constant breaks many triples, several of
     # them sharing a pair (a, b): the batch over c must report every one,
-    # in basis order, and a sample in the order it was given
+    # in basis order
     alg = _corrupted(build_taft(n).algebra, pair, label, factor)
     want = _per_triple_violations(alg)
     assert len(want) > len({t[:2] for t in want})
     assert associativity_violations(alg) == want
-    sample = list(iproduct(alg.labels, repeat=3))
-    random.Random(n).shuffle(sample)
-    sample = sample[:len(sample) // 3] + want[::-1] + want[:3]
-    got = associativity_violations(alg, sample)
-    assert got == _per_triple_violations(alg, sample)
-    assert len(got) > len(want)
 
 
 def test_embed_two_into_three(taft2):

@@ -232,20 +232,24 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
                  {"row": 3, "col": 3, "value": "(1)/(s)"},
                  {"row": 4, "col": 4, "value": "s"},
                  {"row": 2, "col": 3, "value": "0"}]},
-    # over the parse's work budget, or a divisor in s that is no monomial
+    # over the parse's work budget, or a power of a sum
     {"dim": 4, "domain": "sqrt_q", "param": "mu",
      "entries": [{"row": 1, "col": 1, "value": "(1+mu)^1000"}]},
     {"dim": 4, "domain": "sqrt_q", "param": "mu",
      "entries": [{"row": 1, "col": 1, "value": "(1+mu)^500*(1+mu)^500"}]},
     {"dim": 4, "domain": "sqrt_q", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "((1+s^3)^-1+s)^80"}]},
-    # a quotient charged as the inverse it computes (it ran for about a
-    # minute when the divisor was charged as a factor)
+    # a power of a sum under a divisor
     {"dim": 4, "domain": "cyclotomic(64)",
      "entries": [{"row": 1, "col": 1,
                   "value": "1/(123456789-q+99999*q^5)^100"}]},
     {"dim": MAX_DIM + 1, "domain": "sqrt_q", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "s"}]},
+    # a divisor holding a sum, and a power of anything but q, s, mu or nu
+    {"dim": 4, "domain": "sqrt_q", "param": "mu",
+     "entries": [{"row": 1, "col": 1, "value": "1/(1+mu)"}]},
+    {"dim": 1, "domain": "cyclotomic(64)", "param": None,
+     "entries": [{"row": 1, "col": 1, "value": "(1+q)^1000"}]},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -258,10 +262,14 @@ def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
 
 
 def test_verify_loads_the_largest_cyclotomic_order(tmp_path, capsys):
+    # (1+q)^1000 spelt as a product: only names take an exponent
     payload = {"dim": 1, "domain": "cyclotomic(64)", "param": None,
-               "entries": [{"row": 1, "col": 1, "value": "(1+q)^1000"}]}
+               "entries": [{"row": 1, "col": 1,
+                            "value": "*".join(["(1+q)"] * 1000)}]}
     m = ParametricMatrix.from_json(json.dumps(payload))
-    assert str(m.domain) == "cyclotomic(64)" and not m.is_zero()
+    assert str(m.domain) == "cyclotomic(64)"
+    dom = m.domain
+    assert m.get(0, 0).as_scalar() == (dom.one() + dom.q()) ** 1000
     path = tmp_path / "order64.json"
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
@@ -415,9 +423,19 @@ def test_regressions_text_goes_to_output(tmp_path, capsys, monkeypatch):
                regressions.RegressionResult(2, "second", False, "why")]
     monkeypatch.setattr(regressions, "run_all", lambda: results)
     target = tmp_path / "ladder.txt"
-    code, out, _ = run_cli(capsys, "all-regressions", "--output", str(target))
-    assert (code, out) == (1, "")
+    code, out, err = run_cli(capsys, "all-regressions", "--output", str(target))
+    assert (code, out, err) == (1, "", "")
     assert target.read_text() == "".join(r.line() + "\n" for r in results)
+
+
+def test_all_regressions_output_leaves_stderr_empty(tmp_path, capsys):
+    # the real ladder: twelve PASS lines go to --output and nothing else is
+    # written, not even the report of criterion 12's failing cli control
+    target = tmp_path / "ladder.txt"
+    code, out, err = run_cli(capsys, "all-regressions", "--output", str(target))
+    assert (code, out, err) == (0, "", "")
+    lines = target.read_text().splitlines()
+    assert len(lines) == 12 and all(l.startswith("PASS") for l in lines)
 
 
 def test_absolute_output_ignores_env_dir(tmp_path, capsys, monkeypatch):

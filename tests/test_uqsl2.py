@@ -2,6 +2,7 @@ import pytest
 
 from hopfbax import (
     SQRT_Q,
+    ParamScalar,
     Scalar,
     WeightedRep,
     braid_check,
@@ -13,6 +14,7 @@ from hopfbax import (
     spin_one,
     uqsl2_r_matrix,
 )
+from hopfbax import regressions
 from hopfbax.matrices import matmul_entries, matrix_powers
 from hopfbax.scalars import accumulate
 
@@ -120,9 +122,17 @@ def test_spin_one_entries(r_one):
     assert r_one.get(2, 4) == parse_param_scalar(
         "mu*q^-2*(q^2 - q^-2)", SQRT_Q)
     assert r_one.get(2, 6) == parse_param_scalar(
-        "mu^2*q^-1*(q - q^-1)^2*(q + q^-1)", SQRT_Q)
+        "mu^2*q^-1*(q - q^-1)*(q - q^-1)*(q + q^-1)", SQRT_Q)
     # entries are Laurent in q
     assert len(r_one.support()) == 14
+
+
+def test_spin_one_reference_mu_squared_entry():
+    # the frozen (3,7) entry, spelt with no power of a sum, is still
+    # mu^2 q^-1 (q - q^-1)^2 (q + q^-1), here built without the parser
+    q, mu = ParamScalar.constant(SQRT_Q.q()), ParamScalar.mu(SQRT_Q)
+    want = mu ** 2 * q ** -1 * (q - q ** -1) ** 2 * (q + q ** -1)
+    assert regressions.reference_spin_one().get(2, 6) == want
 
 
 def test_spin_one_entries_even_in_s(r_one):
