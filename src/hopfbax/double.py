@@ -39,7 +39,7 @@ D (x) D (x) D through the residual engine of ybe.py, on basis indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Algebra, AlgebraElement, TensorElement
 from .baxterize import mu_components
@@ -156,11 +156,10 @@ def build_double(h: HopfAlgebra, convention: str = DEFAULT_CONVENTION) -> Double
 # canonical R element
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CanonicalR:
-    """R = sum_i a_i (x) a_i^*, one factor pair per basis element of H."""
-    double: DoubleAlgebra
-    factors: tuple      # ((h label, dual label), ...) with coefficient 1 each
+class CanonicalR(namedtuple("CanonicalR", "double factors")):
+    """R = sum_i a_i (x) a_i^*, one factor pair per basis element of H:
+    factors is ((h label, dual label), ...), with coefficient 1 each."""
+    __slots__ = ()
 
     def tensor(self) -> TensorElement:
         """Expansion in the pair basis of D (x) D."""

@@ -17,7 +17,7 @@ The dual Hopf algebra is built by transposing tables through the pairing
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from itertools import product as iproduct
 
 from .algebra import Algebra, AlgebraElement, TensorElement, \
@@ -104,19 +104,19 @@ class HopfAlgebra:
 # axiom suite
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AxiomResult:
-    name: str
-    passed: bool
-    counterexample: str | None = None
+class AxiomResult(namedtuple("AxiomResult", "name passed counterexample",
+                             defaults=(None,))):
+    __slots__ = ()
 
-    to_dict = asdict
+    def to_dict(self):
+        return self._asdict()
 
 
-@dataclass
-class HopfReport:
-    algebra: str
-    axioms: list = field(default_factory=list)
+class HopfReport(namedtuple("HopfReport", "algebra axioms")):
+    __slots__ = ()
+
+    def __new__(cls, algebra, axioms=None):
+        return super().__new__(cls, algebra, [] if axioms is None else axioms)
 
     @property
     def passed(self) -> bool:
@@ -289,13 +289,13 @@ class Grading:
         return Grading(self.algebra, {l: embed_fn(d) for l, d in self.degrees.items()})
 
 
-@dataclass
-class GradingReport:
-    algebra: str
-    kind: str                 # "product" | "coproduct"
-    passed: bool
-    nontrivial: bool
-    violations: list = field(default_factory=list)
+class GradingReport(namedtuple("GradingReport",
+                               "algebra kind passed nontrivial violations")):
+    __slots__ = ()   # kind is "product" | "coproduct"
+
+    def __new__(cls, algebra, kind, passed, nontrivial, violations=None):
+        return super().__new__(cls, algebra, kind, passed, nontrivial,
+                               [] if violations is None else violations)
 
     def summary(self) -> str:
         flag = "PASS" if self.passed else "FAIL"

@@ -198,9 +198,14 @@ class ParametricMatrix:
         dim = obj["dim"]
         if type(dim) is not int or not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
-        m, seen = ParametricMatrix(dim, domain), set()
+        m, seen, parsed = ParametricMatrix(dim, domain), set(), {}
         for ent in obj["entries"]:
-            v = parse_param_scalar(ent["value"], domain)
+            text = ent["value"]
+            # each distinct string is parsed once; the parser raises on a
+            # value that is no string, before it could become a key
+            if type(text) is not str or text not in parsed:
+                parsed[text] = parse_param_scalar(text, domain)
+            v = parsed[text]
             r, c = ent["row"], ent["col"]
             if type(r) is not int or type(c) is not int:
                 raise ValueError(f"row and col must be integers, got {r!r}, {c!r}")

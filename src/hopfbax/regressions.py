@@ -15,8 +15,8 @@ from __future__ import annotations
 import io
 import os
 import tempfile
+from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .algebra import TensorElement
@@ -34,19 +34,17 @@ from .uqsl2 import r_matrix_terms, spin_half, spin_one, uqsl2_r_matrix
 from .ybe import check_constant_ybe, check_parametric_ybe
 
 
-@dataclass
-class RegressionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str = ""
+class RegressionResult(namedtuple("RegressionResult",
+                                  "number title passed detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         tail = f"  [{self.detail}]" if (self.detail and not self.passed) else ""
         return f"{flag}  criterion {self.number:2d}: {self.title}{tail}"
 
-    to_dict = asdict
+    def to_dict(self):
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ monic, so emit -> parse -> emit is the identity.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -214,21 +213,29 @@ def cyclotomic_polynomial(n: int):
 # domains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Domain:
-    kind: str          # "rational" | "cyclotomic" | "sqrt_q"
-    n: int = 0         # root-of-unity order for cyclotomic
-    # the monic modulus of rational (Phi_1) and cyclotomic (Phi_n) values
-    phi: tuple = field(default=(), init=False, repr=False, compare=False)
+    """kind is "rational" | "cyclotomic" | "sqrt_q", n the root-of-unity
+    order of cyclotomic (0 otherwise) and phi the monic modulus of rational
+    (Phi_1) and cyclotomic (Phi_n) values, () in sqrt_q."""
+    __slots__ = ("kind", "n", "phi")
 
-    def __post_init__(self):
-        if self.kind not in ("rational", "cyclotomic", "sqrt_q"):
-            raise ValueError(f"unknown scalar domain {self.kind!r}")
-        if self.kind == "cyclotomic" and self.n < 2:
+    def __init__(self, kind: str, n: int = 0):
+        if kind not in ("rational", "cyclotomic", "sqrt_q"):
+            raise ValueError(f"unknown scalar domain {kind!r}")
+        if kind == "cyclotomic" and n < 2:
             raise ValueError("cyclotomic domain needs n >= 2")
-        if self.kind != "sqrt_q":
-            object.__setattr__(self, "phi",
-                               cyclotomic_polynomial(max(self.n, 1)))
+        self.kind, self.n = kind, n
+        self.phi = () if kind == "sqrt_q" else cyclotomic_polynomial(max(n, 1))
+
+    def __eq__(self, other):
+        return (other.__class__ is Domain and self.kind == other.kind
+                and self.n == other.n)
+
+    def __hash__(self):
+        return hash((self.kind, self.n))
+
+    def __repr__(self):
+        return f"Domain(kind={self.kind!r}, n={self.n!r})"
 
     # -- constants ---------------------------------------------------------
     def zero(self) -> "Scalar":
@@ -861,7 +868,7 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # exponent above MAX_EXPONENT, so every str() parses.
 MAX_EXPONENT = 1000
 
-# the predicted work of all products of one parse, about 0.4 s
+# the predicted work of all sums and products of one parse, about 0.4 s
 MAX_WORK = 3_500_000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
@@ -981,16 +988,38 @@ def _small(v: ParamScalar) -> bool:
             and max(map(abs, c.num)) < 2 ** 32 and c.den[0] < 2 ** 32)
 
 
+def _charge(budget: list, units: int):
+    """Take units from the budget of one parse; ValueError once it is spent."""
+    budget[0] -= units
+    if budget[0] < 0:
+        raise ValueError(f"scalar string needs more than {MAX_WORK} units "
+                         "of work to evaluate")
+
+
 def _bound_product(budget: list, v: ParamScalar, w: ParamScalar):
     """Refuse v * w or v / w with ValueError before it is computed if it
     may span too much (the factors' spreads added) or costs too much."""
     sv, sw = _spread(v), _spread(w)
     _bounded(v, tuple(map(sum, zip(sv, sw))), "product")
     if not (_small(v) and _small(w)):
-        budget[0] -= _work(_size(v, sv), _size(w, sw))
-        if budget[0] < 0:
-            raise ValueError(f"scalar string needs more than {MAX_WORK} units "
-                             "of work to evaluate")
+        _charge(budget, _work(_size(v, sv), _size(w, sw)))
+
+
+def _bound_sum(budget: list, v: ParamScalar, w: ParamScalar | None = None):
+    """Charge v + w, v - w or (w None) -v before it is computed, in the units
+    of _work: 80, plus 16 per term of either operand (the copy and the
+    spread of the result), plus, for each key both hold, four per word of
+    the coefficient sum scaled by its bits."""
+    terms = {} if w is None else w.terms
+    units = 80 + 16 * (len(v.terms) + len(terms))
+    for key in v.terms.keys() & terms.keys():
+        a, b = v.terms[key], terms[key]
+        words = (max(a.shift + len(a.num), b.shift + len(b.num))
+                 - min(a.shift, b.shift) + len(a.den) + len(b.den))
+        bits = sum((max(map(abs, c.num)) * c.den[-1]).bit_length()
+                   for c in (a, b))
+        units += 4 * words * (1 + bits // 256 + (bits // 512) ** 2)
+    _charge(budget, units)
 
 
 def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
@@ -1010,7 +1039,9 @@ def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
             raise ValueError(f"exponent {k.value} is above {MAX_EXPONENT}")
         v = _bounded(_NAMES[node.left.id](domain) ** (sign * k.value))
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        v = -_evaluate(node.operand, domain, budget)
+        v = _evaluate(node.operand, domain, budget)
+        _bound_sum(budget, v)
+        v = -v
     elif isinstance(node, ast.Constant) and type(node.value) is int:
         v = ParamScalar.constant(domain.from_fraction(node.value))
     elif isinstance(node, ast.Name):
@@ -1019,8 +1050,8 @@ def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
         w = _evaluate(op.right, domain, budget)
-        if type(op.op) in (ast.Mult, ast.Div):
-            _bound_product(budget, v, w)
+        (_bound_product if type(op.op) in (ast.Mult, ast.Div)
+         else _bound_sum)(budget, v, w)
         v = _bounded(_OPS[type(op.op)](v, w))
     return v
 

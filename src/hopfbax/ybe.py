@@ -23,20 +23,16 @@ its row table to outlive them).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .algebra import Algebra
 from .matrices import ParametricMatrix
 from .scalars import Memo, laurent_by_key
 
 
-@dataclass
-class YbeReport:
-    kind: str            # constant | parametric | braid | *-algebraic
-    dim: int
-    passed: bool
-    residual_terms: int = 0
-    worst: str | None = None
+class YbeReport(namedtuple("YbeReport", "kind dim passed residual_terms worst",
+                           defaults=(0, None))):
+    __slots__ = ()   # kind is constant | parametric | braid | *-algebraic
 
     def summary(self) -> str:
         if self.passed:
@@ -44,7 +40,8 @@ class YbeReport:
         return (f"FAIL  {self.kind} Yang-Baxter check (dim {self.dim}): "
                 f"{self.residual_terms} residual terms, worst {self.worst}")
 
-    to_dict = asdict
+    def to_dict(self):
+        return self._asdict()
 
 
 def cell(key) -> str:

@@ -5,16 +5,16 @@ after a token check.  This is the descent parser it replaced, kept as the
 reference that the differential test in test_scalars.py compares against:
 both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
-its size and work bounds (`_bounded`, `_bound_product`, `MAX_EXPONENT` and
-the `MAX_WORK` budget), nothing of the new parser.  It checks the two
-grammar rules on the tokens: a powered base is one name, parenthesized
-or not, and no binary + or - is read inside a divisor.
+its size and work bounds (`_bounded`, `_bound_product`, `_bound_sum`,
+`MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new parser.  It
+checks the two grammar rules on the tokens: a powered base is one name,
+parenthesized or not, and no binary + or - is read inside a divisor.
 """
 
 import re
 
 from hopfbax.scalars import MAX_EXPONENT, MAX_WORK, ParamScalar, _bounded, \
-    _bound_product
+    _bound_product, _bound_sum
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -38,7 +38,7 @@ class _Parser:
         self.domain = domain
         self.sums = 0     # binary + and - read so far
         self.close = {}   # index of each matched "(" -> index of its ")"
-        self.budget = [MAX_WORK]   # work left to the products
+        self.budget = [MAX_WORK]   # work left to the sums and products
         opened = []
         for i, t in enumerate(tokens):
             if t == "(":
@@ -71,6 +71,7 @@ class _Parser:
             op = self.take()
             self.sums += 1
             w = self.term()
+            _bound_sum(self.budget, v, w)
             v = _bounded(v + w if op == "+" else v - w)
         return v
 
@@ -90,7 +91,9 @@ class _Parser:
     def factor(self):
         if self.peek() == "-":
             self.take()
-            return -self.factor()
+            v = self.factor()
+            _bound_sum(self.budget, v)
+            return -v
         end = self.close.get(self.i, self.i) + 1
         k, after = self.exponent(end)
         if k is None:

@@ -4,12 +4,14 @@ import pathlib
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfbax import ParametricMatrix, spin_half, uqsl2_r_matrix
+from hopfbax import SQRT_Q, ParametricMatrix, parse_param_scalar, spin_half, \
+    uqsl2_r_matrix
 from hopfbax.cli import main
 from hopfbax.matrices import MAX_DIM
 from hopfbax.regressions import reference_spin_half, reference_taft_9x9
@@ -285,6 +287,33 @@ def test_json_loads_the_largest_dim():
     m = ParametricMatrix.from_json(json.dumps(payload))
     assert time.perf_counter() - t0 < 0.1
     assert m.dim == MAX_DIM and str(m.get(MAX_DIM - 1, MAX_DIM - 1)) == "s"
+
+
+def test_json_parses_a_repeated_string_once_and_refuses_as_before(
+        tmp_path, capsys):
+    entries = [{"row": r, "col": c, "value": "mu*(q - q^-1)/s"}
+               for r in (1, 2) for c in (1, 2)]
+    payload = {"dim": 2, "domain": "sqrt_q", "param": "mu", "entries": entries}
+    with mock.patch("hopfbax.matrices.parse_param_scalar",
+                    wraps=parse_param_scalar) as parse:
+        m = ParametricMatrix.from_json(json.dumps(payload))
+    assert parse.call_count == 1
+    assert m.entries == {(r, c): parse_param_scalar("mu*(q - q^-1)/s", SQRT_Q)
+                         for r in (0, 1) for c in (0, 1)}
+    # a refused string, or a value that is no string, gives the error of
+    # its first occurrence, as when each entry was parsed on its own
+    for value in ("1/(1+mu)", 5, None):
+        bad = dict(payload, entries=entries + [
+            {"row": 1, "col": 3, "value": value},
+            {"row": 1, "col": 4, "value": value}])
+        bad["dim"] = 4
+        with pytest.raises(Exception) as alone:
+            parse_param_scalar(value, SQRT_Q)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert err == f"error: cannot load matrix: {alone.value}\n"
 
 
 # what run_verify turns into exit 2 when a matrix file does not load

@@ -520,6 +520,23 @@ def test_parse_bounds_the_work_of_every_value():
         (dom.one() + dom.q()) ** 1000
 
 
+def test_parse_charges_every_sum():
+    # each + and - is charged by the terms it touches: a sum of 655
+    # distinct powers of mu fits the work budget, one of 656 does not
+    # (uncharged, sums cost quadratic time: 1000 such terms took 0.9 s)
+    text = "+".join(f"mu^{i}" for i in range(656))
+    assert len(parse_param_scalar(text.rpartition("+")[0], SQRT_Q).terms) == 655
+    with pytest.raises(ValueError, match="units of work"):
+        parse_param_scalar(text, SQRT_Q)
+    # a sign is charged too, and a sum of equal keys by its coefficient words
+    with pytest.raises(ValueError, match="units of work"):
+        parse_param_scalar("- " * 500 + "(" + "*".join(["(1+mu+nu)"] * 30)
+                           + ")", SQRT_Q)
+    assert parse_param_scalar("+".join(f"s^{i}" for i in range(1000)),
+                              SQRT_Q).as_scalar() == \
+        sum((SQRT_Q.s() ** i for i in range(1000)), SQRT_Q.zero())
+
+
 def _costly_cases():
     """(string, domain) pairs of what can still cost: sums of long products
     of sums over monomial divisors.  The leaves are the domain's own (q

@@ -55,6 +55,19 @@ def test_perfbench_trace_targets_exist():
     assert done.returncode == 0, done.stderr
 
 
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # in a bare interpreter (no site, so nothing preloads typing) the
+    # package and its CLI import none of these costly stdlib modules
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, hopfbax, hopfbax.cli; print(sorted({'dataclasses', "
+         "'inspect', 'typing'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 _WORKLOADS_SCRIPT = """
 import random, sys
 import workloads
