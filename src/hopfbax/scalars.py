@@ -25,8 +25,8 @@ sqrt_q, a and b (in s) are coprime with nonzero constant terms, so a Laurent
 polynomial (constant b) needs no polynomial gcd.  Zero is a = (), b = (1,),
 k = 0.  The normal forms are unique, so == and hash compare the fields.
 
-Canonical string grammar (``str()`` emits it; ``parse_param_scalar`` checks
-the tokens, then walks the ``ast.parse`` tree and refuses any node outside it):
+Canonical string grammar (``str()`` emits it; ``parse_param_scalar`` charges
+and checks the tokens, then walks the ``ast.parse`` tree, refusing all else):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
@@ -39,9 +39,11 @@ only legal in sqrt_q.  Only names take an exponent, and a divisor, the
 right operand of ``/``, holds no binary + or -: ``(1+q)^2``, ``1/(1+mu)``
 and ``1/(1+s)`` raise ValueError, ``(1+q)*(1+q)`` and ``1/(2*s)`` parse.
 So every divisor is a monomial c*q^a*s^b*mu^c*nu^d and every parsed Q(s)
-value is a Laurent polynomial in s, reached without a gcd.  Emission is
-canonical: polynomials are expanded, exponents ascend, denominators are
-monic, so emit -> parse -> emit is the identity.
+value is a Laurent polynomial in s, reached without a gcd.  A sum takes
+time linear in its terms, and a string is refused once it passes its work
+budget, MAX_WORK.  Emission is canonical: polynomials are expanded,
+exponents ascend, denominators are monic, so emit -> parse -> emit is the
+identity.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _trim(c) -> tuple:
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
-    return tuple(c[:n])
+    return tuple(c[:n]) if n < len(c) else tuple(c)
 
 
 def _mul(a, b) -> list:
@@ -282,10 +284,10 @@ def cyclotomic(n: int) -> Domain:
     return Domain("cyclotomic", n)
 
 
-def _normal(domain, num, den, shift=0) -> "Scalar":
+def _normal(domain, num, den, shift=0, g=0) -> "Scalar":
     """s^shift * num/den in normal form.  num and den are int sequences, num
     a list if it needs reducing; den is a nonzero constant outside sqrt_q,
-    with a nonzero constant term in sqrt_q."""
+    with a nonzero constant term in sqrt_q; g is as for _primitive."""
     phi = domain.phi
     num = _rem(num, phi) if phi and len(num) >= len(phi) else _trim(num)
     if not num:
@@ -295,7 +297,7 @@ def _normal(domain, num, den, shift=0) -> "Scalar":
         while not num[i]:
             i += 1
         (num, den), shift = _cancel(num[i:], den), shift + i
-    return _primitive(domain, num, den, shift)
+    return _primitive(domain, num, den, shift, g)
 
 
 def _cancel(num, den):
@@ -309,10 +311,11 @@ def _cancel(num, den):
     return num, den
 
 
-def _primitive(domain, num, den, shift) -> "Scalar":
+def _primitive(domain, num, den, shift, g=0) -> "Scalar":
     """s^shift * num/den for coprime nonzero num and den, in normal form: the
-    integer content of num and den divided out and lead(den) > 0."""
-    g = gcd(*num, *den)
+    integer content of num and den divided out and lead(den) > 0.  g is 0
+    or a multiple of that content; den, most often small, comes first."""
+    g = 1 if len(den) == 1 == den[0] else gcd(g, *den, *num)
     if den[-1] < 0:
         g = -g
     if g != 1:
@@ -372,17 +375,24 @@ class Scalar:
         if not a:
             return other
         k = min(self.shift, other.shift)
-        a = (0,) * (self.shift - k) + a
-        b = (0,) * (other.shift - k) + b
-        da, db = self.den, other.den
-        if da != db:
+        pa, pb = self.shift - k, other.shift - k   # the zeros below a, b
+        da, db, g = self.den, other.den, 0
+        if da != db and len(da) == len(db) == 1:
+            # a/b + c/d = (a d/g + c b/g) / (b d/g) for g = gcd(b, d), whose
+            # content divides g (Henrici): no gcd of two big numbers runs
+            g = gcd(da[0], db[0])
+            x, y = db[0] // g, da[0] // g
+            a, b, da = [c * x for c in a], [c * y for c in b], (y * db[0],)
+        elif da != db:
             a, b, da = _mul(a, db), _mul(b, da), _mul(da, db)
-        if len(a) < len(b):
-            a, b = b, a
-        num = list(a)
-        for i, c in enumerate(b):
+        if len(a) < len(b):   # loop over the shorter, copy the longer
+            a, b, pa, pb = b, a, pb, pa
+        num = [0] * pa + list(a) if pa else list(a)
+        if pb + len(b) > len(num):
+            num += [0] * (pb + len(b) - len(num))
+        for i, c in enumerate(b, pb):
             num[i] += c
-        return _normal(dom, num, da, k)
+        return _normal(dom, num, da, k, g)
 
     __radd__ = __add__
 
@@ -431,7 +441,7 @@ class Scalar:
         if not num:
             raise ZeroDivisionError("inverting zero scalar")
         dom = self.domain
-        if dom.kind == "sqrt_q":
+        if dom.kind == "sqrt_q" or len(num) == 1:   # no Euclid: swap
             num, den = self.den, num
             if den[-1] < 0:
                 num, den = tuple(-c for c in num), tuple(-c for c in den)
@@ -862,34 +872,41 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # parsing
 # ---------------------------------------------------------------------------
 
-# largest |k| accepted in name^k.  Powers and quotients are of monomials,
-# so only products of sums grow: each is refused before it is computed if
-# it may span more than MAX_EXPONENT + 1 terms, and no value may print an
-# exponent above MAX_EXPONENT, so every str() parses.
+# largest |k| accepted in name^k.  Every computed value (each power, each
+# product or quotient and each whole sum) may span at most MAX_EXPONENT + 1
+# terms and print no exponent above MAX_EXPONENT, so every str() parses.
 MAX_EXPONENT = 1000
 
-# the predicted work of all sums and products of one parse, about 0.4 s
+# the work one parse may take, in units of about 0.1 us: about 0.4 s.  A
+# token costs TOKEN, a product v * w PAIR per pair of terms plus words(v)
+# words(w), the schoolbook cost (von zur Gathen & Gerhard, ch. 8); a quotient
+# also (words(w) + |Phi_n|)^2, as the inverse runs Euclid on w and Phi_n, and
+# a sum of coefficients a, b over two denominators words(a) words(b).
 MAX_WORK = 3_500_000
+TOKEN, PAIR = 200, 40
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
-_NAMES = {"q": lambda d: ParamScalar.constant(d.q()),
-          "s": lambda d: ParamScalar.constant(d.s()),
+# name^k; q^n = 1 in cyclotomic(n), so no power of a name runs Euclid
+_NAMES = {"q": lambda d, k=1: ParamScalar.constant(
+              d.q() ** (k % d.n if d.kind == "cyclotomic" else k)),
+          "s": lambda d, k=1: ParamScalar.constant(d.s() ** k),
           "mu": ParamScalar.mu, "nu": ParamScalar.nu}
 
-_OPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
-        ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b}
+# the sign a sum or a sign gives its (right) operand
+_SUMS = {ast.Add: 1, ast.Sub: -1, ast.USub: -1}
 
 
-def _python_source(text: str) -> str:
-    """text respelt as Python (^ as **, digit runs as ASCII ints) once each
-    token is checked against the grammar; an exponent must be an int literal."""
+def _python_source(text: str, budget: list) -> str:
+    """text respelt as Python (^ as **, digit runs as ASCII ints), each token
+    charged and checked against the grammar; exponents must be int literals."""
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise ValueError(f"bad character in scalar string at {text[pos:]!r}")
         tok, pos = m.group(1), m.end()
+        _charge(budget, _token_units(tok))
         if tok.isdigit():
             tok = str(int(tok))
         elif tok.isalpha() and tok not in _NAMES:
@@ -899,6 +916,12 @@ def _python_source(text: str) -> str:
     if re.search(r"\*\*(?! (- )?\d)", source):
         raise ValueError("exponent must be an integer")
     return source
+
+
+def _token_units(tok: str) -> int:
+    """TOKEN, and w * w more for a digit run of w 64-bit words, which the
+    interpreter reads and prints in quadratic time."""
+    return TOKEN + (len(tok) // 19 + 1) ** 2 if tok.isdigit() else TOKEN
 
 
 def _checked(tree):
@@ -920,72 +943,32 @@ def _checked(tree):
     return tree
 
 
-def _spread(v: ParamScalar) -> tuple:
-    """The degrees v spans in mu, in nu and in s (the most of any
-    coefficient's numerator and denominator spans added); a product spans
-    at most the sum of its factors'."""
-    out = []
+def _bounded(v: ParamScalar) -> ParamScalar:
+    """v if it spans at most MAX_EXPONENT + 1 terms (the product of its
+    spreads in mu, in nu and, in sqrt_q, in s, each plus one) and str(v)
+    prints no exponent above MAX_EXPONENT; ValueError otherwise."""
+    terms, reach = 1, 0
     for i in (0, 1):
-        exps = [key[i] for key in v.terms]
-        out.append(max(exps) - min(exps) if exps else 0)
-    s = 0
-    if v.domain.kind == "sqrt_q":
+        exps = [key[i] for key in v.terms] or [0]
+        terms *= max(exps) - min(exps) + 1
+        reach = max(reach, *map(abs, exps))
+    if v.domain.kind == "sqrt_q":   # str() spells s^shift out
+        spread = 0
         for c in v.terms.values():
-            s = max(s, len(c.num) + len(c.den) - 2)
-    return (*out, s)
-
-
-def _bounded(v: ParamScalar, spread=None, what="value") -> ParamScalar:
-    """v if its spread, or the spread predicted for it, gives at most
-    MAX_EXPONENT + 1 terms and, once computed, str(v) prints no exponent
-    above MAX_EXPONENT; ValueError otherwise."""
-    terms, spans = 1, spread or _spread(v)
-    for d in spans:
-        terms *= d + 1
-    reach = 0 if spread else max((abs(e) for k in v.terms for e in k), default=0)
-    if not spread and v.domain.kind == "sqrt_q":   # str() spells s^shift out
-        for c in v.terms.values():
+            spread = max(spread, len(c.num) + len(c.den) - 2)
             reach = max(reach, max(c.shift, 0) + len(c.num) - 1,
                         max(-c.shift, 0) + len(c.den) - 1)
+        terms *= spread + 1
     if terms > MAX_EXPONENT + 1 or reach > MAX_EXPONENT:
-        raise ValueError(f"{what} spans more than {MAX_EXPONENT + 1} terms "
+        raise ValueError(f"value spans more than {MAX_EXPONENT + 1} terms "
                          f"or prints an exponent above {MAX_EXPONENT}")
     return v
 
 
-def _size(v: ParamScalar, spread: tuple) -> tuple:
-    """What _work reads of v, given its mu, nu and s spreads: those in mu
-    and nu, the degrees the coefficients span in s (or q), the most words a
-    coefficient holds and the bits of all the integers."""
-    mu, nu, s = spread
-    cs, phi = v.terms.values(), len(v.domain.phi) - 1   # phi(n); -1 in Q(s)
-    bits = sum(sum(map(abs, c.num)) + sum(map(abs, c.den)) for c in cs).bit_length()
-    if phi > 0:
-        s = max((len(c.num) - 1 for c in cs), default=0)
-    return mu, nu, s, phi if phi > 0 else MAX_EXPONENT + 1, bits
-
-
-def _work(x: tuple, y: tuple) -> int:
-    """The predicted work of v * w (x and y the _size of v and w) in units of
-    about 0.1 us: per pair of (mu, nu) terms an overhead plus four per pair
-    of coefficient words, scaled by the bits, linearly and squared."""
-    pairs, words, bits = 1, 1, 0
-    for mu, nu, s, most, n in (x, y):
-        pairs *= (mu + 1) * (nu + 1)
-        words *= min(most, s + 1)
-        bits += n
-    return pairs * (16 + 4 * words) * (1 + bits // 256 + (bits // 512) ** 2)
-
-
-def _small(v: ParamScalar) -> bool:
-    """v is one term c mu^a nu^b whose coefficient c is one power of s or q
-    times a ratio of integers below 2^32: its products with such values
-    cost next to nothing."""
-    if len(v.terms) != 1:
-        return False
-    (c,) = v.terms.values()
-    return (len(c.den) == 1 and sum(1 for x in c.num if x) == 1
-            and max(map(abs, c.num)) < 2 ** 32 and c.den[0] < 2 ** 32)
+def _words(cs) -> int:
+    """The 64-bit words of all the integers of the Scalars cs."""
+    ints = [x for c in cs for x in (*c.num, *c.den)]
+    return len(ints) + sum(x.bit_length() for x in ints) // 64
 
 
 def _charge(budget: list, units: int):
@@ -996,37 +979,37 @@ def _charge(budget: list, units: int):
                          "of work to evaluate")
 
 
-def _bound_product(budget: list, v: ParamScalar, w: ParamScalar):
-    """Refuse v * w or v / w with ValueError before it is computed if it
-    may span too much (the factors' spreads added) or costs too much."""
-    sv, sw = _spread(v), _spread(w)
-    _bounded(v, tuple(map(sum, zip(sv, sw))), "product")
-    if not (_small(v) and _small(w)):
-        _charge(budget, _work(_size(v, sv), _size(w, sw)))
-
-
-def _bound_sum(budget: list, v: ParamScalar, w: ParamScalar | None = None):
-    """Charge v + w, v - w or (w None) -v before it is computed, in the units
-    of _work: 80, plus 16 per term of either operand (the copy and the
-    spread of the result), plus, for each key both hold, four per word of
-    the coefficient sum scaled by its bits."""
-    terms = {} if w is None else w.terms
-    units = 80 + 16 * (len(v.terms) + len(terms))
-    for key in v.terms.keys() & terms.keys():
-        a, b = v.terms[key], terms[key]
-        words = (max(a.shift + len(a.num), b.shift + len(b.num))
-                 - min(a.shift, b.shift) + len(a.den) + len(b.den))
-        bits = sum((max(map(abs, c.num)) * c.den[-1]).bit_length()
-                   for c in (a, b))
-        units += 4 * words * (1 + bits // 256 + (bits // 512) ** 2)
-    _charge(budget, units)
+def _charge_product(budget: list, v: ParamScalar, w: ParamScalar,
+                    quotient: bool):
+    """Charge v * w, or v / w if quotient, before it is computed."""
+    x, y = _words(v.terms.values()), _words(w.terms.values())
+    inverse = y + len(v.domain.phi) if quotient else 0
+    _charge(budget, PAIR * len(v.terms) * len(w.terms) + x * y
+            + inverse * inverse)
 
 
 def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
-    """The value of a syntax tree that _checked passed; a chain a + b - c
-    ... costs no recursion."""
+    """The value of a syntax tree that _checked passed.  Every +, - and sign
+    below a sum is read into one dict, however it is nested, and a chain
+    a * b / c ... costs no recursion."""
+    if type(getattr(node, "op", None)) in _SUMS:
+        terms, todo = {}, [(node, 1)]
+        while todo:
+            node, sign = todo.pop()
+            op = type(getattr(node, "op", None))
+            if op is ast.USub:
+                todo.append((node.operand, -sign))
+            elif op in _SUMS:
+                todo += [(node.right, sign * _SUMS[op]), (node.left, sign)]
+            else:
+                for key, c in _evaluate(node, domain, budget).terms.items():
+                    old = terms.get(key)
+                    if old is not None and old.den != c.den:
+                        _charge(budget, _words((old,)) * _words((c,)))
+                    accumulate(terms, key, c if sign > 0 else -c)
+        return _bounded(ParamScalar(domain, terms))
     chain = []
-    while isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+    while isinstance(node, ast.BinOp) and type(node.op) in (ast.Mult, ast.Div):
         chain.append(node)
         node = node.left
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
@@ -1037,30 +1020,29 @@ def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
             raise ValueError("exponent must be an integer")
         if k.value > MAX_EXPONENT:
             raise ValueError(f"exponent {k.value} is above {MAX_EXPONENT}")
-        v = _bounded(_NAMES[node.left.id](domain) ** (sign * k.value))
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        v = _evaluate(node.operand, domain, budget)
-        _bound_sum(budget, v)
-        v = -v
+        v = _bounded(_NAMES[node.left.id](domain, sign * k.value))
     elif isinstance(node, ast.Constant) and type(node.value) is int:
         v = ParamScalar.constant(domain.from_fraction(node.value))
     elif isinstance(node, ast.Name):
         v = _NAMES[node.id](domain)
+    elif chain and type(getattr(node, "op", None)) in _SUMS:
+        v = _evaluate(node, domain, budget)
     else:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
         w = _evaluate(op.right, domain, budget)
-        (_bound_product if type(op.op) in (ast.Mult, ast.Div)
-         else _bound_sum)(budget, v, w)
-        v = _bounded(_OPS[type(op.op)](v, w))
+        quotient = isinstance(op.op, ast.Div)
+        _charge_product(budget, v, w, quotient)
+        v = _bounded(v / w if quotient else v * w)
     return v
 
 
 def parse_param_scalar(text: str, domain: Domain) -> ParamScalar:
     """Parse the canonical grammar into a ParamScalar over `domain`."""
+    budget = [MAX_WORK]
     try:
-        tree = ast.parse(_python_source(text), mode="eval").body
-        return _evaluate(_checked(tree), domain, [MAX_WORK])
+        tree = ast.parse(_python_source(text, budget), mode="eval").body
+        return _evaluate(_checked(tree), domain, budget)
     except (SyntaxError, RecursionError, MemoryError) as exc:
         raise ValueError(f"malformed or too deeply nested scalar string "
                          f"({exc.__class__.__name__})") from None

@@ -5,16 +5,22 @@ after a token check.  This is the descent parser it replaced, kept as the
 reference that the differential test in test_scalars.py compares against:
 both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
-its size and work bounds (`_bounded`, `_bound_product`, `_bound_sum`,
-`MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new parser.  It
-checks the two grammar rules on the tokens: a powered base is one name,
-parenthesized or not, and no binary + or - is read inside a divisor.
+its size and work bounds (`_bounded`, `_token_units`, `_charge_product`,
+`_words`, `MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new
+parser.  It charges every token before it parses, each product and
+quotient before it is computed, and in a sum only two coefficients of one
+key over two denominators, as the product that adds them.  It bounds what
+the new parser bounds: each factor of a product or quotient, each product
+and quotient, each power and the whole string, but no summand of a sum, so
+`(mu^1000+mu^-1000) - mu^1000` parses.  It checks the two grammar rules on
+the tokens: a powered base is one name, parenthesized or not, and no
+binary + or - is read inside a divisor.
 """
 
 import re
 
 from hopfbax.scalars import MAX_EXPONENT, MAX_WORK, ParamScalar, _bounded, \
-    _bound_product, _bound_sum
+    _charge, _charge_product, _token_units, _words
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
@@ -38,7 +44,8 @@ class _Parser:
         self.domain = domain
         self.sums = 0     # binary + and - read so far
         self.close = {}   # index of each matched "(" -> index of its ")"
-        self.budget = [MAX_WORK]   # work left to the sums and products
+        self.budget = [MAX_WORK]   # work left to the products
+        _charge(self.budget, sum(map(_token_units, tokens)))
         opened = []
         for i, t in enumerate(tokens):
             if t == "(":
@@ -63,7 +70,7 @@ class _Parser:
         v = self.expr()
         if self.peek() is not None:
             raise ValueError(f"trailing input {self.toks[self.i:]!r}")
-        return v
+        return _bounded(v)
 
     def expr(self):
         v = self.term()
@@ -71,8 +78,11 @@ class _Parser:
             op = self.take()
             self.sums += 1
             w = self.term()
-            _bound_sum(self.budget, v, w)
-            v = _bounded(v + w if op == "+" else v - w)
+            for key in v.terms.keys() & w.terms.keys():
+                a, b = v.terms[key], w.terms[key]
+                if a.den != b.den:
+                    _charge(self.budget, _words((a,)) * _words((b,)))
+            v = v + w if op == "+" else v - w
         return v
 
     def term(self):
@@ -83,17 +93,15 @@ class _Parser:
             w = self.factor()
             if op == "/" and self.sums != sums:
                 raise ValueError("a divisor may hold no binary + or -")
-            # a product spans at most the sum of its factors' spreads
-            _bound_product(self.budget, v, w)
+            _bounded(v), _bounded(w)
+            _charge_product(self.budget, v, w, op == "/")
             v = _bounded(v * w if op == "*" else v / w)
         return v
 
     def factor(self):
         if self.peek() == "-":
             self.take()
-            v = self.factor()
-            _bound_sum(self.budget, v)
-            return -v
+            return -self.factor()
         end = self.close.get(self.i, self.i) + 1
         k, after = self.exponent(end)
         if k is None:
