@@ -5,9 +5,12 @@ For each adversarial family of scalar strings, one size parameter n, this
 bisects to the largest n that `parse_param_scalar` accepts, assuming that
 a family accepted at n is accepted below n.  It prints that n, the string's
 length, the best of 3 parse times of that string and the time the parser
-took to refuse the string of size n + 1, as a Markdown table.  The parser's
-work budget (`scalars.MAX_WORK`, about 0.4 s) should keep every accepted
-time well under a second.  Standard library only:
+took to refuse the string of size n + 1, as a Markdown table.  Each time
+is given raw and at perfbench's reference speed: a `perfbench/calibrate.py`
+Probe runs beside the parses, so tables made in spells of different host
+speed compare.  The parser's work budget (`scalars.MAX_WORK`, about 0.4 s
+at the reference speed) should keep every accepted time well under a
+second.  Standard library only:
 
     python3 scripts/parser_edges.py [--only SUBSTRING ...]
 """
@@ -17,8 +20,10 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from calibrate import MIN_PROBES, PERIOD_S, Probe, pin
 from hopfbax.scalars import RATIONAL, SQRT_Q, ScalarDomainError, cyclotomic, \
     parse_param_scalar
 
@@ -106,19 +111,20 @@ FAMILIES = [
 
 
 def _parse_time(text, domain):
-    """(accepted, seconds) of one parse."""
+    """(accepted, (start, end)) of one parse, in perf_counter seconds."""
     t0 = time.perf_counter()
     try:
         parse_param_scalar(text, domain)
         ok = True
     except (ValueError, ScalarDomainError):
         ok = False
-    return ok, time.perf_counter() - t0
+    return ok, (t0, time.perf_counter())
 
 
 def largest_accepted(make, domain, hi):
     """The largest n <= hi whose string is accepted (0 if none), and the
-    seconds taken to refuse the string of size n + 1 (None if n == hi)."""
+    span of the parse that refused the string of size n + 1 (None if
+    n == hi)."""
     lo, up = 0, 1   # lo is accepted, up is tried next and then refused
     while True:
         ok, refuse = _parse_time(make(up), domain)
@@ -137,15 +143,30 @@ def largest_accepted(make, domain, hi):
     return lo, refuse
 
 
+def _best(spans, probe):
+    """(raw, reference-speed) seconds of the fastest of the parse spans."""
+    return (min(b - a for a, b in spans),
+            min(probe.seconds(a, b) for a, b in spans))
+
+
+def _cells(times):
+    return "- | -" if times is None else "{:.3f} | {:.3f}".format(*times)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", nargs="+", default=[],
                     help="run only the families whose name holds one of these")
     args = ap.parse_args()
+    pin()   # the probe measures the CPU that the parses run on
+    probe = Probe()
+    probe.start()
+    time.sleep(MIN_PROBES * PERIOD_S)   # samples for the first parses
     print("| family | domain | largest accepted n | KB | best of 3 (s) "
-          "| n + 1 refused in (s) |")
-    print("|---|---|---|---|---|---|")
-    slowest = 0.0
+          "| at reference speed (s) | n + 1 refused in (s) "
+          "| at reference speed (s) |")
+    print("|---|---|---|---|---|---|---|---|")
+    slowest = (0.0, 0.0)
     for name, domain, make, hi in FAMILIES:
         if args.only and not any(s in name for s in args.only):
             continue
@@ -157,12 +178,14 @@ def main() -> int:
             runs = [_parse_time(text, domain) for _ in range(3)]
             if not all(ok for ok, _ in runs):
                 raise SystemExit(f"{name}: size {n} is not always accepted")
-            best = min(dt for _, dt in runs)
+            best = _best([span for _, span in runs], probe)
             slowest = max(slowest, best)
         print(f"| {name} | {domain} | {n}{'+' if n == hi else ''} | {kb} "
-              f"| {'-' if best is None else f'{best:.3f}'} "
-              f"| {'-' if refuse is None else f'{refuse:.3f}'} |", flush=True)
-    print(f"\nslowest accepted string: {slowest:.3f} s")
+              f"| {_cells(best)} "
+              f"| {_cells(refuse and _best([refuse], probe))} |", flush=True)
+    print("\nslowest accepted string: {:.3f} s raw, {:.3f} s at reference "
+          "speed".format(*slowest))
+    probe.stop()
     return 0
 
 

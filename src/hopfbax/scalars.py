@@ -38,12 +38,13 @@ and checks the tokens, then walks the ``ast.parse`` tree, refusing all else):
 only legal in sqrt_q.  Only names take an exponent, and a divisor, the
 right operand of ``/``, holds no binary + or -: ``(1+q)^2``, ``1/(1+mu)``
 and ``1/(1+s)`` raise ValueError, ``(1+q)*(1+q)`` and ``1/(2*s)`` parse.
-So every divisor is a monomial c*q^a*s^b*mu^c*nu^d and every parsed Q(s)
-value is a Laurent polynomial in s, reached without a gcd.  A sum takes
-time linear in its terms, and a string is refused once it passes its work
+So every divisor is a monomial c*q^a*s^b*mu^c*nu^d, read as its reciprocal:
+the parser only adds and multiplies, takes no inverse and runs no Euclid,
+and every parsed Q(s) value is a Laurent polynomial in s.  A sum takes time
+linear in its terms, and a string is refused once it passes its work
 budget, MAX_WORK.  Emission is canonical: polynomials are expanded,
 exponents ascend, denominators are monic, so emit -> parse -> emit is the
-identity.
+identity.  One printer spells a Scalar as text (str) and as LaTeX.
 """
 
 from __future__ import annotations
@@ -494,11 +495,7 @@ class Scalar:
 
     # -- misc ----------------------------------------------------------------
     def __str__(self):
-        gen = self.domain.generator_name or "x"
-        num, den = _monic_form(self)
-        if den == (1,):
-            return _poly_str(num, gen)
-        return f"({_poly_str(num, gen)})/({_poly_str(den, gen)})"
+        return _printed(self, _TEXT)
 
     def __repr__(self):
         return f"Scalar[{self.domain}]({self})"
@@ -510,68 +507,53 @@ def _dense(x: Scalar):
     return (0,) * max(k, 0) + x.num, (0,) * max(-k, 0) + x.den
 
 
-def _monic_form(x: Scalar):
-    """The printed form: _dense with Fraction coefficients and a monic
-    denominator."""
+def _printed(x: Scalar, notation) -> str:
+    """x in a notation: its numerator, and its denominator if that is not 1,
+    with Fraction coefficients over a monic denominator."""
     num, den = _dense(x)
-    lead = den[-1]
-    return (tuple(Fraction(c, lead) for c in num),
-            tuple(Fraction(c, lead) for c in den))
+    lead, gen = den[-1], x.domain.generator_name
+    num = _poly(tuple(Fraction(c, lead) for c in num), gen, notation)
+    if len(den) == 1:
+        return num
+    return notation[-1].format(
+        num, _poly(tuple(Fraction(c, lead) for c in den), gen, notation))
 
 
-def _poly_str(p, gen: str) -> str:
-    if not p:
-        return "0"
+def _poly(p, gen, notation) -> str:
+    """The nonzero terms of p in ascending powers of gen."""
+    coeff, power, times, gap, _ = notation
     parts = []
     for e, c in enumerate(p):
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            v = gen if e == 1 else f"{gen}^{e}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        if c:
+            mag = abs(c)
+            body = coeff(mag) if e == 0 else power(gen, e) if mag == 1 \
+                else coeff(mag) + times + power(gen, e)
+            parts.append(("-" if c < 0 else "") + body if not parts
+                         else ("+" if c > 0 else "-") + gap + body)
+    return " ".join(parts) or "0"
 
 
-def _latex_scalar(x: Scalar) -> str:
-    def poly(p):
-        gen = x.domain.generator_name
-        if not p:
-            return "0"
-        parts = []
-        for e, coeff in enumerate(p):
-            if not coeff:
-                continue
-            mag = abs(coeff)
-            if e == 0:
-                body = _latex_frac(mag)
-            else:
-                if gen == "s":
-                    v = "q^{1/2}" if e == 1 else (
-                        f"q^{{{e // 2}}}" if e % 2 == 0 else f"q^{{{e}/2}}")
-                    if e == 2:
-                        v = "q"
-                else:
-                    v = gen if e == 1 else f"{gen}^{{{e}}}"
-                body = v if mag == 1 else f"{_latex_frac(mag)} {v}"
-            parts.append(("-" if coeff < 0 else ("+" if parts else "")) + body)
-        return " ".join(parts)
+def _text_power(gen: str, e: int) -> str:
+    return gen if e == 1 else f"{gen}^{e}"
 
-    num, den = _monic_form(x)
-    if den == (1,):
-        return poly(num)
-    return f"\\frac{{{poly(num)}}}{{{poly(den)}}}"
+
+def _latex_power(gen: str, e: int) -> str:
+    """gen^e, with s^e spelt as a power of q."""
+    if gen != "s":
+        return gen if e == 1 else f"{gen}^{{{e}}}"
+    return "q" if e == 2 else "q^{1/2}" if e == 1 else \
+        f"q^{{{e}/2}}" if e % 2 else f"q^{{{e // 2}}}"
 
 
 def _latex_frac(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else \
         f"\\tfrac{{{f.numerator}}}{{{f.denominator}}}"
+
+
+# a notation: how it spells a coefficient and a power of the generator, its
+# product sign, the space after the sign of a later term, its quotient form
+_TEXT = (str, _text_power, "*", " ", "({})/({})")
+_LATEX = (_latex_frac, _latex_power, " ", "", "\\frac{{{}}}{{{}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -738,19 +720,6 @@ class ParamScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.terms:
-            raise ScalarDomainError("division by zero")
-        if len(o.terms) != 1:
-            raise ScalarDomainError("can only divide by a single Laurent monomial")
-        ((a, b), v), = o.terms.items()
-        inv = v.inverse()
-        return ParamScalar(self.domain,
-                           {(c - a, d - b): w * inv for (c, d), w in self.terms.items()})
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
@@ -831,7 +800,7 @@ def latex_str(v: ParamScalar) -> str:
             mono += "\\mu" if a == 1 else f"\\mu^{{{a}}}"
         if b:
             mono += "\\nu" if b == 1 else f"\\nu^{{{b}}}"
-        cs = _latex_scalar(coeff)
+        cs = _printed(coeff, _LATEX)
         if not mono:
             body = cs
         elif coeff.is_one():
@@ -873,24 +842,24 @@ def proportionality_ratio(a: ParamScalar, b: ParamScalar):
 # ---------------------------------------------------------------------------
 
 # largest |k| accepted in name^k.  Every computed value (each power, each
-# product or quotient and each whole sum) may span at most MAX_EXPONENT + 1
+# product and each whole sum) may span at most MAX_EXPONENT + 1
 # terms and print no exponent above MAX_EXPONENT, so every str() parses.
 MAX_EXPONENT = 1000
 
 # the work one parse may take, in units of about 0.1 us: about 0.4 s.  A
 # token costs TOKEN, a product v * w PAIR per pair of terms plus words(v)
-# words(w), the schoolbook cost (von zur Gathen & Gerhard, ch. 8); a quotient
-# also (words(w) + |Phi_n|)^2, as the inverse runs Euclid on w and Phi_n, and
-# a sum of coefficients a, b over two denominators words(a) words(b).
+# words(w), the schoolbook cost (von zur Gathen & Gerhard, ch. 8), a quotient
+# as the product with its divisor's reciprocal, and a sum of coefficients
+# a, b over two denominators words(a) words(b).
 MAX_WORK = 3_500_000
 TOKEN, PAIR = 200, 40
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()+\-*/^])")
 
 # name^k; q^n = 1 in cyclotomic(n), so no power of a name runs Euclid
-_NAMES = {"q": lambda d, k=1: ParamScalar.constant(
+_NAMES = {"q": lambda d, k: ParamScalar.constant(
               d.q() ** (k % d.n if d.kind == "cyclotomic" else k)),
-          "s": lambda d, k=1: ParamScalar.constant(d.s() ** k),
+          "s": lambda d, k: ParamScalar.constant(d.s() ** k),
           "mu": ParamScalar.mu, "nu": ParamScalar.nu}
 
 # the sign a sum or a sign gives its (right) operand
@@ -979,19 +948,18 @@ def _charge(budget: list, units: int):
                          "of work to evaluate")
 
 
-def _charge_product(budget: list, v: ParamScalar, w: ParamScalar,
-                    quotient: bool):
-    """Charge v * w, or v / w if quotient, before it is computed."""
-    x, y = _words(v.terms.values()), _words(w.terms.values())
-    inverse = y + len(v.domain.phi) if quotient else 0
-    _charge(budget, PAIR * len(v.terms) * len(w.terms) + x * y
-            + inverse * inverse)
+def _charge_product(budget: list, v: ParamScalar, w: ParamScalar):
+    """Charge v * w before it is computed."""
+    _charge(budget, PAIR * len(v.terms) * len(w.terms)
+            + _words(v.terms.values()) * _words(w.terms.values()))
 
 
-def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
-    """The value of a syntax tree that _checked passed.  Every +, - and sign
-    below a sum is read into one dict, however it is nested, and a chain
-    a * b / c ... costs no recursion."""
+def _evaluate(node, domain: Domain, budget: list,
+              inverted: bool = False) -> ParamScalar:
+    """The value of a syntax tree that _checked passed, or if inverted (a
+    divisor, a monomial) the product of its leaves' reciprocals, a / in it
+    flipping back.  Every +, - and sign below a sum is read into one dict,
+    however it is nested, and a chain a * b / c ... costs no recursion."""
     if type(getattr(node, "op", None)) in _SUMS:
         terms, todo = {}, [(node, 1)]
         while todo:
@@ -1002,38 +970,42 @@ def _evaluate(node, domain: Domain, budget: list) -> ParamScalar:
             elif op in _SUMS:
                 todo += [(node.right, sign * _SUMS[op]), (node.left, sign)]
             else:
-                for key, c in _evaluate(node, domain, budget).terms.items():
+                for key, c in _evaluate(node, domain, budget,
+                                        inverted).terms.items():
                     old = terms.get(key)
                     if old is not None and old.den != c.den:
                         _charge(budget, _words((old,)) * _words((c,)))
                     accumulate(terms, key, c if sign > 0 else -c)
         return _bounded(ParamScalar(domain, terms))
-    chain = []
+    chain, sign = [], -1 if inverted else 1
     while isinstance(node, ast.BinOp) and type(node.op) in (ast.Mult, ast.Div):
         chain.append(node)
         node = node.left
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        k, sign = node.right, 1
-        if isinstance(k, ast.UnaryOp) and isinstance(k.op, ast.USub):
-            k, sign = k.operand, -1
-        if not (isinstance(k, ast.Constant) and type(k.value) is int):
+        e = node.right
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
+            e, sign = e.operand, -sign
+        if not (isinstance(e, ast.Constant) and type(e.value) is int):
             raise ValueError("exponent must be an integer")
-        if k.value > MAX_EXPONENT:
-            raise ValueError(f"exponent {k.value} is above {MAX_EXPONENT}")
-        v = _bounded(_NAMES[node.left.id](domain, sign * k.value))
+        if e.value > MAX_EXPONENT:
+            raise ValueError(f"exponent {e.value} is above {MAX_EXPONENT}")
+        v = _bounded(_NAMES[node.left.id](domain, sign * e.value))
     elif isinstance(node, ast.Constant) and type(node.value) is int:
-        v = ParamScalar.constant(domain.from_fraction(node.value))
+        v = ParamScalar.constant(domain.from_fraction(   # 0 stays 0, see below
+            Fraction(1, node.value) if inverted and node.value else node.value))
     elif isinstance(node, ast.Name):
-        v = _NAMES[node.id](domain)
+        v = _NAMES[node.id](domain, sign)
     elif chain and type(getattr(node, "op", None)) in _SUMS:
-        v = _evaluate(node, domain, budget)
+        v = _evaluate(node, domain, budget, inverted)
     else:
         raise ValueError("scalar string does not follow the grammar")
     for op in reversed(chain):
-        w = _evaluate(op.right, domain, budget)
         quotient = isinstance(op.op, ast.Div)
-        _charge_product(budget, v, w, quotient)
-        v = _bounded(v / w if quotient else v * w)
+        w = _evaluate(op.right, domain, budget, inverted != quotient)
+        if quotient and not w.terms:   # a 0 anywhere in the divisor
+            raise ScalarDomainError("division by zero")
+        _charge_product(budget, v, w)
+        v = _bounded(v * w)
     return v
 
 

@@ -7,14 +7,16 @@ both must accept the same strings, give the same canonical string, and
 refuse the same strings.  It uses the package's ParamScalar arithmetic and
 its size and work bounds (`_bounded`, `_token_units`, `_charge_product`,
 `_words`, `MAX_EXPONENT` and the `MAX_WORK` budget), nothing of the new
-parser.  It charges every token before it parses, each product and
-quotient before it is computed, and in a sum only two coefficients of one
-key over two denominators, as the product that adds them.  It bounds what
-the new parser bounds: each factor of a product or quotient, each product
-and quotient, each power and the whole string, but no summand of a sum, so
-`(mu^1000+mu^-1000) - mu^1000` parses.  It checks the two grammar rules on
-the tokens: a powered base is one name, parenthesized or not, and no
-binary + or - is read inside a divisor.
+parser.  It charges every token before it parses, each product before it
+is computed, each quotient v / w as the product of v with w ** -1 (whose
+inverse, unlike the package's parser, may run Euclid's algorithm), and in
+a sum only two coefficients of one key over two denominators, as the
+product that adds them.  It bounds what the new parser bounds: each factor
+of a product or quotient, each product and quotient, each power and the
+whole string, but no summand of a sum, so `(mu^1000+mu^-1000) - mu^1000`
+parses.  It checks the two grammar rules on the tokens: a powered base is
+one name, parenthesized or not, and no binary + or - is read inside a
+divisor.
 """
 
 import re
@@ -94,8 +96,10 @@ class _Parser:
             if op == "/" and self.sums != sums:
                 raise ValueError("a divisor may hold no binary + or -")
             _bounded(v), _bounded(w)
-            _charge_product(self.budget, v, w, op == "/")
-            v = _bounded(v * w if op == "*" else v / w)
+            if op == "/":
+                w = w ** -1
+            _charge_product(self.budget, v, w)
+            v = _bounded(v * w)
         return v
 
     def factor(self):

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from hopfbax import SQRT_Q, ParametricMatrix, parse_param_scalar, spin_half, \
     uqsl2_r_matrix
-from hopfbax.cli import main
+from hopfbax.cli import _build_parser, main
 from hopfbax.matrices import MAX_DIM
 from hopfbax.regressions import reference_spin_half, reference_taft_9x9
 
@@ -398,6 +401,81 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
     assert "error" in err.lower()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# values for every option of every subcommand, valid and invalid.  Every
+# valid size (--N, --rep, --l, --spin) is at most 3, so a draw that runs
+# takes at most about 0.05 s, and all-regressions, which takes no size,
+# about 0.5 s.  <good>, <failing>, <missing>, <malformed> and <out> stand
+# for files that the test makes
+_SCALAR_ARGS = ["q", "q^2", "-q", "2", "1/2", "q^-1", "1/(2*q)", "(q", "q +",
+                "1/0", "s", "mu", "(1+q)^2", "q^1001", "x", ""]
+_OPTION_VALUES = {
+    "--N": ["-1", "0", "1", "2", "3", "9", "x"],
+    "--q": _SCALAR_ARGS, "--indecomposable": _SCALAR_ARGS,
+    "--rep": ["1,1", "2,1", "3,2", "3", "0,1", "9,9", "x,1"],
+    "--l": ["0", "1", "2", "3", "9", "x"],
+    "--spin": ["1/2", "1", "2", "x"],
+    "--format": ["json", "latex", "text", "yaml"],
+    "--input": ["<good>", "<failing>", "<missing>", "<malformed>"],
+    "--kind": ["auto", "constant", "parametric", "braid", "bogus"],
+    "--output": ["<out>"],
+}
+
+
+def _argv_lists():
+    """[subcommand, options...]: each option of the subcommand, found on
+    the CLI's own parser, left out (an optional one half the time) or given
+    a value from _OPTION_VALUES (a new option needs its values there), and
+    now and then a stray option."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def option(action):
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            return st.sampled_from(([], [flag]))
+        values = st.sampled_from(_OPTION_VALUES[flag] + [None])
+        if not action.required:
+            values = st.none() | values
+        return values.map(lambda v: [] if v is None else [flag, v])
+
+    def argv(command):
+        options = [a for a in sub.choices[command]._actions
+                   if a.option_strings and a.dest != "help"]
+        return st.tuples(*map(option, options),
+                         st.sampled_from([[]] * 5 + [["--bogus"]])).map(
+            lambda parts: [command] + [x for part in parts for x in part])
+
+    return st.sampled_from(sorted(sub.choices)).flatmap(argv)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli")
+    failing = ParametricMatrix.from_json(pathlib.Path(_R_JSON).read_text())
+    failing.set(0, 0, failing.get(0, 0) * 2)
+    (base / "failing.json").write_text(failing.to_json())
+    (base / "malformed.json").write_text('{"dim": 4, "entries": [')
+    return {"<good>": _R_JSON, "<failing>": str(base / "failing.json"),
+            "<missing>": str(base / "missing.json"),
+            "<malformed>": str(base / "malformed.json"),
+            "<out>": str(base / "out" / "matrix.txt")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv_lists())
+def test_every_argv_exits_0_1_or_2(cli_files, argv):
+    # the exit-code contract: 0 pass, 1 a verification failed, 2 a usage
+    # error, which prints "error:", and never a traceback
+    argv = [cli_files.get(x, x) for x in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if "error:" in err.getvalue():
+        assert code == 2, argv
 
 
 def test_python_dash_m_runs_the_cli():

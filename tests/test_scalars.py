@@ -22,8 +22,8 @@ from hopfbax import (
     q_number_factorial,
 )
 from hopfbax import scalars
-from hopfbax.scalars import _mul, _normal, cyclotomic_polynomial, normal_key, \
-    proportionality_ratio
+from hopfbax.scalars import _mul, _normal, cyclotomic_polynomial, latex_str, \
+    normal_key, proportionality_ratio
 
 import reference_parser
 import strategies
@@ -286,7 +286,9 @@ def test_constant_inverses_are_swaps_in_normal_form():
 
 
 def test_parsed_division_by_zero_says_so():
-    for text, dom in (("1/0", RATIONAL), ("q/(0*q)", SQRT_Q), ("mu/0", SQRT_Q)):
+    for text, dom in (("1/0", RATIONAL), ("q/(0*q)", SQRT_Q), ("mu/0", SQRT_Q),
+                      ("0/(1/0)", RATIONAL), ("1/(2*(q/0))", cyclotomic(5)),
+                      ("1/(1/(1/0))", SQRT_Q), ("1/-(mu/0)", SQRT_Q)):
         with pytest.raises(ScalarDomainError, match="division by zero"):
             parse_param_scalar(text, dom)
     with pytest.raises(ScalarDomainError, match="division by zero"):
@@ -296,13 +298,9 @@ def test_parsed_division_by_zero_says_so():
 def test_parsed_divisor_in_mu_must_be_a_monomial():
     assert parse_param_scalar("1/mu", SQRT_Q) == ParamScalar.mu(SQRT_Q, -1)
     assert str(parse_param_scalar("1/mu", SQRT_Q)) == "mu^-1"
-    # the grammar refuses a divisor holding a sum before any arithmetic;
-    # the Python operator refuses it as arithmetic
+    # the grammar refuses a divisor holding a sum before any arithmetic
     with pytest.raises(ValueError, match="no binary"):
         parse_param_scalar("1/(1+mu)", SQRT_Q)
-    mu = ParamScalar.mu(SQRT_Q)
-    with pytest.raises(ScalarDomainError, match="single Laurent monomial"):
-        mu / (1 + mu)
 
 
 _DOMAINS = (RATIONAL, SQRT_Q, cyclotomic(3), cyclotomic(4))
@@ -406,6 +404,45 @@ def test_proportionality_ratio():
     assert proportionality_ratio(c * a, a) == c
     b = mu * ParamScalar.constant(Q)
     assert proportionality_ratio(a, b) is None
+
+
+# ---------------------------------------------------------------------------
+# printing: one value per spelling branch of str() and latex_str()
+# ---------------------------------------------------------------------------
+
+def _printed_values():
+    s, q5 = SQRT_Q.s(), cyclotomic(5).q()
+    mu, nu = ParamScalar.mu(SQRT_Q), ParamScalar.nu(SQRT_Q)
+    return [s, s ** 2, s ** 3, s ** 4, s ** -1,
+            Fraction(3, 2) * s ** 2 - Fraction(1, 3),
+            (1 + s) / (2 - 3 * s ** 2),
+            RATIONAL.from_fraction(Fraction(-5, 7)), RATIONAL.zero(),
+            2 - q5 - 3 * q5 ** 2, -q5 ** 3 + 4,
+            (1 + s) * mu + Fraction(-1, 2) * nu ** 2 + 3 * mu ** -1 * nu
+            + mu * nu,
+            ParamScalar.constant(-s) * mu ** 2 + 1]
+
+
+_PRINTED = [
+    ("s", "q^{1/2}"), ("s^2", "q"), ("s^3", "q^{3/2}"), ("s^4", "q^{2}"),
+    ("(1)/(s)", "\\frac{1}{q^{1/2}}"),
+    ("-1/3 + 3/2*s^2", "-\\tfrac{1}{3} +\\tfrac{3}{2} q"),
+    ("(-1/3 - 1/3*s)/(-2/3 + s^2)",
+     "\\frac{-\\tfrac{1}{3} -\\tfrac{1}{3} q^{1/2}}{-\\tfrac{2}{3} +q}"),
+    ("-5/7", "-\\tfrac{5}{7}"), ("0", "0"),
+    ("2 - q - 3*q^2", "2 -q -3 q^{2}"),
+    ("4 - q^3", "4 -q^{3}"),
+    ("3*mu^-1*nu + -1/2*nu^2 + (1 + s)*mu + mu*nu",
+     "3 \\mu^{-1}\\nu -\\tfrac{1}{2} \\nu^{2} "
+     "+\\left(1 +q^{1/2}\\right)\\mu +\\mu\\nu"),
+    ("1 + -s*mu^2", "1 -q^{1/2} \\mu^{2}"),
+]
+
+
+@pytest.mark.parametrize("value, printed", zip(_printed_values(), _PRINTED))
+def test_text_and_latex_spell_every_branch(value, printed):
+    p = value if isinstance(value, ParamScalar) else ParamScalar.constant(value)
+    assert (str(value), latex_str(p)) == printed
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +629,8 @@ def test_parse_bounds_sums_by_terms():
 
 
 def test_parse_takes_no_inverse_for_a_power_of_q():
-    # q^-k is q^(n-k) in Q(zeta_n), and a quotient is charged the inverse
-    # of its divisor: over Q(zeta_997) each inverse took about 0.1 s
+    # q^-k is q^(n-k) in Q(zeta_n), and a divisor is read as its reciprocal
+    # monomial: over Q(zeta_997) each inverse took about 0.1 s
     dom = cyclotomic(997)
     for text in ("*".join(["q^-2"] * 20), "+".join(["1/q^995"] * 20)):
         t0 = time.perf_counter()
@@ -605,6 +642,20 @@ def test_parse_takes_no_inverse_for_a_power_of_q():
     dom = cyclotomic(5)
     assert parse_scalar("q^-1", dom) == dom.q().inverse()
     assert parse_scalar("q^-7", dom) == dom.q().inverse() ** 7
+
+
+def test_quotients_over_q_zeta_997_take_no_inverse():
+    # 1/q^995 is q^2 read leaf by leaf; an inverse of q^995 would run
+    # Euclid against Phi_997 (about 80 ms), and charging it refused the
+    # string outright
+    dom = cyclotomic(997)
+    q = dom.q()
+    assert parse_scalar("1/q^995", dom) == q ** 2
+    t0 = time.perf_counter()
+    assert parse_scalar("+".join(["1/q^995"] * 20), dom) == 20 * q ** 2
+    assert time.perf_counter() - t0 < 0.5
+    assert parse_scalar("1/(2*q^3)", dom) == (2 * q ** 3).inverse()
+    assert parse_scalar("q/(2/q^4)/-3", dom) == -q ** 5 / 6
 
 
 def _costly_cases():
@@ -781,15 +832,18 @@ def test_emitted_fractions_in_s_are_refused(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_grammar_strings(), _grammar_strings())
-@example("s + 1", "q - mu^0")
-def test_parsing_in_s_runs_no_polynomial_gcd(a, b):
-    # every parsed Q(s) value is a Laurent polynomial, so no sum, product,
-    # quotient or power of a parse reaches Euclid's algorithm; a quotient
-    # of two strings is where one would run if any divisor were accepted
+@given(_grammar_strings(), _grammar_strings(),
+       st.sampled_from((RATIONAL, SQRT_Q, cyclotomic(5))))
+@example("s + 1", "q - mu^0", SQRT_Q)
+@example("1", "q", cyclotomic(5))
+def test_parsing_runs_no_euclid_in_any_domain(a, b, dom):
+    # a divisor is read as its reciprocal monomial and every parsed Q(s)
+    # value is a Laurent polynomial, so no sum, product, quotient or power
+    # of a parse takes an inverse by Euclid's algorithm or a polynomial
+    # gcd; a quotient of two strings is where one would run
     def euclid(*args):
-        raise AssertionError("a polynomial gcd ran while parsing")
+        raise AssertionError("Euclid's algorithm ran while parsing")
 
     with mock.patch.object(scalars, "_euclid", euclid):
         for text in (a, f"({a})/({b})", f"({b})^-1*({a})"):
-            _parsed_or_refused(parse_param_scalar, text, SQRT_Q)
+            _parsed_or_refused(parse_param_scalar, text, dom)
