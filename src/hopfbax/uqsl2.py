@@ -1,4 +1,4 @@
-"""Spin-1/2 and spin-1 R-matrices of U_q[sl(2)] with mu-weights.
+"""R-matrices of the spin modules of U_q[sl(2)] with mu-weights.
 
 The quantum enveloping algebra of sl(2) carries a universal element
 
@@ -10,10 +10,10 @@ nilpotent, the series terminates, and the term e^n (x) f^n is homogeneous
 of degree n for the grading by e-power, so weighting term n with mu^n
 yields a multiplicative-parameter family.
 
-Everything is computed over Q(s) with s^2 = q.  Both modules are given
-in a gauge with Q(s) entries: spin-1 takes e = [2]_q E and f = F, where E
-and F have 1 on every link of the weight ladder.  The usual symmetric
-choice puts sqrt([2]_q) on both, and either way e^n (x) f^n =
+Everything is computed over Q(s) with s^2 = q.  ``spin_rep`` builds each
+spin in one gauge with Q(s) entries: spin-1 takes e = [2]_q E and f = F,
+where E and F have 1 on every link of the weight ladder.  The usual
+symmetric choice puts sqrt([2]_q) on both, and either way e^n (x) f^n =
 [2]_q^n E^n (x) F^n, so the R-matrix is the same.
 """
 
@@ -34,7 +34,10 @@ class SqrtExt:
 
 
 class WeightedRep:
-    """A finite module given by nilpotent e, f and integer h-weights."""
+    """A finite module given by e, f and integer h-weights, checked against
+    [h, e] = 2e, [h, f] = -2f and [e, f] = [h]_q.  Nilpotency follows: a chain
+    of nonzero e (f) entries moves the weight by 2 (-2) at every step, so it
+    visits distinct basis vectors and e^dim = f^dim = 0."""
 
     def __init__(self, name: str, weights, e_entries: dict, f_entries: dict):
         self.name = name
@@ -57,26 +60,29 @@ class WeightedRep:
         want = {(k, k): q_number(w, SQRT_Q.q())
                 for k, w in enumerate(self.weights) if w != 0}
         if comm != want:
-            raise ValueError(
-                f"{self.name}: [e,f] != (q^h - q^-h)/(q - q^-1)")
-        # [1, m, ..., m^dim]; the series terms read the first dim of them
+            raise ValueError(f"{self.name}: [e,f] != (q^h - q^-h)/(q - q^-1)")
+        # [1, m, ..., m^(dim-1)]: the powers that the series terms read
         ident = {(k, k): SQRT_Q.one() for k in range(self.dim)}
-        self.e_powers, self.f_powers = (matrix_powers(m, self.dim, ident)
+        self.e_powers, self.f_powers = (matrix_powers(m, self.dim - 1, ident)
                                         for m in (self.e, self.f))
-        if self.e_powers[-1] or self.f_powers[-1]:
-            raise ValueError(f"{self.name}: e, f are not nilpotent of order dim")
+
+
+def spin_rep(two_j: int) -> WeightedRep:
+    """Spin two_j/2: d = two_j + 1 weights d-1-2i, e_{i-1,i} = [i]_q [d-i]_q
+    and f_{i,i-1} = 1; [e, f] = [h]_q as [i+1][d-1-i] - [i][d-i] = [d-1-2i]."""
+    d, q, one = two_j + 1, SQRT_Q.q(), SQRT_Q.one()
+    e = {(i - 1, i): q_number(i, q) * q_number(d - i, q) for i in range(1, d)}
+    f = {(i, i - 1): one for i in range(1, d)}
+    name = f"spin-{two_j}/2" if two_j % 2 else f"spin-{two_j // 2}"
+    return WeightedRep(name, tuple(d - 1 - 2 * i for i in range(d)), e, f)
 
 
 def spin_half() -> WeightedRep:
-    one = SQRT_Q.one()
-    return WeightedRep("spin-1/2", (1, -1), {(0, 1): one}, {(1, 0): one})
+    return spin_rep(1)
 
 
 def spin_one() -> WeightedRep:
-    """The ladder e = [2]_q on both links, f = 1 (see the module note)."""
-    one, two = SQRT_Q.one(), q_number(2, SQRT_Q.q())
-    return WeightedRep("spin-1", (2, 0, -2), {(0, 1): two, (1, 2): two},
-                       {(1, 0): one, (2, 1): one})
+    return spin_rep(2)
 
 
 def r_matrix_terms(rep: WeightedRep) -> dict:
@@ -90,7 +96,7 @@ def r_matrix_terms(rep: WeightedRep) -> dict:
     one = SQRT_Q.one()
     d, w = rep.dim, rep.weights
     out = {}
-    for n, (e_n, f_n) in enumerate(zip(rep.e_powers[:d], rep.f_powers[:d])):
+    for n, (e_n, f_n) in enumerate(zip(rep.e_powers, rep.f_powers)):
         if not e_n:
             break
         c_n = (q ** (n * (n + 1) // 2) * (one - q ** -2) ** n

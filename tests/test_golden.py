@@ -27,8 +27,7 @@ import pytest
 
 from hopfbax import uqsl2_r_matrix
 from hopfbax.cli import main
-
-from spins import spin_rep
+from hopfbax.uqsl2 import spin_rep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 _R_JSON = "{golden}/taft_rep31_json.out"

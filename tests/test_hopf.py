@@ -394,6 +394,52 @@ def test_a_degree_grading_fails_both_checks(taft3):
     assert cop.violations
 
 
+def test_grading_check_reads_every_term_of_a_product(taft2):
+    # e * e = e + x: the first term has the right degree 0, the later term
+    # x has degree 1
+    alg = taft2.algebra
+    one = alg.domain.one()
+
+    def product(l1, l2):
+        if l1 == l2 == (0, 0):
+            return {(0, 0): one, (0, 1): one}
+        return alg.product_basis(l1, l2)
+
+    broken = Algebra("T_2 with e e = e + x", alg.domain, alg.labels,
+                     alg._unit_terms, product, label_str=alg.label_str)
+    report = check_grading(broken, x_degree_grading(taft2))
+    assert not report.passed
+    assert report.violations == [("e", "e", "x")]
+
+
+def test_coproduct_grading_reads_terms_led_by_the_label(taft2):
+    # Delta(x) + x (x) x: the extra term has degree 2, not 1, and its first
+    # leg is x itself
+    alg = taft2.algebra
+    x = alg.basis((0, 1))
+    coproduct = dict(taft2.coproduct)
+    coproduct[(0, 1)] = coproduct[(0, 1)] + TensorElement.of(x, x)
+    broken = HopfAlgebra(alg, coproduct, taft2.counit, taft2.antipode)
+    report = check_coproduct_grading(broken, x_degree_grading(taft2))
+    assert not report.passed
+    assert report.violations == [("x", "x", "x")]
+
+
+def test_compatibility_witness_keeps_a_counit_only_failure(taft2):
+    # eps(x) = 1 breaks eps(x y) = eps(x) eps(y) at (x, x) and (x, a), and
+    # doubling Delta(ax) breaks Delta(x a) = Delta(x) Delta(a) at (x, a)
+    # only.  Row e passes, so (x, x), which fails only the counit part, is
+    # the first failing pair
+    alg = taft2.algebra
+    counit = {**taft2.counit, (0, 1): alg.domain.one()}
+    coproduct = dict(taft2.coproduct)
+    coproduct[(1, 1)] = coproduct[(1, 1)] + coproduct[(1, 1)]
+    broken = HopfAlgebra(alg, coproduct, counit, taft2.antipode)
+    compat = next(a for a in check_hopf_axioms(broken).axioms
+                  if a.name == "bialgebra compatibility")
+    assert (compat.passed, compat.counterexample) == (False, "x, x")
+
+
 def test_trivial_grading_is_flagged(taft3):
     g = Grading(taft3.algebra, {l: 0 for l in taft3.algebra.labels})
     rep = check_grading(taft3.algebra, g)

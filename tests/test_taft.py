@@ -213,6 +213,28 @@ def test_corrupted_module_fails_loudly(double3, taft3):
                                       else broken.dual_image, side)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_built_modules_satisfy_the_taft_relations(N):
+    # _module checks nothing on H: pi(a), pi(x) of every module it builds
+    # satisfy T_N's relations, so the replay of the whole H table passes
+    d = build_double(build_taft(N))
+    q, zero, one = d.domain.q(), d.domain.zero(), d.domain.one()
+    reps = [rep_irreducible(d, n, l) for n in range(1, N + 1)
+            for l in range(1, N + 1)]
+    reps += [rep_indecomposable(d, alpha, l) for alpha in (zero, one, q)
+             for l in range(1, N + 1)]
+    for rep in reps:
+        am, xm = rep.h_image((1, 0)), rep.h_image((0, 1))
+        ident = {(k, k): one for k in range(rep.dim)}
+        a_n = x_n = ident
+        for _ in range(N):
+            a_n, x_n = matmul_entries(a_n, am), matmul_entries(x_n, xm)
+        assert a_n == ident and x_n == {}
+        assert matmul_entries(xm, am) == {
+            k: v * q for k, v in matmul_entries(am, xm).items()}
+        _check_subalgebra(rep, d.h.algebra, rep.h_image, "H")
+
+
 def test_straightening_check_rejects_wrong_convention(taft3):
     # left_s passes the H and H* checks; only the cross relation catches it
     with pytest.raises(RepresentationError, match="straightening rule"):

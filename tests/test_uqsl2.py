@@ -17,6 +17,7 @@ from hopfbax import (
 from hopfbax import regressions
 from hopfbax.matrices import matmul_entries, matrix_powers
 from hopfbax.scalars import accumulate
+from hopfbax.uqsl2 import spin_rep
 
 ONE = SQRT_Q.one()
 Q = SQRT_Q.q()
@@ -54,6 +55,38 @@ def test_weighted_rep_rejects_non_nilpotent():
         WeightedRep("loop", (1, -1), {(0, 0): ONE}, {(1, 0): ONE})
 
 
+def test_weighted_rep_rejects_f_that_breaks_only_its_weight_rule():
+    # f + I keeps [e, f] (I commutes with e) and is not nilpotent; only the
+    # [h, f] = -2f check sees it
+    o = spin_one()
+    f = {**o.f, **{(k, k): ONE for k in range(3)}}
+    comm = matmul_entries(o.e, f)
+    for k, v in matmul_entries(f, o.e).items():
+        accumulate(comm, k, -v)
+    assert comm == {(0, 0): Q + Q ** -1, (2, 2): -(Q + Q ** -1)}
+    with pytest.raises(ValueError, match=r"\[h,f\] = -2f"):
+        WeightedRep("f + I", o.weights, o.e, f)
+
+
+@pytest.mark.parametrize("two_j", range(7))
+def test_spin_rep_is_nilpotent_of_order_dim(two_j):
+    # WeightedRep runs no nilpotency check: its weight checks imply this
+    rep = spin_rep(two_j)
+    assert rep.dim == two_j + 1
+    assert rep.weights == tuple(range(two_j, -two_j - 1, -2))
+    for m, powers in ((rep.e, rep.e_powers), (rep.f, rep.f_powers)):
+        assert len(powers) == rep.dim
+        assert powers[-1] and matmul_entries(powers[-1], m) == {}
+
+
+def test_spin_rep_names_and_the_two_cli_spins():
+    assert [spin_rep(k).name for k in range(5)] == [
+        "spin-0", "spin-1/2", "spin-1", "spin-3/2", "spin-2"]
+    h, o = spin_half(), spin_one()
+    assert (h.name, h.e, h.f) == ("spin-1/2", {(0, 1): ONE}, {(1, 0): ONE})
+    assert o.name == "spin-1"
+
+
 def test_ef_commutator_value_spin_half():
     h = spin_half()
     comm = matmul_entries(h.e, h.f)
@@ -73,9 +106,11 @@ def test_spin_one_ladder_is_two_up_one_down():
 
 def test_series_reads_the_powers_of_the_validation(monkeypatch):
     import hopfbax.uqsl2 as uqsl2
+    # the tables end at m^(dim-1), the last power that can be nonzero
     o = spin_one()
-    assert o.e_powers[2] == {(0, 2): (Q + Q ** -1) ** 2} and not o.e_powers[3]
-    assert o.f_powers[2] == {(2, 0): ONE} and not o.f_powers[3]
+    assert len(o.e_powers) == len(o.f_powers) == 3
+    assert o.e_powers[2] == {(0, 2): (Q + Q ** -1) ** 2}
+    assert o.f_powers[2] == {(2, 0): ONE}
     monkeypatch.setattr(uqsl2, "matrix_powers", None)   # no second power loop
     assert sorted(r_matrix_terms(o)) == [0, 1, 2]
 

@@ -28,10 +28,9 @@ from hopfbax import (
 )
 from hopfbax.algebra import Algebra, TensorElement, embed, tensor_multiply
 from hopfbax.regressions import reference_taft_9x9
-from hopfbax.scalars import accumulate, proportionality_ratio
+from hopfbax.scalars import accumulate, eval_q_powers, proportionality_ratio
+from hopfbax.uqsl2 import spin_rep
 from hopfbax.ybe import cell, residual, residual_report, ybe_residual
-
-from spins import spin_rep
 
 
 def _flip(d, domain):
@@ -335,6 +334,22 @@ def test_gauge_rejects_inconsistent_scaling(r_half):
     b = r_half.copy()
     b.set(0, 0, b.get(0, 0) * 2)   # one diagonal entry rescaled alone
     assert find_diagonal_gauge(r_half, b) is None
+
+
+@pytest.mark.parametrize("N, j", [(N, j) for N in (3, 4, 5, 6)
+                                  for j in (1, 2) if 2 * j + 1 <= N])
+def test_integer_spin_is_a_gauge_of_one_taft_module(N, j):
+    # the paper's two examples check each other: at Q = zeta_{2N} (s goes
+    # to zeta_{4N}) and q = Q^2, the spin-j family is a scalar plus diagonal
+    # gauge of the normalised V_{2j+1, l} family exactly when l = N - j;
+    # criterion 11 is the case N = 4, j = 1
+    Q = cyclotomic(2 * N).q()
+    d = build_double(build_taft(N, Q * Q))
+    spin = uqsl2_r_matrix(spin_rep(2 * j), parametric=True).map_entries(
+        lambda v: v.map_scalars(lambda x: eval_q_powers(x, Q)))
+    found = [l for l in range(1, N + 1) if find_diagonal_gauge(
+        spin, taft_r_matrix(rep_irreducible(d, 2 * j + 1, l))) is not None]
+    assert found == [N - j]
 
 
 def test_gauge_identity_pair(r_one):
