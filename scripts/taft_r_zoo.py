@@ -9,6 +9,7 @@ prints the worst residual entry.
 """
 
 import argparse
+from functools import partial
 import pathlib
 import sys
 import time
@@ -29,30 +30,22 @@ def main() -> int:
     for N in args.orders:
         h = build_taft(N)
         d = build_double(h)
-        q = h.domain.q()
-        for n in range(1, N + 1):
-            for l in range(1, N + 1):
-                t0 = time.perf_counter()
-                rep = rep_irreducible(d, n, l)
-                r = taft_r_matrix(rep, parametric=True,
-                                  normalize=(n > 1))
-                rep_ok = check_parametric_ybe(r)
-                dt = time.perf_counter() - t0
-                status |= 0 if rep_ok.passed else 1
-                flag = "PASS" if rep_ok.passed else f"FAIL {rep_ok.worst}"
-                print(f"V_{{{n},{l}}}       {N}  {r.dim:4d}  {len(r.entries):5d}"
-                      f"  {flag:14s}  {dt:5.2f}s")
-        for alpha, tag in ((h.domain.one(), "1"), (q, "q")):
-            for l in (1, N):
-                t0 = time.perf_counter()
-                rep = rep_indecomposable(d, alpha, l)
-                r = taft_r_matrix(rep, parametric=True, normalize=False)
-                rep_ok = check_parametric_ybe(r)
-                dt = time.perf_counter() - t0
-                status |= 0 if rep_ok.passed else 1
-                flag = "PASS" if rep_ok.passed else f"FAIL {rep_ok.worst}"
-                print(f"W_{{{l}}}(a={tag})   {N}  {r.dim:4d}  {len(r.entries):5d}"
-                      f"  {flag:14s}  {dt:5.2f}s")
+        alphas = ((h.domain.one(), "1"), (h.domain.q(), "q"))
+        modules = [(f"V_{{{n},{l}}}       ", n > 1,
+                    partial(rep_irreducible, d, n, l))
+                   for n in range(1, N + 1) for l in range(1, N + 1)]
+        modules += [(f"W_{{{l}}}(a={tag})   ", False,
+                     partial(rep_indecomposable, d, alpha, l))
+                    for alpha, tag in alphas for l in (1, N)]
+        for name, normalize, build in modules:
+            t0 = time.perf_counter()
+            r = taft_r_matrix(build(), parametric=True, normalize=normalize)
+            rep_ok = check_parametric_ybe(r)
+            dt = time.perf_counter() - t0
+            status |= 0 if rep_ok.passed else 1
+            flag = "PASS" if rep_ok.passed else f"FAIL {rep_ok.worst}"
+            print(f"{name}{N}  {r.dim:4d}  {len(r.entries):5d}"
+                  f"  {flag:14s}  {dt:5.2f}s")
     return status
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .scalars import Memo, Scalar, Domain, ScalarDomainError, accumulate, \
-    normal_key
+    normal_key, sum_str
 
 
 class Algebra:
@@ -155,16 +155,8 @@ class AlgebraElement:
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for l in sorted(self.terms):
-            c = self.terms[l]
-            name = self.algebra.label_str(l)
-            cs = str(c)
-            bits.append(name if c.is_one() else
-                        (f"({cs})*{name}" if " " in cs else f"{cs}*{name}"))
-        return " + ".join(bits)
+        name = self.algebra.label_str
+        return sum_str((name(l), self.terms[l]) for l in sorted(self.terms))
 
     __repr__ = __str__
 

@@ -196,8 +196,10 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
            ((labels[i], labels[j]) for i in basis
             for j in sorted(compat_failures(i))))
 
-    e = alg.unit()
-    unit_ok = (h.delta(e) == TensorElement.of(e, e)) and h.eps(e).is_one()
+    unit_ok = (acc(((i0, i1), mul(c, d)) for u, c in unit for i0, i1, d in co[u])
+               == acc(((u, v), mul(c, d)) for u, c in unit for v, d in unit)
+               and acc(((), mul(c, counit[u])) for u, c in unit)
+               == {(): alg.domain.one()})
     report.axioms.append(AxiomResult("bialgebra unit/counit of 1", unit_ok,
                                      None if unit_ok else "unit element"))
 

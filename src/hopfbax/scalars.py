@@ -44,12 +44,14 @@ and every parsed Q(s) value is a Laurent polynomial in s.  A sum takes time
 linear in its terms, and a string is refused once it passes its work
 budget, MAX_WORK.  Emission is canonical: polynomials are expanded,
 exponents ascend, denominators are monic, so emit -> parse -> emit is the
-identity.  One printer spells a Scalar as text (str) and as LaTeX.
+identity.  One printer spells a Scalar, and one a sum of named terms
+(a ParamScalar, an algebra element), as text (str) and as LaTeX.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -515,13 +517,13 @@ def _printed(x: Scalar, notation) -> str:
     num = _poly(tuple(Fraction(c, lead) for c in num), gen, notation)
     if len(den) == 1:
         return num
-    return notation[-1].format(
+    return notation.quotient.format(
         num, _poly(tuple(Fraction(c, lead) for c in den), gen, notation))
 
 
 def _poly(p, gen, notation) -> str:
     """The nonzero terms of p in ascending powers of gen."""
-    coeff, power, times, gap, _ = notation
+    coeff, power, times, gap = notation[:4]
     parts = []
     for e, c in enumerate(p):
         if c:
@@ -551,9 +553,38 @@ def _latex_frac(f: Fraction) -> str:
 
 
 # a notation: how it spells a coefficient and a power of the generator, its
-# product sign, the space after the sign of a later term, its quotient form
-_TEXT = (str, _text_power, "*", " ", "({})/({})")
-_LATEX = (_latex_frac, _latex_power, " ", "", "\\frac{{{}}}{{{}}}")
+# product sign, the space after the sign of a later term, its quotient form;
+# for sums of named terms, the names of mu and nu, the sign between them, the
+# characters that bracket a coefficient when they follow its first, the
+# bracket, and what precedes a later term, and a later term led by "-"
+_Notation = namedtuple("_Notation", "coeff power times gap quotient params "
+                       "joint breaks bracket plus minus")
+_TEXT = _Notation(str, _text_power, "*", " ", "({})/({})", ("mu", "nu"), "*",
+                  " ", "({})*", " + ", " + ")
+_LATEX = _Notation(_latex_frac, _latex_power, " ", "", "\\frac{{{}}}{{{}}}",
+                   ("\\mu", "\\nu"), "", "+-", "\\left({}\\right)", " +", " ")
+
+
+def sum_str(terms, notation=_TEXT) -> str:
+    """A sum of (name, Scalar) terms in a notation: the coefficient alone
+    where the name is empty, the name alone where the coefficient is 1,
+    else the two joined; "0" for no terms."""
+    parts = []
+    for name, c in terms:
+        cs = _printed(c, notation)
+        if name:
+            cs = name if c.is_one() else notation.bracket.format(cs) + name \
+                if any(b in cs[1:] for b in notation.breaks) \
+                else cs + notation.times + name
+        parts.append(cs)
+    return parts[0] + "".join((notation.minus if p[0] == "-" else notation.plus)
+                              + p for p in parts[1:]) if parts else "0"
+
+
+def _param_str(v, n) -> str:
+    """A ParamScalar in notation n, its mu,nu monomials in ascending order."""
+    return sum_str(((n.joint.join(n.power(g, e) for g, e in zip(n.params, k)
+                                  if e), c) for k, c in sorted(v.terms.items())), n)
 
 
 # ---------------------------------------------------------------------------
@@ -756,27 +787,7 @@ class ParamScalar:
 
     # -- display ---------------------------------------------------------------------
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms):
-            v = self.terms[(a, b)]
-            mono = []
-            if a:
-                mono.append("mu" if a == 1 else f"mu^{a}")
-            if b:
-                mono.append("nu" if b == 1 else f"nu^{b}")
-            mono = "*".join(mono)
-            cs = str(v)
-            if not mono:
-                parts.append(cs)
-            elif v.is_one():
-                parts.append(mono)
-            else:
-                if " " in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
+        return _param_str(self, _TEXT)
 
     def __repr__(self):
         return f"ParamScalar[{self.domain}]({self})"
@@ -791,28 +802,8 @@ def laurent_by_key(terms: dict) -> dict:
 
 
 def latex_str(v: ParamScalar) -> str:
-    """LaTeX form of a ParamScalar, the display twin of its str()."""
-    parts = []
-    for (a, b) in sorted(v.terms):
-        coeff = v.terms[(a, b)]
-        mono = ""
-        if a:
-            mono += "\\mu" if a == 1 else f"\\mu^{{{a}}}"
-        if b:
-            mono += "\\nu" if b == 1 else f"\\nu^{{{b}}}"
-        cs = _printed(coeff, _LATEX)
-        if not mono:
-            body = cs
-        elif coeff.is_one():
-            body = mono
-        else:
-            body = (f"\\left({cs}\\right){mono}" if ("+" in cs or "-" in cs[1:])
-                    else f"{cs} {mono}")
-        if parts and not body.startswith("-"):
-            parts.append("+" + body)
-        else:
-            parts.append(body)
-    return " ".join(parts) if parts else "0"
+    """LaTeX form of a ParamScalar."""
+    return _param_str(v, _LATEX)
 
 
 def as_param_scalar(c, domain: Domain) -> ParamScalar:

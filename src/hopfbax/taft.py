@@ -326,7 +326,7 @@ def _taft_q(h: HopfAlgebra) -> Scalar:
 # R-matrices through the canonical element
 # ---------------------------------------------------------------------------
 
-# R(mu) per double as index terms: a TensorElement would keep its double alive
+# R(mu) per double as label-keyed terms: a TensorElement would keep it alive
 _R_MU_TERMS = weakref.WeakKeyDictionary()
 
 

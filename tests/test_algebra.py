@@ -64,6 +64,16 @@ def test_element_arithmetic(taft3):
     assert (-y + y).is_zero()
 
 
+def test_element_str_shares_the_text_rule_of_parameter_scalars(taft3):
+    # labels in label order; the name alone for a coefficient of 1, and a
+    # coefficient with a space in brackets
+    alg = taft3.algebra
+    assert str(alg.basis((0, 1)).scaled(2) + alg.unit()) == "e + 2*x"
+    assert str(taft3.gamma(alg.basis((1, 1)))) == "(1 + q)*ax"
+    assert str(taft3.gamma(alg.basis((0, 1)))) == "-1*a^2x"
+    assert str(alg.zero()) == "0"
+
+
 def test_tensor_multiply_is_slotwise(taft3):
     alg = taft3.algebra
     q = alg.domain.q()

@@ -77,6 +77,19 @@ def test_baxterize_blocks_are_the_graded_blocks(n):
     assert list(r_mu) == sorted(graded)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_both_cli_routes_sum_back_to_the_canonical_element(n):
+    # hopfbax baxterize does not re-check R(1) = R: the x-degree split and
+    # its Z^2 lift weighted by tau = (1, 1) must each give R term for term
+    d = build_double(build_taft(n))
+    r = canonical_r(d).tensor()
+    g = double_grading(d, x_degree_grading(d.h))
+    lifted = g.lift_zn(lambda j: (j, 0))
+    assert evaluate_at_one(baxterize(decompose_graded(r, g, g))).terms == r.terms
+    assert evaluate_at_one(baxterize_zn(
+        decompose_graded(r, lifted, lifted), (1, 1))).terms == r.terms
+
+
 def test_degree_zero_block_needs_no_parameter(double2, taft2):
     graded, _ = _graded(double2, taft2)
     r = baxterize({0: graded[0]})

@@ -4,7 +4,8 @@ Each case in CASES has three files under tests/golden/: <name>.out,
 <name>.err and <name>.exit.  They cover the README command-line examples
 (all but the slow all-regressions), the Hopf report of T_8 (the largest
 --N), plus the LaTeX and text renderings of
-the V_{3,1} family, the LaTeX of the spin-1 family (fractions in s) and a
+the V_{3,1} family, the LaTeX of the spin-1 family (fractions in s), the
+text of baxterize --N 3 (the flat route, next to the --zn JSON) and a
 constant JSON verify.  The verify cases read the frozen JSON of the
 V_{3,1} family, so they need no temporary file.
 
@@ -48,6 +49,7 @@ CASES = {
     "taft_indecomposable_verify": ["taft", "--N", "3", "--indecomposable", "q",
                                    "--l", "1", "--parametric", "--verify"],
     "double_n2_parametric": ["double", "--N", "2", "--parametric"],
+    "baxterize_n3_text": ["baxterize", "--N", "3"],
     "baxterize_n3_zn_json": ["baxterize", "--N", "3", "--zn",
                              "--format", "json"],
     "verify_auto": ["verify", "--input", _R_JSON],

@@ -150,7 +150,7 @@ def test_corrupted_axioms_match_the_reference_checker(n):
 
 def test_hopf_axioms_multiply_through_one_memo(monkeypatch):
     # every product of the check goes through one memo of interned values,
-    # so T_5 needs few Scalar multiplications: 226 here, 24,508 when
+    # so T_5 needs few Scalar multiplications: 223 here, 24,508 when
     # each axiom multiplied plain Scalars term by term
     h = build_taft(5)
     calls = []
@@ -167,7 +167,7 @@ def test_hopf_axioms_multiply_through_one_memo(monkeypatch):
 
 def test_hopf_check_sums_one_basis_row_per_accumulate(monkeypatch):
     # associativity sums every c of a pair (a, b), and compatibility every
-    # j of an i, in one accumulate per side: 1,575 calls on a fresh T_5,
+    # j of an i, in one accumulate per side: 1,578 calls on a fresh T_5,
     # 26,475 when each basis triple and pair was summed alone
     h = build_taft(5)
     calls = []

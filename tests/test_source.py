@@ -44,6 +44,15 @@ def test_readme_python_api_block_runs():
     assert check_parametric_ybe(namespace["r"]).passed
 
 
+def test_readme_scripts_block_names_every_script():
+    # the scripts/ block of the README's layout lists each .py file of
+    # scripts/ once, and nothing else
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nscripts/\n", 1)[1].split("```", 1)[0]
+    named = re.findall(r"^  (\S+)", block, re.M)
+    assert sorted(named) == sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+
+
 def test_perfbench_trace_targets_exist():
     # perfbench/tracer.py looks its targets up by name, so a deleted or
     # renamed one would break every traced benchmark run
