@@ -128,9 +128,9 @@ def run_taft(args) -> int:
                          "--indecomposable")
     h = _taft(args)
     if rep is None and args.alpha is None:
-        reports = [check_hopf_axioms(h),
-                   check_grading(h.algebra, x_degree_grading(h)),
-                   check_coproduct_grading(h, x_degree_grading(h))]
+        grading = x_degree_grading(h)
+        reports = [check_hopf_axioms(h), check_grading(h.algebra, grading),
+                   check_coproduct_grading(h, grading)]
         return max(_report_out(r, args) for r in reports)
     d = build_double(h)
     if rep is not None:

@@ -21,13 +21,16 @@ Regenerate the files (only when an output change is intended) with
 
 import contextlib
 import io
+from itertools import product as iproduct
 import pathlib
 import sys
 
 import pytest
 
-from hopfbax import uqsl2_r_matrix
+from hopfbax import CONVENTIONS, build_double, build_taft, rep_irreducible, \
+    uqsl2_r_matrix
 from hopfbax.cli import main
+from hopfbax.taft import RepresentationError
 from hopfbax.uqsl2 import spin_rep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -89,6 +92,27 @@ def test_larger_spin_families_are_frozen(name):
     assert _spin_json(name) == (GOLDEN / name).read_text()
 
 
+def _module_convention_text():
+    lines = []
+    for N in range(2, 7):
+        h = build_taft(N)
+        for conv in CONVENTIONS:
+            d = build_double(h, conv)
+            for n, l in iproduct(range(1, N + 1), repeat=2):
+                try:
+                    rep_irreducible(d, n, l)
+                    verdict = "ok"
+                except RepresentationError as e:
+                    verdict = f"FAIL {e}"
+                lines.append(f"{N} {conv} {n} {l} {verdict}\n")
+    return "".join(lines)
+
+
+def test_module_verdicts_under_every_convention_are_frozen():
+    assert (_module_convention_text().splitlines()
+            == (GOLDEN / "module_conventions.txt").read_text().splitlines())
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     # the verify cases read taft_rep31_json.out, so it is written first
@@ -99,3 +123,5 @@ if __name__ == "__main__":
     for name in SPINS:
         (GOLDEN / name).write_text(_spin_json(name))
         print(name, file=sys.stderr)
+    (GOLDEN / "module_conventions.txt").write_text(_module_convention_text())
+    print("module_conventions.txt", file=sys.stderr)

@@ -235,6 +235,52 @@ def test_built_modules_satisfy_the_taft_relations(N):
         _check_subalgebra(rep, d.h.algebra, rep.h_image, "H")
 
 
+def _check_every_cross_product(rep):
+    """pi(f) pi(g) = pi(f.g) for every label f of H* and g of H."""
+    d = rep.double
+    _check_algebra_map(
+        rep, rep.pair_image,
+        ((f, g, d._cross_for(g)[f].items())
+         for g in d.h.algebra.labels for f in d.hdual.algebra.labels),
+        lambda f, g: f"breaks the straightening rule at {f}, {g}",
+        left=rep.dual_image, right=rep.h_image)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_built_modules_satisfy_every_cross_relation(N):
+    # rep_irreducible checks the cross relation at the generators x, a of H
+    # only; over the associative default double that implies it at every g
+    d = build_double(build_taft(N))
+    for n, l in iproduct(range(1, N + 1), repeat=2):
+        _check_every_cross_product(rep_irreducible(d, n, l))
+
+
+def test_dual_images_of_another_window_break_the_rule_at_x(double3,
+                                                           monkeypatch):
+    # the dual images of window l' != l pass the H* check (they are those of
+    # V_{n,l'}), so only the cross relation refuses them, at g = x
+    images = taft._dual_images
+    for n, l, other in iproduct(range(1, 4), repeat=3):
+        if other == l:
+            continue
+        monkeypatch.setattr(taft, "_dual_images",
+                            lambda h, q, dim, _: images(h, q, dim, other))
+        with pytest.raises(RepresentationError,
+                           match=r"straightening rule at f=\S+, g=x$"):
+            rep_irreducible(double3, n, l)
+
+
+def test_straightening_check_reads_the_rule_at_a(taft3):
+    # the default straightening at x, but at a the rule of the s_ conventions
+    # (conjugation by a the other way round): x passes, so only the check at
+    # g = a refuses V_{2,1}
+    d = build_double(taft3)
+    d._cross[(1, 0)] = build_double(taft3, "s_left")._cross_for((1, 0))
+    with pytest.raises(RepresentationError,
+                       match=r"straightening rule at f=\S+, g=a$"):
+        rep_irreducible(d, 2, 1)
+
+
 def test_straightening_check_rejects_wrong_convention(taft3):
     # left_s passes the H and H* checks; only the cross relation catches it
     with pytest.raises(RepresentationError, match="straightening rule"):
