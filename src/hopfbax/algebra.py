@@ -4,7 +4,11 @@ An Algebra is a basis (hashable, orderable labels) plus structure constants:
 ``product(l1, l2) -> {label: Scalar}``.  Labels are numbered once, in basis
 order, and the structure constants are read by number: ``row(i, j)`` is the
 product of basis elements i and j as ``((k, Scalar), ...)``, computed on
-first use and kept.  Elements are sparse dictionaries over basis labels.
+first use and kept.  An algebra may declare ``sides = (left, right)``,
+one class per basis index each, with the promise that ``row(i, j)`` is
+empty unless ``right[i] == left[j]`` (E_ac has left a and right c in the
+matrix units); the default puts every index in one class.  Elements are
+sparse dictionaries over basis labels.
 TensorElement holds elements of tensor products of (possibly different)
 algebras, with Scalar coefficients over basis-label keys.  A family that
 depends on the spectral parameter, R(mu) = sum_e mu^e R_e, is not a tensor
@@ -24,7 +28,7 @@ class Algebra:
     """Associative unital algebra given by structure constants on a basis."""
 
     def __init__(self, name, domain: Domain, labels, unit_terms, product,
-                 label_str=None):
+                 label_str=None, sides=None):
         self.name = name
         self.domain = domain
         self.labels = tuple(labels)
@@ -36,6 +40,7 @@ class Algebra:
         self._rows = [{} for _ in self.labels]   # i -> {j: row(i, j)}, filled lazily
         self._constants = {}   # normal_key -> the one Scalar the rows share
         self.label_str = label_str or repr   # basis label -> display string
+        self.sides = sides or ((0,) * self.dim,) * 2   # (left, right)
 
     @property
     def dim(self) -> int:

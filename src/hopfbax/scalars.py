@@ -449,6 +449,9 @@ class Scalar:
             if den[-1] < 0:
                 num, den = tuple(-c for c in num), tuple(-c for c in den)
             return Scalar(dom, num, den, -self.shift)
+        k = len(num) - 1
+        if not any(num[:k]):   # c q^k with q^n = 1 inverts to q^(n-k) / c
+            return _normal(dom, [0] * (dom.n - k) + [self.den[0]], (num[k],))
         # Phi_n is irreducible, so the last remainder r is a constant
         r, t = _euclid(dom.phi, num, (), (1,))
         return _normal(dom, [x * self.den[0] for x in t], r)

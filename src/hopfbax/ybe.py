@@ -8,26 +8,34 @@ most terms, ties to the smallest (row, col) or label-triple repr.
 residual() expands both sides over basis indices of A (x) A (x) A.  Each
 placed family {(e_mu, e_nu): {(i, j): Scalar}}, with the unit of A in its
 free slot, is one trie nested from the third slot down (zero products
-prune soonest there), with the (mu, nu) exponents in its leaf keys.  A
-side is two walks, its first two factors into a trie and that times the
-third, into one residual {(i2, i1, i0, e_mu, e_nu): Scalar} (the second
-side negated).  Every product and sum goes through one scalars.Memo of
-interned values, made by the check and dropped with it.
+prune soonest there), with the (mu, nu) exponents in its leaf keys and
+each level's keys grouped by their left class in A.sides.  A side is two
+walks, its first two factors into a trie and that times the third, into
+one sum {(i2, i1, i0, e_mu, e_nu): Scalar}.  A walk pairs a key i only
+with y's group right[i], as A.sides promises that no other basis product
+is nonzero, and it takes no product by the memo's 1, which is A's shared
+structure constant 1, so a structure constant 1 costs no lookup.  Every
+product and sum goes through one scalars.Memo of interned values, made by
+the check and dropped with it.  The two sums are compared, not
+cancelled: the residual is empty when they are equal, and otherwise
+side 0 minus side 1 at the keys where they differ.
 
 A d^2 x d^2 matrix is an element of End V (x) End V = M_d (x) M_d, so the
 matrix checks run the same engine in the matrix-unit algebra M_d (E_ac
-is basis index a d + c), built by each check (the memo's id keys need
-its row table to outlive them).
+is basis index a d + c, of left a and right c, and every structure
+constant is 1), built by each check (the memo's id keys need its row
+table to outlive them).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain
 
 from .algebra import Algebra
 from .matrices import ParametricMatrix
-from .scalars import Memo, laurent_by_key
+from .scalars import Memo, laurent_by_key, normal_key
 
 
 class YbeReport(namedtuple("YbeReport", "kind dim passed residual_terms worst",
@@ -65,44 +73,67 @@ def residual_report(kind, dim, terms: dict, label, order=None) -> YbeReport:
                      residual_terms=len(by_key), worst=worst)
 
 
-def _trie(terms) -> dict:
-    """{(i, j, k, e_mu, e_nu): c} nested as {i: {j: {(k, e_mu, e_nu): c}}}."""
+def _trie(terms, left) -> dict:
+    """{(i, j, k, e_mu, e_nu): c} nested as {i: {j: {(k, e_mu, e_nu): c}}},
+    each level's keys grouped by their left class: {left[i]: {i: ...}}."""
     trie = {}
-    for (i, j, *leaf), c in terms.items():
-        trie.setdefault(i, {}).setdefault(j, {})[tuple(leaf)] = c
+    for (i, j, k, *e), c in terms.items():
+        trie.setdefault(left[i], {}).setdefault(i, {}).setdefault(
+            left[j], {}).setdefault(j, {}).setdefault(left[k], {})[k, *e] = c
     return trie
 
 
-def _walk(x, y, alg, memo, out):
-    """out += x y for tries of A (x) A (x) A, slot by slot: a zero basis
-    product in one slot drops every pair of terms below it, and the
-    exponents in the leaf keys add."""
+def _items(level):
+    """Every (key, value) of one trie level, group after group."""
+    return chain.from_iterable(map(dict.items, level.values()))
+
+
+_NO_GROUP = {}
+
+
+def _walk(x, y, alg, memo, one, out):
+    """out += x y for tries of A (x) A (x) A, slot by slot: a key i of x
+    meets only the keys of y's group right[i], a zero basis product in one
+    slot drops every pair of terms below it, a product by `one` is not
+    taken, and the exponents in the leaf keys add."""
     mul, add, zero, muls = memo.mul, memo.add, memo.zero, memo.muls
-    row = alg.row
-    for i0, x1 in x.items():
-        for j0, y1 in y.items():
+    row, right = alg.row, alg.sides[1]
+    for i0, x1 in _items(x):
+        for j0, y1 in y.get(right[i0], _NO_GROUP).items():
             row0 = row(i0, j0)
             if not row0:
                 continue
-            for i1, x2 in x1.items():
-                for j1, y2 in y1.items():
+            for i1, x2 in _items(x1):
+                for j1, y2 in y1.get(right[i1], _NO_GROUP).items():
                     row1 = row(i1, j1)
                     if not row1:
                         continue
-                    upper = [(k0, k1, mul(c0, c1))
+                    upper = [(k0, k1, c1 if c0 is one else c0 if c1 is one
+                              else mul(c0, c1))
                              for k0, c0 in row0 for k1, c1 in row1]
-                    for (i2, mx, nx), cx in x2.items():
-                        for (j2, my, ny), cy in y2.items():
+                    for (i2, mx, nx), cx in _items(x2):
+                        for (j2, my, ny), cy in y2.get(right[i2],
+                                                       _NO_GROUP).items():
                             row2 = row(i2, j2)
                             if not row2:
                                 continue
-                            cxy, e_mu, e_nu = mul(cx, cy), mx + my, nx + ny
+                            cxy = (cy if cx is one else cx if cy is one else
+                                   muls.get((id(cx), id(cy))) or mul(cx, cy))
+                            e_mu, e_nu = mx + my, nx + ny
                             for k0, k1, c01 in upper:
-                                c01 = mul(c01, cxy)
-                                i01 = id(c01)
+                                if c01 is one:
+                                    c01 = cxy
+                                elif cxy is not one:
+                                    c01 = mul(c01, cxy)
                                 for k2, c2 in row2:
+                                    if c2 is one:
+                                        v = c01
+                                    elif c01 is one:
+                                        v = c2
+                                    else:
+                                        v = (muls.get((id(c01), id(c2)))
+                                             or mul(c01, c2))
                                     key = (k0, k1, k2, e_mu, e_nu)
-                                    v = muls.get((i01, id(c2))) or mul(c01, c2)
                                     old = out.get(key)
                                     if old is not None:
                                         v = add(old, v)
@@ -118,7 +149,10 @@ def residual(alg: Algebra, placed, sides) -> dict:
     {(e_mu, e_nu): {(i, j): nonzero Scalar}}, target slots; the unit in the
     third) and each side a triple of positions in it: the YBE is
     ((0, 1, 2), (2, 1, 0))."""
-    memo = Memo(alg.domain)
+    memo, left = Memo(alg.domain), alg.sides[0]
+    # the memo's 1 is the rows' shared 1, so every value 1 here is `one`
+    one = alg.domain.one()
+    one = memo.intern(alg._constants.setdefault(normal_key(one), one))
     units = [(alg.index[l], memo.intern(c)) for l, c in alg._unit_terms.items()]
     tries = []
     for family, (s, t) in placed:
@@ -130,14 +164,17 @@ def residual(alg: Algebra, placed, sides) -> dict:
                     key = [u, u, u]
                     key[s], key[t] = i, j
                     terms[(*reversed(key), *e)] = memo.mul(c, cu)
-        tries.append(_trie(terms))
-    out = {}
-    for (x, y, z), sign in zip(sides, (1, -1)):
-        xy, sign = {}, memo.intern(alg.domain.from_fraction(sign))
-        _walk(tries[x], tries[y], alg, memo, xy)
-        _walk(_trie({k: memo.mul(c, sign) for k, c in xy.items()}), tries[z],
-              alg, memo, out)
-    return out
+        tries.append(_trie(terms, left))
+    a, b = {}, {}
+    for (x, y, z), out in zip(sides, (a, b)):
+        xy = {}
+        _walk(tries[x], tries[y], alg, memo, one, xy)
+        _walk(_trie(xy, left), tries[z], alg, memo, one, out)
+    if a == b:
+        return {}
+    zero = memo.zero
+    return {key: a.get(key, zero) - b.get(key, zero) for key in {**a, **b}
+            if a.get(key) != b.get(key)}
 
 
 def ybe_residual(alg: Algebra, blocks: dict, parametric: bool) -> dict:
@@ -149,6 +186,16 @@ def ybe_residual(alg: Algebra, blocks: dict, parametric: bool) -> dict:
     return residual(alg, placed, ((0, 1, 2), (2, 1, 0)))
 
 
+def matrix_units(d: int, domain) -> Algebra:
+    """M_d on the matrix units E_ac (basis index a d + c), E_ac E_be =
+    [c = b] E_ae, with sides: E_ac has left a and right c."""
+    one = domain.one()
+    labels = [divmod(i, d) for i in range(d * d)]
+    return Algebra(f"M_{d}", domain, labels, {(k, k): one for k in range(d)},
+                   lambda x, y: {(x[0], y[1]): one} if x[1] == y[0] else {},
+                   sides=tuple(zip(*labels)))
+
+
 def _matrix_report(kind, r: ParametricMatrix) -> YbeReport:
     """The check `kind` on R in M_d (x) M_d, the entry ((a, b), (c, e)) of
     each mu^e block read as E_ac (x) E_be (or, for B = P R, E_bc (x) E_ae)."""
@@ -156,10 +203,7 @@ def _matrix_report(kind, r: ParametricMatrix) -> YbeReport:
     if d * d != r.dim:
         raise ValueError(f"matrix dimension {r.dim} is not a perfect square, "
                          "so it cannot act on V (x) V")
-    one = r.domain.one()
-    alg = Algebra(f"M_{d}", r.domain, [divmod(i, d) for i in range(d * d)],
-                  {(k, k): one for k in range(d)},   # E_ac E_be = [c = b] E_ae
-                  lambda x, y: {(x[0], y[1]): one} if x[1] == y[0] else {})
+    alg = matrix_units(d, r.domain)
     blocks = {}
     for e_mu, block in r.blocks().items():
         out = blocks[e_mu] = {}

@@ -318,3 +318,25 @@ def test_walk_reports_equal_the_block_pair_engine():
     # the inputs reach both verdicts, and Laurent residuals of several terms
     assert any(r.passed for r in seen) and any(not r.passed for r in seen)
     assert any(r.worst and r.worst.count("mu") > 1 for r in seen)
+
+
+def test_warm_and_cold_doubles_give_identical_reports():
+    # the warm double's row table, and so its shared constants, is filled
+    # before any check's memo exists; the cold double fills it while walking
+    warm, cold = (build_double(build_taft(3)) for _ in range(2))
+    basis = range(warm.algebra.dim)
+    for i in basis:
+        for j in basis:
+            warm.algebra.row(i, j)
+    reports = []
+    for d in (warm, cold):
+        r = canonical_r(d).tensor()
+        family = _family(d)
+        reports.append([report.to_dict() for report in (
+            check_constant_ybe_algebraic(d, r),
+            check_parametric_ybe_algebraic(d, family),
+            check_constant_ybe_algebraic(d, _doubled(r, min(r.terms))),
+            check_parametric_ybe_algebraic(d, {
+                **family, 1: family[1].scaled(d.domain.one() * 2)}))])
+    assert reports[0] == reports[1]
+    assert [r["passed"] for r in reports[0]] == [True, True, False, False]

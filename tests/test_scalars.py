@@ -630,7 +630,7 @@ def test_parse_bounds_sums_by_terms():
 
 def test_parse_takes_no_inverse_for_a_power_of_q():
     # q^-k is q^(n-k) in Q(zeta_n), and a divisor is read as its reciprocal
-    # monomial: over Q(zeta_997) each inverse took about 0.1 s
+    # monomial, so no parse takes an inverse
     dom = cyclotomic(997)
     for text in ("*".join(["q^-2"] * 20), "+".join(["1/q^995"] * 20)):
         t0 = time.perf_counter()
@@ -645,9 +645,7 @@ def test_parse_takes_no_inverse_for_a_power_of_q():
 
 
 def test_quotients_over_q_zeta_997_take_no_inverse():
-    # 1/q^995 is q^2 read leaf by leaf; an inverse of q^995 would run
-    # Euclid against Phi_997 (about 80 ms), and charging it refused the
-    # string outright
+    # 1/q^995 is q^2 read leaf by leaf, with no inverse taken
     dom = cyclotomic(997)
     q = dom.q()
     assert parse_scalar("1/q^995", dom) == q ** 2
@@ -656,6 +654,31 @@ def test_quotients_over_q_zeta_997_take_no_inverse():
     assert time.perf_counter() - t0 < 0.5
     assert parse_scalar("1/(2*q^3)", dom) == (2 * q ** 3).inverse()
     assert parse_scalar("q/(2/q^4)/-3", dom) == -q ** 5 / 6
+
+
+def _euclid_inverse(x):
+    """x^-1 over cyclotomic(n) by Euclid against Phi_n, for any x != 0."""
+    r, t = scalars._euclid(x.domain.phi, x.num, (), (1,))
+    return _normal(x.domain, [c * x.den[0] for c in t], r)
+
+
+def test_cyclotomic_monomials_invert_without_euclid():
+    # c q^k inverts to q^(n-k) / c; every other value still runs Euclid
+    for n in range(2, 17):
+        dom = cyclotomic(n)
+        for k in range(len(dom.phi) - 1):
+            for c in (1, -3, Fraction(5, 2)):
+                x = dom.from_fraction(c) * dom.q() ** k
+                assert x.inverse() == _euclid_inverse(x), (n, k, c)
+                assert x * x.inverse() == dom.one()
+        y = dom.one() + 2 * dom.q()
+        assert y.inverse() == _euclid_inverse(y)
+    dom = cyclotomic(997)
+    x = 2 * dom.q() ** 3
+    t0 = time.perf_counter()
+    inv = x.inverse()
+    assert time.perf_counter() - t0 < 0.005
+    assert inv == dom.q() ** 994 / 2
 
 
 def _costly_cases():

@@ -7,6 +7,7 @@ import pytest
 from hopfbax import (
     ParamScalar,
     ParametricMatrix,
+    RATIONAL,
     SQRT_Q,
     ScalarDomainError,
     YbeReport,
@@ -30,7 +31,8 @@ from hopfbax.algebra import Algebra, TensorElement, embed, tensor_multiply
 from hopfbax.regressions import reference_taft_9x9
 from hopfbax.scalars import accumulate, eval_q_powers, proportionality_ratio
 from hopfbax.uqsl2 import spin_rep
-from hopfbax.ybe import cell, residual, residual_report, ybe_residual
+from hopfbax.ybe import cell, matrix_units, residual, residual_report, \
+    ybe_residual
 
 
 def _flip(d, domain):
@@ -226,13 +228,14 @@ def test_matrix_checks_match_the_matrix_product_reference():
 # the residual engine on an algebra whose unit has a coefficient other than 1
 # ---------------------------------------------------------------------------
 
-def _doubled_matrix_units(domain):
+def _doubled_matrix_units(domain, sides=None):
     """M_2 on the basis F_ac = 2 E_ac: F_ac F_be = 2 [c = b] F_ae, and the
-    unit is (F_00 + F_11) / 2."""
+    unit is (F_00 + F_11) / 2; no structure constant is 1."""
     two, half = domain.from_fraction(2), domain.from_fraction(Fraction(1, 2))
     return Algebra("M_2 on 2E", domain, [divmod(i, 2) for i in range(4)],
                    {(k, k): half for k in range(2)},
-                   lambda x, y: {(x[0], y[1]): two} if x[1] == y[0] else {})
+                   lambda x, y: {(x[0], y[1]): two} if x[1] == y[0] else {},
+                   sides=sides)
 
 
 def _reference_residual(alg, placed, sides) -> dict:
@@ -255,9 +258,10 @@ def _reference_residual(alg, placed, sides) -> dict:
     return out
 
 
-def test_residual_places_the_unit_with_its_coefficients():
-    dom = cyclotomic(3)
-    alg = _doubled_matrix_units(dom)
+def _check_against_the_reference(alg):
+    """residual() and ybe_residual() on M_2 on 2E equal the reference on
+    failing constant, parametric and braid cases."""
+    dom = alg.domain
     q, one = dom.q(), dom.one()
     # a family in mu whose YBE and braid relation both fail
     blocks = {0: {(0, 0): one, (3, 3): one, (1, 2): q},
@@ -275,6 +279,28 @@ def test_residual_places_the_unit_with_its_coefficients():
     for parametric, (placed, sides) in zip((False, True), cases):
         assert ybe_residual(alg, blocks, parametric) == residual(
             alg, placed, sides)
+
+
+def test_residual_places_the_unit_with_its_coefficients():
+    _check_against_the_reference(_doubled_matrix_units(cyclotomic(3)))
+
+
+def test_residual_with_matrix_unit_sides_equals_the_reference():
+    # F_ac has left a and right c, so the walk pairs only the keys that meet
+    _check_against_the_reference(_doubled_matrix_units(
+        cyclotomic(3), ((0, 0, 1, 1), (0, 1, 0, 1))))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_matrix_units_sides_match_their_rows(d):
+    # E_ac E_be is nonzero exactly when c = b: the walk pairs no other keys
+    alg = matrix_units(d, RATIONAL)
+    left, right = alg.sides
+    basis = range(d * d)
+    assert [(left[i], right[i]) for i in basis] == list(alg.labels)
+    for i in basis:
+        for j in basis:
+            assert bool(alg.row(i, j)) == (right[i] == left[j]), (i, j)
 
 
 # ---------------------------------------------------------------------------
