@@ -44,7 +44,9 @@ and every parsed Q(s) value is a Laurent polynomial in s.  A sum takes time
 linear in its terms, and a string is refused once it passes its work
 budget, MAX_WORK.  Emission is canonical: polynomials are expanded,
 exponents ascend, denominators are monic, so emit -> parse -> emit is the
-identity.  One printer spells a Scalar, and one a sum of named terms
+identity on Laurent values: every value the parser returns and every matrix
+entry the package writes.  The inverse of 1 + s prints as (1)/(1 + s), which
+does not parse.  One printer spells a Scalar, and one a sum of named terms
 (a ParamScalar, an algebra element), as text (str) and as LaTeX.
 """
 

@@ -20,10 +20,12 @@ from hopfbax import (
     q_bracket_factorial,
     q_number,
     q_number_factorial,
+    uqsl2_r_matrix,
 )
 from hopfbax import scalars
 from hopfbax.scalars import _mul, _normal, cyclotomic_polynomial, latex_str, \
     normal_key, proportionality_ratio
+from hopfbax.uqsl2 import spin_rep
 
 import reference_parser
 import strategies
@@ -459,6 +461,24 @@ def test_parse_emit_round_trip(text):
     assert parse_param_scalar(str(x), SQRT_Q) == x
     # emitting twice is stable
     assert str(parse_param_scalar(str(x), SQRT_Q)) == str(x)
+
+
+def test_round_trip_is_the_identity_on_laurent_values_only():
+    # a Q(s) value whose denominator is a sum prints, but no parse reads it
+    # back: 1/(1 + s) and the U_q series coefficient c_2
+    s, one = SQRT_Q.s(), SQRT_Q.one()
+    q = s * s
+    c_2 = q ** 3 * (one - q ** -2) ** 2 / q_number_factorial(2, q)
+    for value, printed in [((one + s).inverse(), "(1)/(1 + s)"),
+                           (c_2, "(1 - 2*s^4 + s^8)/(1 + s^4)")]:
+        assert str(value) == printed
+        with pytest.raises(ValueError, match="no binary"):
+            parse_scalar(printed, SQRT_Q)
+    # every entry of a written matrix is Laurent, so it round trips
+    for two_j in (1, 2, 3, 4):
+        r = uqsl2_r_matrix(spin_rep(two_j), parametric=True)
+        for v in r.entries.values():
+            assert str(parse_param_scalar(str(v), SQRT_Q)) == str(v)
 
 
 def test_parse_refuses_a_divisor_in_s_that_is_no_monomial():

@@ -2,6 +2,7 @@
 example and on the package names the benchmark's tracer wraps."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -51,6 +52,19 @@ def test_readme_scripts_block_names_every_script():
     block = readme.split("\nscripts/\n", 1)[1].split("```", 1)[0]
     named = re.findall(r"^  (\S+)", block, re.M)
     assert sorted(named) == sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+
+
+def test_mutant_old_strings_occur_once():
+    # scripts/mutants.py replaces each entry's old string in a copy of the
+    # tree; an entry whose string moved or went would test nothing
+    mutants = json.loads((ROOT / "scripts" / "mutants.json").read_text(
+        encoding="utf-8"))
+    assert mutants
+    for m in mutants:
+        text = (ROOT / m["file"]).read_text(encoding="utf-8")
+        assert text.count(m["old"]) == 1, m["name"]
+        assert m["new"] != m["old"] and m["reason"] and m["test"], m["name"]
+    assert len({m["name"] for m in mutants}) == len(mutants)
 
 
 def test_perfbench_trace_targets_exist():

@@ -20,19 +20,24 @@ from hopfbax import (
     rep_irreducible,
     taft_r_matrix,
 )
+from hopfbax.hopf import dual
 from hopfbax.matrices import matmul_entries
-from hopfbax.scalars import Scalar
+from hopfbax.scalars import Scalar, accumulate
 from hopfbax import taft
 from hopfbax.taft import (
     Representation,
     RepresentationError,
     _check_algebra_map,
-    _check_subalgebra,
     _row_table,
     _taft_q,
     check_double_multiplicative,
     is_primitive_root,
 )
+
+
+def _primitive_roots(N):
+    z = cyclotomic(N).q()
+    return [z ** e for e in range(1, N) if gcd(e, N) == 1]
 
 
 def test_build_rejects_bad_parameters():
@@ -58,8 +63,7 @@ def test_coproduct_coefficients_are_gauss_binomials():
     # factorials, an independent path, at every primitive N-th root
     roots = [(2, RATIONAL.from_fraction(-1))]
     for N in range(2, 9):
-        z = cyclotomic(N).q()
-        roots += [(N, z ** e) for e in range(1, N) if gcd(e, N) == 1]
+        roots += [(N, q) for q in _primitive_roots(N)]
     for N, q in roots:
         h = build_taft(N, q)
         for (i, j), delta in h.coproduct.items():
@@ -182,35 +186,42 @@ def test_double_multiplicative_rejects_doubled_x(double3):
     assert not check_double_multiplicative(broken)
 
 
+def _check_subalgebra(alg, image, dim, name):
+    """The reference no build runs: image, pi on the labels of the
+    subalgebra alg (H or H*) of the double, is a unital algebra map."""
+    def combine(terms):
+        out = {}
+        for z, c in terms:
+            for k, v in image(z).items():
+                accumulate(out, k, v * c)
+        return out
+
+    for x, y, terms in _row_table(alg, iproduct(alg.labels, repeat=2)):
+        if matmul_entries(image(x), image(y)) != combine(terms):
+            raise RepresentationError(
+                f"is not multiplicative on {name} at "
+                f"{alg.label_str(x)}, {alg.label_str(y)}")
+    ident = {(k, k): alg.domain.one() for k in range(dim)}
+    if combine(alg._unit_terms.items()) != ident:
+        raise RepresentationError(f"does not send 1_{name} to the identity")
+
+
 def test_corrupted_module_fails_loudly(double3, taft3):
     rep = rep_irreducible(double3, 3, 1)
-    bad_h = dict(rep._h)
-    bad_h[(1, 0)] = dict(bad_h[(1, 0)])
-    bad_h[(1, 0)][(0, 0)] = bad_h[(1, 0)][(0, 0)] * 2
-    broken = Representation(double3, 3, bad_h, rep._dual, "broken")
-    with pytest.raises(RepresentationError):
-        _check_subalgebra(broken, taft3.algebra, broken.h_image, "H")
     bad_d = dict(rep._dual)
-    bad_d[(1, 1)] = dict(bad_d[(1, 1)])
-    bad_d[(1, 1)][(0, 2)] = double3.domain.one()
-    broken2 = Representation(double3, 3, rep._h, bad_d, "broken2")
+    bad_d[(1, 1)] = {**bad_d[(1, 1)], (0, 2): double3.domain.one()}
     with pytest.raises(RepresentationError):
-        _check_subalgebra(broken2, double3.hdual.algebra, broken2.dual_image,
-                          "H*")
+        _check_subalgebra(double3.hdual.algebra, bad_d.__getitem__, 3, "H*")
     # doubling any one nonzero entry of any H image (H* image) must make
-    # the H (H*) check refuse the module
+    # the reference H (H*) check refuse the module
     for side, alg, images in (("H", taft3.algebra, rep._h),
                               ("H*", double3.hdual.algebra, rep._dual)):
         assert any(images.values())
         for label, image in images.items():
             for key in image:
                 bad = {**images, label: {**image, key: image[key] * 2}}
-                broken = (Representation(double3, 3, bad, rep._dual, "bad")
-                          if side == "H" else
-                          Representation(double3, 3, rep._h, bad, "bad"))
                 with pytest.raises(RepresentationError):
-                    _check_subalgebra(broken, alg, broken.h_image if side == "H"
-                                      else broken.dual_image, side)
+                    _check_subalgebra(alg, bad.__getitem__, 3, side)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -232,18 +243,34 @@ def test_built_modules_satisfy_the_taft_relations(N):
         assert a_n == ident and x_n == {}
         assert matmul_entries(xm, am) == {
             k: v * q for k, v in matmul_entries(am, xm).items()}
-        _check_subalgebra(rep, d.h.algebra, rep.h_image, "H")
+        _check_subalgebra(d.h.algebra, rep.h_image, rep.dim, "H")
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_dual_images_are_a_unital_algebra_map(N):
+    # no build checks the H* table or unit: _dual_images proves them for
+    # every primitive q, window l and n <= N, and this replays both on every
+    # such V_{n,l}; at N = 4 also over Q(zeta_8) with q = zeta_8^2, the
+    # double of criterion 11
+    roots = _primitive_roots(N)
+    if N == 4:
+        roots.append(cyclotomic(8).q() ** 2)
+    for q in roots:
+        h = build_taft(N, q)
+        hdual = dual(h).algebra
+        for n, l in iproduct(range(1, N + 1), repeat=2):
+            images = taft._dual_images(h, q, n, l)
+            _check_subalgebra(hdual, images.__getitem__, n, "H*")
 
 
 def _check_every_cross_product(rep):
     """pi(f) pi(g) = pi(f.g) for every label f of H* and g of H."""
     d = rep.double
     _check_algebra_map(
-        rep, rep.pair_image,
+        rep, rep.dual_image, rep.h_image,
         ((f, g, d._cross_for(g)[f].items())
          for g in d.h.algebra.labels for f in d.hdual.algebra.labels),
-        lambda f, g: f"breaks the straightening rule at {f}, {g}",
-        left=rep.dual_image, right=rep.h_image)
+        lambda f, g: f"breaks the straightening rule at {f}, {g}")
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -257,8 +284,8 @@ def test_built_modules_satisfy_every_cross_relation(N):
 
 def test_dual_images_of_another_window_break_the_rule_at_x(double3,
                                                            monkeypatch):
-    # the dual images of window l' != l pass the H* check (they are those of
-    # V_{n,l'}), so only the cross relation refuses them, at g = x
+    # the dual images of window l' != l are an algebra map on H* (they are
+    # those of V_{n,l'}), so only the cross relation refuses them, at g = x
     images = taft._dual_images
     for n, l, other in iproduct(range(1, 4), repeat=3):
         if other == l:
@@ -282,54 +309,53 @@ def test_straightening_check_reads_the_rule_at_a(taft3):
 
 
 def test_straightening_check_rejects_wrong_convention(taft3):
-    # left_s passes the H and H* checks; only the cross relation catches it
+    # left_s changes only the straightening of the double, not the H and H*
+    # images, so the cross relation catches it
     with pytest.raises(RepresentationError, match="straightening rule"):
         rep_irreducible(build_double(taft3, "left_s"), 3, 1)
 
 
 def test_irreducible_refuses_one_wrong_dual_entry(double3, monkeypatch):
-    # rep_irreducible runs the H* check itself: doubling any one nonzero
-    # entry of the dual images it builds must fail there, before the cross
-    # relation is read
-    images = taft._dual_images(double3.h, _taft_q(double3.h), 3, 1)
-    wrong = [(label, key) for label, image in images.items() for key in image]
-    assert wrong
-    for label, key in wrong:
-        bad = {**images, label: {**images[label], key: images[label][key] * 2}}
-        monkeypatch.setattr(taft, "_dual_images", lambda *args: bad)
-        with pytest.raises(RepresentationError,
-                           match=r"is not multiplicative on H\*"):
-            rep_irreducible(double3, 3, 1)
+    # doubling any one nonzero entry of the dual images of V_{n,l}, n >= 2,
+    # breaks the cross relation; at n = 1 every image is a scalar, so only
+    # the proof in _dual_images speaks for the H* table and unit there
+    q = _taft_q(double3.h)
+    for n, l in iproduct((2, 3), (1, 2, 3)):
+        images = taft._dual_images(double3.h, q, n, l)
+        wrong = [(label, key) for label, image in images.items()
+                 for key in image]
+        assert wrong
+        for label, key in wrong:
+            bad = {**images,
+                   label: {**images[label], key: images[label][key] * 2}}
+            monkeypatch.setattr(taft, "_dual_images", lambda *args: bad)
+            with pytest.raises(RepresentationError,
+                               match="breaks the straightening rule"):
+                rep_irreducible(double3, n, l)
 
 
-def test_subalgebra_check_refuses_a_wrong_image_of_one(double3, taft3,
-                                                       monkeypatch):
+def test_subalgebra_check_refuses_a_wrong_image_of_one(taft3):
     # images that are all zero are multiplicative, so only the unit check
     # sees that 1 goes to 0 and not to the identity
-    rep = rep_irreducible(double3, 3, 1)
-    zero = {label: {} for label in rep._h}
-    broken = Representation(double3, 3, zero, rep._dual, "zero on H")
+    zero = {label: {} for label in taft3.algebra.labels}
     with pytest.raises(RepresentationError,
                        match="does not send 1_H to the identity"):
-        _check_subalgebra(broken, taft3.algebra, broken.h_image, "H")
-    monkeypatch.setattr(taft, "_dual_images",
-                        lambda *args: {label: {} for label in rep._dual})
-    with pytest.raises(RepresentationError,
-                       match=r"does not send 1_H\* to the identity"):
-        rep_irreducible(double3, 3, 1)
+        _check_subalgebra(taft3.algebra, zero.__getitem__, 3, "H")
 
 
-def test_algebra_map_check_reads_the_last_pair(double3, taft3):
-    rep = rep_irreducible(double3, 3, 1)
-    alg = taft3.algebra
+def test_algebra_map_check_reads_the_last_pair(double2):
+    rep = rep_irreducible(double2, 2, 1)
+    alg = double2.algebra
     table = [(x, y, list(terms)) for x, y, terms
              in _row_table(alg, iproduct(alg.labels, repeat=2))]
-    _check_algebra_map(rep, rep.h_image, table, lambda x, y: "fails")
+    _check_algebra_map(rep, rep.pair_image, rep.pair_image, table,
+                       lambda x, y: "fails")
+    z = next(z for z in alg.labels if rep.pair_image(z))
     x, y, terms = table[-1]
-    table[-1] = (x, y, [*terms, ((0, 0), double3.domain.one())])
+    table[-1] = (x, y, [*terms, (z, double2.domain.one())])
     with pytest.raises(RepresentationError,
                        match=re.escape(f"fails at {x}, {y}")):
-        _check_algebra_map(rep, rep.h_image, table,
+        _check_algebra_map(rep, rep.pair_image, rep.pair_image, table,
                            lambda x, y: f"fails at {x}, {y}")
 
 
