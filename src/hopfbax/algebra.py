@@ -7,8 +7,10 @@ product of basis elements i and j as ``((k, Scalar), ...)``, computed on
 first use and kept.  An algebra may declare ``sides = (left, right)``,
 one class per basis index each, with the promise that ``row(i, j)`` is
 empty unless ``right[i] == left[j]`` (E_ac has left a and right c in the
-matrix units); the default puts every index in one class.  Elements are
-sparse dictionaries over basis labels.
+matrix units; under a convention that twists h_(1), the pair (g, f) of
+D(T_N) has left f_a + f_x - g_x mod N and right f_a, see
+double.DoubleAlgebra); the default puts every index in one class.
+Elements are sparse dictionaries over basis labels.
 TensorElement holds elements of tensor products of (possibly different)
 algebras, with Scalar coefficients over basis-label keys.  A family that
 depends on the spectral parameter, R(mu) = sum_e mu^e R_e, is not a tensor

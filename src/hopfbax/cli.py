@@ -35,7 +35,7 @@ from .ybe import braid_check, check_constant_ybe, check_parametric_ybe
 OUTPUT_DIR_ENV = "HOPFBAX_OUTPUT_DIR"
 # largest --N: D(T_N), which --rep, --indecomposable, double and baxterize
 # build, has N^4 basis elements, and "double --N 8 --parametric" (both
-# algebraic YBE checks) took 7.4-8.6 s and 88 MB peak RSS in three runs on
+# algebraic YBE checks) took 4.4-6.5 s and 85 MB peak RSS in ten runs on
 # a 2-vCPU host with Python 3.11.7
 MAX_N = 8
 

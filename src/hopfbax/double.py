@@ -40,6 +40,7 @@ D (x) D (x) D through the residual engine of ybe.py, on basis indices.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isqrt
 
 from .algebra import Algebra, AlgebraElement, TensorElement
 from .baxterize import mu_components
@@ -61,7 +62,37 @@ def _pair_terms(h_terms: dict, dual_terms: dict) -> dict:
 
 
 class DoubleAlgebra:
-    """The double as a table-driven Algebra on pair labels (g, f)."""
+    """The double as a table-driven Algebra on pair labels (g, f).
+
+    For h = T_N (build_taft, the only H this package doubles) and a
+    convention that twists the left leg h_(1) (no "right" in its name),
+    the Algebra declares sides: with g = a^{g_a} x^{g_x} and
+    f = (a^{f_a} x^{f_x})^*, the pair (g, f) has left class
+    f_a + f_x - g_x (mod N) and right class f_a, and a product of pairs is
+    zero unless the right class of the first is the left class of the
+    second.  Give a^m x^j the weight (m mod N, j).  Then:
+
+      * T_N's product adds weights: a^i x^j a^k x^l = q^{jk} a^{i+k} x^{j+l}
+        (or 0), as x a = q a x only scales;
+      * Delta^2(a^m x^t) is a sum of a^{m+t-s} x^s (x) a^{m+t-k} x^{k-s}
+        (x) a^m x^{t-k} over s <= k <= t, so h_(1) = a^{u_a} x^{u_x} has
+        u_a + u_x = m + t and h_(3) has a-weight m;
+      * S(a^m x^j) is a multiple of a^{-m-j} x^j, and (m, j) -> (-m-j, j)
+        is an involution, so S and S^{-1} both map weight (m, j) to
+        (-m-j, j);
+      * (a^p x^k)^* (a^i x^j)^* is 0 unless p = i + j (mod N), as H*'s
+        product is the transpose of Delta (see taft._dual_images).
+
+    Now f . g = sum h_(2) (x |-> f(L x R)), with x |-> f(L x R) =
+    sum_k f(L k R) k^*.  For g of weight (m, t), L and R are h_(3) and
+    S^{+-1}(h_(1)) in some order, so L k R has a-weight m + k_a - (m + t),
+    and f(L k R) = 0 unless k_a = f_a + t (mod N).  In (g1, f1)(g2, f2) =
+    sum (g1 h_(2)) (k^* f2), the factor k^* f2 is 0 unless
+    k_a = f2_a + f2_x, so the product is 0 unless
+    f1_a = f2_a + f2_x - g2_x (mod N).  Twisting h_(3) instead makes the
+    a-weight of L k R depend on the x-weight of h_(2), so those four
+    conventions keep the default single class.
+    """
 
     def __init__(self, h: HopfAlgebra, convention: str = DEFAULT_CONVENTION):
         if convention not in CONVENTIONS:
@@ -77,8 +108,14 @@ class DoubleAlgebra:
             g, f = pair
             return f"{halg.label_str(g)}.{dalg.label_str(f)}"
 
+        sides = None
+        if "right" not in convention:   # the class rule of the docstring
+            N = isqrt(halg.dim)
+            sides = tuple(zip(*(((fa + fx - gx) % N, fa)
+                                for (_, gx), (fa, fx) in labels)))
         self.algebra = Algebra(f"D({halg.name})", halg.domain, labels,
-                               unit_terms, self._pair_product, label_str=label_str)
+                               unit_terms, self._pair_product,
+                               label_str=label_str, sides=sides)
         self._cross = {}     # h label -> {dual label -> {pair: Scalar}}
 
     @property

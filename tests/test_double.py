@@ -20,7 +20,7 @@ from hopfbax.algebra import associativity_violations, embed, \
     tensor_multiply, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
 from hopfbax.scalars import accumulate, laurent_by_key
-from hopfbax.ybe import YbeReport
+from hopfbax.ybe import YbeReport, ybe_residual
 
 
 def test_double_dimension_and_labels(double2, taft2):
@@ -225,6 +225,29 @@ def test_straightening_matches_the_element_sandwich(n, conventions):
                 assert d._cross_for(g) == _reference_cross_for(d, g), (q, conv, g)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_double_sides_match_their_rows(n):
+    # the conventions that twist h_(1) declare the class rule proved in
+    # DoubleAlgebra's docstring, so the walk pairs only keys that can meet:
+    # every cell the rule rules out is empty; the other four conventions
+    # break the rule and keep the single class
+    z = cyclotomic(n).q()
+    for q in (z ** k for k in range(1, n) if gcd(k, n) == 1):
+        h = build_taft(n, q)
+        for conv in CONVENTIONS:
+            alg = build_double(h, conv).algebra
+            left, right = alg.sides
+            if "right" in conv:
+                assert alg.sides == ((0,) * alg.dim,) * 2, conv
+                continue
+            assert set(left) == set(right) == set(range(n)), conv
+            basis = range(alg.dim)
+            for i in basis:
+                for j in basis:
+                    if right[i] != left[j]:
+                        assert not alg.row(i, j), (q, conv, i, j)
+
+
 # ---------------------------------------------------------------------------
 # the index-space walk against the block-pair engine it replaced
 # ---------------------------------------------------------------------------
@@ -299,8 +322,10 @@ def _engine_inputs():
             ordered = random.Random(n).sample(ordered, keys)
         for key in ordered:
             yield f"D(T_{n}) term {key} doubled", d, _doubled(r, key)
-    left = build_double(build_taft(2), "left_s")
-    yield "left_s, D(T_2)", left, canonical_r(left).tensor()
+    for n in (2, 3):
+        # left_s declares sides, and its canonical R fails the YBE
+        left = build_double(build_taft(n), "left_s")
+        yield f"left_s, D(T_{n})", left, canonical_r(left).tensor()
     family = _family(doubles[3])
     yield "block 1 scaled by 2, D(T_3)", doubles[3], {
         **family, 1: family[1].scaled(family[1].algebras[0].domain.one() * 2)}
@@ -318,6 +343,28 @@ def test_walk_reports_equal_the_block_pair_engine():
     # the inputs reach both verdicts, and Laurent residuals of several terms
     assert any(r.passed for r in seen) and any(not r.passed for r in seen)
     assert any(r.worst and r.worst.count("mu") > 1 for r in seen)
+
+
+def test_declared_sides_leave_the_residual_as_one_class_does():
+    # the double's classes skip only cells the rule proves empty, so on
+    # failing inputs the walk gives, key for key, the residual of a walk
+    # that puts every basis index in one class
+    d, left = (build_double(build_taft(3), conv)
+               for conv in (DEFAULT_CONVENTION, "left_s"))
+    r, family = canonical_r(d).tensor(), _family(d)
+    cases = [(d, {0: _doubled(r, min(r.terms))}, False),
+             (d, mu_components({**family, 1: family[1].scaled(
+                 d.domain.one() * 2)}), True),
+             (left, {0: canonical_r(left).tensor()}, False)]
+    for double, blocks, parametric in cases:
+        blind = build_double(double.h, double.convention).algebra
+        blind.sides = ((0,) * blind.dim,) * 2
+        index = double.algebra.index
+        blocks = {e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
+                  for e, t in blocks.items()}
+        got = ybe_residual(double.algebra, blocks, parametric)
+        assert got, (double.convention, parametric)
+        assert got == ybe_residual(blind, blocks, parametric)
 
 
 def test_warm_and_cold_doubles_give_identical_reports():
