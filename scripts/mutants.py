@@ -8,7 +8,10 @@ says why no test can tell that mutant from the program.  For each mutant
 the tree is copied to a temporary directory and the one replacement is
 made there, never in the working tree.  The named node runs first; if the
 mutant survives it, the full Tier-1 suite runs.  Each line of output says
-killed, survived or equivalent, with the reason.
+killed, survived or equivalent, with the reason, and the last line counts
+them: "<k> killed, <s> survived, <e> equivalent, <seconds> s".  An
+equivalent mutant that a test kills counts as killed, and --smoke counts
+the equivalent ones it skips as equivalent.
 
     python3 scripts/mutants.py            # every mutant
     python3 scripts/mutants.py --smoke    # non-equivalent ones, named node only
@@ -90,7 +93,9 @@ def main() -> int:
     args = ap.parse_args()
 
     mutants = json.loads(LIST.read_text(encoding="utf-8"))
+    skipped = 0
     if args.smoke:
+        skipped = sum("equivalent" in m for m in mutants)
         mutants = [m for m in mutants if "equivalent" not in m]
 
     # a node that fails on the unmutated tree would "kill" every mutant
@@ -99,6 +104,7 @@ def main() -> int:
         if _pytest(_copy(tmp), sorted({m["test"] for m in mutants})):
             raise SystemExit("a named test node fails on the unmutated tree")
     status = 0
+    counts = {"killed": 0, "survived": 0, "equivalent": skipped}
     for m in mutants:
         t = time.perf_counter()
         killed, where = run(m, args.smoke)
@@ -110,9 +116,12 @@ def main() -> int:
             verdict = (f"equivalent: {equivalent}" if not killed else
                        f"KILLED by {where}, but listed as equivalent")
             status |= killed
+        counts["killed" if killed else
+               "survived" if equivalent is None else "equivalent"] += 1
         print(f"{m['name']:32s} {time.perf_counter() - t:6.1f} s  {verdict}"
               f"\n{'':32s}          ({m['reason']})", flush=True)
-    print(f"{len(mutants)} mutants in {time.perf_counter() - start:.1f} s")
+    print(", ".join(f"{n} {k}" for k, n in counts.items()) +
+          f", {time.perf_counter() - start:.1f} s")
     return status
 
 

@@ -44,7 +44,7 @@ from math import isqrt
 
 from .algebra import Algebra, AlgebraElement, TensorElement
 from .baxterize import mu_components
-from .hopf import HopfAlgebra, Grading, _deg_add, dual, dual_grading
+from .hopf import HopfAlgebra, Grading, _deg_add, dual
 from .scalars import accumulate
 from .ybe import YbeReport, residual_report, ybe_residual
 
@@ -221,10 +221,9 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
     canonical R is diagonally graded whenever the coproduct respects the
     grading.
     """
-    gd = dual_grading(grading_h, double.hdual.algebra)
-    return Grading(double.algebra, {
-        (g, f): _deg_add(grading_h.degree(g), gd.degree(f))
-        for (g, f) in double.algebra.labels})
+    deg = grading_h.degree
+    return Grading(double.algebra, {(g, f): _deg_add(deg(g), deg(f))
+                                    for (g, f) in double.algebra.labels})
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ Index conventions for the modules (documented choices):
 from __future__ import annotations
 
 import weakref
+from math import isqrt
 
 from .algebra import Algebra, TensorElement
 from .baxterize import baxterize, decompose_graded, mu_components
@@ -150,14 +151,6 @@ class Representation:
             self._pair[pair] = matmul_entries(self._h[g], self._dual[f])
         return self._pair[pair]
 
-    def _combine(self, terms) -> dict:
-        """sum_z c * pi(z) over the (double label z, Scalar c) pairs terms."""
-        out = {}
-        for z, c in terms:
-            for k, v in self.pair_image(z).items():
-                accumulate(out, k, v * c)
-        return out
-
     def tensor_image(self, te) -> ParametricMatrix:
         """Matrix of an element of D (x) ... (x) D on (C^dim)^arity; a family
         {e: element} (see baxterize.py) maps to sum_e mu^e image(element)."""
@@ -175,39 +168,29 @@ class Representation:
                                 laurent_by_key(entries))
 
 
-def _check_algebra_map(rep: Representation, left, right, table, where):
-    """pi(x) pi(y) must equal sum c * pi(z) for each (x, y, terms) in table,
-    terms being (z, c) pairs of double labels z; `left` and `right` are pi
-    on x and y, and `where(x, y)` names a failing product in the error."""
-    for x, y, terms in table:
-        if matmul_entries(left(x), right(y)) != rep._combine(terms):
-            raise RepresentationError(f"{rep.name} {where(x, y)}")
-
-
-def _row_table(alg: Algebra, pairs):
-    """(x, y, (z, c) pairs of x*y) for label pairs (x, y) of alg."""
-    index, labels = alg.index, alg.labels
-    for x, y in pairs:
-        yield x, y, ((labels[k], c) for k, c in alg.row(index[x], index[y]))
+def _first_break(rep: Representation, left, right, rows):
+    """The first (x, y) of the (x, y, terms) rows with pi(x) pi(y) !=
+    sum c * pi(z) over the (double label z, Scalar c) pairs terms, or None;
+    `left` and `right` are pi on x and y."""
+    for x, y, terms in rows:
+        want = {}
+        for z, c in terms:
+            for k, v in rep.pair_image(z).items():
+                accumulate(want, k, v * c)
+        if matmul_entries(left(x), right(y)) != want:
+            return x, y
+    return None
 
 
 def check_double_multiplicative(rep: Representation, pairs=None) -> bool:
     """pi(uv) = pi(u) pi(v) over pairs of double basis labels (all if None)."""
     alg = rep.double.algebra
+    index, labels = alg.index, alg.labels
     if pairs is None:
-        pairs = ((u, v) for u in alg.labels for v in alg.labels)
-    try:
-        _check_algebra_map(
-            rep, rep.pair_image, rep.pair_image, _row_table(alg, pairs),
-            lambda u, v: "is not multiplicative on D")
-    except RepresentationError:
-        return False
-    return True
-
-
-def _taft_order(h: HopfAlgebra) -> int:
-    """N, read off the basis labels (i, j), 0 <= i < N."""
-    return max(i for i, _ in h.algebra.labels) + 1
+        pairs = ((u, v) for u in labels for v in labels)
+    rows = ((u, v, ((labels[k], c) for k, c in alg.row(index[u], index[v])))
+            for u, v in pairs)
+    return _first_break(rep, rep.pair_image, rep.pair_image, rows) is None
 
 
 def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
@@ -228,7 +211,7 @@ def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
     whenever k + j >= N.  The unit eps = sum_m (a^m)^* goes to
     sum_{i<=n} E_{i,i} = I, as the window of a^m runs over 1..N with m.
     """
-    N = _taft_order(h)
+    N = isqrt(h.algebra.dim)
     inverses = [q_bracket_factorial(j, q).inverse() for j in range(n)]
     images = {}
     for (m, j) in h.algebra.labels:
@@ -271,7 +254,7 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     since pi(f) pi(g1 g2) = pi(f.g1) pi(g2) = pi((f.g1).g2) = pi(f.(g1 g2)).
     """
     h = double.h
-    N = _taft_order(h)
+    N = isqrt(h.algebra.dim)
     if not (1 <= n <= N and 1 <= l <= N):
         raise ValueError(f"need 1 <= n, l <= N (got n={n}, l={l}, N={N})")
     q = _taft_q(h)
@@ -280,13 +263,16 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
                   [k - l - n for k in range(1, n + 1)],
                   {(k - 1, k): q_bracket(k, q) * (powers[0] - powers[k - n])
                    for k in range(1, n)}, l)
-    halg, dalg = h.algebra, double.hdual.algebra
-    _check_algebra_map(
+    dalg = double.hdual.algebra
+    broken = _first_break(
         rep, rep.dual_image, rep.h_image,
         ((f, g, double._cross_for(g)[f].items())
-         for g in ((0, 1), (1, 0)) for f in dalg.labels),    # x, then a
-        lambda f, g: (f"breaks the straightening rule at "
-                      f"f={dalg.label_str(f)}, g={halg.label_str(g)}"))
+         for g in ((0, 1), (1, 0)) for f in dalg.labels))    # x, then a
+    if broken is not None:
+        f, g = broken
+        raise RepresentationError(
+            f"{rep.name} breaks the straightening rule at "
+            f"f={dalg.label_str(f)}, g={h.algebra.label_str(g)}")
     return rep
 
 
@@ -301,7 +287,7 @@ def rep_indecomposable(double: DoubleAlgebra, alpha: Scalar, l: int) -> Represen
     window formula with n = N; no multiplicativity beyond H is promised.
     """
     h = double.h
-    N = _taft_order(h)
+    N = isqrt(h.algebra.dim)
     if not (1 <= l <= N):
         raise ValueError(f"need 1 <= l <= N (got l={l})")
     q = _taft_q(h)

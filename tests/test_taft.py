@@ -1,5 +1,4 @@
 import random
-import re
 from itertools import product as iproduct
 from math import gcd
 
@@ -27,8 +26,7 @@ from hopfbax import taft
 from hopfbax.taft import (
     Representation,
     RepresentationError,
-    _check_algebra_map,
-    _row_table,
+    _first_break,
     _taft_q,
     check_double_multiplicative,
     is_primitive_root,
@@ -196,7 +194,9 @@ def _check_subalgebra(alg, image, dim, name):
                 accumulate(out, k, v * c)
         return out
 
-    for x, y, terms in _row_table(alg, iproduct(alg.labels, repeat=2)):
+    index, labels = alg.index, alg.labels
+    for x, y in iproduct(labels, repeat=2):
+        terms = ((labels[k], c) for k, c in alg.row(index[x], index[y]))
         if matmul_entries(image(x), image(y)) != combine(terms):
             raise RepresentationError(
                 f"is not multiplicative on {name} at "
@@ -266,11 +266,10 @@ def test_dual_images_are_a_unital_algebra_map(N):
 def _check_every_cross_product(rep):
     """pi(f) pi(g) = pi(f.g) for every label f of H* and g of H."""
     d = rep.double
-    _check_algebra_map(
+    assert _first_break(
         rep, rep.dual_image, rep.h_image,
         ((f, g, d._cross_for(g)[f].items())
-         for g in d.h.algebra.labels for f in d.hdual.algebra.labels),
-        lambda f, g: f"breaks the straightening rule at {f}, {g}")
+         for g in d.h.algebra.labels for f in d.hdual.algebra.labels)) is None
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -346,17 +345,28 @@ def test_subalgebra_check_refuses_a_wrong_image_of_one(taft3):
 def test_algebra_map_check_reads_the_last_pair(double2):
     rep = rep_irreducible(double2, 2, 1)
     alg = double2.algebra
-    table = [(x, y, list(terms)) for x, y, terms
-             in _row_table(alg, iproduct(alg.labels, repeat=2))]
-    _check_algebra_map(rep, rep.pair_image, rep.pair_image, table,
-                       lambda x, y: "fails")
-    z = next(z for z in alg.labels if rep.pair_image(z))
+    index, labels = alg.index, alg.labels
+    table = [(x, y, [(labels[k], c) for k, c in alg.row(index[x], index[y])])
+             for x, y in iproduct(labels, repeat=2)]
+    assert _first_break(rep, rep.pair_image, rep.pair_image, table) is None
+    z = next(z for z in labels if rep.pair_image(z))
     x, y, terms = table[-1]
     table[-1] = (x, y, [*terms, (z, double2.domain.one())])
-    with pytest.raises(RepresentationError,
-                       match=re.escape(f"fails at {x}, {y}")):
-        _check_algebra_map(rep, rep.pair_image, rep.pair_image, table,
-                           lambda x, y: f"fails at {x}, {y}")
+    assert _first_break(rep, rep.pair_image, rep.pair_image, table) == (x, y)
+
+
+def test_double_multiplicative_returns_false_at_a_last_pair_break(double2):
+    # over pairs that all hold but the last, the verdict reads that last
+    # pair and is a plain False, not an error
+    rep = rep_irreducible(double2, 2, 1)
+    bad_h = dict(rep._h)
+    bad_h[(0, 1)] = {k: v * 2 for k, v in bad_h[(0, 1)].items()}
+    broken = Representation(double2, 2, bad_h, rep._dual, "x doubled")
+    pairs = list(iproduct(double2.algebra.labels, repeat=2))
+    holding = [p for p in pairs if check_double_multiplicative(broken, [p])]
+    failing = next(p for p in pairs if p not in holding)
+    assert holding and check_double_multiplicative(broken, holding)
+    assert check_double_multiplicative(broken, [*holding, failing]) is False
 
 
 # ---------------------------------------------------------------------------
