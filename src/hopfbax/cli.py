@@ -135,10 +135,7 @@ def run_taft(args) -> int:
         return max(_report_out(r, args) for r in reports)
     d = build_double(h)
     if rep is not None:
-        n, l = rep
-        if not (1 <= n <= args.N and 1 <= l <= args.N):
-            raise UsageError(f"--rep indices must lie in 1..{args.N}")
-        module = rep_irreducible(d, n, l)
+        module = rep_irreducible(d, *rep)
     else:
         if args.l is None:
             raise UsageError("--indecomposable needs --l")

@@ -44,7 +44,7 @@ from math import isqrt
 
 from .algebra import Algebra, AlgebraElement, TensorElement
 from .baxterize import mu_components
-from .hopf import HopfAlgebra, Grading, _deg_add, dual
+from .hopf import HopfAlgebra, Grading, _deg_add, dual_algebra
 from .scalars import accumulate
 from .ybe import YbeReport, residual_report, ybe_residual
 
@@ -98,9 +98,9 @@ class DoubleAlgebra:
         if convention not in CONVENTIONS:
             raise ValueError(f"unknown double convention {convention!r}")
         self.h = h
-        self.hdual = dual(h)
+        self.dual_algebra = dual_algebra(h)
         self.convention = convention
-        halg, dalg = h.algebra, self.hdual.algebra
+        halg, dalg = h.algebra, self.dual_algebra
         labels = [(g, f) for g in halg.labels for f in dalg.labels]
         unit_terms = _pair_terms(halg._unit_terms, dalg._unit_terms)
 
@@ -155,7 +155,7 @@ class DoubleAlgebra:
 
     def _pair_product(self, p1, p2):
         (g1, f1), (g2, f2) = p1, p2
-        halg, dalg = self.h.algebra, self.hdual.algebra
+        halg, dalg = self.h.algebra, self.dual_algebra
         hidx, didx = halg.index, dalg.index
         hlab, dlab = halg.labels, dalg.labels
         i1, j2 = hidx[g1], didx[f2]
@@ -172,12 +172,12 @@ class DoubleAlgebra:
         if not isinstance(x, AlgebraElement):
             x = self.h.algebra.basis(x)
         return self.algebra.element(
-            _pair_terms(x.terms, self.hdual.algebra._unit_terms))
+            _pair_terms(x.terms, self.dual_algebra._unit_terms))
 
     def embed_dual(self, x) -> AlgebraElement:
         """H* -> D, f |-> 1_H * f."""
         if not isinstance(x, AlgebraElement):
-            x = self.hdual.algebra.basis(x)
+            x = self.dual_algebra.basis(x)
         return self.algebra.element(
             _pair_terms(self.h.algebra._unit_terms, x.terms))
 

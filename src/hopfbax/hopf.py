@@ -13,6 +13,8 @@ The dual Hopf algebra is built by transposing tables through the pairing
     unit of the dual      = the counit functional,
     counit of the dual    = evaluation at the unit,
     antipode of the dual  = precomposition with the antipode.
+
+dual_algebra builds the first and third, all the double reads of H*.
 """
 
 from __future__ import annotations
@@ -218,41 +220,34 @@ def check_hopf_axioms(h: HopfAlgebra) -> HopfReport:
 # dual Hopf algebra
 # ---------------------------------------------------------------------------
 
-def dual(h: HopfAlgebra) -> HopfAlgebra:
-    """The dual Hopf algebra on the dual basis {a_i^*}."""
+def dual_algebra(h: HopfAlgebra) -> Algebra:
+    """H* as an algebra on the dual basis {a_i^*}: the product is the
+    transpose of the coproduct and the unit is the counit."""
     alg = h.algebra
+    prod_table = {}
+    for k in alg.labels:
+        for pair, c in h.coproduct[k].terms.items():
+            prod_table.setdefault(pair, {})[k] = c
+    return Algebra(f"{alg.name}^*", alg.domain, alg.labels, h.counit,
+                   lambda l1, l2: prod_table.get((l1, l2), {}),
+                   label_str=lambda l: f"({alg.label_str(l)})*")
+
+
+def dual(h: HopfAlgebra) -> HopfAlgebra:
+    """The dual Hopf algebra: dual_algebra(h) with the transposed product,
+    unit and antipode of H as its coproduct, counit and antipode."""
+    alg, dual_alg = h.algebra, dual_algebra(h)
     labels = alg.labels
-
-    prod_table = {k: {} for k in iproduct(labels, labels)}
-    for k in labels:
-        for (l0, l1), c in h.coproduct[k].terms.items():
-            prod_table[(l0, l1)][k] = c
-
     coprod_terms = {k: {} for k in labels}
     for (i, l0), (j, l1) in iproduct(enumerate(labels), repeat=2):
         for k, c in alg.row(i, j):
             accumulate(coprod_terms[labels[k]], (l0, l1), c)
-
-    unit_terms = {l: h.counit[l] for l in labels if not h.counit[l].is_zero()}
-
-    def label_str(l):
-        return f"({alg.label_str(l)})*"
-
-    dual_alg = Algebra(f"{alg.name}^*", alg.domain, labels, unit_terms,
-                       lambda l1, l2: prod_table[(l1, l2)], label_str=label_str)
-
     coproduct = {k: TensorElement((dual_alg, dual_alg), coprod_terms[k])
                  for k in labels}
     counit = {k: alg._unit_terms.get(k, alg.domain.zero()) for k in labels}
-    antipode = {}
-    for k in labels:
-        terms = {}
-        for m in labels:
-            c = h.antipode[m].terms.get(k)
-            if c is not None:
-                terms[m] = c
-        antipode[k] = dual_alg.element(terms)
-
+    antipode = {k: dual_alg.element({m: h.antipode[m].terms[k] for m in labels
+                                     if k in h.antipode[m].terms})
+                for k in labels}
     return HopfAlgebra(dual_alg, coproduct, counit, antipode)
 
 
@@ -342,6 +337,6 @@ def check_coproduct_grading(h: HopfAlgebra, grading: Grading) -> GradingReport:
                          grading.is_nontrivial(), viol)
 
 
-def dual_grading(grading: Grading, dual_algebra: Algebra) -> Grading:
+def dual_grading(grading: Grading, hdual: Algebra) -> Grading:
     """Grading on the dual: (a_i of degree p)^* again has degree p."""
-    return Grading(dual_algebra, dict(grading.degrees))
+    return Grading(hdual, dict(grading.degrees))

@@ -263,7 +263,7 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
                   [k - l - n for k in range(1, n + 1)],
                   {(k - 1, k): q_bracket(k, q) * (powers[0] - powers[k - n])
                    for k in range(1, n)}, l)
-    dalg = double.hdual.algebra
+    dalg = double.dual_algebra
     broken = _first_break(
         rep, rep.dual_image, rep.h_image,
         ((f, g, double._cross_for(g)[f].items())

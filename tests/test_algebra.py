@@ -125,13 +125,13 @@ def test_tensor_multiply_brute_force_oracle(taft2, double2):
     # three legs over different algebras of one domain, non-integer
     # rational coefficients; x and x^* square to zero, so many slot
     # products vanish
-    algs = (double2.algebra, taft2.algebra, double2.hdual.algebra)
+    algs = (double2.algebra, taft2.algebra, double2.dual_algebra)
 
     def rational():
         return dom.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
 
     x = taft2.algebra.basis((0, 1))
-    x_dual = double2.hdual.algebra.basis((0, 1))
+    x_dual = double2.dual_algebra.basis((0, 1))
     nilpotent = TensorElement.of(double2.embed_dual((0, 1)), x, x_dual)
     assert tensor_multiply(nilpotent, nilpotent).is_zero()
     zero_pairs = 0
@@ -334,7 +334,7 @@ def test_row_table_fills_lazily():
 def test_no_label_keyed_product_cache():
     d = build_double(build_taft(2))
     assert check_constant_ybe_algebraic(d, canonical_r(d).tensor()).passed
-    for alg in (d.algebra, d.h.algebra, d.hdual.algebra):
+    for alg in (d.algebra, d.h.algebra, d.dual_algebra):
         assert not hasattr(alg, "_cache")
         pairs = set(iproduct(alg.labels, repeat=2))
         for value in vars(alg).values():

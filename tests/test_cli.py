@@ -403,6 +403,14 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rep, n", [("0,1", 0), ("3,1", 3)])
+def test_rep_out_of_range_is_refused_once_by_the_library(capsys, rep, n):
+    # rep_irreducible holds the one range check of --rep; the CLI adds none
+    code, out, err = run_cli(capsys, "taft", "--N", "2", "--rep", rep)
+    assert code == 2 and out == ""
+    assert err == f"error: need 1 <= n, l <= N (got n={n}, l=1, N=2)\n"
+
+
 # values for every option of every subcommand, valid and invalid.  Every
 # valid size (--N, --rep, --l, --spin) is at most 3, so a draw that runs
 # takes at most about 0.05 s, and all-regressions, which takes no size,

@@ -1,4 +1,5 @@
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hopfbax import (
     CONVENTIONS,
     DEFAULT_CONVENTION,
+    Algebra,
     TensorElement,
     build_double,
     build_taft,
@@ -14,12 +16,17 @@ from hopfbax import (
     check_parametric_ybe_algebraic,
     cyclotomic,
     double_grading,
+    rep_irreducible,
+    taft_r_matrix,
     x_degree_grading,
 )
+from hopfbax import hopf
 from hopfbax.algebra import associativity_violations, embed, \
     tensor_multiply, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
+from hopfbax.regressions import criterion_8
 from hopfbax.scalars import accumulate, laurent_by_key
+from hopfbax.taft import canonical_r_mu
 from hopfbax.ybe import YbeReport, ybe_residual
 
 
@@ -38,7 +45,7 @@ def test_unknown_convention_rejected(taft2):
 
 def test_embeddings_are_algebra_maps(double2, taft2):
     halg = taft2.algebra
-    dalg = double2.hdual.algebra
+    dalg = double2.dual_algebra
     for l1 in halg.labels:
         for l2 in halg.labels:
             left = double2.embed_h(halg.basis(l1)) * double2.embed_h(halg.basis(l2))
@@ -387,3 +394,25 @@ def test_warm_and_cold_doubles_give_identical_reports():
                 **family, 1: family[1].scaled(d.domain.one() * 2)}))])
     assert reports[0] == reports[1]
     assert [r["passed"] for r in reports[0]] == [True, True, False, False]
+
+
+def test_double_paths_never_build_the_dual_hopf_algebra(monkeypatch):
+    # the double, its modules, their R-matrices, the algebraic YBE checks
+    # and criterion 8 read only H*'s algebra (hopf.dual_algebra); every
+    # name bound to hopf.dual raises here, wherever it was imported
+    def refuse(h):
+        raise AssertionError("hopf.dual was called")
+
+    real = hopf.dual
+    for name, module in list(sys.modules.items()):
+        if name == "hopfbax" or name.startswith("hopfbax."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, refuse)
+    for n in (2, 3, 4):
+        d = build_double(build_taft(n))
+        assert isinstance(d.dual_algebra, Algebra)
+        assert taft_r_matrix(rep_irreducible(d, n, 1)).dim == n * n
+        assert check_constant_ybe_algebraic(d, canonical_r(d).tensor()).passed
+        assert check_parametric_ybe_algebraic(d, canonical_r_mu(d)).passed
+    assert criterion_8().passed

@@ -2,6 +2,7 @@
 example and on the package names the benchmark's tracer wraps."""
 
 import ast
+import importlib.util
 import json
 import os
 import pathlib
@@ -65,6 +66,34 @@ def test_mutant_old_strings_occur_once():
         assert text.count(m["old"]) == 1, m["name"]
         assert m["new"] != m["old"] and m["reason"] and m["test"], m["name"]
     assert len({m["name"] for m in mutants}) == len(mutants)
+
+
+def test_committed_bench_records_name_every_row():
+    # scripts/bench.py defines the rows; each must be a positive number
+    spec = importlib.util.spec_from_file_location(
+        "bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    rows = [("perfbench", w, m) for w in bench.WORKLOADS
+            for m in (*bench.END_TO_END, "speed")] + [
+        ("wall_s", name) for name in bench.WALL] + [
+        ("mutants_smoke", "killed"), ("mutants_smoke", "seconds")]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(record["git_rev"], str) and record["git_rev"]
+        assert isinstance(record["dirty"], bool), path.name
+        for row in rows:
+            value = record
+            for key in row:
+                value = value[key]
+            assert type(value) in (int, float) and value > 0, (path.name, row)
+        for w in bench.WORKLOADS:
+            assert record["perfbench"][w]["meta"]["git_rev"], (path.name, w)
+        counts = record["mutants_smoke"]
+        assert all(type(counts[k]) is int and counts[k] >= 0
+                   for k in ("survived", "equivalent")), path.name
 
 
 def test_perfbench_trace_targets_exist():

@@ -211,11 +211,11 @@ def test_corrupted_module_fails_loudly(double3, taft3):
     bad_d = dict(rep._dual)
     bad_d[(1, 1)] = {**bad_d[(1, 1)], (0, 2): double3.domain.one()}
     with pytest.raises(RepresentationError):
-        _check_subalgebra(double3.hdual.algebra, bad_d.__getitem__, 3, "H*")
+        _check_subalgebra(double3.dual_algebra, bad_d.__getitem__, 3, "H*")
     # doubling any one nonzero entry of any H image (H* image) must make
     # the reference H (H*) check refuse the module
     for side, alg, images in (("H", taft3.algebra, rep._h),
-                              ("H*", double3.hdual.algebra, rep._dual)):
+                              ("H*", double3.dual_algebra, rep._dual)):
         assert any(images.values())
         for label, image in images.items():
             for key in image:
@@ -269,7 +269,7 @@ def _check_every_cross_product(rep):
     assert _first_break(
         rep, rep.dual_image, rep.h_image,
         ((f, g, d._cross_for(g)[f].items())
-         for g in d.h.algebra.labels for f in d.hdual.algebra.labels)) is None
+         for g in d.h.algebra.labels for f in d.dual_algebra.labels)) is None
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
