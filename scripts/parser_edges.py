@@ -12,10 +12,9 @@ speed compare.  The parser's work budget (`scalars.MAX_WORK`, about 0.4 s
 at the reference speed) should keep every accepted time well under a
 second.  Standard library only:
 
-    python3 scripts/parser_edges.py [--only SUBSTRING ...]
+    python3 scripts/parser_edges.py
 """
 
-import argparse
 import pathlib
 import sys
 import time
@@ -154,10 +153,6 @@ def _cells(times):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", nargs="+", default=[],
-                    help="run only the families whose name holds one of these")
-    args = ap.parse_args()
     pin()   # the probe measures the CPU that the parses run on
     probe = Probe()
     probe.start()
@@ -168,8 +163,6 @@ def main() -> int:
     print("|---|---|---|---|---|---|---|---|")
     slowest = (0.0, 0.0)
     for name, domain, make, hi in FAMILIES:
-        if args.only and not any(s in name for s in args.only):
-            continue
         n, refuse = largest_accepted(make, domain, hi)
         best, kb = None, "-"
         if n:

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Sweep the modules of D(T_N) and verify every induced R-matrix exactly.
 
-For each N in --orders this builds the double once, runs every irreducible
+For each N in ORDERS this builds the double once, runs every irreducible
 module V_{n,l} (1 <= n, l <= N) and a few indecomposables through the
 canonical element, and checks the parametric Yang-Baxter identity for the
 resulting dim(V)^2 x dim(V)^2 family.  Everything is symbolic; a FAIL row
 prints the worst residual entry.
+
+    python3 scripts/taft_r_zoo.py
 """
 
-import argparse
 from functools import partial
 import pathlib
 import sys
@@ -19,15 +20,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from hopfbax import build_double, build_taft, check_parametric_ybe, \
     rep_indecomposable, rep_irreducible, taft_r_matrix
 
+ORDERS = (2, 3, 4, 5, 6)
+
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4])
-    args = ap.parse_args()
-
     status = 0
     print("module        N  dim(R)   nnz  parametric-YBE   time")
-    for N in args.orders:
+    for N in ORDERS:
         h = build_taft(N)
         d = build_double(h)
         alphas = ((h.domain.one(), "1"), (h.domain.q(), "q"))

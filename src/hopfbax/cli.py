@@ -121,6 +121,8 @@ def run_taft(args) -> int:
         raise UsageError("--rep and --indecomposable are mutually exclusive")
     if args.l is not None and args.alpha is None:
         raise UsageError("--l needs --indecomposable")
+    if args.alpha is not None and args.l is None:
+        raise UsageError("--indecomposable needs --l")
     if rep is None and args.alpha is None and (args.parametric or args.verify):
         raise UsageError("--parametric and --verify need --rep or "
                          "--indecomposable")
@@ -137,8 +139,6 @@ def run_taft(args) -> int:
     if rep is not None:
         module = rep_irreducible(d, *rep)
     else:
-        if args.l is None:
-            raise UsageError("--indecomposable needs --l")
         alpha = _scalar_arg(args.alpha, h.domain)
         module = rep_indecomposable(d, alpha, args.l)
     return _emit_family(taft_r_matrix(module, parametric=args.parametric,

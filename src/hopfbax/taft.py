@@ -248,10 +248,10 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
     loudly if it fails: the cross relation pi(f) pi(g) = pi(f.g) for every
     f of H* and g in {x, a}.  It is enough, because pi is an algebra map on
     H by construction (see _module), pi is one on H* by construction (see
-    _dual_images), and the double is associative, as the default
-    convention's is (see scripts/scan_conventions.py): the g for which the
-    relation holds for every f then form a subalgebra of H that contains 1,
-    since pi(f) pi(g1 g2) = pi(f.g1) pi(g2) = pi((f.g1).g2) = pi(f.(g1 g2)).
+    _dual_images), and the default convention's double is associative (see
+    test_convention_scan_has_unique_winner): the g for which the relation
+    holds for every f then form a subalgebra of H that contains 1, since
+    pi(f) pi(g1 g2) = pi(f.g1) pi(g2) = pi((f.g1).g2) = pi(f.(g1 g2)).
     """
     h = double.h
     N = isqrt(h.algebra.dim)

@@ -104,10 +104,15 @@ def test_taft_indecomposable(capsys):
     assert m.dim == 9 and m.uses_parameters()
 
 
-def test_double_checks(capsys):
-    code, _, err = run_cli(capsys, "double", "--N", "2", "--parametric")
-    assert code == 0
-    assert err.count("PASS") == 2
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_double_checks(capsys, n):
+    # the canonical R of D(T_n) solves the constant YBE, and its x-degree
+    # Baxterization the parametric one; N = 7, 8 are too slow for Tier-1
+    code, out, err = run_cli(capsys, "double", "--N", str(n), "--parametric")
+    assert code == 0 and out == ""
+    assert err == "".join(f"PASS  {kind}-algebraic Yang-Baxter check "
+                          f"(dim {n ** 4})\n"
+                          for kind in ("constant", "parametric"))
 
 
 def test_baxterize_flat_and_lifted(capsys):
@@ -401,6 +406,15 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
     assert "error" in err.lower()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("N", ["3", "9"])
+def test_indecomposable_without_l_is_refused_before_any_build(capsys, N):
+    # the usage checks come first, so even an --N above MAX_N reports the
+    # missing --l
+    code, out, err = run_cli(capsys, "taft", "--N", N, "--indecomposable", "q")
+    assert code == 2 and out == ""
+    assert err == "error: --indecomposable needs --l\n"
 
 
 @pytest.mark.parametrize("rep, n", [("0,1", 0), ("3,1", 3)])

@@ -623,6 +623,19 @@ def test_parse_bounds_the_work_of_every_value():
         (dom.one() + dom.q()) ** 1000
 
 
+def test_parse_spends_the_whole_budget_and_no_more():
+    # names, signs and parentheses cost scalars.TOKEN each, and a sum over
+    # one denominator costs nothing: a string of exactly MAX_WORK units is
+    # accepted, and two tokens more are refused
+    k, m = 10, scalars.MAX_WORK // scalars.TOKEN // 20 - 1
+    assert 2 * k * (m + 1) * scalars.TOKEN == scalars.MAX_WORK
+    text = "-" + "+".join(["(" + "+".join(["mu"] * m) + ")"] * k)
+    assert parse_param_scalar(text, SQRT_Q) == parse_param_scalar(
+        f"{(k - 2) * m}*mu", SQRT_Q)
+    with pytest.raises(ValueError, match="units of work"):
+        parse_param_scalar(text + "+mu", SQRT_Q)
+
+
 def test_parse_bounds_sums_by_terms():
     # a sum is read into one dict in one pass, and only the finished sum is
     # bounded: 1,001 distinct powers of mu parse, 1,002 span too much

@@ -27,12 +27,14 @@ from hopfbax import (
     taft_r_matrix,
     uqsl2_r_matrix,
 )
-from hopfbax.algebra import Algebra, TensorElement, embed, tensor_multiply
+from hopfbax.algebra import Algebra, TensorElement
 from hopfbax.regressions import reference_taft_9x9
 from hopfbax.scalars import accumulate, eval_q_powers, proportionality_ratio
 from hopfbax.uqsl2 import spin_rep
 from hopfbax.ybe import cell, matrix_units, residual, residual_report, \
     ybe_residual
+
+from reference_ybe import reference_residual
 
 
 def _flip(d, domain):
@@ -239,23 +241,14 @@ def _doubled_matrix_units(domain, sides=None):
 
 
 def _reference_residual(alg, placed, sides) -> dict:
-    """residual() by embed and tensor_multiply over label keys, one product
-    per pair and per triple of exponent blocks."""
-    algs, index, labels = (alg,) * 3, alg.index, alg.labels
-    legs = [{e: embed(TensorElement((alg, alg), {
-        (labels[i], labels[j]): c for (i, j), c in block.items()}), slots, algs)
-        for e, block in family.items()} for family, slots in placed]
-    out = {}
-    for (x, y, z), neg in zip(sides, (False, True)):
-        for (a, b), tx in legs[x].items():
-            for (c, d), ty in legs[y].items():
-                txy = tensor_multiply(tx, ty)
-                for (e, f), tz in legs[z].items():
-                    for key, v in tensor_multiply(txy, tz).terms.items():
-                        accumulate(out, (*(index[l] for l in reversed(key)),
-                                         a + c + e, b + d + f),
-                                   -v if neg else v)
-    return out
+    """residual() by reference_residual, over basis numbers."""
+    labels, index = alg.labels, alg.index
+    placed = [({e: TensorElement((alg, alg), {
+        (labels[i], labels[j]): c for (i, j), c in block.items()})
+        for e, block in family.items()}, slots) for family, slots in placed]
+    return {(*(index[l] for l in reversed(key)), mu, nu): v
+            for (key, mu, nu), v in reference_residual(
+                alg, placed, sides).items()}
 
 
 def _check_against_the_reference(alg):
