@@ -8,8 +8,9 @@ from hopfbax import (CONVENTIONS, SQRT_Q, ParamScalar, ScalarDomainError,
                      TensorElement, build_double, build_taft, canonical_r,
                      check_constant_ybe_algebraic, cyclotomic, dual, embed,
                      tensor_multiply)
-from hopfbax.algebra import Algebra, associativity_violations, unit_violations
-from hopfbax.scalars import Memo
+from hopfbax.algebra import associativity_violations, generators, \
+    unit_violations
+from reference_hopf import CORRUPTED_PRODUCTS, corrupted, per_triple_violations
 
 
 def _basis(h, i, j):
@@ -147,17 +148,6 @@ def test_tensor_multiply_brute_force_oracle(taft2, double2):
     assert zero_pairs > 0
 
 
-def _corrupted(alg, pair, label, factor):
-    """alg with the coefficient of `label` in the product `pair` times factor."""
-    def product(l1, l2):
-        out = dict(alg.product_basis(l1, l2))
-        if (l1, l2) == pair:
-            out[label] = out[label] * factor
-        return out
-    return Algebra(f"corrupted {alg.name}", alg.domain, alg.labels,
-                   alg._unit_terms, product, label_str=alg.label_str)
-
-
 def _element_violations(alg):
     """Associativity and unit failures by multiplying basis elements."""
     b = alg.basis
@@ -171,10 +161,10 @@ def _element_violations(alg):
 
 @pytest.mark.parametrize("make", [
     # e.x = 2x and x.e = 2x: unit failures too
-    lambda: _corrupted(build_taft(3).algebra, ((0, 0), (0, 1)), (0, 1), 2),
-    lambda: _corrupted(build_taft(3).algebra, ((0, 1), (0, 0)), (0, 1), 2),
+    lambda: corrupted(build_taft(3).algebra, ((0, 0), (0, 1)), (0, 1), 2),
+    lambda: corrupted(build_taft(3).algebra, ((0, 1), (0, 0)), (0, 1), 2),
     # x.a = 3 q ax
-    lambda: _corrupted(build_taft(3).algebra, ((0, 1), (1, 0)), (1, 1), 3),
+    lambda: corrupted(build_taft(3).algebra, ((0, 1), (1, 0)), (1, 1), 3),
     # a double of T_2 with a rejected straightening convention
     lambda: build_double(build_taft(2), "s_inv_right").algebra,
 ], ids=["left-unit", "right-unit", "cross", "rejected-double"])
@@ -186,43 +176,32 @@ def test_table_checks_match_element_loop(make):
     assert unit_violations(alg) == unit
 
 
-def _per_triple_violations(alg):
-    """The per-triple scan that associativity_violations batches: for each
-    triple in basis order, (ab)c and a(bc) as two {index: Scalar} dicts
-    summed through one memo."""
-    index, basis = alg.index, range(alg.dim)
-    rows = [[alg.row(i, j) for j in basis] for i in basis]
-    memo = Memo(alg.domain)
-    mul, acc = memo.mul, memo.accumulate
-    bad = []
-    for t in iproduct(alg.labels, repeat=3):
-        i, j, k = (index[l] for l in t)
-        if (acc((p, mul(c, v)) for m, c in rows[i][j] for p, v in rows[m][k])
-                != acc((p, mul(c, v)) for m, c in rows[j][k]
-                       for p, v in rows[i][m])):
-            bad.append(tuple(t))
-    return bad
-
-
-@pytest.mark.parametrize("n, pair, label, factor", [
-    (3, ((0, 1), (1, 0)), (1, 1), 3),       # x.a = 3 q ax
-    (3, ((1, 1), (2, 1)), (0, 2), -1),      # ax.a^2x = -q^2 x^2
-    (3, ((2, 0), (2, 0)), (1, 0), 2),       # a^2.a^2 = 2a
-    (3, ((0, 0), (1, 2)), (1, 2), 5),       # e.ax^2 = 5 ax^2
-    (4, ((0, 1), (1, 0)), (1, 1), 3),       # x.a = 3 q ax
-    (4, ((3, 2), (1, 1)), (0, 3), 2),       # a^3x^2.ax = 2 q^2 x^3
-    (4, ((1, 0), (3, 0)), (0, 0), -1),      # a.a^3 = -e
-    (4, ((0, 2), (0, 1)), (0, 3), 7),       # x^2.x = 7 x^3
-])
+@pytest.mark.parametrize("n, pair, label, factor", CORRUPTED_PRODUCTS)
 def test_batched_associativity_matches_the_per_triple_scan(n, pair, label,
                                                            factor):
     # one corrupted structure constant breaks many triples, several of
     # them sharing a pair (a, b): the batch over c must report every one,
     # in basis order
-    alg = _corrupted(build_taft(n).algebra, pair, label, factor)
-    want = _per_triple_violations(alg)
+    alg = corrupted(build_taft(n).algebra, pair, label, factor)
+    want = per_triple_violations(alg)
     assert len(want) > len({t[:2] for t in want})
     assert associativity_violations(alg) == want
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generators_reach_every_basis_index(n):
+    # every basis element of T_n is a nonzero multiple of a right-nested
+    # word s_1 (s_2 (... s_m)) in S, rebuilt here by element products
+    alg = build_taft(n).algebra
+    gens = [alg.basis(alg.labels[i]) for i in generators(alg)]
+    words, todo = {}, list(gens)
+    while todo:
+        word = todo.pop()
+        (label,) = word.terms
+        if label not in words:
+            words[label] = word
+            todo += [p for p in (s * word for s in gens) if len(p.terms) == 1]
+    assert sorted(words) == sorted(alg.labels)
 
 
 def test_embed_two_into_three(taft2):

@@ -286,6 +286,20 @@ def test_verify_loads_the_largest_cyclotomic_order(tmp_path, capsys):
     assert code == 0 and err.startswith("PASS")
 
 
+def test_json_loads_the_smallest_dim(tmp_path, capsys):
+    # dim = 1 is the lower end of the documented range 1..MAX_DIM; a 1x1
+    # R(mu) is a scalar, which solves every YBE
+    payload = {"dim": 1, "domain": "cyclotomic(4)", "param": "mu",
+               "entries": [{"row": 1, "col": 1, "value": "q + 2*mu"}]}
+    m = ParametricMatrix.from_json(json.dumps(payload))
+    assert m.dim == 1 and str(m.get(0, 0)) == "q + 2*mu"
+    path = tmp_path / "dim1.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (0, "")
+    assert err == "PASS  parametric Yang-Baxter check (dim 1)\n"
+
+
 def test_json_loads_the_largest_dim():
     # dim = MAX_DIM is inside the documented range 1..MAX_DIM; a sparse
     # matrix costs its entries, not dim^2

@@ -6,10 +6,12 @@ from math import gcd
 import pytest
 
 from hopfbax import (
+    CONVENTIONS,
     Grading,
     HopfAlgebra,
     HopfReport,
     TensorElement,
+    build_double,
     build_taft,
     check_coproduct_grading,
     check_grading,
@@ -20,10 +22,12 @@ from hopfbax import (
     tensor_multiply,
     x_degree_grading,
 )
-from hopfbax.algebra import Algebra
+from hopfbax.algebra import Algebra, associativity_violations
 from hopfbax.hopf import AxiomResult
 from hopfbax.scalars import Memo, Scalar, accumulate
 from hopfbax.taft import a_degree_grading
+from reference_hopf import CORRUPTED_PRODUCTS, batched_violations, corrupted, \
+    full_scan_summary
 
 
 def test_hopf_axioms_pass(taft2, taft3):
@@ -37,13 +41,7 @@ def test_hopf_axioms_pass(taft2, taft3):
 
 
 def test_corrupted_coproduct_fails_loudly(taft3):
-    alg = taft3.algebra
-    x = alg.basis((0, 1))
-    e = alg.unit()
-    coproduct = dict(taft3.coproduct)
-    coproduct[(0, 1)] = TensorElement.of(x, e)  # drop the a (x) x term
-    broken = HopfAlgebra(alg, coproduct, taft3.counit, taft3.antipode)
-    report = check_hopf_axioms(broken)
+    report = check_hopf_axioms(_x_coproduct_x_e(taft3))
     assert not report.passed
     compat = next(a for a in report.axioms if a.name == "bialgebra compatibility")
     assert not compat.passed
@@ -125,27 +123,111 @@ def test_axioms_match_the_reference_checker(n):
         assert report.to_dict() == _reference_hopf_axioms(h).to_dict()
 
 
+def _corruptions(h):
+    """For every label l of h: h with an extra l (x) a term in Delta(l),
+    with eps(l) shifted by 1, and with S(l) doubled."""
+    alg = h.algebra
+    one = alg.domain.one()
+    for l in alg.labels:
+        extra = TensorElement((alg, alg), {(l, (1, 0)): one})
+        yield HopfAlgebra(alg, {**h.coproduct, l: h.coproduct[l] + extra},
+                          h.counit, h.antipode)
+        yield HopfAlgebra(alg, h.coproduct, {**h.counit, l: h.counit[l] + one},
+                          h.antipode)
+        yield HopfAlgebra(alg, h.coproduct, h.counit,
+                          {**h.antipode, l: h.antipode[l].scaled(2)})
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_corrupted_axioms_match_the_reference_checker(n):
     # every label of T_2..T_4 with a corrupted coproduct (an extra
     # l (x) a term), antipode (doubled) or counit (shifted by 1): the same
     # verdicts and the same first witnesses as the reference
-    h = build_taft(n)
+    for broken in _corruptions(build_taft(n)):
+        report = check_hopf_axioms(broken)
+        assert not report.passed
+        assert report.to_dict() == _reference_hopf_axioms(broken).to_dict()
+
+
+def _over(h, alg):
+    """h's coproduct, counit and antipode tables over alg, an algebra on
+    the same labels."""
+    return HopfAlgebra(
+        alg,
+        {l: TensorElement((alg, alg), t.terms) for l, t in h.coproduct.items()},
+        h.counit,
+        {l: alg.element(v.terms) for l, v in h.antipode.items()})
+
+
+def _a_squared_zero(h):
+    """T_2 with a * a = 0 instead of e."""
     alg = h.algebra
-    one = alg.domain.one()
-    for l in alg.labels:
-        coproduct, counit, antipode = (dict(h.coproduct), dict(h.counit),
-                                       dict(h.antipode))
-        coproduct[l] = coproduct[l] + TensorElement((alg, alg),
-                                                    {(l, (1, 0)): one})
-        counit[l] = counit[l] + one
-        antipode[l] = antipode[l].scaled(2)
-        for broken in (HopfAlgebra(alg, coproduct, h.counit, h.antipode),
-                       HopfAlgebra(alg, h.coproduct, counit, h.antipode),
-                       HopfAlgebra(alg, h.coproduct, h.counit, antipode)):
-            report = check_hopf_axioms(broken)
-            assert not report.passed
-            assert report.to_dict() == _reference_hopf_axioms(broken).to_dict()
+
+    def product(l1, l2):
+        return {} if l1 == l2 == (1, 0) else alg.product_basis(l1, l2)
+
+    return _over(h, Algebra("T_2 with a^2 = 0", alg.domain, alg.labels,
+                            alg._unit_terms, product, label_str=alg.label_str))
+
+
+def _x_coproduct_x_e(h):
+    """h with Delta(x) = x (x) e: its a (x) x term dropped."""
+    alg = h.algebra
+    x = TensorElement.of(alg.basis((0, 1)), alg.unit())
+    return HopfAlgebra(alg, {**h.coproduct, (0, 1): x}, h.counit, h.antipode)
+
+
+def _counit_x_one(h):
+    """h with eps(x) = 1 and Delta(ax) doubled."""
+    alg = h.algebra
+    ax = h.coproduct[(1, 1)]
+    return HopfAlgebra(alg, {**h.coproduct, (1, 1): ax + ax},
+                       {**h.counit, (0, 1): alg.domain.one()}, h.antipode)
+
+
+# T_3 with e.x = 2x and with x.e = 2x, which break the unit axiom too
+_UNIT_PRODUCTS = [(3, ((0, 0), (0, 1)), (0, 1), 2),
+                  (3, ((0, 1), (0, 0)), (0, 1), 2)]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: [build_taft(n, q) for q in _every_primitive_root(n)]
+      for n in range(2, 7)),
+    *(lambda n=n: list(_corruptions(build_taft(n))) for n in (2, 3, 4)),
+    lambda: [_x_coproduct_x_e(build_taft(n)) for n in (2, 3)],
+    lambda: [_a_squared_zero(build_taft(2)), _counit_x_one(build_taft(2))],
+    lambda: [_over(build_taft(n), corrupted(build_taft(n).algebra, *t))
+             for n, *t in CORRUPTED_PRODUCTS + _UNIT_PRODUCTS],
+], ids=[*(f"T_{n}" for n in range(2, 7)),
+        *(f"tables-of-T_{n}" for n in (2, 3, 4)),
+        "x(x)e", "a^2=0-and-eps(x)=1", "products"])
+def test_generating_set_check_matches_the_full_scans(make):
+    # associativity and compatibility read first factors from
+    # algebra.generators only; the full scans over every basis element
+    # must give the same violations, verdicts and first witnesses.  In
+    # "products" associativity fails, and T_3 with a^2.a^2 = 2a first
+    # fails compatibility at (x^2, a^2), whose x^2 is no generator
+    for h in make():
+        assert (associativity_violations(h.algebra)
+                == batched_violations(h.algebra))
+        assert check_hopf_axioms(h).summary() == full_scan_summary(h)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_generating_set_associativity_on_every_double_convention(convention):
+    # D(T_2) has 9 or 8 generators of 16; six conventions are not
+    # associative, and their lists come from the full scan
+    alg = build_double(build_taft(2), convention).algebra
+    assert associativity_violations(alg) == batched_violations(alg)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_hopf_axioms_hold_past_the_cli_limit(n):
+    # T_7..T_12 at the canonical q, beyond the CLI's MAX_N = 8: with
+    # associativity and compatibility read on e, x, a, T_12 (dim 144)
+    # takes about 0.1 s
+    report = check_hopf_axioms(build_taft(n))
+    assert report.passed, report.summary()
 
 
 def test_hopf_axioms_multiply_through_one_memo(monkeypatch):
@@ -187,19 +269,7 @@ def test_associativity_needs_both_products_zero_to_skip(taft2):
     # (a a) x = 0 but a (a x) = x.  In each failing triple one of the rows
     # ab, bc is empty, so a check that skipped a triple when either row is
     # empty would pass this algebra
-    alg = taft2.algebra
-
-    def product(l1, l2):
-        return {} if l1 == l2 == (1, 0) else alg.product_basis(l1, l2)
-
-    broken = Algebra("T_2 with a^2 = 0", alg.domain, alg.labels,
-                     alg._unit_terms, product, label_str=alg.label_str)
-    h = HopfAlgebra(
-        broken,
-        {l: TensorElement((broken, broken), t.terms)
-         for l, t in taft2.coproduct.items()},
-        taft2.counit,
-        {l: broken.element(v.terms) for l, v in taft2.antipode.items()})
+    h = _a_squared_zero(taft2)
     report = check_hopf_axioms(h)
     assoc = report.axioms[0]
     assert assoc.name == "associativity"
@@ -430,12 +500,7 @@ def test_compatibility_witness_keeps_a_counit_only_failure(taft2):
     # doubling Delta(ax) breaks Delta(x a) = Delta(x) Delta(a) at (x, a)
     # only.  Row e passes, so (x, x), which fails only the counit part, is
     # the first failing pair
-    alg = taft2.algebra
-    counit = {**taft2.counit, (0, 1): alg.domain.one()}
-    coproduct = dict(taft2.coproduct)
-    coproduct[(1, 1)] = coproduct[(1, 1)] + coproduct[(1, 1)]
-    broken = HopfAlgebra(alg, coproduct, counit, taft2.antipode)
-    compat = next(a for a in check_hopf_axioms(broken).axioms
+    compat = next(a for a in check_hopf_axioms(_counit_x_one(taft2)).axioms
                   if a.name == "bialgebra compatibility")
     assert (compat.passed, compat.counterexample) == (False, "x, x")
 
