@@ -5,7 +5,9 @@ parameters with exact field coefficients.  Indices are 0-based internally
 and 1-based, row-major in the JSON form.
 
 JSON schema (stable; round trips byte-identically through emit -> parse ->
-emit):
+emit).  ParametricMatrix.to_json writes it directly, in the stdlib json
+encoder's layout with a 2-space indent and sorted keys, entries in sorted
+(row, col) order, and one trailing newline:
 
     {
       "dim": <int>,                     # total matrix dimension
@@ -179,18 +181,18 @@ class ParametricMatrix:
         return self.map_entries(lambda v: ParamScalar.constant(v.at_one()))
 
     # -- display / serialization -----------------------------------------------------
-    def to_json_dict(self) -> dict:
-        entries = []
-        for (r, c) in sorted(self.entries):
-            entries.append({"row": r + 1, "col": c + 1,
-                            "value": str(self.entries[(r, c)])})
-        return {"dim": self.dim,
-                "domain": str(self.domain),
-                "param": "mu" if self.uses_parameters() else None,
-                "entries": entries}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The JSON form of the module docstring; tests/golden/ freezes it."""
+        entries = self.entries
+        blocks = ",\n".join(
+            f'    {{\n      "col": {c + 1},\n      "row": {r + 1},\n'
+            f'      "value": {json.dumps(str(entries[r, c]))}\n    }}'
+            for r, c in sorted(entries))
+        listed = "[\n" + blocks + "\n  ]" if blocks else "[]"
+        param = '"mu"' if self.uses_parameters() else "null"
+        return (f'{{\n  "dim": {self.dim},\n'
+                f'  "domain": {json.dumps(str(self.domain))},\n'
+                f'  "entries": {listed},\n  "param": {param}\n}}\n')
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ParametricMatrix":

@@ -516,14 +516,15 @@ def _dense(x: Scalar):
 
 def _printed(x: Scalar, notation) -> str:
     """x in a notation: its numerator, and its denominator if that is not 1,
-    with Fraction coefficients over a monic denominator."""
+    with coefficients over a monic denominator, left as ints where it is."""
     num, den = _dense(x)
     lead, gen = den[-1], x.domain.generator_name
-    num = _poly(tuple(Fraction(c, lead) for c in num), gen, notation)
+    if lead != 1:
+        num, den = (tuple(Fraction(c, lead) for c in p) for p in (num, den))
+    num = _poly(num, gen, notation)
     if len(den) == 1:
         return num
-    return notation.quotient.format(
-        num, _poly(tuple(Fraction(c, lead) for c in den), gen, notation))
+    return notation.quotient.format(num, _poly(den, gen, notation))
 
 
 def _poly(p, gen, notation) -> str:
@@ -552,7 +553,7 @@ def _latex_power(gen: str, e: int) -> str:
         f"q^{{{e}/2}}" if e % 2 else f"q^{{{e // 2}}}"
 
 
-def _latex_frac(f: Fraction) -> str:
+def _latex_frac(f: int | Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else \
         f"\\tfrac{{{f.numerator}}}{{{f.denominator}}}"
 

@@ -447,6 +447,37 @@ def test_text_and_latex_spell_every_branch(value, printed):
     assert (str(value), latex_str(p)) == printed
 
 
+def _fraction_printed(x, notation) -> str:
+    """The reference printer: every coefficient a Fraction over the leading
+    coefficient of the denominator, whatever that coefficient is."""
+    num, den = scalars._dense(x)
+    lead, gen = den[-1], x.domain.generator_name
+    num = scalars._poly(tuple(Fraction(c, lead) for c in num), gen, notation)
+    if len(den) == 1:
+        return num
+    return notation.quotient.format(num, scalars._poly(
+        tuple(Fraction(c, lead) for c in den), gen, notation))
+
+
+# sqrt_q values times a small fraction: most lead with a denominator other
+# than 1, which the integer-coefficient strategies never do
+_scaled_sqrt = st.builds(lambda x, k: x * k, strategies.sqrt_scalars(),
+                         st.fractions(-3, 3, max_denominator=6))
+
+
+@settings(max_examples=200)
+@given(strategies.rationals() | strategies.cyclotomics()
+       | strategies.sqrt_scalars() | _scaled_sqrt
+       | strategies.param_scalars(_scaled_sqrt))
+@example(Fraction(1, 2) * SQRT_Q.s() / (1 + SQRT_Q.s() ** 2))
+def test_printers_match_the_fraction_reference(value):
+    # both sides of the printer's lead test, in both notations
+    p = value if isinstance(value, ParamScalar) else ParamScalar.constant(value)
+    with mock.patch.object(scalars, "_printed", _fraction_printed):
+        want = str(value), latex_str(p)
+    assert (str(value), latex_str(p)) == want
+
+
 # ---------------------------------------------------------------------------
 # canonical string grammar
 # ---------------------------------------------------------------------------

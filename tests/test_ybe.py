@@ -500,14 +500,45 @@ def test_json_round_trip_is_byte_identical(r_half, r_one):
         assert again.to_json() == text
 
 
+def _reference_json(m) -> str:
+    """The frozen layout through the stdlib encoder: 1-based row and col,
+    str() of each value, "mu" or null as the param."""
+    ref = {"dim": m.dim, "domain": str(m.domain),
+           "param": "mu" if m.uses_parameters() else None,
+           "entries": [{"row": r + 1, "col": c + 1, "value": str(v)}
+                       for (r, c), v in sorted(m.entries.items())]}
+    return json.dumps(ref, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_layout_is_the_stdlib_encoders(double4_reps):
+    # spin-1/2 to spin-2 parametric and at mu = 1, the four V_{3,l} of
+    # D(T_4), and one matrix per branch of the writer and the printer
+    spins = [uqsl2_r_matrix(spin_rep(two_j), parametric=True)
+             for two_j in (1, 2, 3, 4)]
+    _, reps = double4_reps
+    quotient = ParametricMatrix(2, SQRT_Q)
+    quotient.set(0, 1, (1 + SQRT_Q.s()).inverse())
+    zero, constant = ParametricMatrix(3, SQRT_Q), spins[0].at_one()
+    halved = spins[1].scaled(Fraction(1, 2))
+    cases = ([m for r in spins for m in (r, r.at_one())]
+             + [taft_r_matrix(reps[l]) for l in (1, 2, 3, 4)]
+             + [zero, halved, quotient])
+    for m in cases:
+        assert m.to_json() == _reference_json(m)
+    assert '"entries": []' in zero.to_json()
+    assert '"param": null' in constant.to_json()
+    assert '"value": "1/2"' in halved.to_json()
+    assert '"value": "(1)/(1 + s)"' in quotient.to_json()
+
+
 def test_json_schema_fields(r_half):
-    obj = r_half.to_json_dict()
+    obj = json.loads(r_half.to_json())
     assert obj["dim"] == 4
     assert obj["domain"] == "sqrt_q"
     assert obj["param"] == "mu"
     assert all(set(e) == {"row", "col", "value"} for e in obj["entries"])
     assert min(e["row"] for e in obj["entries"]) == 1
-    const = r_half.at_one().to_json_dict()
+    const = json.loads(r_half.at_one().to_json())
     assert const["param"] is None
 
 
@@ -515,7 +546,7 @@ def test_json_cyclotomic_domain_round_trip(double4_reps):
     from hopfbax import taft_r_matrix
     _, reps = double4_reps
     m = taft_r_matrix(reps[1])
-    obj = m.to_json_dict()
+    obj = json.loads(m.to_json())
     assert obj["domain"] == "cyclotomic(4)"
     assert ParametricMatrix.from_json(m.to_json()) == m
 
@@ -528,7 +559,7 @@ def test_json_rejects_unknown_domain():
 
 
 def test_value_strings_use_canonical_grammar(r_half):
-    for ent in r_half.to_json_dict()["entries"]:
+    for ent in json.loads(r_half.to_json())["entries"]:
         v = parse_param_scalar(ent["value"], SQRT_Q)
         assert str(v) == ent["value"]
 
