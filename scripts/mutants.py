@@ -6,12 +6,14 @@ exactly once, the new string that replaces it, a reason, and the pytest
 node expected to kill the mutant; an entry with an "equivalent" field
 says why no test can tell that mutant from the program.  For each mutant
 the tree is copied to a temporary directory and the one replacement is
-made there, never in the working tree.  The named node runs first; if the
-mutant survives it, the full Tier-1 suite runs.  Each line of output says
-killed, survived or equivalent, with the reason, and the last line counts
-them: "<k> killed, <s> survived, <e> equivalent, <seconds> s".  An
-equivalent mutant that a test kills counts as killed, and --smoke counts
-the equivalent ones it skips as equivalent.
+made there, never in the working tree.  The named node runs first,
+without hypothesis' pytest plugin, whose start-up import of hypothesis
+would be most of a node's time (@given tests run without it); if the
+mutant survives it, the full Tier-1 suite runs, with the plugin.  Each
+line of output says killed, survived or equivalent, with the reason, and
+the last line counts them: "<k> killed, <s> survived, <e> equivalent,
+<seconds> s".  An equivalent mutant that a test kills counts as killed,
+and --smoke counts the equivalent ones it skips as equivalent.
 
     python3 scripts/mutants.py            # every mutant
     python3 scripts/mutants.py --smoke    # non-equivalent ones, named node only
@@ -37,6 +39,7 @@ LIST = ROOT / "scripts" / "mutants.json"
 LIST_TEST = "tests/test_source.py::test_mutant_old_strings_occur_once"
 SKIP = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
 TIMEOUT_S = 900     # one pytest run; the full Tier-1 takes about a minute
+NO_HYPOTHESIS_PLUGIN = ["-p", "no:hypothesispytest"]
 
 
 def _ignore(directory, names):
@@ -75,7 +78,7 @@ def run(mutant, smoke):
                              f"exactly once in {mutant['file']}")
         path.write_text(text.replace(mutant["old"], mutant["new"]),
                         encoding="utf-8")
-        if _pytest(tree, [mutant["test"]]):
+        if _pytest(tree, [*NO_HYPOTHESIS_PLUGIN, mutant["test"]]):
             return True, mutant["test"]
         if smoke:
             return False, mutant["test"]
@@ -101,7 +104,8 @@ def main() -> int:
     # a node that fails on the unmutated tree would "kill" every mutant
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="hopfbax-mutant-") as tmp:
-        if _pytest(_copy(tmp), sorted({m["test"] for m in mutants})):
+        if _pytest(_copy(tmp), [*NO_HYPOTHESIS_PLUGIN,
+                                *sorted({m["test"] for m in mutants})]):
             raise SystemExit("a named test node fails on the unmutated tree")
     status = 0
     counts = {"killed": 0, "survived": 0, "equivalent": skipped}

@@ -240,7 +240,7 @@ def _algebraic_report(kind, double, blocks, parametric) -> YbeReport:
         for e, t in blocks.items()}, parametric)
     return residual_report(kind, alg.dim, {
         ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
-        for (i2, i1, i0, e_mu, e_nu), c in res.items()},
+        for (i0, i1, i2, e_mu, e_nu), c in res.items()},
         lambda key: f"[{' (x) '.join(map(alg.label_str, key))}]", repr)
 
 

@@ -28,8 +28,8 @@ from .hopf import HopfAlgebra, check_coproduct_grading, check_grading, \
 from .matrices import ParametricMatrix, find_diagonal_gauge, kron_entries
 from .scalars import SQRT_Q, accumulate, cyclotomic, eval_q_powers, \
     parse_param_scalar
-from .taft import a_degree_grading, build_taft, canonical_r_mu, \
-    rep_irreducible, taft_r_matrix, x_degree_grading
+from .taft import _primitive_roots, a_degree_grading, build_taft, \
+    canonical_r_mu, rep_irreducible, taft_r_matrix, x_degree_grading
 from .uqsl2 import r_matrix_terms, spin_half, spin_one, uqsl2_r_matrix
 from .ybe import check_constant_ybe, check_parametric_ybe
 
@@ -211,12 +211,6 @@ def criterion_5() -> RegressionResult:
     return RegressionResult(5, "mu=1 specialization solves the constant YBE "
                                "and equals the unweighted canonical image",
                             not problems, "; ".join(problems))
-
-
-def _primitive_roots(n: int):
-    from math import gcd
-    z = cyclotomic(n).q()
-    return [z ** k for k in range(1, n) if gcd(k, n) == 1]
 
 
 def criterion_6() -> RegressionResult:

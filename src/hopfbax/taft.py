@@ -29,7 +29,7 @@ Index conventions for the modules (documented choices):
 from __future__ import annotations
 
 import weakref
-from math import isqrt
+from math import gcd, isqrt
 
 from .algebra import Algebra, TensorElement
 from .baxterize import baxterize, decompose_graded, mu_components
@@ -53,6 +53,11 @@ def is_primitive_root(q: Scalar, N: int) -> bool:
         if p.is_one():
             return False
     return (p * q).is_one()
+
+
+def _primitive_roots(N: int) -> list:
+    """The primitive N-th roots of unity, zeta_N^k for k coprime to N."""
+    return [canonical_q(N) ** k for k in range(1, N) if gcd(k, N) == 1]
 
 
 def build_taft(N: int, q: Scalar | None = None) -> HopfAlgebra:

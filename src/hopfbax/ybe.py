@@ -11,14 +11,15 @@ free slot, is one trie nested from the third slot down (zero products
 prune soonest there), with the (mu, nu) exponents in its leaf keys and
 each level's keys grouped by their left class in A.sides.  A side is two
 walks, its first two factors into a trie and that times the third, into
-one sum {(i2, i1, i0, e_mu, e_nu): Scalar}.  A walk pairs a key i only
-with y's group right[i], as A.sides promises that no other basis product
-is nonzero, and it takes no product by the memo's 1, which is A's shared
-structure constant 1, so a structure constant 1 costs no lookup.  Every
-product and sum goes through one scalars.Memo of interned values, made by
-the check and dropped with it.  The two sums are compared, not
-cancelled: the residual is empty when they are equal, and otherwise
-side 0 minus side 1 at the keys where they differ.
+one sum keyed (i2, i1, i0, e_mu, e_nu) as the tries nest.  A walk pairs a
+key i only with y's group right[i], as A.sides promises that no other
+basis product is nonzero, and it takes no product by the memo's 1, which
+is A's shared structure constant 1, so a structure constant 1 costs no
+lookup.  Every product and sum goes through one scalars.Memo of interned
+values, made by the check and dropped with it.  The two sums are
+compared, not cancelled: the residual is empty when they are equal, and
+otherwise side 0 minus side 1 at the keys where they differ, re-keyed in
+slot order (i0, i1, i2, e_mu, e_nu).
 
 A d^2 x d^2 matrix is an element of End V (x) End V = M_d (x) M_d, so the
 matrix checks run the same engine in the matrix-unit algebra M_d (E_ac
@@ -146,7 +147,7 @@ def _walk(x, y, alg, memo, one, out):
 
 
 def residual(alg: Algebra, placed, sides) -> dict:
-    """Side 0 minus side 1 in alg^(x)3 as {(i2, i1, i0, e_mu, e_nu): Scalar}
+    """Side 0 minus side 1 in alg^(x)3 as {(i0, i1, i2, e_mu, e_nu): Scalar}
     (i_s the basis index in slot s), for `placed` a list of (family
     {(e_mu, e_nu): {(i, j): nonzero Scalar}}, target slots; the unit in the
     third) and each side a triple of positions in it: the YBE is
@@ -175,8 +176,8 @@ def residual(alg: Algebra, placed, sides) -> dict:
     if a == b:
         return {}
     zero = memo.zero
-    return {key: a.get(key, zero) - b.get(key, zero) for key in {**a, **b}
-            if a.get(key) != b.get(key)}
+    return {(*key[2::-1], *key[3:]): a.get(key, zero) - b.get(key, zero)
+            for key in {**a, **b} if a.get(key) != b.get(key)}
 
 
 def ybe_residual(alg: Algebra, blocks: dict, parametric: bool) -> dict:
@@ -220,7 +221,7 @@ def _matrix_report(kind, r: ParametricMatrix) -> YbeReport:
     else:
         res = ybe_residual(alg, blocks, kind == "parametric")
     entries = {}
-    for (i2, i1, i0, e_mu, e_nu), v in res.items():   # to V (x) V (x) V
+    for (i0, i1, i2, e_mu, e_nu), v in res.items():   # to V (x) V (x) V
         (a0, c0), (a1, c1), (a2, c2) = (divmod(i, d) for i in (i0, i1, i2))
         entries[((a0 * d + a1) * d + a2, (c0 * d + c1) * d + c2), e_mu, e_nu] = v
     return residual_report(kind, r.dim, entries, cell)

@@ -4,9 +4,11 @@ associativity_violations and check_hopf_axioms take the first factor from
 algebra.generators only, and associativity scans the whole basis only
 after that finds a violation.  The scans here take every basis element as
 the first factor, as both did before the reduction, and are the
-references the tests compare the reduced checks with.
+references the tests compare the reduced checks with.  element_violations
+is the one reference by AlgebraElement arithmetic instead of row tables.
 """
 
+import weakref
 from itertools import product as iproduct
 
 from hopfbax import HopfReport, check_hopf_axioms
@@ -39,6 +41,29 @@ def corrupted(alg, pair, label, factor):
         return out
     return Algebra(f"corrupted {alg.name}", alg.domain, alg.labels,
                    alg._unit_terms, product, label_str=alg.label_str)
+
+
+# by algebra object: every corruption of one T_n's coproduct, counit or
+# antipode shares its algebra
+_ELEMENT_VIOLATIONS = weakref.WeakKeyDictionary()
+
+
+def element_violations(alg):
+    """(associativity, unit) failures by multiplying basis elements: every
+    triple (a, b, c) with (ab)c != a(bc), and every label l with e l != l
+    or l e != l, each in basis order.  Each pair product b_i b_j is formed
+    once, and (b_i b_j) b_k and b_i (b_j b_k) read it."""
+    if alg not in _ELEMENT_VIOLATIONS:
+        labels, e = alg.labels, alg.unit()
+        basis = list(map(alg.basis, labels))
+        pairs = [[x * y for y in basis] for x in basis]
+        n = range(alg.dim)
+        _ELEMENT_VIOLATIONS[alg] = (
+            [(labels[i], labels[j], labels[k])
+             for i, j, k in iproduct(n, repeat=3)
+             if pairs[i][j] * basis[k] != basis[i] * pairs[j][k]],
+            [l for l, x in zip(labels, basis) if e * x != x or x * e != x])
+    return _ELEMENT_VIOLATIONS[alg]
 
 
 def per_triple_violations(alg):

@@ -10,7 +10,8 @@ from hopfbax import (CONVENTIONS, SQRT_Q, ParamScalar, ScalarDomainError,
                      tensor_multiply)
 from hopfbax.algebra import associativity_violations, generators, \
     unit_violations
-from reference_hopf import CORRUPTED_PRODUCTS, corrupted, per_triple_violations
+from reference_hopf import CORRUPTED_PRODUCTS, corrupted, element_violations, \
+    per_triple_violations
 
 
 def _basis(h, i, j):
@@ -148,17 +149,6 @@ def test_tensor_multiply_brute_force_oracle(taft2, double2):
     assert zero_pairs > 0
 
 
-def _element_violations(alg):
-    """Associativity and unit failures by multiplying basis elements."""
-    b = alg.basis
-    assoc = [(l1, l2, l3)
-             for l1, l2, l3 in iproduct(alg.labels, repeat=3)
-             if (b(l1) * b(l2)) * b(l3) != b(l1) * (b(l2) * b(l3))]
-    e = alg.unit()
-    unit = [l for l in alg.labels if e * b(l) != b(l) or b(l) * e != b(l)]
-    return assoc, unit
-
-
 @pytest.mark.parametrize("make", [
     # e.x = 2x and x.e = 2x: unit failures too
     lambda: corrupted(build_taft(3).algebra, ((0, 0), (0, 1)), (0, 1), 2),
@@ -170,7 +160,7 @@ def _element_violations(alg):
 ], ids=["left-unit", "right-unit", "cross", "rejected-double"])
 def test_table_checks_match_element_loop(make):
     alg = make()
-    assoc, unit = _element_violations(alg)
+    assoc, unit = element_violations(alg)
     assert assoc
     assert associativity_violations(alg) == assoc
     assert unit_violations(alg) == unit

@@ -1,6 +1,5 @@
 import random
 import sys
-from math import gcd
 
 import pytest
 
@@ -14,7 +13,6 @@ from hopfbax import (
     canonical_r,
     check_constant_ybe_algebraic,
     check_parametric_ybe_algebraic,
-    cyclotomic,
     double_grading,
     rep_irreducible,
     taft_r_matrix,
@@ -25,7 +23,7 @@ from hopfbax.algebra import associativity_violations, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
 from hopfbax.regressions import criterion_8
 from hopfbax.scalars import accumulate, laurent_by_key
-from hopfbax.taft import canonical_r_mu
+from hopfbax.taft import _primitive_roots, canonical_r_mu
 from hopfbax.ybe import YbeReport, ybe_residual
 
 from reference_ybe import reference_residual
@@ -129,9 +127,7 @@ def test_perturbed_family_keeps_its_worst_entry(n, pick, block, terms, worst):
     # that one key carries 1 + mu: the regrouped residual names the same
     # worst entry as the Laurent-coefficient residual did
     d = build_double(build_taft(n))
-    grading = double_grading(d, x_degree_grading(d.h))
-    r_mu = baxterize(decompose_graded(canonical_r(d).tensor(), grading,
-                                      grading))
+    r_mu = canonical_r_mu(d)
     key = sorted(r_mu[1].terms, key=repr)[pick]
     c = r_mu[1].terms[key]
     bad = dict(r_mu)
@@ -233,8 +229,7 @@ def _reference_cross_for(d, g):
 @pytest.mark.parametrize("n, conventions", [
     (2, CONVENTIONS), (3, CONVENTIONS), (4, (DEFAULT_CONVENTION,))])
 def test_straightening_matches_the_element_sandwich(n, conventions):
-    z = cyclotomic(n).q()
-    for q in (z ** k for k in range(1, n) if gcd(k, n) == 1):
+    for q in _primitive_roots(n):
         h = build_taft(n, q)
         for conv in conventions:
             d = build_double(h, conv)
@@ -248,8 +243,7 @@ def test_double_sides_match_their_rows(n):
     # DoubleAlgebra's docstring, so the walk pairs only keys that can meet:
     # every cell the rule rules out is empty; the other four conventions
     # break the rule and keep the single class
-    z = cyclotomic(n).q()
-    for q in (z ** k for k in range(1, n) if gcd(k, n) == 1):
+    for q in _primitive_roots(n):
         h = build_taft(n, q)
         for conv in CONVENTIONS:
             alg = build_double(h, conv).algebra
@@ -306,12 +300,6 @@ def _reports(d, r):
         {(0, e): t for e, t in blocks.items()}))
 
 
-def _family(d):
-    grading = double_grading(d, x_degree_grading(d.h))
-    return baxterize(decompose_graded(canonical_r(d).tensor(), grading,
-                                      grading))
-
-
 def _doubled(r, key):
     return TensorElement(r.algebras, {**r.terms, key: r.terms[key] * 2})
 
@@ -320,7 +308,7 @@ def _engine_inputs():
     doubles = {n: build_double(build_taft(n)) for n in (2, 3, 4)}
     for n, d in doubles.items():
         yield f"canonical R, D(T_{n})", d, canonical_r(d).tensor()
-        yield f"canonical family, D(T_{n})", d, _family(d)
+        yield f"canonical family, D(T_{n})", d, canonical_r_mu(d)
     for n, keys in ((2, None), (3, 5)):
         d = doubles[n]
         r = canonical_r(d).tensor()
@@ -333,7 +321,7 @@ def _engine_inputs():
         # left_s declares sides, and its canonical R fails the YBE
         left = build_double(build_taft(n), "left_s")
         yield f"left_s, D(T_{n})", left, canonical_r(left).tensor()
-    family = _family(doubles[3])
+    family = canonical_r_mu(doubles[3])
     yield "block 1 scaled by 2, D(T_3)", doubles[3], {
         **family, 1: family[1].scaled(family[1].algebras[0].domain.one() * 2)}
     top = max(family)
@@ -358,7 +346,7 @@ def test_declared_sides_leave_the_residual_as_one_class_does():
     # that puts every basis index in one class
     d, left = (build_double(build_taft(3), conv)
                for conv in (DEFAULT_CONVENTION, "left_s"))
-    r, family = canonical_r(d).tensor(), _family(d)
+    r, family = canonical_r(d).tensor(), canonical_r_mu(d)
     cases = [(d, {0: _doubled(r, min(r.terms))}, False),
              (d, mu_components({**family, 1: family[1].scaled(
                  d.domain.one() * 2)}), True),
@@ -385,7 +373,7 @@ def test_warm_and_cold_doubles_give_identical_reports():
     reports = []
     for d in (warm, cold):
         r = canonical_r(d).tensor()
-        family = _family(d)
+        family = canonical_r_mu(d)
         reports.append([report.to_dict() for report in (
             check_constant_ybe_algebraic(d, r),
             check_parametric_ybe_algebraic(d, family),

@@ -251,9 +251,12 @@ def test_sums_agree_with_one_gcd_over_the_cross_multiplied_sum():
 @settings(max_examples=80)
 @given(strategies.sqrt_scalars(), strategies.sqrt_scalars(),
        strategies.sqrt_fractions())
+@example(SQRT_Q.one(), 1 / (1 + SQRT_Q.s() ** 2), -1 / (1 + SQRT_Q.s() ** 2))
 def test_sqrt_products_cancel_to_the_full_gcd_normal_form(a, b, c):
     # (a/c)(b c) cancels c's factors across the two fractions; the normal
-    # form must equal that of one gcd over the whole product
+    # form must equal that of one gcd over the whole product.  In the
+    # example a product reaches the normal form over -1 - s^2, whose
+    # leading coefficient must be made positive
     assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
     for x, y in ((a, b), (a / c, b * c), (b * c, a / c)):
         (xn, xd, xk), (yn, yd, yk) = normal_key(x), normal_key(y)

@@ -1,6 +1,5 @@
 import random
 from itertools import product as iproduct
-from math import gcd
 
 import pytest
 
@@ -27,15 +26,11 @@ from hopfbax.taft import (
     Representation,
     RepresentationError,
     _first_break,
+    _primitive_roots,
     _taft_q,
     check_double_multiplicative,
     is_primitive_root,
 )
-
-
-def _primitive_roots(N):
-    z = cyclotomic(N).q()
-    return [z ** e for e in range(1, N) if gcd(e, N) == 1]
 
 
 def test_build_rejects_bad_parameters():

@@ -246,7 +246,7 @@ def _reference_residual(alg, placed, sides) -> dict:
     placed = [({e: TensorElement((alg, alg), {
         (labels[i], labels[j]): c for (i, j), c in block.items()})
         for e, block in family.items()}, slots) for family, slots in placed]
-    return {(*(index[l] for l in reversed(key)), mu, nu): v
+    return {(*map(index.get, key), mu, nu): v
             for (key, mu, nu), v in reference_residual(
                 alg, placed, sides).items()}
 
@@ -282,6 +282,21 @@ def test_residual_with_matrix_unit_sides_equals_the_reference():
     # F_ac has left a and right c, so the walk pairs only the keys that meet
     _check_against_the_reference(_doubled_matrix_units(
         cyclotomic(3), ((0, 0, 1, 1), (0, 1, 0, 1))))
+
+
+def test_residual_keys_read_in_slot_order():
+    # in M_2, X = E_00 (x) E_01 (x) 1 mu, Y = 1 (x) E_11 (x) E_10 nu^2 and
+    # Z = E_00 (x) 1 (x) E_00: XYZ = E_00 (x) E_01 (x) E_10 mu nu^2, and
+    # ZYX = 0 (its slot 1 is E_11 E_01 = 0), so the one residual key
+    # names three distinct basis indices (E_00, E_01 and E_10 are 0, 1
+    # and 2) and must read them in slot order
+    alg = matrix_units(2, RATIONAL)
+    one = RATIONAL.one()
+    placed = [({(1, 0): {(0, 1): one}}, (0, 1)),
+              ({(0, 2): {(3, 2): one}}, (1, 2)),
+              ({(0, 0): {(0, 0): one}}, (0, 2))]
+    got = residual(alg, placed, ((0, 1, 2), (2, 1, 0)))
+    assert got == {(0, 1, 2, 1, 2): one}
 
 
 @pytest.mark.parametrize("d", range(1, 9))
