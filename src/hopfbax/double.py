@@ -34,12 +34,16 @@ The sandwich L x R is read off the index rows of H (Algebra.row) for each
 basis element x, one table per h, filled when a product first needs it.
 
 The algebraic Yang-Baxter checks expand R12 R13 R23 - R23 R13 R12 in
-D (x) D (x) D through the residual engine of ybe.py, on basis indices.
+D (x) D (x) D through the residual engine of ybe.py, on basis indices,
+in the counit basis of H* (DoubleAlgebra), where the canonical element
+has N^2 + N - 1 terms instead of N^3; a nonzero residual is written back
+in the pair basis for its report.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product as iproduct
 from math import isqrt
 
 from .algebra import Algebra, AlgebraElement, TensorElement
@@ -92,6 +96,35 @@ class DoubleAlgebra:
     f1_a = f2_a + f2_x - g2_x (mod N).  Twisting h_(3) instead makes the
     a-weight of L k R depend on the x-weight of h_(2), so those four
     conventions keep the default single class.
+
+    The counit basis of H* (_counit_basis).  With 1 the unit of H,
+    C = {eps} u {l^* : l != 1}, and a pair (g, f) stands for g f as above;
+    the label of 1^* stands for eps.  Then:
+
+      * C is a basis of H*: eps = 1^* + sum_{l != 1} eps(l) l^*, as
+        eps(1) = 1, so putting eps in place of 1^* is a unitriangular
+        change, and 1^* = eps - sum_{l != 1} eps(l) l^*.  For T_N,
+        eps = sum_m (a^m)^*.
+      * R = sum_l l (x) l^* has N^2 + N - 1 terms on the pairs of C: as
+        eps is the unit of D, embedded l is the one pair (l, eps), not the
+        N pairs (l, (a^m)^*), so R = sum_{l != 1} (l, eps) (x) (1, l^*) +
+        (1, eps) (x) ((1, eps) - sum_{m != 0} (1, (a^m)^*)), N^2 - 1 +
+        1 + N - 1 terms; in the pair basis it has N^3.  D's unit is the
+        one pair (1, eps).
+      * The cells: (g1, eps)(g2, f2) = g1 g2 f2, which is (g1 g2, f2) read
+        off H's row.  For f1 != eps, (g1 f1)(g2 f2) = g1 (f1 . g2) f2 =
+        sum c (g1 v)(k f2) over f1 . g2 = sum c v k (_cross_for), with
+        k f2 read off H*'s row, or k f2 = k when f2 = eps, and each 1^*
+        of the result written in C.  Both are the products of the pair
+        basis under every convention, since there eps . g = g eps: eps
+        is multiplicative, eps S^{+-1} = eps, and
+        sum eps(h_(1)) h_(2) eps(h_(3)) = h.
+      * The sides: a pair (g, f) with f != eps is the pair of the same
+        label in both bases, so a cell of two such pairs is the pair
+        basis' cell written in C, empty when the class rule above makes
+        that empty; those pairs keep their classes.  The N^2 pairs
+        (g, eps) declare class None, which meets every class, so the
+        walk never skips a cell of theirs.
     """
 
     def __init__(self, h: HopfAlgebra, convention: str = DEFAULT_CONVENTION):
@@ -117,6 +150,7 @@ class DoubleAlgebra:
                                unit_terms, self._pair_product,
                                label_str=label_str, sides=sides)
         self._cross = {}     # h label -> {dual label -> {pair: Scalar}}
+        self._counit = None  # (algebra, to_c, from_c): _counit_basis()
 
     @property
     def domain(self):
@@ -153,17 +187,81 @@ class DoubleAlgebra:
         self._cross[g] = out
         return out
 
-    def _pair_product(self, p1, p2):
-        (g1, f1), (g2, f2) = p1, p2
+    def _straightened(self, g1, f1, g2, j2):
+        """(g1 f1)(g2 f2) = sum c (g1 v)(k f2) over f1 . g2 = sum c v k
+        (_cross_for), as {(H index, H* index): Scalar}, for f2 the H*
+        basis element of index j2, or the unit eps of H* if j2 is None."""
         halg, dalg = self.h.algebra, self.dual_algebra
         hidx, didx = halg.index, dalg.index
-        hlab, dlab = halg.labels, dalg.labels
-        i1, j2 = hidx[g1], didx[f2]
+        i1 = hidx[g1]
+        one = dalg.domain.one() if j2 is None else None
         out = {}
         for (v, k), c in self._cross_for(g2)[f1].items():
-            for gg, cg in halg.row(i1, hidx[v]):
-                for ff, cf in dalg.row(didx[k], j2):
-                    accumulate(out, (hlab[gg], dlab[ff]), c * cg * cf)
+            kf = ((didx[k], one),) if j2 is None else dalg.row(didx[k], j2)
+            if kf:
+                for gg, cg in halg.row(i1, hidx[v]):
+                    ccg = c * cg
+                    for ff, cf in kf:
+                        accumulate(out, (gg, ff), ccg * cf)
+        return out
+
+    def _pair_product(self, p1, p2):
+        (g1, f1), (g2, f2) = p1, p2
+        hlab, dlab = self.h.algebra.labels, self.dual_algebra.labels
+        return {(hlab[g], dlab[f]): c for (g, f), c in self._straightened(
+            g1, f1, g2, self.dual_algebra.index[f2]).items()}
+
+    # -- the counit basis of H* -------------------------------------------------
+    def _counit_basis(self):
+        """(algebra, to_c, from_c), built on first use: the double on the
+        pairs (g, f) with f in C, where the label of 1^* stands for eps
+        (see the class docstring), and to_c[i] and from_c[i] write pair i
+        of the pair basis in C, and pair i of C in the pair basis, as
+        ((pair index, Scalar), ...).  Both bases share the labels and so
+        the indices."""
+        if self._counit is None:
+            halg, dalg, pairs = self.h.algebra, self.dual_algebra, self.algebra
+            (u,) = halg._unit_terms
+            eps, one, index = dalg._unit_terms, self.domain.one(), pairs.index
+            rest = [(l, c) for l, c in eps.items() if l != u]
+            to_c, from_c = [], []
+            for i, (g, f) in enumerate(pairs.labels):
+                if f == u:   # 1^* = eps - sum_{l != 1} eps(l) l^*
+                    to_c.append(((i, one), *(
+                        (index[g, l], -c) for l, c in rest)))
+                    from_c.append(tuple(   # eps = sum_l eps(l) l^*
+                        (index[g, l], c) for l, c in eps.items()))
+                else:
+                    to_c.append(((i, one),))
+                    from_c.append(((i, one),))
+            sides = None
+            if "right" not in self.convention:   # (g, eps) meets every class
+                sides = tuple(tuple(None if f == u else c for (_, f), c
+                                    in zip(pairs.labels, side))
+                              for side in pairs.sides)
+            self._counit = (Algebra(
+                f"{pairs.name} on C", pairs.domain, pairs.labels,
+                {(u, u): one}, self._counit_product, sides=sides),
+                to_c, from_c)
+        return self._counit
+
+    def _counit_product(self, p1, p2):
+        """(g1, f1)(g2, f2) in the counit basis: (g1 g2, f2) read off H's
+        row when f1 is eps, else _straightened() with each 1^* of the
+        result written in C."""
+        (g1, f1), (g2, f2) = p1, p2
+        halg, dalg = self.h.algebra, self.dual_algebra
+        (u,) = halg._unit_terms
+        if f1 == u:
+            hidx, hlab = halg.index, halg.labels
+            return {(hlab[k], f2): c
+                    for k, c in halg.row(hidx[g1], hidx[g2])}
+        labels, to_c, dim = self.algebra.labels, self._counit[1], dalg.dim
+        out = {}
+        for (g, f), c in self._straightened(
+                g1, f1, g2, None if f2 == u else dalg.index[f2]).items():
+            for p, s in to_c[g * dim + f]:
+                accumulate(out, labels[p], c * s)
         return out
 
     # -- embeddings -------------------------------------------------------------
@@ -230,18 +328,34 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
 # algebraic Yang-Baxter checks (exact expansion in D (x) D (x) D)
 # ---------------------------------------------------------------------------
 
+def _rewritten(terms: dict, legs, n: int) -> dict:
+    """{(i_1, ..., i_n, *rest): Scalar} with each basis index i_s written
+    as legs[i_s] = ((index, Scalar), ...), slot by slot; zero sums go."""
+    out = {}
+    for key, c in terms.items():
+        for combo in iproduct(*(legs[i] for i in key[:n])):
+            v = c
+            for _, s in combo:
+                v = v * s
+            accumulate(out, (*(i for i, _ in combo), *key[n:]), v)
+    return out
+
+
 def _algebraic_report(kind, double, blocks, parametric) -> YbeReport:
     """ybe_residual() of R(mu) = sum_e mu^e blocks[e] in D (x) D (x) D,
-    reported by label triple (ties to the first by repr)."""
-    alg = double.algebra
-    index, labels = alg.index, alg.labels
+    walked in the counit basis and reported in the pair basis, by label
+    triple (ties to the first by repr)."""
+    alg, to_c, from_c = double._counit_basis()
+    pairs = double.algebra
+    index, labels = pairs.index, pairs.labels
     res = ybe_residual(alg, {
-        e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
+        e: _rewritten({(index[a], index[b]): c
+                       for (a, b), c in t.terms.items()}, to_c, 2)
         for e, t in blocks.items()}, parametric)
     return residual_report(kind, alg.dim, {
         ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
-        for (i0, i1, i2, e_mu, e_nu), c in res.items()},
-        lambda key: f"[{' (x) '.join(map(alg.label_str, key))}]", repr)
+        for (i0, i1, i2, e_mu, e_nu), c in _rewritten(res, from_c, 3).items()},
+        lambda key: f"[{' (x) '.join(map(pairs.label_str, key))}]", repr)
 
 
 def check_constant_ybe_algebraic(double: DoubleAlgebra, r: TensorElement) -> YbeReport:

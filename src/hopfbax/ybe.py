@@ -8,18 +8,21 @@ most terms, ties to the smallest (row, col) or label-triple repr.
 residual() expands both sides over basis indices of A (x) A (x) A.  Each
 placed family {(e_mu, e_nu): {(i, j): Scalar}}, with the unit of A in its
 free slot, is one trie nested from the third slot down (zero products
-prune soonest there), with the (mu, nu) exponents in its leaf keys and
-each level's keys grouped by their left class in A.sides.  A side is two
-walks, its first two factors into a trie and that times the third, into
-one sum keyed (i2, i1, i0, e_mu, e_nu) as the tries nest.  A walk pairs a
-key i only with y's group right[i], as A.sides promises that no other
-basis product is nonzero, and it takes no product by the memo's 1, which
-is A's shared structure constant 1, so a structure constant 1 costs no
-lookup.  Every product and sum goes through one scalars.Memo of interned
-values, made by the check and dropped with it.  The two sums are
-compared, not cancelled: the residual is empty when they are equal, and
-otherwise side 0 minus side 1 at the keys where they differ, re-keyed in
-slot order (i0, i1, i2, e_mu, e_nu).
+prune soonest there), with the (mu, nu) exponents in its leaf keys, and
+a copy of it whose every level maps a right class r to the keys that a
+key of class r may meet: by A.sides, those of left class r and those of
+left class None, which meet every class.  A side is two walks, its first
+two factors into a trie and that times the third, into one sum keyed
+(i2, i1, i0, e_mu, e_nu) as the tries nest.  A walk pairs a key i only
+with the keys the copy holds for right[i] (every key, if right[i] is
+None), as A.sides promises that no other basis product is nonzero, and
+it takes no product by the memo's 1, which is A's shared structure
+constant 1, so a structure constant 1 costs no lookup.  Every product
+and sum goes through one scalars.Memo of interned values, made by the
+check and dropped with it, whose tables the walk reads inline.  The two
+sums are compared, not cancelled: the residual is empty when they are
+equal, and otherwise side 0 minus side 1 at the keys where they differ,
+re-keyed in slot order (i0, i1, i2, e_mu, e_nu).
 
 A d^2 x d^2 matrix is an element of End V (x) End V = M_d (x) M_d, so the
 matrix checks run the same engine in the matrix-unit algebra M_d (E_ac
@@ -27,14 +30,14 @@ is basis index a d + c, of left a and right c, and every structure
 constant is 1), built by each check (the memo's id keys need its row
 table to outlive them).  The double D(T_N) declares sides too (the class
 rule and its proof are in double.DoubleAlgebra), so the algebraic checks
-skip the cells of its row table that the rule proves empty.
+skip the cells of its row table that the rule proves empty; they walk in
+the counit basis of H*, whose pairs (g, eps) are of class None.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain
 
 from .algebra import Algebra
 from .matrices import ParametricMatrix
@@ -76,48 +79,72 @@ def residual_report(kind, dim, terms: dict, label, order=None) -> YbeReport:
                      residual_terms=len(by_key), worst=worst)
 
 
-def _trie(terms, left) -> dict:
+def _trie(terms) -> dict:
     """{(i, j, k, e_mu, e_nu): c} nested as {i: {j: {(k, e_mu, e_nu): c}}},
-    each level's keys grouped by their left class: {left[i]: {i: ...}}."""
-    trie = {}
+    in one pass: a node is made when the first key below it arrives."""
+    trie, leaves = {}, {}
     for (i, j, k, *e), c in terms.items():
-        trie.setdefault(left[i], {}).setdefault(i, {}).setdefault(
-            left[j], {}).setdefault(j, {}).setdefault(left[k], {})[k, *e] = c
+        leaf = leaves.get((i, j))
+        if leaf is None:
+            leaf = leaves[i, j] = trie.setdefault(i, {})[j] = {}
+        leaf[k, *e] = c
     return trie
 
 
-def _items(level):
-    """Every (key, value) of one trie level, group after group."""
-    return chain.from_iterable(map(dict.items, level.values()))
-
-
-_NO_GROUP = {}
+def _meets(level, left, classes, depth=0) -> dict:
+    """A trie level, its children converted alike, as {r: the (key, child)
+    pairs that a key of right class r may meet}: those of left class r,
+    and those of left class None, filed in a group of their own that
+    meets every r in `classes`; r = None meets every pair."""
+    items = [(key, _meets(child, left, classes, depth + 1) if depth < 2
+              else child) for key, child in level.items()]
+    groups = {}
+    for item in items:
+        key = item[0]
+        groups.setdefault(left[key[0] if depth == 2 else key], []).append(item)
+    free = groups.pop(None, ())
+    meets = ({r: (*groups.get(r, ()), *free) for r in classes} if free else
+             {r: tuple(group) for r, group in groups.items()})
+    meets[None] = tuple(items)
+    return meets
 
 
 def _walk(x, y, alg, memo, one, out):
-    """out += x y for tries of A (x) A (x) A, slot by slot: a key i of x
-    meets only the keys of y's group right[i], a zero basis product in one
-    slot drops every pair of terms below it, a product by `one` is not
-    taken, and the exponents in the leaf keys add."""
-    mul, add, zero, muls = memo.mul, memo.add, memo.zero, memo.muls
-    row, right = alg.row, alg.sides[1]
-    for i0, x1 in _items(x):
-        for j0, y1 in y.get(right[i0], _NO_GROUP).items():
-            row0 = row(i0, j0)
+    """out += x y for a trie x of A (x) A (x) A and y in _meets() form,
+    slot by slot: a key i of x meets only the pairs y holds for right[i],
+    a zero basis product in one slot drops every pair of terms below it,
+    a product by `one` is not taken, and the exponents in the leaf keys
+    add.  Cells are read from A's row table and products and sums from
+    the memo's tables, so row(), memo.mul and memo.add run only on a
+    miss."""
+    mul, add, zero, muls, adds = (memo.mul, memo.add, memo.zero, memo.muls,
+                                  memo.adds)
+    rows, row, right = alg._rows, alg.row, alg.sides[1]
+    for i0, x1 in x.items():
+        cells0 = rows[i0]
+        for j0, y1 in y.get(right[i0], ()):
+            row0 = cells0.get(j0)
+            if row0 is None:
+                row0 = row(i0, j0)
             if not row0:
                 continue
-            for i1, x2 in _items(x1):
-                for j1, y2 in y1.get(right[i1], _NO_GROUP).items():
-                    row1 = row(i1, j1)
+            for i1, x2 in x1.items():
+                cells1 = rows[i1]
+                for j1, y2 in y1.get(right[i1], ()):
+                    row1 = cells1.get(j1)
+                    if row1 is None:
+                        row1 = row(i1, j1)
                     if not row1:
                         continue
                     upper = [(k0, k1, c1 if c0 is one else c0 if c1 is one
-                              else mul(c0, c1))
+                              else muls.get((id(c0), id(c1))) or mul(c0, c1))
                              for k0, c0 in row0 for k1, c1 in row1]
-                    for (i2, mx, nx), cx in _items(x2):
-                        for (j2, my, ny), cy in y2.get(right[i2],
-                                                       _NO_GROUP).items():
-                            row2 = row(i2, j2)
+                    for (i2, mx, nx), cx in x2.items():
+                        cells2 = rows[i2]
+                        for (j2, my, ny), cy in y2.get(right[i2], ()):
+                            row2 = cells2.get(j2)
+                            if row2 is None:
+                                row2 = row(i2, j2)
                             if not row2:
                                 continue
                             cxy = (cy if cx is one else cx if cy is one else
@@ -127,7 +154,8 @@ def _walk(x, y, alg, memo, one, out):
                                 if c01 is one:
                                     c01 = cxy
                                 elif cxy is not one:
-                                    c01 = mul(c01, cxy)
+                                    c01 = (muls.get((id(c01), id(cxy)))
+                                           or mul(c01, cxy))
                                 for k2, c2 in row2:
                                     if c2 is one:
                                         v = c01
@@ -139,7 +167,8 @@ def _walk(x, y, alg, memo, one, out):
                                     key = (k0, k1, k2, e_mu, e_nu)
                                     old = out.get(key)
                                     if old is not None:
-                                        v = add(old, v)
+                                        s = adds.get((id(old), id(v)))
+                                        v = add(old, v) if s is None else s
                                         if v is zero:
                                             del out[key]
                                             continue
@@ -152,7 +181,8 @@ def residual(alg: Algebra, placed, sides) -> dict:
     {(e_mu, e_nu): {(i, j): nonzero Scalar}}, target slots; the unit in the
     third) and each side a triple of positions in it: the YBE is
     ((0, 1, 2), (2, 1, 0))."""
-    memo, left = Memo(alg.domain), alg.sides[0]
+    memo, (left, right) = Memo(alg.domain), alg.sides
+    classes = set(right) - {None}
     # the memo's 1 is the rows' shared 1, so every value 1 here is `one`
     one = alg.domain.one()
     one = memo.intern(alg._constants.setdefault(normal_key(one), one))
@@ -167,12 +197,13 @@ def residual(alg: Algebra, placed, sides) -> dict:
                     key = [u, u, u]
                     key[s], key[t] = i, j
                     terms[(*reversed(key), *e)] = memo.mul(c, cu)
-        tries.append(_trie(terms, left))
+        trie = _trie(terms)
+        tries.append((trie, _meets(trie, left, classes)))
     a, b = {}, {}
     for (x, y, z), out in zip(sides, (a, b)):
         xy = {}
-        _walk(tries[x], tries[y], alg, memo, one, xy)
-        _walk(_trie(xy, left), tries[z], alg, memo, one, out)
+        _walk(tries[x][0], tries[y][1], alg, memo, one, xy)
+        _walk(_trie(xy), tries[z][1], alg, memo, one, out)
     if a == b:
         return {}
     zero = memo.zero

@@ -45,18 +45,28 @@ def corrupted(alg, pair, label, factor):
 
 # by algebra object: every corruption of one T_n's coproduct, counit or
 # antipode shares its algebra
+_PAIR_PRODUCTS = weakref.WeakKeyDictionary()
 _ELEMENT_VIOLATIONS = weakref.WeakKeyDictionary()
+
+
+def pair_products(alg):
+    """[[b_i b_j for j] for i], the products of basis elements as
+    AlgebraElements, each formed once per algebra object."""
+    if alg not in _PAIR_PRODUCTS:
+        basis = list(map(alg.basis, alg.labels))
+        _PAIR_PRODUCTS[alg] = [[x * y for y in basis] for x in basis]
+    return _PAIR_PRODUCTS[alg]
 
 
 def element_violations(alg):
     """(associativity, unit) failures by multiplying basis elements: every
     triple (a, b, c) with (ab)c != a(bc), and every label l with e l != l
-    or l e != l, each in basis order.  Each pair product b_i b_j is formed
-    once, and (b_i b_j) b_k and b_i (b_j b_k) read it."""
+    or l e != l, each in basis order.  (b_i b_j) b_k and b_i (b_j b_k)
+    read the pair products of pair_products()."""
     if alg not in _ELEMENT_VIOLATIONS:
         labels, e = alg.labels, alg.unit()
         basis = list(map(alg.basis, labels))
-        pairs = [[x * y for y in basis] for x in basis]
+        pairs = pair_products(alg)
         n = range(alg.dim)
         _ELEMENT_VIOLATIONS[alg] = (
             [(labels[i], labels[j], labels[k])

@@ -21,10 +21,11 @@ from hopfbax import (
 from hopfbax import hopf
 from hopfbax.algebra import associativity_violations, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
+from hopfbax.double import _rewritten
 from hopfbax.regressions import criterion_8
 from hopfbax.scalars import accumulate, laurent_by_key
 from hopfbax.taft import _primitive_roots, canonical_r_mu
-from hopfbax.ybe import YbeReport, ybe_residual
+from hopfbax.ybe import YbeReport, residual_report, ybe_residual
 
 from reference_ybe import reference_residual
 
@@ -260,6 +261,143 @@ def test_double_sides_match_their_rows(n):
 
 
 # ---------------------------------------------------------------------------
+# the counit basis of H*, in which the algebraic checks walk
+# ---------------------------------------------------------------------------
+
+_UNIT = (0, 0)     # the label of 1 = a^0 x^0 in T_N, and of eps in C
+
+
+def _in_pair_basis(pairs, combo):
+    """((pair index, Scalar), ...) as an element of the double."""
+    return pairs.element({pairs.labels[i]: c for i, c in combo})
+
+
+@pytest.mark.parametrize("n, conventions", [
+    (2, CONVENTIONS), (3, CONVENTIONS), (4, (DEFAULT_CONVENTION,))])
+def test_counit_basis_cells_are_the_pair_products_written_in_c(n, conventions):
+    # (g, eps) is embedded g and every other pair of C the pair of its
+    # label; to_c undoes from_c; every cell of the counit-basis algebra is
+    # the pair-basis product of its two elements, written in C; and every
+    # cell that the declared classes rule out (both not None, unequal) is
+    # empty, the pairs (g, eps) being of class None under the conventions
+    # that declare the rule
+    for q in _primitive_roots(n) if n < 4 else (None,):
+        h = build_taft(n, q)
+        for conv in conventions:
+            d = build_double(h, conv)
+            alg, to_c, from_c = d._counit_basis()
+            pairs, one = d.algebra, d.domain.one()
+            for i, (g, f) in enumerate(alg.labels):
+                assert _in_pair_basis(pairs, from_c[i]) == (
+                    d.embed_h(g) if f == _UNIT else pairs.basis((g, f)))
+                back = {}
+                for k, c in to_c[i]:
+                    for p, cp in from_c[k]:
+                        accumulate(back, p, c * cp)
+                assert back == {i: one}
+            left, right = alg.sides
+            if "right" in conv:
+                assert alg.sides == ((0,) * alg.dim,) * 2
+            else:
+                assert [c is None for c in left] == [
+                    f == _UNIT for _, f in alg.labels] == [
+                    c is None for c in right]
+            basis = range(alg.dim)
+            for i in basis:
+                for j in basis:
+                    want = {}
+                    for a, ca in from_c[i]:
+                        for b, cb in from_c[j]:
+                            for k, ck in pairs.row(a, b):
+                                for p, cp in to_c[k]:
+                                    accumulate(want, p, ca * cb * ck * cp)
+                    cell = alg.row(i, j)
+                    assert dict(cell) == want, (q, conv, i, j)
+                    assert not cell or None in (right[i], left[j]) or (
+                        right[i] == left[j]), (q, conv, i, j)
+
+
+def test_canonical_r_in_the_counit_basis():
+    # R = sum_{b != 1} (b, eps) (x) (1, b*) + (1, eps) (x) ((1, eps) -
+    # sum_{m != 0} (1, (a^m)*)): N^2 + N - 1 terms, where the pair basis
+    # has N^3; D's unit is the one pair (1, eps)
+    for n in range(2, 9):
+        d = build_double(build_taft(n))
+        alg, to_c, _ = d._counit_basis()
+        one, index = d.domain.one(), alg.index
+        r = canonical_r(d).tensor()
+        assert len(r.terms) == n ** 3
+        got = _rewritten({(index[a], index[b]): c
+                          for (a, b), c in r.terms.items()}, to_c, 2)
+        unit = index[_UNIT, _UNIT]
+        want = {(index[b, _UNIT], index[_UNIT, b]): one
+                for b in d.h.algebra.labels if b != _UNIT}
+        want[unit, unit] = one
+        for m in range(1, n):
+            want[unit, index[_UNIT, (m, 0)]] = -one
+        assert got == want and len(got) == n * n + n - 1, n
+        assert alg._unit_terms == {(_UNIT, _UNIT): one}
+
+
+def _pair_basis_report(kind, double, blocks, parametric) -> YbeReport:
+    """The report of the walk in the pair basis (g, f), f in the monomial
+    dual basis, as the algebraic checks made it before they walked in
+    the counit basis: the reference of the one they make now."""
+    alg = double.algebra
+    index, labels = alg.index, alg.labels
+    res = ybe_residual(alg, {
+        e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
+        for e, t in blocks.items()}, parametric)
+    return residual_report(kind, alg.dim, {
+        ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
+        for (i0, i1, i2, e_mu, e_nu), c in res.items()},
+        lambda key: f"[{' (x) '.join(map(alg.label_str, key))}]", repr)
+
+
+def _counit_basis_inputs():
+    for n in (2, 3, 4):
+        for q in _primitive_roots(n) if n < 4 else (None,):
+            d = build_double(build_taft(n, q))
+            two = d.domain.one() * 2
+            r, family = canonical_r(d).tensor(), canonical_r_mu(d)
+            yield f"canonical R, D(T_{n}), q = {q}", d, r
+            yield f"2 R, D(T_{n}), q = {q}", d, r.scaled(two)
+            yield f"R(mu), D(T_{n}), q = {q}", d, family
+            yield f"2 R(mu), D(T_{n}), q = {q}", d, {
+                e: t.scaled(two) for e, t in family.items()}
+            yield f"block 1 scaled by 2, D(T_{n}), q = {q}", d, {
+                **family, 1: family[1].scaled(two)}
+            top = max(family)
+            yield f"top block moved up one, D(T_{n}), q = {q}", d, {
+                **{e: t for e, t in family.items() if e != top},
+                top + 1: family[top]}
+            # the first key, (1, 1*) (x) (1, 1*), has 1* in both slots
+            ordered = sorted(r.terms, key=repr)
+            for key in (ordered[0], *random.Random(n).sample(ordered, 2)):
+                yield f"D(T_{n}) term {key} doubled, q = {q}", d, _doubled(
+                    r, key)
+    for n in (2, 3):
+        left = build_double(build_taft(n), "left_s")
+        yield f"left_s, D(T_{n})", left, canonical_r(left).tensor()
+
+
+def test_counit_basis_reports_equal_the_pair_basis_walk():
+    seen = []
+    for name, d, r in _counit_basis_inputs():
+        if isinstance(r, TensorElement):
+            got = check_constant_ybe_algebraic(d, r)
+            want = _pair_basis_report("constant-algebraic", d, {0: r}, False)
+        else:
+            got = check_parametric_ybe_algebraic(d, r)
+            want = _pair_basis_report("parametric-algebraic", d,
+                                      mu_components(r), True)
+        assert got == want, name
+        seen.append(got)
+    assert any(r.passed for r in seen) and any(not r.passed for r in seen)
+    assert any(r.worst and r.worst.count("mu") > 1 for r in seen)
+
+
+# ---------------------------------------------------------------------------
 # the index-space walk against the block-pair engine it replaced
 # ---------------------------------------------------------------------------
 
@@ -341,9 +479,11 @@ def test_walk_reports_equal_the_block_pair_engine():
 
 
 def test_declared_sides_leave_the_residual_as_one_class_does():
-    # the double's classes skip only cells the rule proves empty, so on
-    # failing inputs the walk gives, key for key, the residual of a walk
-    # that puts every basis index in one class
+    # the double's classes skip only cells the rule proves empty, in the
+    # pair basis and in the counit basis of H*, where the pairs (g, eps)
+    # are of class None and meet every class, so on failing inputs the walk
+    # gives, key for key, the residual of a walk that puts every basis
+    # index in one class
     d, left = (build_double(build_taft(3), conv)
                for conv in (DEFAULT_CONVENTION, "left_s"))
     r, family = canonical_r(d).tensor(), canonical_r_mu(d)
@@ -352,24 +492,31 @@ def test_declared_sides_leave_the_residual_as_one_class_does():
                  d.domain.one() * 2)}), True),
              (left, {0: canonical_r(left).tensor()}, False)]
     for double, blocks, parametric in cases:
-        blind = build_double(double.h, double.convention).algebra
-        blind.sides = ((0,) * blind.dim,) * 2
         index = double.algebra.index
         blocks = {e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
                   for e, t in blocks.items()}
-        got = ybe_residual(double.algebra, blocks, parametric)
-        assert got, (double.convention, parametric)
-        assert got == ybe_residual(blind, blocks, parametric)
+        to_c = double._counit_basis()[1]
+        for basis, keyed in (
+                (lambda x: x.algebra, blocks),
+                (lambda x: x._counit_basis()[0],
+                 {e: _rewritten(t, to_c, 2) for e, t in blocks.items()})):
+            blind = basis(build_double(double.h, double.convention))
+            blind.sides = ((0,) * blind.dim,) * 2
+            got = ybe_residual(basis(double), keyed, parametric)
+            assert got, (double.convention, parametric)
+            assert got == ybe_residual(blind, keyed, parametric)
 
 
 def test_warm_and_cold_doubles_give_identical_reports():
-    # the warm double's row table, and so its shared constants, is filled
-    # before any check's memo exists; the cold double fills it while walking
+    # the warm double's row table in the counit basis, where the checks
+    # walk, and so its shared constants, is filled before any check's memo
+    # exists; the cold double fills it while walking
     warm, cold = (build_double(build_taft(3)) for _ in range(2))
-    basis = range(warm.algebra.dim)
+    table = warm._counit_basis()[0]
+    basis = range(table.dim)
     for i in basis:
         for j in basis:
-            warm.algebra.row(i, j)
+            table.row(i, j)
     reports = []
     for d in (warm, cold):
         r = canonical_r(d).tensor()

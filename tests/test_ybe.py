@@ -284,6 +284,14 @@ def test_residual_with_matrix_unit_sides_equals_the_reference():
         cyclotomic(3), ((0, 0, 1, 1), (0, 1, 0, 1))))
 
 
+def test_residual_with_none_classes_equals_the_reference():
+    # a class None meets every class: F_01 (index 1) declares no left
+    # class and F_10 (index 2) no right class, and the walk still pairs
+    # every pair of keys whose product may be nonzero
+    _check_against_the_reference(_doubled_matrix_units(
+        cyclotomic(3), ((0, None, 1, 1), (0, 1, None, 1))))
+
+
 def test_residual_keys_read_in_slot_order():
     # in M_2, X = E_00 (x) E_01 (x) 1 mu, Y = 1 (x) E_11 (x) E_10 nu^2 and
     # Z = E_00 (x) 1 (x) E_00: XYZ = E_00 (x) E_01 (x) E_10 mu nu^2, and
