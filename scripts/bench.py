@@ -10,6 +10,7 @@ The record holds:
     acceptance ladder, the largest Taft module verdict, the largest double
     verdict and a cold ``import hopfbax`` under ``python -S``;
   * the counts line of ``scripts/mutants.py --smoke``;
+  * ``src_lines``, the ``wc -l`` total of ``src/hopfbax/*.py``;
   * ``git_rev`` (HEAD) and ``dirty`` (whether the work tree differed from
     HEAD when the run started).
 
@@ -96,13 +97,19 @@ def mutants_smoke():
             "seconds": float(m[4]), "line": line}
 
 
+def src_lines():
+    return sum(p.read_bytes().count(b"\n")
+               for p in (ROOT / "src" / "hopfbax").glob("*.py"))
+
+
 def main() -> int:
     taken = [int(p.stem.split("_")[1]) for p in ROOT.glob("BENCH_*.json")
              if p.stem.split("_")[1].isdigit()]
     n = max(taken, default=0) + 1
     record = {"git_rev": _git("rev-parse", "HEAD") or None,
               "dirty": bool(_git("status", "--porcelain")),
-              "perfbench": {}, "wall_s": {}, "wall_runs_s": {}}
+              "src_lines": src_lines(), "perfbench": {}, "wall_s": {},
+              "wall_runs_s": {}}
     for workload in WORKLOADS:
         record["perfbench"][workload] = perfbench(workload)
         print(f"perfbench {workload}: {record['perfbench'][workload]}",

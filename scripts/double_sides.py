@@ -37,7 +37,7 @@ def main() -> int:
         for k in (k for k in range(1, N) if gcd(k, N) == 1):
             d = build_double(build_taft(N, z ** k))
             for basis, alg in (("pairs", d.algebra),
-                               ("C", d._counit_basis()[0])):
+                               ("C", d._counit_basis())):
                 t0 = time.perf_counter()
                 left, right = alg.sides
                 tested = nonempty = 0

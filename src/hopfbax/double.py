@@ -43,7 +43,6 @@ in the pair basis for its report.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product as iproduct
 from math import isqrt
 
 from .algebra import Algebra, AlgebraElement, TensorElement
@@ -102,9 +101,12 @@ class DoubleAlgebra:
     the label of 1^* stands for eps.  Then:
 
       * C is a basis of H*: eps = 1^* + sum_{l != 1} eps(l) l^*, as
-        eps(1) = 1, so putting eps in place of 1^* is a unitriangular
-        change, and 1^* = eps - sum_{l != 1} eps(l) l^*.  For T_N,
-        eps = sum_m (a^m)^*.
+        eps(1) = 1 (for T_N, eps = sum_m (a^m)^*).  So the change of basis
+        touches only the N^2 pairs (g, 1^*), and (g, eps) takes their
+        indices: into C, (g, 1^*) = (g, eps) - sum_{l != 1} eps(l) (g, l^*),
+        and back, (g, eps) = (g, 1^*) + that sum.  _eps_rest maps the
+        index of each (g, 1^*) to ((index of (g, l^*), eps(l)), ...); every
+        other index passes through with its coefficient as it is.
       * R = sum_l l (x) l^* has N^2 + N - 1 terms on the pairs of C: as
         eps is the unit of D, embedded l is the one pair (l, eps), not the
         N pairs (l, (a^m)^*), so R = sum_{l != 1} (l, eps) (x) (1, l^*) +
@@ -150,7 +152,7 @@ class DoubleAlgebra:
                                unit_terms, self._pair_product,
                                label_str=label_str, sides=sides)
         self._cross = {}     # h label -> {dual label -> {pair: Scalar}}
-        self._counit = None  # (algebra, to_c, from_c): _counit_basis()
+        self._counit = self._eps_rest = None   # _counit_basis()
 
     @property
     def domain(self):
@@ -213,42 +215,31 @@ class DoubleAlgebra:
 
     # -- the counit basis of H* -------------------------------------------------
     def _counit_basis(self):
-        """(algebra, to_c, from_c), built on first use: the double on the
-        pairs (g, f) with f in C, where the label of 1^* stands for eps
-        (see the class docstring), and to_c[i] and from_c[i] write pair i
-        of the pair basis in C, and pair i of C in the pair basis, as
-        ((pair index, Scalar), ...).  Both bases share the labels and so
-        the indices."""
+        """The double on the pairs (g, f) with f in C, where the label of
+        1^* stands for eps (see the class docstring), built on first use
+        with _eps_rest.  Both bases share the labels and so the indices."""
         if self._counit is None:
             halg, dalg, pairs = self.h.algebra, self.dual_algebra, self.algebra
             (u,) = halg._unit_terms
-            eps, one, index = dalg._unit_terms, self.domain.one(), pairs.index
-            rest = [(l, c) for l, c in eps.items() if l != u]
-            to_c, from_c = [], []
-            for i, (g, f) in enumerate(pairs.labels):
-                if f == u:   # 1^* = eps - sum_{l != 1} eps(l) l^*
-                    to_c.append(((i, one), *(
-                        (index[g, l], -c) for l, c in rest)))
-                    from_c.append(tuple(   # eps = sum_l eps(l) l^*
-                        (index[g, l], c) for l, c in eps.items()))
-                else:
-                    to_c.append(((i, one),))
-                    from_c.append(((i, one),))
+            eps, index = dalg._unit_terms, pairs.index
+            self._eps_rest = {index[g, u]: tuple(
+                (index[g, l], c) for l, c in eps.items() if l != u)
+                for g in halg.labels}
             sides = None
             if "right" not in self.convention:   # (g, eps) meets every class
                 sides = tuple(tuple(None if f == u else c for (_, f), c
                                     in zip(pairs.labels, side))
                               for side in pairs.sides)
-            self._counit = (Algebra(
+            self._counit = Algebra(
                 f"{pairs.name} on C", pairs.domain, pairs.labels,
-                {(u, u): one}, self._counit_product, sides=sides),
-                to_c, from_c)
+                {(u, u): self.domain.one()}, self._counit_product,
+                sides=sides)
         return self._counit
 
     def _counit_product(self, p1, p2):
         """(g1, f1)(g2, f2) in the counit basis: (g1 g2, f2) read off H's
         row when f1 is eps, else _straightened() with each 1^* of the
-        result written in C."""
+        result written in C by _eps_rest."""
         (g1, f1), (g2, f2) = p1, p2
         halg, dalg = self.h.algebra, self.dual_algebra
         (u,) = halg._unit_terms
@@ -256,12 +247,14 @@ class DoubleAlgebra:
             hidx, hlab = halg.index, halg.labels
             return {(hlab[k], f2): c
                     for k, c in halg.row(hidx[g1], hidx[g2])}
-        labels, to_c, dim = self.algebra.labels, self._counit[1], dalg.dim
+        labels, rest, dim = self.algebra.labels, self._eps_rest, dalg.dim
         out = {}
         for (g, f), c in self._straightened(
                 g1, f1, g2, None if f2 == u else dalg.index[f2]).items():
-            for p, s in to_c[g * dim + f]:
-                accumulate(out, labels[p], c * s)
+            p = g * dim + f
+            accumulate(out, labels[p], c)
+            for k, e in rest.get(p, ()):
+                accumulate(out, labels[k], -(c * e))
         return out
 
     # -- embeddings -------------------------------------------------------------
@@ -328,33 +321,37 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
 # algebraic Yang-Baxter checks (exact expansion in D (x) D (x) D)
 # ---------------------------------------------------------------------------
 
-def _rewritten(terms: dict, legs, n: int) -> dict:
-    """{(i_1, ..., i_n, *rest): Scalar} with each basis index i_s written
-    as legs[i_s] = ((index, Scalar), ...), slot by slot; zero sums go."""
-    out = {}
-    for key, c in terms.items():
-        for combo in iproduct(*(legs[i] for i in key[:n])):
-            v = c
-            for _, s in combo:
-                v = v * s
-            accumulate(out, (*(i for i, _ in combo), *key[n:]), v)
-    return out
+def _rewritten(terms: dict, rest: dict, n: int, back: bool) -> dict:
+    """{(i_1, ..., i_n, *tail): Scalar} with each i_s that is a key of rest
+    (DoubleAlgebra._eps_rest) rewritten, slot by slot: into C, (g, 1^*) =
+    (g, eps) - sum_{l != 1} eps(l) (g, l^*); back, (g, eps) = (g, 1^*) +
+    that sum.  A term with no such index passes through, its coefficient
+    object unmultiplied; zero sums go."""
+    for s in range(n):
+        out = {}
+        for k, c in terms.items():
+            accumulate(out, k, c)
+            for i, e in rest.get(k[s], ()):
+                v = c * e
+                accumulate(out, (*k[:s], i, *k[s + 1:]), v if back else -v)
+        terms = out
+    return terms
 
 
 def _algebraic_report(kind, double, blocks, parametric) -> YbeReport:
     """ybe_residual() of R(mu) = sum_e mu^e blocks[e] in D (x) D (x) D,
     walked in the counit basis and reported in the pair basis, by label
     triple (ties to the first by repr)."""
-    alg, to_c, from_c = double._counit_basis()
-    pairs = double.algebra
-    index, labels = pairs.index, pairs.labels
+    alg, pairs = double._counit_basis(), double.algebra
+    index, labels, rest = pairs.index, pairs.labels, double._eps_rest
     res = ybe_residual(alg, {
         e: _rewritten({(index[a], index[b]): c
-                       for (a, b), c in t.terms.items()}, to_c, 2)
+                       for (a, b), c in t.terms.items()}, rest, 2, False)
         for e, t in blocks.items()}, parametric)
     return residual_report(kind, alg.dim, {
         ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
-        for (i0, i1, i2, e_mu, e_nu), c in _rewritten(res, from_c, 3).items()},
+        for (i0, i1, i2, e_mu, e_nu), c in _rewritten(
+            res, rest, 3, True).items()},
         lambda key: f"[{' (x) '.join(map(pairs.label_str, key))}]", repr)
 
 

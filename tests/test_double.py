@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import product as iproduct
 
 import pytest
 
@@ -23,7 +24,7 @@ from hopfbax.algebra import associativity_violations, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
 from hopfbax.double import _rewritten
 from hopfbax.regressions import criterion_8
-from hopfbax.scalars import accumulate, laurent_by_key
+from hopfbax.scalars import Scalar, accumulate, laurent_by_key
 from hopfbax.taft import _primitive_roots, canonical_r_mu
 from hopfbax.ybe import YbeReport, residual_report, ybe_residual
 
@@ -267,34 +268,33 @@ def test_double_sides_match_their_rows(n):
 _UNIT = (0, 0)     # the label of 1 = a^0 x^0 in T_N, and of eps in C
 
 
-def _in_pair_basis(pairs, combo):
-    """((pair index, Scalar), ...) as an element of the double."""
-    return pairs.element({pairs.labels[i]: c for i, c in combo})
+def _in_pair_basis(pairs, terms):
+    """{(pair index,): Scalar} as an element of the double."""
+    return pairs.element({pairs.labels[i]: c for (i,), c in terms.items()})
 
 
 @pytest.mark.parametrize("n, conventions", [
     (2, CONVENTIONS), (3, CONVENTIONS), (4, (DEFAULT_CONVENTION,))])
 def test_counit_basis_cells_are_the_pair_products_written_in_c(n, conventions):
     # (g, eps) is embedded g and every other pair of C the pair of its
-    # label; to_c undoes from_c; every cell of the counit-basis algebra is
-    # the pair-basis product of its two elements, written in C; and every
-    # cell that the declared classes rule out (both not None, unequal) is
-    # empty, the pairs (g, eps) being of class None under the conventions
-    # that declare the rule
+    # label; writing into C undoes writing back; every cell of the
+    # counit-basis algebra is the pair-basis product of its two elements,
+    # written in C; and every cell that the declared classes rule out
+    # (both not None, unequal) is empty, the pairs (g, eps) being of class
+    # None under the conventions that declare the rule
     for q in _primitive_roots(n) if n < 4 else (None,):
         h = build_taft(n, q)
         for conv in conventions:
             d = build_double(h, conv)
-            alg, to_c, from_c = d._counit_basis()
-            pairs, one = d.algebra, d.domain.one()
+            alg = d._counit_basis()
+            pairs, one, rest = d.algebra, d.domain.one(), d._eps_rest
+            back = [_rewritten({(i,): one}, rest, 1, True)
+                    for i in range(alg.dim)]
             for i, (g, f) in enumerate(alg.labels):
-                assert _in_pair_basis(pairs, from_c[i]) == (
+                assert _in_pair_basis(pairs, back[i]) == (
                     d.embed_h(g) if f == _UNIT else pairs.basis((g, f)))
-                back = {}
-                for k, c in to_c[i]:
-                    for p, cp in from_c[k]:
-                        accumulate(back, p, c * cp)
-                assert back == {i: one}
+                assert _rewritten(_rewritten({(i,): one}, rest, 1, False),
+                                  rest, 1, True) == {(i,): one}
             left, right = alg.sides
             if "right" in conv:
                 assert alg.sides == ((0,) * alg.dim,) * 2
@@ -306,15 +306,48 @@ def test_counit_basis_cells_are_the_pair_products_written_in_c(n, conventions):
             for i in basis:
                 for j in basis:
                     want = {}
-                    for a, ca in from_c[i]:
-                        for b, cb in from_c[j]:
+                    for (a,), ca in back[i].items():
+                        for (b,), cb in back[j].items():
                             for k, ck in pairs.row(a, b):
-                                for p, cp in to_c[k]:
-                                    accumulate(want, p, ca * cb * ck * cp)
+                                accumulate(want, (k,), ca * cb * ck)
                     cell = alg.row(i, j)
-                    assert dict(cell) == want, (q, conv, i, j)
+                    assert {(k,): c for k, c in cell} == _rewritten(
+                        want, rest, 1, False), (q, conv, i, j)
                     assert not cell or None in (right[i], left[j]) or (
                         right[i] == left[j]), (q, conv, i, j)
+
+
+def test_counit_rewrite_touches_only_the_pairs_of_one_star(monkeypatch):
+    # on D(T_3) the rewrite map has one key per pair (g, 1^*), each holding
+    # the N - 1 pairs (g, (a^m)^*), m != 0; a key with no such slot comes
+    # out of either direction as it went in, with the same coefficient
+    # object and no Scalar product; and writing into C and back, or back
+    # and into C, is the identity on every pair index
+    d = build_double(build_taft(3))
+    alg, dom = d._counit_basis(), d.domain
+    rest, index = d._eps_rest, alg.index
+    assert rest == {index[g, _UNIT]: tuple(
+        (index[g, (m, 0)], dom.one()) for m in (1, 2))
+        for g in d.h.algebra.labels}
+    others = [i for i in range(alg.dim) if i not in rest]
+    assert len(others) == alg.dim - 9
+    products = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    coefficients = (dom.one(), dom.q(), -dom.one())
+    for n, (i, j) in enumerate(iproduct(others, repeat=2)):
+        c = coefficients[n % 3]
+        for back in (False, True):
+            got = _rewritten({(i, j, 5, 0): c}, rest, 2, back)
+            assert got == {(i, j, 5, 0): c} and got[i, j, 5, 0] is c
+    assert not products
+    one = dom.one()
+    for i in range(alg.dim):
+        for back in (False, True):
+            there = _rewritten({(i,): one}, rest, 1, back)
+            assert len(there) == (3 if i in rest else 1)
+            assert _rewritten(there, rest, 1, not back) == {(i,): one}, i
 
 
 def test_canonical_r_in_the_counit_basis():
@@ -323,12 +356,13 @@ def test_canonical_r_in_the_counit_basis():
     # has N^3; D's unit is the one pair (1, eps)
     for n in range(2, 9):
         d = build_double(build_taft(n))
-        alg, to_c, _ = d._counit_basis()
-        one, index = d.domain.one(), alg.index
+        alg = d._counit_basis()
+        one, index, rest = d.domain.one(), alg.index, d._eps_rest
+        assert isinstance(alg, Algebra) and len(rest) == n * n
         r = canonical_r(d).tensor()
         assert len(r.terms) == n ** 3
         got = _rewritten({(index[a], index[b]): c
-                          for (a, b), c in r.terms.items()}, to_c, 2)
+                          for (a, b), c in r.terms.items()}, rest, 2, False)
         unit = index[_UNIT, _UNIT]
         want = {(index[b, _UNIT], index[_UNIT, b]): one
                 for b in d.h.algebra.labels if b != _UNIT}
@@ -495,11 +529,12 @@ def test_declared_sides_leave_the_residual_as_one_class_does():
         index = double.algebra.index
         blocks = {e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
                   for e, t in blocks.items()}
-        to_c = double._counit_basis()[1]
+        double._counit_basis()
         for basis, keyed in (
                 (lambda x: x.algebra, blocks),
-                (lambda x: x._counit_basis()[0],
-                 {e: _rewritten(t, to_c, 2) for e, t in blocks.items()})):
+                (lambda x: x._counit_basis(), {
+                    e: _rewritten(t, double._eps_rest, 2, False)
+                    for e, t in blocks.items()})):
             blind = basis(build_double(double.h, double.convention))
             blind.sides = ((0,) * blind.dim,) * 2
             got = ybe_residual(basis(double), keyed, parametric)
@@ -512,7 +547,7 @@ def test_warm_and_cold_doubles_give_identical_reports():
     # walk, and so its shared constants, is filled before any check's memo
     # exists; the cold double fills it while walking
     warm, cold = (build_double(build_taft(3)) for _ in range(2))
-    table = warm._counit_basis()[0]
+    table = warm._counit_basis()
     basis = range(table.dim)
     for i in basis:
         for j in basis:

@@ -574,9 +574,10 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_bounds_what_a_power_grows():
-    # only q, s, mu and nu take an exponent, |k| <= MAX_EXPONENT, and no
-    # value may print an exponent above MAX_EXPONENT: every power of a
-    # compound base is refused before anything is evaluated
+    # only q, s, mu and nu take an exponent, |k| <= MAX_EXPONENT (q^-1001
+    # is refused even where q^7 = 1), and no value may print an exponent
+    # above MAX_EXPONENT: every power of a compound base is refused before
+    # anything is evaluated
     for bad, dom in [("(1+mu+nu)^1000", SQRT_Q),
                      ("((1+mu+nu)^10)^100", SQRT_Q),
                      ("(1+mu+nu)^31", SQRT_Q),
@@ -591,7 +592,8 @@ def test_parse_bounds_what_a_power_grows():
                      ("((2)^1000)^1000", RATIONAL),
                      ("(2^10)^101", RATIONAL),
                      ("(mu^10)^100", SQRT_Q), ("(-s)^2", SQRT_Q),
-                     ("mu^1001", SQRT_Q), ("q^501", SQRT_Q)]:
+                     ("mu^1001", SQRT_Q), ("q^501", SQRT_Q),
+                     ("q^-1001", cyclotomic(7))]:
         t0 = time.perf_counter()
         with pytest.raises(ValueError):
             parse_param_scalar(bad, dom)
@@ -602,6 +604,8 @@ def test_parse_bounds_what_a_power_grows():
         SQRT_Q.s() ** -1000)
     assert parse_param_scalar("((q))^1000", cyclotomic(7)) == \
         parse_param_scalar("q^6", cyclotomic(7))
+    assert parse_param_scalar("q^-1000", cyclotomic(7)) == \
+        parse_param_scalar("q", cyclotomic(7))
     # a product spans at most its factors' spreads added: (30 + 1)^2 <= 1001
     # terms allow 30 bivariate linear factors, not 31
     for base, terms in (("(1+mu+nu)", 496), ("(1+mu+s)", 31)):

@@ -94,6 +94,9 @@ def test_committed_bench_records_name_every_row():
         counts = record["mutants_smoke"]
         assert all(type(counts[k]) is int and counts[k] >= 0
                    for k in ("survived", "equivalent")), path.name
+        if int(path.stem.split("_")[1]) >= 6:   # recorded from BENCH_6 on
+            lines = record["src_lines"]
+            assert type(lines) is int and lines > 0, path.name
 
 
 def test_perfbench_trace_targets_exist():
