@@ -8,10 +8,8 @@ first use and kept.  An algebra may declare ``sides = (left, right)``,
 one class per basis index each, with the promise that ``row(i, j)`` is
 empty unless ``right[i] == left[j]`` or one of the two is None, a class
 that meets every class (E_ac has left a and right c in the matrix
-units; under a convention that twists h_(1), the pair (g, f) of D(T_N)
-has left f_a + f_x - g_x mod N and right f_a, and in the counit basis of
-H* the pairs (g, eps) are of class None, see double.DoubleAlgebra); the
-default puts every index in one class.
+units, and D(T_N) in the counit basis of H* declares the class rule of
+double.DoubleAlgebra); the default puts every index in one class.
 Elements are sparse dictionaries over basis labels.
 TensorElement holds elements of tensor products of (possibly different)
 algebras, with Scalar coefficients over basis-label keys.  A family that

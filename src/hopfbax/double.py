@@ -65,40 +65,12 @@ def _pair_terms(h_terms: dict, dual_terms: dict) -> dict:
 
 
 class DoubleAlgebra:
-    """The double as a table-driven Algebra on pair labels (g, f).
-
-    For h = T_N (build_taft, the only H this package doubles) and a
-    convention that twists the left leg h_(1) (no "right" in its name),
-    the Algebra declares sides: with g = a^{g_a} x^{g_x} and
-    f = (a^{f_a} x^{f_x})^*, the pair (g, f) has left class
-    f_a + f_x - g_x (mod N) and right class f_a, and a product of pairs is
-    zero unless the right class of the first is the left class of the
-    second.  Give a^m x^j the weight (m mod N, j).  Then:
-
-      * T_N's product adds weights: a^i x^j a^k x^l = q^{jk} a^{i+k} x^{j+l}
-        (or 0), as x a = q a x only scales;
-      * Delta^2(a^m x^t) is a sum of a^{m+t-s} x^s (x) a^{m+t-k} x^{k-s}
-        (x) a^m x^{t-k} over s <= k <= t, so h_(1) = a^{u_a} x^{u_x} has
-        u_a + u_x = m + t and h_(3) has a-weight m;
-      * S(a^m x^j) is a multiple of a^{-m-j} x^j, and (m, j) -> (-m-j, j)
-        is an involution, so S and S^{-1} both map weight (m, j) to
-        (-m-j, j);
-      * (a^p x^k)^* (a^i x^j)^* is 0 unless p = i + j (mod N), as H*'s
-        product is the transpose of Delta (see taft._dual_images).
-
-    Now f . g = sum h_(2) (x |-> f(L x R)), with x |-> f(L x R) =
-    sum_k f(L k R) k^*.  For g of weight (m, t), L and R are h_(3) and
-    S^{+-1}(h_(1)) in some order, so L k R has a-weight m + k_a - (m + t),
-    and f(L k R) = 0 unless k_a = f_a + t (mod N).  In (g1, f1)(g2, f2) =
-    sum (g1 h_(2)) (k^* f2), the factor k^* f2 is 0 unless
-    k_a = f2_a + f2_x, so the product is 0 unless
-    f1_a = f2_a + f2_x - g2_x (mod N).  Twisting h_(3) instead makes the
-    a-weight of L k R depend on the x-weight of h_(2), so those four
-    conventions keep the default single class.
+    """The double as a table-driven Algebra on pair labels (g, f), every
+    index of one class; the algebraic checks walk in the counit basis.
 
     The counit basis of H* (_counit_basis).  With 1 the unit of H,
-    C = {eps} u {l^* : l != 1}, and a pair (g, f) stands for g f as above;
-    the label of 1^* stands for eps.  Then:
+    C = {eps} u {l^* : l != 1}, and a pair (g, f) stands for g f as in the
+    pair basis; the label of 1^* stands for eps.  Then:
 
       * C is a basis of H*: eps = 1^* + sum_{l != 1} eps(l) l^*, as
         eps(1) = 1 (for T_N, eps = sum_m (a^m)^*).  So the change of basis
@@ -121,12 +93,39 @@ class DoubleAlgebra:
         basis under every convention, since there eps . g = g eps: eps
         is multiplicative, eps S^{+-1} = eps, and
         sum eps(h_(1)) h_(2) eps(h_(3)) = h.
-      * The sides: a pair (g, f) with f != eps is the pair of the same
-        label in both bases, so a cell of two such pairs is the pair
-        basis' cell written in C, empty when the class rule above makes
-        that empty; those pairs keep their classes.  The N^2 pairs
-        (g, eps) declare class None, which meets every class, so the
-        walk never skips a cell of theirs.
+
+    The sides of C.  For h = T_N (build_taft, the only H this package
+    doubles) and a convention that twists the left leg h_(1) (no "right"
+    in its name), C declares sides: with g = a^{g_a} x^{g_x} and
+    f = (a^{f_a} x^{f_x})^* != eps, the pair (g, f) has left class
+    f_a + f_x - g_x (mod N) and right class f_a; the N^2 pairs (g, eps)
+    are of class None, which meets every class, so the walk never skips
+    a cell of theirs.  A product of two pairs with f != eps is zero unless
+    the right class of the first is the left class of the second.  Give
+    a^m x^j the weight (m mod N, j).  Then:
+
+      * T_N's product adds weights: a^i x^j a^k x^l = q^{jk} a^{i+k} x^{j+l}
+        (or 0), as x a = q a x only scales;
+      * Delta^2(a^m x^t) is a sum of a^{m+t-s} x^s (x) a^{m+t-k} x^{k-s}
+        (x) a^m x^{t-k} over s <= k <= t, so h_(1) = a^{u_a} x^{u_x} has
+        u_a + u_x = m + t and h_(3) has a-weight m;
+      * S(a^m x^j) is a multiple of a^{-m-j} x^j, and (m, j) -> (-m-j, j)
+        is an involution, so S and S^{-1} both map weight (m, j) to
+        (-m-j, j);
+      * (a^p x^k)^* (a^i x^j)^* is 0 unless p = i + j (mod N), as H*'s
+        product is the transpose of Delta (see taft._dual_images).
+
+    Now f . g = sum h_(2) (x |-> f(L x R)), with x |-> f(L x R) =
+    sum_k f(L k R) k^*.  For g of weight (m, t), L and R are h_(3) and
+    S^{+-1}(h_(1)) in some order, so L k R has a-weight m + k_a - (m + t),
+    and f(L k R) = 0 unless k_a = f_a + t (mod N).  In the pair basis,
+    (g1, f1)(g2, f2) = sum (g1 h_(2)) (k^* f2), and the factor k^* f2 is 0
+    unless k_a = f2_a + f2_x, so the product is 0 unless
+    f1_a = f2_a + f2_x - g2_x (mod N).  A pair with f != eps is the pair
+    of the same label in both bases, so a cell of C of two such pairs is
+    that product written in C, and empty when it is.  Twisting h_(3)
+    instead makes the a-weight of L k R depend on the x-weight of h_(2),
+    so those four conventions keep the default single class.
     """
 
     def __init__(self, h: HopfAlgebra, convention: str = DEFAULT_CONVENTION):
@@ -143,14 +142,9 @@ class DoubleAlgebra:
             g, f = pair
             return f"{halg.label_str(g)}.{dalg.label_str(f)}"
 
-        sides = None
-        if "right" not in convention:   # the class rule of the docstring
-            N = isqrt(halg.dim)
-            sides = tuple(zip(*(((fa + fx - gx) % N, fa)
-                                for (_, gx), (fa, fx) in labels)))
         self.algebra = Algebra(f"D({halg.name})", halg.domain, labels,
                                unit_terms, self._pair_product,
-                               label_str=label_str, sides=sides)
+                               label_str=label_str)
         self._cross = {}     # h label -> {dual label -> {pair: Scalar}}
         self._counit = self._eps_rest = None   # _counit_basis()
 
@@ -195,14 +189,14 @@ class DoubleAlgebra:
         basis element of index j2, or the unit eps of H* if j2 is None."""
         halg, dalg = self.h.algebra, self.dual_algebra
         hidx, didx = halg.index, dalg.index
-        i1 = hidx[g1]
-        one = dalg.domain.one() if j2 is None else None
-        out = {}
+        i1, out = hidx[g1], {}
         for (v, k), c in self._cross_for(g2)[f1].items():
-            kf = ((didx[k], one),) if j2 is None else dalg.row(didx[k], j2)
-            if kf:
-                for gg, cg in halg.row(i1, hidx[v]):
-                    ccg = c * cg
+            kf = None if j2 is None else dalg.row(didx[k], j2)
+            for gg, cg in halg.row(i1, hidx[v]) if kf is None or kf else ():
+                ccg = c * cg
+                if kf is None:   # k eps = k, with no product by 1
+                    accumulate(out, (gg, didx[k]), ccg)
+                else:
                     for ff, cf in kf:
                         accumulate(out, (gg, ff), ccg * cf)
         return out
@@ -226,10 +220,11 @@ class DoubleAlgebra:
                 (index[g, l], c) for l, c in eps.items() if l != u)
                 for g in halg.labels}
             sides = None
-            if "right" not in self.convention:   # (g, eps) meets every class
-                sides = tuple(tuple(None if f == u else c for (_, f), c
-                                    in zip(pairs.labels, side))
-                              for side in pairs.sides)
+            if "right" not in self.convention:   # the class rule of the docstring
+                N = isqrt(halg.dim)
+                sides = tuple(zip(*(((fa + fx - gx) % N, fa) if (fa, fx) != u
+                                    else (None, None)
+                                    for (_, gx), (fa, fx) in pairs.labels)))
             self._counit = Algebra(
                 f"{pairs.name} on C", pairs.domain, pairs.labels,
                 {(u, u): self.domain.one()}, self._counit_product,

@@ -28,10 +28,10 @@ A d^2 x d^2 matrix is an element of End V (x) End V = M_d (x) M_d, so the
 matrix checks run the same engine in the matrix-unit algebra M_d (E_ac
 is basis index a d + c, of left a and right c, and every structure
 constant is 1), built by each check (the memo's id keys need its row
-table to outlive them).  The double D(T_N) declares sides too (the class
-rule and its proof are in double.DoubleAlgebra), so the algebraic checks
-skip the cells of its row table that the rule proves empty; they walk in
-the counit basis of H*, whose pairs (g, eps) are of class None.
+table to outlive them).  The algebraic checks of the double D(T_N) walk
+in the counit basis of H*, which declares sides too (the class rule and
+its proof are in double.DoubleAlgebra; the pairs (g, eps) are of class
+None), so they skip the cells of its row table that the rule proves empty.
 """
 
 from __future__ import annotations

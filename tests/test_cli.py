@@ -260,6 +260,8 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
      "entries": [{"row": 1, "col": 1, "value": "1/(1+mu)"}]},
     {"dim": 1, "domain": "cyclotomic(64)", "param": None,
      "entries": [{"row": 1, "col": 1, "value": "(1+q)^1000"}]},
+    # an order below the tags' range, 2..MAX_ORDER
+    {"dim": 1, "domain": "cyclotomic(1)", "param": None, "entries": []},
 ])
 def test_verify_bad_values_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"

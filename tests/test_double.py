@@ -24,7 +24,7 @@ from hopfbax.algebra import associativity_violations, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
 from hopfbax.double import _rewritten
 from hopfbax.regressions import criterion_8
-from hopfbax.scalars import Scalar, accumulate, laurent_by_key
+from hopfbax.scalars import Domain, Scalar, accumulate, laurent_by_key
 from hopfbax.taft import _primitive_roots, canonical_r_mu
 from hopfbax.ybe import YbeReport, residual_report, ybe_residual
 
@@ -239,33 +239,45 @@ def test_straightening_matches_the_element_sandwich(n, conventions):
                 assert d._cross_for(g) == _reference_cross_for(d, g), (q, conv, g)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_double_sides_match_their_rows(n):
-    # the conventions that twist h_(1) declare the class rule proved in
-    # DoubleAlgebra's docstring, so the walk pairs only keys that can meet:
-    # every cell the rule rules out is empty; the other four conventions
-    # break the rule and keep the single class
-    for q in _primitive_roots(n):
-        h = build_taft(n, q)
-        for conv in CONVENTIONS:
-            alg = build_double(h, conv).algebra
-            left, right = alg.sides
-            if "right" in conv:
-                assert alg.sides == ((0,) * alg.dim,) * 2, conv
-                continue
-            assert set(left) == set(right) == set(range(n)), conv
-            basis = range(alg.dim)
-            for i in basis:
-                for j in basis:
-                    if right[i] != left[j]:
-                        assert not alg.row(i, j), (q, conv, i, j)
-
-
 # ---------------------------------------------------------------------------
 # the counit basis of H*, in which the algebraic checks walk
 # ---------------------------------------------------------------------------
 
 _UNIT = (0, 0)     # the label of 1 = a^0 x^0 in T_N, and of eps in C
+
+
+def test_pair_basis_declares_no_classes(taft3):
+    # the class rule is declared once, on the counit basis the walk reads;
+    # the pair basis puts every index in one class under every convention
+    for conv in CONVENTIONS:
+        alg = build_double(taft3, conv).algebra
+        assert alg.sides == ((0,) * alg.dim,) * 2, conv
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_double_sides_match_their_rows(n):
+    # under the conventions that twist h_(1), the counit basis declares the
+    # class rule proved in DoubleAlgebra's docstring, with the pairs
+    # (g, eps) of class None, so the walk pairs only keys that can meet:
+    # every cell where both classes are declared and differ is empty; the
+    # other four conventions break the rule and keep the single class
+    for q in _primitive_roots(n):
+        h = build_taft(n, q)
+        for conv in CONVENTIONS:
+            alg = build_double(h, conv)._counit_basis()
+            left, right = alg.sides
+            if "right" in conv:
+                assert alg.sides == ((0,) * alg.dim,) * 2, conv
+                continue
+            assert set(left) == set(right) == {*range(n), None}, conv
+            assert [c is None for c in left] == [
+                f == _UNIT for _, f in alg.labels] == [
+                c is None for c in right], conv
+            basis = range(alg.dim)
+            for i in basis:
+                for j in basis:
+                    if None not in (right[i], left[j]) and right[i] != left[j]:
+                        assert not alg.row(i, j), (q, conv, i, j)
 
 
 def _in_pair_basis(pairs, terms):
@@ -348,6 +360,38 @@ def test_counit_rewrite_touches_only_the_pairs_of_one_star(monkeypatch):
             there = _rewritten({(i,): one}, rest, 1, back)
             assert len(there) == (3 if i in rest else 1)
             assert _rewritten(there, rest, 1, not back) == {(i,): one}, i
+
+
+def test_counit_cells_by_eps_take_no_product_by_one(monkeypatch):
+    # k eps = k: filling every cell (g1, f1)(g2, eps) of D(T_3)'s counit
+    # basis, _straightened multiplies each term of f1 . g2 by H's row
+    # constants only, and never by a 1 the domain hands out for eps
+    d = build_double(build_taft(3))
+    alg, halg = d._counit_basis(), d.h.algebra
+    for g in halg.labels:
+        d._cross_for(g)
+    for i, j in iproduct(range(halg.dim), repeat=2):
+        halg.row(i, j)
+    ones, operands = [], []
+    one, mul = Domain.one, Scalar.__mul__
+
+    def counted_one(dom):
+        ones.append(one(dom))
+        return ones[-1]
+
+    def traced(a, b):
+        if sys._getframe(1).f_code.co_name == "_straightened":
+            operands.extend((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Domain, "one", counted_one)
+    monkeypatch.setattr(Scalar, "__mul__", traced)
+    for (i, (_, f1)), (j, (_, f2)) in iproduct(enumerate(alg.labels),
+                                               repeat=2):
+        if f1 != _UNIT and f2 == _UNIT:
+            alg.row(i, j)
+    assert operands
+    assert not [x for x in operands if any(x is o for o in ones)]
 
 
 def test_canonical_r_in_the_counit_basis():
@@ -513,11 +557,10 @@ def test_walk_reports_equal_the_block_pair_engine():
 
 
 def test_declared_sides_leave_the_residual_as_one_class_does():
-    # the double's classes skip only cells the rule proves empty, in the
-    # pair basis and in the counit basis of H*, where the pairs (g, eps)
-    # are of class None and meet every class, so on failing inputs the walk
-    # gives, key for key, the residual of a walk that puts every basis
-    # index in one class
+    # the classes of the counit basis of H*, where the pairs (g, eps) are
+    # of class None and meet every class, skip only cells the rule proves
+    # empty, so on failing inputs the walk gives, key for key, the residual
+    # of a walk that puts every basis index in one class
     d, left = (build_double(build_taft(3), conv)
                for conv in (DEFAULT_CONVENTION, "left_s"))
     r, family = canonical_r(d).tensor(), canonical_r_mu(d)
@@ -526,20 +569,16 @@ def test_declared_sides_leave_the_residual_as_one_class_does():
                  d.domain.one() * 2)}), True),
              (left, {0: canonical_r(left).tensor()}, False)]
     for double, blocks, parametric in cases:
-        index = double.algebra.index
-        blocks = {e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
-                  for e, t in blocks.items()}
-        double._counit_basis()
-        for basis, keyed in (
-                (lambda x: x.algebra, blocks),
-                (lambda x: x._counit_basis(), {
-                    e: _rewritten(t, double._eps_rest, 2, False)
-                    for e, t in blocks.items()})):
-            blind = basis(build_double(double.h, double.convention))
-            blind.sides = ((0,) * blind.dim,) * 2
-            got = ybe_residual(basis(double), keyed, parametric)
-            assert got, (double.convention, parametric)
-            assert got == ybe_residual(blind, keyed, parametric)
+        alg, index = double._counit_basis(), double.algebra.index
+        keyed = {e: _rewritten({(index[a], index[b]): c
+                                for (a, b), c in t.terms.items()},
+                               double._eps_rest, 2, False)
+                 for e, t in blocks.items()}
+        blind = build_double(double.h, double.convention)._counit_basis()
+        blind.sides = ((0,) * blind.dim,) * 2
+        got = ybe_residual(alg, keyed, parametric)
+        assert got, (double.convention, parametric)
+        assert got == ybe_residual(blind, keyed, parametric)
 
 
 def test_warm_and_cold_doubles_give_identical_reports():
