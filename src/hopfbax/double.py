@@ -37,7 +37,12 @@ The algebraic Yang-Baxter checks expand R12 R13 R23 - R23 R13 R12 in
 D (x) D (x) D through the residual engine of ybe.py, on basis indices,
 in the counit basis of H* (DoubleAlgebra), where the canonical element
 has N^2 + N - 1 terms instead of N^3; a nonzero residual is written back
-in the pair basis for its report.
+in the pair basis for its report.  They walk the left side as
+R12 (R13 R23) and the right side as (R23 R13) R12, the brackets whose
+first product collapses (its third slot is a product in H*), so they
+assume that D is associative: then each bracket is the YBE's side.  The
+default convention's double is associative (the tests show it for
+N <= 3), and so is the failing "left_s" control.
 """
 
 from __future__ import annotations
@@ -335,14 +340,15 @@ def _rewritten(terms: dict, rest: dict, n: int, back: bool) -> dict:
 
 def _algebraic_report(kind, double, blocks, parametric) -> YbeReport:
     """ybe_residual() of R(mu) = sum_e mu^e blocks[e] in D (x) D (x) D,
-    walked in the counit basis and reported in the pair basis, by label
-    triple (ties to the first by repr)."""
+    walked in the counit basis as R12 (R13 R23) and (R23 R13) R12 and
+    reported in the pair basis, by label triple (ties to the first by
+    repr)."""
     alg, pairs = double._counit_basis(), double.algebra
     index, labels, rest = pairs.index, pairs.labels, double._eps_rest
     res = ybe_residual(alg, {
         e: _rewritten({(index[a], index[b]): c
                        for (a, b), c in t.terms.items()}, rest, 2, False)
-        for e, t in blocks.items()}, parametric)
+        for e, t in blocks.items()}, parametric, ((0, (1, 2)), ((2, 1), 0)))
     return residual_report(kind, alg.dim, {
         ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
         for (i0, i1, i2, e_mu, e_nu), c in _rewritten(
@@ -351,12 +357,14 @@ def _algebraic_report(kind, double, blocks, parametric) -> YbeReport:
 
 
 def check_constant_ybe_algebraic(double: DoubleAlgebra, r: TensorElement) -> YbeReport:
-    """R12 R13 R23 = R23 R13 R12 for R in D (x) D, expanded exactly."""
+    """R12 R13 R23 = R23 R13 R12 for R in D (x) D, expanded exactly as
+    R12 (R13 R23) and (R23 R13) R12, which assumes D associative."""
     return _algebraic_report("constant-algebraic", double, {0: r}, False)
 
 
 def check_parametric_ybe_algebraic(double: DoubleAlgebra, r_mu: dict) -> YbeReport:
     """R12(mu) R13(mu nu) R23(nu) = R23(nu) R13(mu nu) R12(mu), exactly,
-    for a family r_mu = {e: R_e} meaning R(mu) = sum_e mu^e R_e."""
+    for a family r_mu = {e: R_e} meaning R(mu) = sum_e mu^e R_e, expanded
+    as R12 (R13 R23) and (R23 R13) R12, which assumes D associative."""
     return _algebraic_report("parametric-algebraic", double,
                              mu_components(r_mu), True)

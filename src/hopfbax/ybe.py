@@ -11,27 +11,37 @@ free slot, is one trie nested from the third slot down (zero products
 prune soonest there), with the (mu, nu) exponents in its leaf keys, and
 a copy of it whose every level maps a right class r to the keys that a
 key of class r may meet: by A.sides, those of left class r and those of
-left class None, which meet every class.  A side is two walks, its first
-two factors into a trie and that times the third, into one sum keyed
-(i2, i1, i0, e_mu, e_nu) as the tries nest.  A walk pairs a key i only
-with the keys the copy holds for right[i] (every key, if right[i] is
-None), as A.sides promises that no other basis product is nonzero, and
-it takes no product by the memo's 1, which is A's shared structure
-constant 1, so a structure constant 1 costs no lookup.  Every product
-and sum goes through one scalars.Memo of interned values, made by the
-check and dropped with it, whose tables the walk reads inline.  The two
-sums are compared, not cancelled: the residual is empty when they are
-equal, and otherwise side 0 minus side 1 at the keys where they differ,
-re-keyed in slot order (i0, i1, i2, e_mu, e_nu).
+left class None, which meet every class.  A side is two walks, into one
+sum keyed (i2, i1, i0, e_mu, e_nu) as the tries nest, and says which pair
+of its factors is multiplied first: ((x, y), z) walks x times y into a
+trie and that times z; (x, (y, z)) walks y times z, turns that sum into a
+trie and its _meets() copy, and walks x times it.  Both brackets give the
+same element when A is associative, so for an associative A either
+bracket walks the YBE's side.  A walk pairs a key i only with the keys
+the copy holds for right[i] (every key, if right[i] is None), as A.sides
+promises that no other basis product is nonzero, and it takes no product
+by the memo's 1, which is A's shared structure constant 1, so a
+structure constant 1 costs no lookup.  Every product and sum goes
+through one scalars.Memo of interned values, made by the check and
+dropped with it, whose tables the walk reads inline.  The two sums are
+compared, not cancelled: the residual is empty when they are equal, and
+otherwise side 0 minus side 1 at the keys where they differ, re-keyed in
+slot order (i0, i1, i2, e_mu, e_nu).
 
 A d^2 x d^2 matrix is an element of End V (x) End V = M_d (x) M_d, so the
 matrix checks run the same engine in the matrix-unit algebra M_d (E_ac
 is basis index a d + c, of left a and right c, and every structure
 constant is 1), built by each check (the memo's id keys need its row
-table to outlive them).  The algebraic checks of the double D(T_N) walk
+table to outlive them); M_d is associative, and its checks walk (x y) z
+on both sides: there the bracket changes no count, and x (y z) would pay
+for one more _meets().  The algebraic checks of the double D(T_N) walk
 in the counit basis of H*, which declares sides too (the class rule and
 its proof are in double.DoubleAlgebra; the pairs (g, eps) are of class
-None), so they skip the cells of its row table that the rule proves empty.
+None), so they skip the cells of its row table that the rule proves
+empty.  They walk R12 (R13 R23) and (R23 R13) R12: R13 R23 and R23 R13
+have their third slot a product in H*, so their sums collapse, where
+R12 R13 = sum e_i e_j (x) e^i (x) e^j has distinct keys that the product
+by R23 would mostly cancel.
 """
 
 from __future__ import annotations
@@ -179,8 +189,9 @@ def residual(alg: Algebra, placed, sides) -> dict:
     """Side 0 minus side 1 in alg^(x)3 as {(i0, i1, i2, e_mu, e_nu): Scalar}
     (i_s the basis index in slot s), for `placed` a list of (family
     {(e_mu, e_nu): {(i, j): nonzero Scalar}}, target slots; the unit in the
-    third) and each side a triple of positions in it: the YBE is
-    ((0, 1, 2), (2, 1, 0))."""
+    third) and each side three positions in it, bracketed: ((x, y), z)
+    walks (x y) z and (x, (y, z)) walks x (y z).  The YBE is
+    (((0, 1), 2), ((2, 1), 0))."""
     memo, (left, right) = Memo(alg.domain), alg.sides
     classes = set(right) - {None}
     # the memo's 1 is the rows' shared 1, so every value 1 here is `one`
@@ -200,10 +211,17 @@ def residual(alg: Algebra, placed, sides) -> dict:
         trie = _trie(terms)
         tries.append((trie, _meets(trie, left, classes)))
     a, b = {}, {}
-    for (x, y, z), out in zip(sides, (a, b)):
-        xy = {}
-        _walk(tries[x][0], tries[y][1], alg, memo, one, xy)
-        _walk(_trie(xy), tries[z][1], alg, memo, one, out)
+    for side, out in zip(sides, (a, b)):
+        pair = {}
+        if isinstance(side[0], tuple):      # (x y) z
+            (x, y), z = side
+            _walk(tries[x][0], tries[y][1], alg, memo, one, pair)
+            _walk(_trie(pair), tries[z][1], alg, memo, one, out)
+        else:                               # x (y z)
+            x, (y, z) = side
+            _walk(tries[y][0], tries[z][1], alg, memo, one, pair)
+            _walk(tries[x][0], _meets(_trie(pair), left, classes), alg, memo,
+                  one, out)
     if a == b:
         return {}
     zero = memo.zero
@@ -211,13 +229,15 @@ def residual(alg: Algebra, placed, sides) -> dict:
             for key in {**a, **b} if a.get(key) != b.get(key)}
 
 
-def ybe_residual(alg: Algebra, blocks: dict, parametric: bool) -> dict:
+def ybe_residual(alg: Algebra, blocks: dict, parametric: bool,
+                 sides=(((0, 1), 2), ((2, 1), 0))) -> dict:
     """residual() of the YBE for R(mu) = sum_e mu^e blocks[e]: R(mu) in
-    every slot, or R12(mu) R13(mu nu) R23(nu) when parametric."""
+    every slot, or R12(mu) R13(mu nu) R23(nu) when parametric, each side
+    bracketed as `sides` says (positions 0, 1, 2 are R12, R13, R23)."""
     subs = ((1, 0), (1, 1), (0, 1)) if parametric else ((1, 0),) * 3
     placed = [({(e * a, e * b): t for e, t in blocks.items()}, slots)
               for (a, b), slots in zip(subs, ((0, 1), (0, 2), (1, 2)))]
-    return residual(alg, placed, ((0, 1, 2), (2, 1, 0)))
+    return residual(alg, placed, sides)
 
 
 def matrix_units(d: int, domain) -> Algebra:
@@ -248,7 +268,8 @@ def _matrix_report(kind, r: ParametricMatrix) -> YbeReport:
             out[a * d + c, b * d + e] = s
     if kind == "braid":
         b = {(e, 0): t for e, t in blocks.items()}
-        res = residual(alg, [(b, (0, 1)), (b, (1, 2))], ((0, 1, 0), (1, 0, 1)))
+        res = residual(alg, [(b, (0, 1)), (b, (1, 2))],
+                       (((0, 1), 0), ((1, 0), 1)))
     else:
         res = ybe_residual(alg, blocks, kind == "parametric")
     entries = {}

@@ -1,10 +1,12 @@
-"""Hypothesis strategies for exact scalar domains."""
+"""Hypothesis strategies for exact scalar domains, and for the bound path
+algebras of random quivers on which the YBE walk is fuzzed."""
 
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
 from hopfbax import RATIONAL, SQRT_Q, ParamScalar, cyclotomic
+from path_algebras import coefficients, path_algebra, quiver_paths
 
 _small = st.integers(min_value=-9, max_value=9)
 
@@ -88,3 +90,36 @@ def cyclotomic_param_scalars():
     """param_scalars over Q(zeta_n) for a composite order n."""
     return st.sampled_from(COMPOSITE_ORDERS).flatmap(
         lambda n: param_scalars(cyclotomics(n), cyclotomic(n)))
+
+
+# ---------------------------------------------------------------------------
+# bound path algebras of random quivers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def path_algebra_cases(draw, domain=cyclotomic(3)):
+    """(A, families, blocks): a path_algebra() of 2-4 vertices, 1-4 arrows,
+    length 1-3 and q one of q, -1 (so that q^2 is the constant 1) and 2,
+    with a random set of paths of class None on each side; three families
+    {(e_mu, e_nu): {(i, j): Scalar}} over its basis numbers, with random
+    exponents; and blocks {e: {(i, j): Scalar}} of a family in mu."""
+    vertices = draw(st.integers(min_value=2, max_value=4))
+    vertex = st.integers(min_value=0, max_value=vertices - 1)
+    arrows = draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                           max_size=4))
+    length = draw(st.integers(min_value=1, max_value=3))
+    q = draw(st.sampled_from((domain.q(), -domain.one(),
+                              domain.from_fraction(2))))
+    dim = len(quiver_paths(vertices, arrows, length))
+    basis = st.integers(min_value=0, max_value=dim - 1)
+    unclassed = (draw(st.sets(basis, max_size=3)),
+                 draw(st.sets(basis, max_size=3)))
+    block = st.dictionaries(st.tuples(basis, basis), st.sampled_from(
+        coefficients(domain)), min_size=2, max_size=5)
+    exponent = st.integers(min_value=-2, max_value=2)
+    families = draw(st.lists(st.dictionaries(
+        st.tuples(exponent, exponent), block, min_size=1, max_size=2),
+        min_size=3, max_size=3))
+    blocks = draw(st.dictionaries(exponent, block, min_size=1, max_size=2))
+    return (path_algebra(vertices, arrows, length, q, unclassed), families,
+            blocks)

@@ -407,13 +407,14 @@ def test_json_loader_fuzz_gives_a_matrix_or_a_load_error(obj):
     ("double", "--N", "2", "--convention", "left_s"),   # removed options
     ("taft", "--N", "4", "--rep", "3,1", "--raw"),
     # LaTeX is written only for matrices, and --output only takes a matrix
-    # or a result text: reports go to stderr
+    # or a result text: verify's report goes to stderr only, and double's
+    # --output needs a path
     ("double", "--N", "2", "--format", "latex"),
     ("verify", "--input", _R_JSON, "--format", "latex"),
     ("baxterize", "--N", "2", "--format", "latex"),
     ("all-regressions", "--format", "latex"),
     ("taft", "--N", "2", "--format", "latex"),
-    ("double", "--N", "2", "--output", "report.txt"),
+    ("double", "--N", "2", "--output"),
     ("verify", "--input", _R_JSON, "--output", "report.txt"),
     ("taft", "--N", "2", "--output", "report.txt"),
 ])
@@ -581,6 +582,27 @@ def test_all_regressions_output_leaves_stderr_empty(tmp_path, capsys):
     assert (code, out, err) == (0, "", "")
     lines = target.read_text().splitlines()
     assert len(lines) == 12 and all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize("parametric", [False, True])
+def test_double_reports_go_to_output_as_json(tmp_path, capsys, parametric):
+    # stderr keeps its reports, and the file holds them as one JSON list
+    target = tmp_path / "d3.json"
+    flags = ("--parametric",) * parametric
+    code, out, err = run_cli(capsys, "double", "--N", "3", *flags,
+                             "--format", "json", "--output", str(target))
+    assert (code, out) == (0, "")
+    assert run_cli(capsys, "double", "--N", "3", *flags,
+                   "--format", "json") == (0, "", err)
+    reports = json.loads(target.read_text())
+    assert [r["kind"] for r in reports] == [
+        "constant-algebraic", "parametric-algebraic"][:1 + parametric]
+    assert all(r["passed"] and r["dim"] == 81 for r in reports)
+    assert "".join(json.dumps(r, indent=2, sort_keys=True) + "\n"
+                   for r in reports) == err
+    code, _, err = run_cli(capsys, "double", "--N", "3", *flags,
+                           "--output", str(target))
+    assert code == 0 and target.read_text() == err
 
 
 def test_absolute_output_ignores_env_dir(tmp_path, capsys, monkeypatch):

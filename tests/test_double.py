@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from itertools import product as iproduct
@@ -495,7 +496,7 @@ def _reference_triple_compare(kind, double, f12, f13, f23) -> YbeReport:
     reference_residual, over label keys."""
     residual = reference_residual(
         double.algebra, [(f12, (0, 1)), (f13, (0, 2)), (f23, (1, 2))],
-        ((0, 1, 2), (2, 1, 0)))
+        (((0, 1), 2), ((2, 1), 0)))
     by_key = laurent_by_key(residual)
     return YbeReport(kind=kind, dim=double.algebra.dim, passed=not residual,
                      residual_terms=len(by_key),
@@ -556,29 +557,67 @@ def test_walk_reports_equal_the_block_pair_engine():
     assert any(r.worst and r.worst.count("mu") > 1 for r in seen)
 
 
+def _failing_controls():
+    """(double, R or family) for three failing controls of D(T_3): a
+    doubled canonical term, a scaled parametric block, and left_s."""
+    d, left = (build_double(build_taft(3), conv)
+               for conv in (DEFAULT_CONVENTION, "left_s"))
+    r, family = canonical_r(d).tensor(), canonical_r_mu(d)
+    return [(d, _doubled(r, min(r.terms))),
+            (d, {**family, 1: family[1].scaled(d.domain.one() * 2)}),
+            (left, canonical_r(left).tensor())]
+
+
+def _counit_blocks(double, r):
+    """(the counit basis, blocks in it over basis numbers, parametric) for
+    R or a family, as the algebraic checks hand them to ybe_residual."""
+    parametric = not isinstance(r, TensorElement)
+    alg, index = double._counit_basis(), double.algebra.index
+    blocks = mu_components(r) if parametric else {0: r}
+    return alg, {e: _rewritten({(index[a], index[b]): c
+                                for (a, b), c in t.terms.items()},
+                               double._eps_rest, 2, False)
+                 for e, t in blocks.items()}, parametric
+
+
 def test_declared_sides_leave_the_residual_as_one_class_does():
     # the classes of the counit basis of H*, where the pairs (g, eps) are
     # of class None and meet every class, skip only cells the rule proves
     # empty, so on failing inputs the walk gives, key for key, the residual
     # of a walk that puts every basis index in one class
-    d, left = (build_double(build_taft(3), conv)
-               for conv in (DEFAULT_CONVENTION, "left_s"))
-    r, family = canonical_r(d).tensor(), canonical_r_mu(d)
-    cases = [(d, {0: _doubled(r, min(r.terms))}, False),
-             (d, mu_components({**family, 1: family[1].scaled(
-                 d.domain.one() * 2)}), True),
-             (left, {0: canonical_r(left).tensor()}, False)]
-    for double, blocks, parametric in cases:
-        alg, index = double._counit_basis(), double.algebra.index
-        keyed = {e: _rewritten({(index[a], index[b]): c
-                                for (a, b), c in t.terms.items()},
-                               double._eps_rest, 2, False)
-                 for e, t in blocks.items()}
+    for double, r in _failing_controls():
+        alg, keyed, parametric = _counit_blocks(double, r)
         blind = build_double(double.h, double.convention)._counit_basis()
         blind.sides = ((0,) * blind.dim,) * 2
         got = ybe_residual(alg, keyed, parametric)
         assert got, (double.convention, parametric)
         assert got == ybe_residual(blind, keyed, parametric)
+
+
+def test_double_brackets_give_equal_residuals_and_reports(monkeypatch):
+    # the checks walk R12 (R13 R23) and (R23 R13) R12, which is the YBE's
+    # residual as D is associative: on failing controls, (R12 R13) R23 on
+    # the left gives the same residual key for key, and the same reports
+    def texts(double, r):
+        check = (check_constant_ybe_algebraic if isinstance(r, TensorElement)
+                 else check_parametric_ybe_algebraic)
+        report = check(double, r)
+        return report.summary(), json.dumps(report.to_dict(), indent=2,
+                                            sort_keys=True)
+
+    controls = _failing_controls()
+    walked = [texts(*control) for control in controls]
+    for double, r in controls:
+        alg, keyed, parametric = _counit_blocks(double, r)
+        got = [ybe_residual(alg, keyed, parametric, sides)
+               for sides in ((((0, 1), 2), ((2, 1), 0)),
+                             ((0, (1, 2)), ((2, 1), 0)))]
+        assert got[0] and got[0] == got[1], (double.convention, parametric)
+    monkeypatch.setattr("hopfbax.double.ybe_residual",
+                        lambda alg, blocks, parametric, sides:
+                        ybe_residual(alg, blocks, parametric))
+    assert [texts(*control) for control in controls] == walked
+    assert not any('"passed": true' in text for _, text in walked)
 
 
 def test_warm_and_cold_doubles_give_identical_reports():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,14 +28,15 @@ from hopfbax import (
     taft_r_matrix,
     uqsl2_r_matrix,
 )
-from hopfbax.algebra import Algebra, TensorElement
+from hopfbax.algebra import Algebra
 from hopfbax.regressions import reference_taft_9x9
 from hopfbax.scalars import accumulate, eval_q_powers, proportionality_ratio
 from hopfbax.uqsl2 import spin_rep
 from hopfbax.ybe import cell, matrix_units, residual, residual_report, \
     ybe_residual
 
-from reference_ybe import reference_residual
+from path_algebras import check_walk_contract, coefficients, \
+    path_algebra, reference_by_index
 
 
 def _flip(d, domain):
@@ -240,17 +242,6 @@ def _doubled_matrix_units(domain, sides=None):
                    sides=sides)
 
 
-def _reference_residual(alg, placed, sides) -> dict:
-    """residual() by reference_residual, over basis numbers."""
-    labels, index = alg.labels, alg.index
-    placed = [({e: TensorElement((alg, alg), {
-        (labels[i], labels[j]): c for (i, j), c in block.items()})
-        for e, block in family.items()}, slots) for family, slots in placed]
-    return {(*map(index.get, key), mu, nu): v
-            for (key, mu, nu), v in reference_residual(
-                alg, placed, sides).items()}
-
-
 def _check_against_the_reference(alg):
     """residual() and ybe_residual() on M_2 on 2E equal the reference on
     failing constant, parametric and braid cases."""
@@ -261,14 +252,15 @@ def _check_against_the_reference(alg):
               1: {(2, 1): one - q, (0, 3): dom.from_fraction(3)}}
     cases = [([({(e * a, e * b): t for e, t in blocks.items()}, slots)
                for (a, b), slots in zip(subs, ((0, 1), (0, 2), (1, 2)))],
-              ((0, 1, 2), (2, 1, 0)))     # constant, then parametric
+              (((0, 1), 2), ((2, 1), 0)))   # constant, then parametric
              for subs in (((1, 0),) * 3, ((1, 0), (1, 1), (0, 1)))]
     braid = {(e, 0): t for e, t in blocks.items()}
-    cases.append(([(braid, (0, 1)), (braid, (1, 2))], ((0, 1, 0), (1, 0, 1))))
+    cases.append(([(braid, (0, 1)), (braid, (1, 2))],
+                  (((0, 1), 0), ((1, 0), 1))))
     for placed, sides in cases:
         got = residual(alg, placed, sides)
         assert got, sides
-        assert got == _reference_residual(alg, placed, sides), sides
+        assert got == reference_by_index(alg, placed, sides), sides
     for parametric, (placed, sides) in zip((False, True), cases):
         assert ybe_residual(alg, blocks, parametric) == residual(
             alg, placed, sides)
@@ -303,7 +295,7 @@ def test_residual_keys_read_in_slot_order():
     placed = [({(1, 0): {(0, 1): one}}, (0, 1)),
               ({(0, 2): {(3, 2): one}}, (1, 2)),
               ({(0, 0): {(0, 0): one}}, (0, 2))]
-    got = residual(alg, placed, ((0, 1, 2), (2, 1, 0)))
+    got = residual(alg, placed, (((0, 1), 2), ((2, 1), 0)))
     assert got == {(0, 1, 2, 1, 2): one}
 
 
@@ -317,6 +309,34 @@ def test_matrix_units_sides_match_their_rows(d):
     for i in basis:
         for j in basis:
             assert bool(alg.row(i, j)) == (right[i] == left[j]), (i, j)
+
+
+# ---------------------------------------------------------------------------
+# the walk's contract on bound path algebras (fuzzed in test_path_algebras)
+# ---------------------------------------------------------------------------
+
+def test_walk_contract_on_fixed_path_algebras():
+    # the first quiver is 0 -> 1 -> 2 with a loop at 1, bound at two
+    # arrows: vertices 0..2, arrows 3..5 and the paths 6..9 of two.  The
+    # first two quivers put keys of class None on vertices and on arrows,
+    # so at every level of the tries, and in every family
+    # coefficients 1 meet others
+    dom = cyclotomic(3)
+    q, one = dom.q(), dom.one()
+    quivers = [(3, [(0, 1), (1, 2), (1, 1)], 2, q, ({1, 4, 8}, {3, 5})),
+               (2, [(0, 1), (1, 0)], 3, -one, ({0, 3}, {2, 6})),
+               (4, [(0, 1), (1, 2), (2, 3), (0, 0)], 3, dom.from_fraction(2),
+                ((), ()))]
+    for seed, quiver in enumerate(quivers):
+        rng = random.Random(seed)
+        alg = path_algebra(*quiver)
+
+        def block():
+            return {(rng.randrange(alg.dim), rng.randrange(alg.dim)):
+                    rng.choice(coefficients(dom)) for _ in range(6)}
+        families = [{(rng.randint(-2, 2), rng.randint(-2, 2)): block()
+                     for _ in range(2)} for _ in range(3)]
+        check_walk_contract(alg, families, {0: block(), 1: block()})
 
 
 # ---------------------------------------------------------------------------
