@@ -2,15 +2,14 @@
 """Check the class rule D(T_N) declares as its sides, cell by cell.
 
 For each N in ORDERS and each primitive N-th root q, this builds the
-double of T_{N,q} under the default convention and, in the counit basis
-of H*, where the algebraic YBE checks walk and the only basis that
-declares classes, fills every cell of the row table that the declared
-sides rule out: the cells where both classes are declared (not None) and
-differ.  Each of them must be empty, or the YBE walk would drop residual
-terms.  The rule and its proof are in the docstring of DoubleAlgebra.
-Each row prints the cells tested, how many of them were nonempty, and
-the wall time; the script exits 1 if any was, or if the counit basis
-does not declare N classes.
+double of T_{N,q} under the default convention, whose one algebra lives
+in the counit basis of H*, and fills every cell of its row table that
+the declared sides rule out: the cells where both classes are declared
+(not None) and differ.  Each of them must be empty, or the YBE walk
+would drop residual terms.  The rule and its proof are in the docstring
+of DoubleAlgebra.  Each row prints the cells tested, how many of them
+were nonempty, and the wall time; the script exits 1 if any was, or if
+the double does not declare N classes.
 
     python3 scripts/double_sides.py
 """
@@ -35,7 +34,7 @@ def main() -> int:
         z = cyclotomic(N).q()
         for k in (k for k in range(1, N) if gcd(k, N) == 1):
             t0 = time.perf_counter()
-            alg = build_double(build_taft(N, z ** k))._counit_basis()
+            alg = build_double(build_taft(N, z ** k)).algebra
             left, right = alg.sides
             tested = nonempty = 0
             for i in range(alg.dim):

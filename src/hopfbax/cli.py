@@ -37,7 +37,7 @@ from .ybe import braid_check, check_constant_ybe, check_parametric_ybe
 OUTPUT_DIR_ENV = "HOPFBAX_OUTPUT_DIR"
 # largest --N: D(T_N), which --rep, --indecomposable, double and baxterize
 # build, has N^4 basis elements, and "double --N 8 --parametric" (both
-# algebraic YBE checks) took 0.78-1.07 s and 35 MB peak RSS in ten runs on
+# algebraic YBE checks) took 0.87-1.16 s and 35 MB peak RSS in ten runs on
 # a 2-vCPU host with Python 3.11.7
 MAX_N = 8
 
@@ -178,9 +178,10 @@ def run_baxterize(args) -> int:
     graded = decompose_graded(r, grading, grading)
     r_mu = baxterize_zn(graded, (1, 1)) if args.zn else baxterize(graded)
     # no R(1) = r check: the blocks split r's terms, and R(mu) adds them all
-    # R(mu) prints as one element with a Laurent coefficient per key
-    text = tensor_str(r.algebras, laurent_by_key(
-        {(k, e, 0): c for e, t in r_mu.items() for k, c in t.terms.items()}))
+    # R(mu) prints in the pair basis, one Laurent coefficient per key
+    text = tensor_str(r.algebras, laurent_by_key(d.in_pair_basis(
+        {(k, e, 0): c for e, t in r_mu.items() for k, c in t.terms.items()},
+        2)))
     if args.fmt == "json":
         payload = {"degrees": [str(k) for k in sorted(graded)], "terms": text}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args)

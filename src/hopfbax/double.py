@@ -33,16 +33,17 @@ the right, "s_inv_right" means x |-> f(S^{-1}(h_(3)) x h_(1)), and so on.
 The sandwich L x R is read off the index rows of H (Algebra.row) for each
 basis element x, one table per h, filled when a product first needs it.
 
-The algebraic Yang-Baxter checks expand R12 R13 R23 - R23 R13 R12 in
-D (x) D (x) D through the residual engine of ybe.py, on basis indices,
-in the counit basis of H* (DoubleAlgebra), where the canonical element
-has N^2 + N - 1 terms instead of N^3; a nonzero residual is written back
-in the pair basis for its report.  They walk the left side as
-R12 (R13 R23) and the right side as (R23 R13) R12, the brackets whose
-first product collapses (its third slot is a product in H*), so they
-assume that D is associative: then each bracket is the YBE's side.  The
-default convention's double is associative (the tests show it for
-N <= 3), and so is the failing "left_s" control.
+The double is one Algebra, in the counit basis of H* (DoubleAlgebra),
+where the canonical element has N^2 + N - 1 terms instead of N^3.  The
+algebraic Yang-Baxter checks expand R12 R13 R23 - R23 R13 R12 in
+D (x) D (x) D there, through the residual engine of ybe.py, on basis
+indices; a nonzero residual is written in the pair basis for its
+report.  They walk the left side as R12 (R13 R23) and the right side as
+(R23 R13) R12, the brackets whose first product collapses (its third
+slot is a product in H*), so they assume that D is associative: then
+each bracket is the YBE's side.  The default convention's double is
+associative (the tests show it for N <= 3), and so is the failing
+"left_s" control.
 """
 
 from __future__ import annotations
@@ -63,30 +64,25 @@ CONVENTIONS = ("s_inv_right", "s_inv_left", "s_right", "s_left",
 DEFAULT_CONVENTION = "inv_left_s"
 
 
-def _pair_terms(h_terms: dict, dual_terms: dict) -> dict:
-    """Coefficients of (sum c_g g) * (sum c_f f) on the pair labels (g, f)."""
-    return {(g, f): cg * cf for g, cg in h_terms.items()
-            for f, cf in dual_terms.items()}
-
-
 class DoubleAlgebra:
-    """The double as a table-driven Algebra on pair labels (g, f), every
-    index of one class; the algebraic checks walk in the counit basis.
-
-    The counit basis of H* (_counit_basis).  With 1 the unit of H,
-    C = {eps} u {l^* : l != 1}, and a pair (g, f) stands for g f as in the
-    pair basis; the label of 1^* stands for eps.  Then:
+    """The double as one table-driven Algebra on pair labels (g, f), in the
+    counit basis C = {eps} u {l^* : l != 1} of H*, with 1 the unit of H:
+    the label (g, f) stands for g f, and the label of 1^* stands for eps.
 
       * C is a basis of H*: eps = 1^* + sum_{l != 1} eps(l) l^*, as
-        eps(1) = 1 (for T_N, eps = sum_m (a^m)^*).  So the change of basis
-        touches only the N^2 pairs (g, 1^*), and (g, eps) takes their
-        indices: into C, (g, 1^*) = (g, eps) - sum_{l != 1} eps(l) (g, l^*),
-        and back, (g, eps) = (g, 1^*) + that sum.  _eps_rest maps the
-        index of each (g, 1^*) to ((index of (g, l^*), eps(l)), ...); every
-        other index passes through with its coefficient as it is.
-      * R = sum_l l (x) l^* has N^2 + N - 1 terms on the pairs of C: as
-        eps is the unit of D, embedded l is the one pair (l, eps), not the
-        N pairs (l, (a^m)^*), so R = sum_{l != 1} (l, eps) (x) (1, l^*) +
+        eps(1) = 1 (for T_N, eps = sum_m (a^m)^*).  So C differs from the
+        pair basis of H (x) H*, the monomial basis of H*, only at the N^2
+        pairs (g, eps), which take the labels of the pairs (g, 1^*):
+        (g, 1^*) = (g, eps) - sum_{l != 1} eps(l) (g, l^*), and
+        (g, eps) = (g, 1^*) + that sum.  _eps_rest maps the index of each
+        (g, 1^*) to ((index of (g, l^*), eps(l)), ...) over l != 1.  Every
+        element of D, and every R over d.algebra a user builds, is read in
+        C; the pair basis is only how a double element is printed
+        (in_pair_basis: the CLI's baxterize output and the algebraic YBE
+        reports).
+      * R = sum_l l (x) l^* has N^2 + N - 1 terms in C: as eps is the unit
+        of H*, embedded l is the one pair (l, eps), not the N pairs
+        (l, (a^m)^*), so R = sum_{l != 1} (l, eps) (x) (1, l^*) +
         (1, eps) (x) ((1, eps) - sum_{m != 0} (1, (a^m)^*)), N^2 - 1 +
         1 + N - 1 terms; in the pair basis it has N^3.  D's unit is the
         one pair (1, eps).
@@ -94,14 +90,14 @@ class DoubleAlgebra:
         off H's row.  For f1 != eps, (g1 f1)(g2 f2) = g1 (f1 . g2) f2 =
         sum c (g1 v)(k f2) over f1 . g2 = sum c v k (_cross_for), with
         k f2 read off H*'s row, or k f2 = k when f2 = eps, and each 1^*
-        of the result written in C.  Both are the products of the pair
-        basis under every convention, since there eps . g = g eps: eps
-        is multiplicative, eps S^{+-1} = eps, and
+        of the result written in C.  Both are the pair-basis products of
+        the elements written in C, under every convention, since there
+        eps . g = g eps: eps is multiplicative, eps S^{+-1} = eps, and
         sum eps(h_(1)) h_(2) eps(h_(3)) = h.
 
-    The sides of C.  For h = T_N (build_taft, the only H this package
-    doubles) and a convention that twists the left leg h_(1) (no "right"
-    in its name), C declares sides: with g = a^{g_a} x^{g_x} and
+    The sides.  For h = T_N (build_taft, the only H this package doubles)
+    and a convention that twists the left leg h_(1) (no "right" in its
+    name), the double declares sides: with g = a^{g_a} x^{g_x} and
     f = (a^{f_a} x^{f_x})^* != eps, the pair (g, f) has left class
     f_a + f_x - g_x (mod N) and right class f_a; the N^2 pairs (g, eps)
     are of class None, which meets every class, so the walk never skips
@@ -140,18 +136,27 @@ class DoubleAlgebra:
         self.dual_algebra = dual_algebra(h)
         self.convention = convention
         halg, dalg = h.algebra, self.dual_algebra
+        (u,) = halg._unit_terms
         labels = [(g, f) for g in halg.labels for f in dalg.labels]
-        unit_terms = _pair_terms(halg._unit_terms, dalg._unit_terms)
+        sides = None
+        if "right" not in convention:   # the class rule of the docstring
+            N = isqrt(halg.dim)
+            sides = tuple(zip(*(((fa + fx - gx) % N, fa) if (fa, fx) != u
+                                else (None, None)
+                                for (_, gx), (fa, fx) in labels)))
 
         def label_str(pair):
             g, f = pair
             return f"{halg.label_str(g)}.{dalg.label_str(f)}"
 
         self.algebra = Algebra(f"D({halg.name})", halg.domain, labels,
-                               unit_terms, self._pair_product,
-                               label_str=label_str)
+                               {(u, u): halg.domain.one()}, self._product,
+                               label_str=label_str, sides=sides)
+        index = self.algebra.index
+        self._eps_rest = {index[g, u]: tuple(
+            (index[g, l], c) for l, c in dalg._unit_terms.items() if l != u)
+            for g in halg.labels}
         self._cross = {}     # h label -> {dual label -> {pair: Scalar}}
-        self._counit = self._eps_rest = None   # _counit_basis()
 
     @property
     def domain(self):
@@ -162,7 +167,8 @@ class DoubleAlgebra:
         """Straightening of f.g for every dual basis label f at once.
 
         Returns {dual label f: {pair label: Scalar}} with
-        f . g = sum over pairs of coeff * (pair).
+        f . g = sum over pairs of coeff * (pair), f and the pairs' second
+        legs in the monomial basis of H*.
         """
         hit = self._cross.get(g)
         if hit is not None:
@@ -190,8 +196,9 @@ class DoubleAlgebra:
 
     def _straightened(self, g1, f1, g2, j2):
         """(g1 f1)(g2 f2) = sum c (g1 v)(k f2) over f1 . g2 = sum c v k
-        (_cross_for), as {(H index, H* index): Scalar}, for f2 the H*
-        basis element of index j2, or the unit eps of H* if j2 is None."""
+        (_cross_for), as {(H index, H* index): Scalar} in the pair basis,
+        for f2 the H* basis element of index j2, or the unit eps of H* if
+        j2 is None."""
         halg, dalg = self.h.algebra, self.dual_algebra
         hidx, didx = halg.index, dalg.index
         i1, out = hidx[g1], {}
@@ -206,40 +213,9 @@ class DoubleAlgebra:
                         accumulate(out, (gg, ff), ccg * cf)
         return out
 
-    def _pair_product(self, p1, p2):
-        (g1, f1), (g2, f2) = p1, p2
-        hlab, dlab = self.h.algebra.labels, self.dual_algebra.labels
-        return {(hlab[g], dlab[f]): c for (g, f), c in self._straightened(
-            g1, f1, g2, self.dual_algebra.index[f2]).items()}
-
-    # -- the counit basis of H* -------------------------------------------------
-    def _counit_basis(self):
-        """The double on the pairs (g, f) with f in C, where the label of
-        1^* stands for eps (see the class docstring), built on first use
-        with _eps_rest.  Both bases share the labels and so the indices."""
-        if self._counit is None:
-            halg, dalg, pairs = self.h.algebra, self.dual_algebra, self.algebra
-            (u,) = halg._unit_terms
-            eps, index = dalg._unit_terms, pairs.index
-            self._eps_rest = {index[g, u]: tuple(
-                (index[g, l], c) for l, c in eps.items() if l != u)
-                for g in halg.labels}
-            sides = None
-            if "right" not in self.convention:   # the class rule of the docstring
-                N = isqrt(halg.dim)
-                sides = tuple(zip(*(((fa + fx - gx) % N, fa) if (fa, fx) != u
-                                    else (None, None)
-                                    for (_, gx), (fa, fx) in pairs.labels)))
-            self._counit = Algebra(
-                f"{pairs.name} on C", pairs.domain, pairs.labels,
-                {(u, u): self.domain.one()}, self._counit_product,
-                sides=sides)
-        return self._counit
-
-    def _counit_product(self, p1, p2):
-        """(g1, f1)(g2, f2) in the counit basis: (g1 g2, f2) read off H's
-        row when f1 is eps, else _straightened() with each 1^* of the
-        result written in C by _eps_rest."""
+    def _product(self, p1, p2):
+        """(g1, f1)(g2, f2) in C: (g1 g2, f2) read off H's row when f1 is
+        eps, else _straightened() written in C."""
         (g1, f1), (g2, f2) = p1, p2
         halg, dalg = self.h.algebra, self.dual_algebra
         (u,) = halg._unit_terms
@@ -247,30 +223,58 @@ class DoubleAlgebra:
             hidx, hlab = halg.index, halg.labels
             return {(hlab[k], f2): c
                     for k, c in halg.row(hidx[g1], hidx[g2])}
-        labels, rest, dim = self.algebra.labels, self._eps_rest, dalg.dim
-        out = {}
-        for (g, f), c in self._straightened(
-                g1, f1, g2, None if f2 == u else dalg.index[f2]).items():
+        return self._in_c(self._straightened(
+            g1, f1, g2, None if f2 == u else dalg.index[f2]).items())
+
+    # -- the change of basis ----------------------------------------------------
+    def _in_c(self, terms) -> dict:
+        """((H index, H* index), Scalar) terms of the pair basis summed in
+        C, by label: each (g, 1^*) is (g, eps) - sum_{l != 1} eps(l)
+        (g, l^*)."""
+        labels, rest, out = self.algebra.labels, self._eps_rest, {}
+        dim = self.dual_algebra.dim
+        for (g, f), c in terms:
             p = g * dim + f
             accumulate(out, labels[p], c)
             for k, e in rest.get(p, ()):
                 accumulate(out, labels[k], -(c * e))
         return out
 
+    def in_pair_basis(self, terms: dict, n: int) -> dict:
+        """{(key, *tail): coefficient}, key n pairs of C, written in the
+        pair basis slot by slot: (g, eps), labelled (g, 1^*), is
+        (g, 1^*) + sum_{l != 1} eps(l) (g, l^*) there.  A term with no
+        (g, eps) slot passes through, its coefficient object unmultiplied;
+        zero sums go.  This is how a double element is printed."""
+        alg, rest = self.algebra, self._eps_rest
+        for s in range(n):
+            out = {}
+            for k, c in terms.items():
+                accumulate(out, k, c)
+                key = k[0]
+                for p, e in rest.get(alg.index[key[s]], ()):
+                    accumulate(out, ((*key[:s], alg.labels[p], *key[s + 1:]),
+                                     *k[1:]), c * e)
+            terms = out
+        return terms
+
     # -- embeddings -------------------------------------------------------------
     def embed_h(self, x) -> AlgebraElement:
-        """H -> D, g |-> g * 1_{H*}."""
+        """H -> D, g |-> g eps, the one pair (g, eps)."""
         if not isinstance(x, AlgebraElement):
             x = self.h.algebra.basis(x)
-        return self.algebra.element(
-            _pair_terms(x.terms, self.dual_algebra._unit_terms))
+        (u,) = self.h.algebra._unit_terms
+        return self.algebra.element({(g, u): c for g, c in x.terms.items()})
 
     def embed_dual(self, x) -> AlgebraElement:
-        """H* -> D, f |-> 1_H * f."""
+        """H* -> D, f |-> 1 f, with 1^* written as eps - sum_{m != 0}
+        (a^m)^*."""
         if not isinstance(x, AlgebraElement):
             x = self.dual_algebra.basis(x)
-        return self.algebra.element(
-            _pair_terms(self.h.algebra._unit_terms, x.terms))
+        halg, didx = self.h.algebra, self.dual_algebra.index
+        (u,) = halg._unit_terms
+        return self.algebra.element(self._in_c(
+            ((halg.index[u], didx[f]), c) for f, c in x.terms.items()))
 
     def __repr__(self):
         return f"DoubleAlgebra({self.algebra.name}, dim={self.algebra.dim})"
@@ -290,7 +294,7 @@ class CanonicalR(namedtuple("CanonicalR", "double factors")):
     __slots__ = ()
 
     def tensor(self) -> TensorElement:
-        """Expansion in the pair basis of D (x) D."""
+        """Expansion in D (x) D, in the counit basis of H*."""
         d = self.double
         out = {}
         for g, f in self.factors:
@@ -310,9 +314,13 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
 
     The dual basis element (a of degree p)^* again carries degree p, so the
     canonical R is diagonally graded whenever the coproduct respects the
-    grading.
+    grading.  The label (g, 1^*) stands for g eps, so eps must be
+    homogeneous: every (a^m)^* of the degree of 1^*, as by x-degree.
     """
     deg = grading_h.degree
+    if len({deg(l) for l in double.dual_algebra._unit_terms}) > 1:
+        raise ValueError("eps is not homogeneous, so the pairs (g, eps) "
+                         "have no degree")
     return Grading(double.algebra, {(g, f): _deg_add(deg(g), deg(f))
                                     for (g, f) in double.algebra.labels})
 
@@ -321,39 +329,19 @@ def double_grading(double: DoubleAlgebra, grading_h: Grading) -> Grading:
 # algebraic Yang-Baxter checks (exact expansion in D (x) D (x) D)
 # ---------------------------------------------------------------------------
 
-def _rewritten(terms: dict, rest: dict, n: int, back: bool) -> dict:
-    """{(i_1, ..., i_n, *tail): Scalar} with each i_s that is a key of rest
-    (DoubleAlgebra._eps_rest) rewritten, slot by slot: into C, (g, 1^*) =
-    (g, eps) - sum_{l != 1} eps(l) (g, l^*); back, (g, eps) = (g, 1^*) +
-    that sum.  A term with no such index passes through, its coefficient
-    object unmultiplied; zero sums go."""
-    for s in range(n):
-        out = {}
-        for k, c in terms.items():
-            accumulate(out, k, c)
-            for i, e in rest.get(k[s], ()):
-                v = c * e
-                accumulate(out, (*k[:s], i, *k[s + 1:]), v if back else -v)
-        terms = out
-    return terms
-
-
 def _algebraic_report(kind, double, blocks, parametric) -> YbeReport:
     """ybe_residual() of R(mu) = sum_e mu^e blocks[e] in D (x) D (x) D,
-    walked in the counit basis as R12 (R13 R23) and (R23 R13) R12 and
-    reported in the pair basis, by label triple (ties to the first by
-    repr)."""
-    alg, pairs = double._counit_basis(), double.algebra
-    index, labels, rest = pairs.index, pairs.labels, double._eps_rest
+    walked as R12 (R13 R23) and (R23 R13) R12 and reported in the pair
+    basis, by label triple (ties to the first by repr)."""
+    alg = double.algebra
+    index, labels = alg.index, alg.labels
     res = ybe_residual(alg, {
-        e: _rewritten({(index[a], index[b]): c
-                       for (a, b), c in t.terms.items()}, rest, 2, False)
+        e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
         for e, t in blocks.items()}, parametric, ((0, (1, 2)), ((2, 1), 0)))
-    return residual_report(kind, alg.dim, {
+    return residual_report(kind, alg.dim, double.in_pair_basis({
         ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
-        for (i0, i1, i2, e_mu, e_nu), c in _rewritten(
-            res, rest, 3, True).items()},
-        lambda key: f"[{' (x) '.join(map(pairs.label_str, key))}]", repr)
+        for (i0, i1, i2, e_mu, e_nu), c in res.items()}, 3),
+        lambda key: f"[{' (x) '.join(map(alg.label_str, key))}]", repr)
 
 
 def check_constant_ybe_algebraic(double: DoubleAlgebra, r: TensorElement) -> YbeReport:

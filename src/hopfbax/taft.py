@@ -129,7 +129,8 @@ class RepresentationError(ValueError):
 
 
 class Representation:
-    """A module of D(T_N): {(row, col): Scalar} images of H, H* and pairs."""
+    """A module of D(T_N): {(row, col): Scalar} images of H, H* and the
+    pairs of the double, read in the counit basis of H*."""
 
     def __init__(self, double: DoubleAlgebra, dim: int, h_images, dual_images,
                  name: str):
@@ -139,6 +140,7 @@ class Representation:
         self._h = h_images          # (i, j) -> {(row, col): Scalar}
         self._dual = dual_images    # (m, j) -> {(row, col): Scalar}
         self._pair = {}
+        (self._eps,) = double.h.algebra._unit_terms
 
     @property
     def domain(self):
@@ -151,9 +153,12 @@ class Representation:
         return self._dual[label]
 
     def pair_image(self, pair) -> dict:
+        """pi(g f) for the pair (g, f) of the double: the label of 1^*
+        stands for eps, and pi(eps) = I (see _dual_images)."""
         if pair not in self._pair:
             g, f = pair
-            self._pair[pair] = matmul_entries(self._h[g], self._dual[f])
+            self._pair[pair] = self._h[g] if f == self._eps else \
+                matmul_entries(self._h[g], self._dual[f])
         return self._pair[pair]
 
     def tensor_image(self, te) -> ParametricMatrix:
@@ -173,14 +178,13 @@ class Representation:
                                 laurent_by_key(entries))
 
 
-def _first_break(rep: Representation, left, right, rows):
-    """The first (x, y) of the (x, y, terms) rows with pi(x) pi(y) !=
-    sum c * pi(z) over the (double label z, Scalar c) pairs terms, or None;
-    `left` and `right` are pi on x and y."""
+def _first_break(left, right, image, rows):
+    """The first (x, y) of the (x, y, terms) rows with left(x) right(y) !=
+    sum c * image(z) over the (z, Scalar c) pairs terms, or None."""
     for x, y, terms in rows:
         want = {}
         for z, c in terms:
-            for k, v in rep.pair_image(z).items():
+            for k, v in image(z).items():
                 accumulate(want, k, v * c)
         if matmul_entries(left(x), right(y)) != want:
             return x, y
@@ -195,7 +199,8 @@ def check_double_multiplicative(rep: Representation, pairs=None) -> bool:
         pairs = ((u, v) for u in labels for v in labels)
     rows = ((u, v, ((labels[k], c) for k, c in alg.row(index[u], index[v])))
             for u, v in pairs)
-    return _first_break(rep, rep.pair_image, rep.pair_image, rows) is None
+    image = rep.pair_image
+    return _first_break(image, image, image, rows) is None
 
 
 def _dual_images(h: HopfAlgebra, q: Scalar, n: int, l: int) -> dict:
@@ -270,7 +275,8 @@ def rep_irreducible(double: DoubleAlgebra, n: int, l: int) -> Representation:
                    for k in range(1, n)}, l)
     dalg = double.dual_algebra
     broken = _first_break(
-        rep, rep.dual_image, rep.h_image,
+        rep.dual_image, rep.h_image,    # pi(v) pi(k^*) for f.g's terms (v, k)
+        lambda z: matmul_entries(rep.h_image(z[0]), rep.dual_image(z[1])),
         ((f, g, double._cross_for(g)[f].items())
          for g in ((0, 1), (1, 0)) for f in dalg.labels))    # x, then a
     if broken is not None:

@@ -1,6 +1,3 @@
-import argparse
-import contextlib
-import io
 import json
 import os
 import pathlib
@@ -10,12 +7,10 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hopfbax import SQRT_Q, ParametricMatrix, parse_param_scalar, spin_half, \
     uqsl2_r_matrix
-from hopfbax.cli import _build_parser, main
+from hopfbax.cli import main
 from hopfbax.matrices import MAX_DIM
 from hopfbax.regressions import reference_spin_half, reference_taft_9x9
 
@@ -340,41 +335,6 @@ def test_json_parses_a_repeated_string_once_and_refuses_as_before(
         assert err == f"error: cannot load matrix: {alone.value}\n"
 
 
-# what run_verify turns into exit 2 when a matrix file does not load
-_LOAD_ERRORS = (OSError, ValueError, LookupError, TypeError, ArithmeticError,
-                RecursionError)
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.floats(allow_nan=False)
-    | st.integers(min_value=-10 ** 30, max_value=10 ** 30) | st.text(max_size=8)
-    | st.sampled_from(("rational", "sqrt_q", "cyclotomic(4)", "cyclotomic(1000)",
-                       "cyclotomic(1001)", "cyclotomic(0)", "cyclotomic(-3)",
-                       "cyclotomic(99999999)", "cyclotomic(x)", "q", "1/0",
-                       "s^-2 + mu", "(1+mu)^3", "(1+mu+nu)^1000")),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
-    max_leaves=6)
-
-_indices = st.integers(min_value=-2, max_value=6) | _json_values
-
-_matrix_objects = st.fixed_dictionaries(
-    {"dim": st.integers(min_value=-5, max_value=5000) | _json_values,
-     "domain": _json_values,
-     "entries": st.lists(st.fixed_dictionaries(
-         {"row": _indices, "col": _indices, "value": _json_values}),
-         max_size=4) | _json_values})
-
-
-@settings(max_examples=200, deadline=1000)
-@given(_matrix_objects | _json_values)
-def test_json_loader_fuzz_gives_a_matrix_or_a_load_error(obj):
-    try:
-        m = ParametricMatrix.from_json(json.dumps(obj))
-    except _LOAD_ERRORS:
-        return
-    assert isinstance(m, ParametricMatrix) and 1 <= m.dim <= MAX_DIM
-
-
 # ---------------------------------------------------------------------------
 # exit codes and argument validation
 # ---------------------------------------------------------------------------
@@ -440,81 +400,6 @@ def test_rep_out_of_range_is_refused_once_by_the_library(capsys, rep, n):
     code, out, err = run_cli(capsys, "taft", "--N", "2", "--rep", rep)
     assert code == 2 and out == ""
     assert err == f"error: need 1 <= n, l <= N (got n={n}, l=1, N=2)\n"
-
-
-# values for every option of every subcommand, valid and invalid.  Every
-# valid size (--N, --rep, --l, --spin) is at most 3, so a draw that runs
-# takes at most about 0.05 s, and all-regressions, which takes no size,
-# about 0.5 s.  <good>, <failing>, <missing>, <malformed> and <out> stand
-# for files that the test makes
-_SCALAR_ARGS = ["q", "q^2", "-q", "2", "1/2", "q^-1", "1/(2*q)", "(q", "q +",
-                "1/0", "s", "mu", "(1+q)^2", "q^1001", "x", ""]
-_OPTION_VALUES = {
-    "--N": ["-1", "0", "1", "2", "3", "9", "x"],
-    "--q": _SCALAR_ARGS, "--indecomposable": _SCALAR_ARGS,
-    "--rep": ["1,1", "2,1", "3,2", "3", "0,1", "9,9", "x,1"],
-    "--l": ["0", "1", "2", "3", "9", "x"],
-    "--spin": ["1/2", "1", "2", "x"],
-    "--format": ["json", "latex", "text", "yaml"],
-    "--input": ["<good>", "<failing>", "<missing>", "<malformed>"],
-    "--kind": ["auto", "constant", "parametric", "braid", "bogus"],
-    "--output": ["<out>"],
-}
-
-
-def _argv_lists():
-    """[subcommand, options...]: each option of the subcommand, found on
-    the CLI's own parser, left out (an optional one half the time) or given
-    a value from _OPTION_VALUES (a new option needs its values there), and
-    now and then a stray option."""
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-
-    def option(action):
-        flag = action.option_strings[-1]
-        if action.nargs == 0:
-            return st.sampled_from(([], [flag]))
-        values = st.sampled_from(_OPTION_VALUES[flag] + [None])
-        if not action.required:
-            values = st.none() | values
-        return values.map(lambda v: [] if v is None else [flag, v])
-
-    def argv(command):
-        options = [a for a in sub.choices[command]._actions
-                   if a.option_strings and a.dest != "help"]
-        return st.tuples(*map(option, options),
-                         st.sampled_from([[]] * 5 + [["--bogus"]])).map(
-            lambda parts: [command] + [x for part in parts for x in part])
-
-    return st.sampled_from(sorted(sub.choices)).flatmap(argv)
-
-
-@pytest.fixture(scope="module")
-def cli_files(tmp_path_factory):
-    base = tmp_path_factory.mktemp("cli")
-    failing = ParametricMatrix.from_json(pathlib.Path(_R_JSON).read_text())
-    failing.set(0, 0, failing.get(0, 0) * 2)
-    (base / "failing.json").write_text(failing.to_json())
-    (base / "malformed.json").write_text('{"dim": 4, "entries": [')
-    return {"<good>": _R_JSON, "<failing>": str(base / "failing.json"),
-            "<missing>": str(base / "missing.json"),
-            "<malformed>": str(base / "malformed.json"),
-            "<out>": str(base / "out" / "matrix.txt")}
-
-
-@settings(max_examples=80, deadline=None)
-@given(_argv_lists())
-def test_every_argv_exits_0_1_or_2(cli_files, argv):
-    # the exit-code contract: 0 pass, 1 a verification failed, 2 a usage
-    # error, which prints "error:", and never a traceback
-    argv = [cli_files.get(x, x) for x in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
-    if "error:" in err.getvalue():
-        assert code == 2, argv
 
 
 def test_python_dash_m_runs_the_cli():

@@ -23,13 +23,15 @@ from hopfbax import (
 from hopfbax import hopf
 from hopfbax.algebra import associativity_violations, unit_violations
 from hopfbax.baxterize import baxterize, decompose_graded, mu_components
-from hopfbax.double import _rewritten
 from hopfbax.regressions import criterion_8
 from hopfbax.scalars import Domain, Scalar, accumulate, laurent_by_key
-from hopfbax.taft import _primitive_roots, canonical_r_mu
-from hopfbax.ybe import YbeReport, residual_report, ybe_residual
+from hopfbax.taft import _primitive_roots, a_degree_grading, canonical_r_mu
+from hopfbax.ybe import YbeReport, ybe_residual
 
+from reference_double import in_c, in_pairs, pair_basis, pair_r, tensor_in_c
 from reference_ybe import reference_residual
+
+_UNIT = (0, 0)     # the label of 1 = a^0 x^0 in T_N, and of eps in C
 
 
 def test_double_dimension_and_labels(double2, taft2):
@@ -58,9 +60,10 @@ def test_embeddings_are_algebra_maps(double2, taft2):
 
 
 def test_pair_label_is_h_times_dual(double2):
-    alg = double2.algebra
+    # the label (g, 1^*) stands for g eps in the counit basis of H*
+    alg, eps = double2.algebra, double2.dual_algebra.unit()
     for (g, f) in alg.labels:
-        prod = double2.embed_h(g) * double2.embed_dual(f)
+        prod = double2.embed_h(g) * double2.embed_dual(eps if f == _UNIT else f)
         assert prod == alg.basis((g, f))
 
 
@@ -94,9 +97,8 @@ def test_canonical_r_satisfies_constant_ybe(double2):
 
 def test_perturbed_r_fails_constant_ybe(double2):
     t = canonical_r(double2).tensor()
-    alg = double2.algebra
-    extra = TensorElement.of(alg.basis(((1, 0), (0, 0))),
-                             alg.basis(((0, 1), (0, 0))))
+    extra = tensor_in_c(double2, {(((1, 0), (0, 0)), ((0, 1), (0, 0))):
+                                  double2.domain.one()})
     report = check_constant_ybe_algebraic(double2, t + extra)
     assert not report.passed
     assert report.residual_terms > 0
@@ -114,8 +116,8 @@ def test_baxterized_r_satisfies_parametric_ybe(double2, taft2):
 
 # the residual reports of perturbed families, frozen from the check that
 # multiplied Laurent-polynomial coefficients: (N, index of the perturbed key
-# among the repr-sorted keys of the mu^1 block, the block it is added to,
-# residual terms, worst entry)
+# among the repr-sorted keys of the mu^1 block in the pair basis, the block
+# it is added to, residual terms, worst entry)
 _PERTURBED_FAMILIES = [
     (2, 0, 1, 8, "[x.(e)* (x) e.(a)* (x) e.(ax)*]: -1*mu*nu"),
     (3, 3, 1, 92, "[x.(e)* (x) x^2.(x)* (x) e.(x^2)*]: mu*nu^2"),
@@ -130,12 +132,12 @@ def test_perturbed_family_keeps_its_worst_entry(n, pick, block, terms, worst):
     # that one key carries 1 + mu: the regrouped residual names the same
     # worst entry as the Laurent-coefficient residual did
     d = build_double(build_taft(n))
-    r_mu = canonical_r_mu(d)
-    key = sorted(r_mu[1].terms, key=repr)[pick]
-    c = r_mu[1].terms[key]
-    bad = dict(r_mu)
-    bad[block] = r_mu[block] + TensorElement(r_mu[1].algebras, {key: c})
-    report = check_parametric_ybe_algebraic(d, bad)
+    spelled = {e: in_pairs(d, t.terms) for e, t in canonical_r_mu(d).items()}
+    key = sorted(spelled[1], key=repr)[pick]
+    bad = {e: dict(t) for e, t in spelled.items()}
+    accumulate(bad[block], key, spelled[1][key])
+    report = check_parametric_ybe_algebraic(
+        d, {e: tensor_in_c(d, t) for e, t in bad.items()})
     assert not report.passed
     assert (report.residual_terms, report.worst) == (terms, worst)
 
@@ -159,6 +161,13 @@ def test_double_grading_adds_leg_degrees(double3, taft3):
     assert g.degree(((1, 2), (0, 1))) == 3
     assert g.degree(((2, 0), (1, 0))) == 0
     assert g.is_nontrivial()
+
+
+def test_double_grading_refuses_a_grading_that_splits_eps(double3, taft3):
+    # the label (g, 1^*) stands for g eps, and eps = sum_m (a^m)^* has no
+    # a-degree
+    with pytest.raises(ValueError, match="eps is not homogeneous"):
+        double_grading(double3, a_degree_grading(taft3))
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +250,21 @@ def test_straightening_matches_the_element_sandwich(n, conventions):
 
 
 # ---------------------------------------------------------------------------
-# the counit basis of H*, in which the algebraic checks walk
+# the counit basis of H*, the one basis of the double, against the pair
+# basis of H (x) H* (reference_double)
 # ---------------------------------------------------------------------------
-
-_UNIT = (0, 0)     # the label of 1 = a^0 x^0 in T_N, and of eps in C
-
-
-def test_pair_basis_declares_no_classes(taft3):
-    # the class rule is declared once, on the counit basis the walk reads;
-    # the pair basis puts every index in one class under every convention
-    for conv in CONVENTIONS:
-        alg = build_double(taft3, conv).algebra
-        assert alg.sides == ((0,) * alg.dim,) * 2, conv
-
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_double_sides_match_their_rows(n):
-    # under the conventions that twist h_(1), the counit basis declares the
-    # class rule proved in DoubleAlgebra's docstring, with the pairs
-    # (g, eps) of class None, so the walk pairs only keys that can meet:
-    # every cell where both classes are declared and differ is empty; the
-    # other four conventions break the rule and keep the single class
+    # under the conventions that twist h_(1), the double declares the class
+    # rule proved in DoubleAlgebra's docstring, with the pairs (g, eps) of
+    # class None, so the walk pairs only keys that can meet: every cell
+    # where both classes are declared and differ is empty; the other four
+    # conventions break the rule and keep the single class
     for q in _primitive_roots(n):
         h = build_taft(n, q)
         for conv in CONVENTIONS:
-            alg = build_double(h, conv)._counit_basis()
+            alg = build_double(h, conv).algebra
             left, right = alg.sides
             if "right" in conv:
                 assert alg.sides == ((0,) * alg.dim,) * 2, conv
@@ -281,33 +280,27 @@ def test_double_sides_match_their_rows(n):
                         assert not alg.row(i, j), (q, conv, i, j)
 
 
-def _in_pair_basis(pairs, terms):
-    """{(pair index,): Scalar} as an element of the double."""
-    return pairs.element({pairs.labels[i]: c for (i,), c in terms.items()})
-
-
 @pytest.mark.parametrize("n, conventions", [
     (2, CONVENTIONS), (3, CONVENTIONS), (4, (DEFAULT_CONVENTION,))])
 def test_counit_basis_cells_are_the_pair_products_written_in_c(n, conventions):
-    # (g, eps) is embedded g and every other pair of C the pair of its
-    # label; writing into C undoes writing back; every cell of the
-    # counit-basis algebra is the pair-basis product of its two elements,
-    # written in C; and every cell that the declared classes rule out
-    # (both not None, unequal) is empty, the pairs (g, eps) being of class
-    # None under the conventions that declare the rule
+    # (g, eps) is g eps in the pair basis and every other pair of C the
+    # pair of its label; writing into C undoes writing back; every cell of
+    # the double is the pair-basis product of its two elements, written in
+    # C; and every cell that the declared classes rule out (both not None,
+    # unequal) is empty, the pairs (g, eps) being of class None under the
+    # conventions that declare the rule
     for q in _primitive_roots(n) if n < 4 else (None,):
         h = build_taft(n, q)
         for conv in conventions:
             d = build_double(h, conv)
-            alg = d._counit_basis()
-            pairs, one, rest = d.algebra, d.domain.one(), d._eps_rest
-            back = [_rewritten({(i,): one}, rest, 1, True)
-                    for i in range(alg.dim)]
+            alg, pairs, one = d.algebra, pair_basis(d), d.domain.one()
+            eps = d.dual_algebra._unit_terms
+            back = [in_pairs(d, {(l,): one}) for l in alg.labels]
             for i, (g, f) in enumerate(alg.labels):
-                assert _in_pair_basis(pairs, back[i]) == (
-                    d.embed_h(g) if f == _UNIT else pairs.basis((g, f)))
-                assert _rewritten(_rewritten({(i,): one}, rest, 1, False),
-                                  rest, 1, True) == {(i,): one}
+                assert pairs.element({l: c for (l,), c in back[i].items()}) \
+                    == (pairs.element({(g, l): e for l, e in eps.items()})
+                        if f == _UNIT else pairs.basis((g, f)))
+                assert in_c(d, back[i]) == {((g, f),): one}
             left, right = alg.sides
             if "right" in conv:
                 assert alg.sides == ((0,) * alg.dim,) * 2
@@ -315,52 +308,56 @@ def test_counit_basis_cells_are_the_pair_products_written_in_c(n, conventions):
                 assert [c is None for c in left] == [
                     f == _UNIT for _, f in alg.labels] == [
                     c is None for c in right]
-            basis = range(alg.dim)
+            basis, index, labels = range(alg.dim), pairs.index, pairs.labels
             for i in basis:
                 for j in basis:
                     want = {}
                     for (a,), ca in back[i].items():
                         for (b,), cb in back[j].items():
-                            for k, ck in pairs.row(a, b):
-                                accumulate(want, (k,), ca * cb * ck)
+                            for k, ck in pairs.row(index[a], index[b]):
+                                accumulate(want, (labels[k],), ca * cb * ck)
                     cell = alg.row(i, j)
-                    assert {(k,): c for k, c in cell} == _rewritten(
-                        want, rest, 1, False), (q, conv, i, j)
+                    assert {(labels[k],): c for k, c in cell} == in_c(
+                        d, want), (q, conv, i, j)
                     assert not cell or None in (right[i], left[j]) or (
                         right[i] == left[j]), (q, conv, i, j)
 
 
 def test_counit_rewrite_touches_only_the_pairs_of_one_star(monkeypatch):
     # on D(T_3) the rewrite map has one key per pair (g, 1^*), each holding
-    # the N - 1 pairs (g, (a^m)^*), m != 0; a key with no such slot comes
-    # out of either direction as it went in, with the same coefficient
-    # object and no Scalar product; and writing into C and back, or back
-    # and into C, is the identity on every pair index
+    # the N - 1 pairs (g, (a^m)^*), m != 0; a key with no such slot is
+    # written in the pair basis as it went in, with the same coefficient
+    # object and no Scalar product; writing into C (as the cells and
+    # embed_dual do) agrees with the tests' own rewrite, and writing back
+    # and into C is the identity on every pair
     d = build_double(build_taft(3))
-    alg, dom = d._counit_basis(), d.domain
+    alg, dom = d.algebra, d.domain
     rest, index = d._eps_rest, alg.index
     assert rest == {index[g, _UNIT]: tuple(
         (index[g, (m, 0)], dom.one()) for m in (1, 2))
         for g in d.h.algebra.labels}
-    others = [i for i in range(alg.dim) if i not in rest]
+    others = [l for l in alg.labels if index[l] not in rest]
     assert len(others) == alg.dim - 9
     products = []
     mul = Scalar.__mul__
     monkeypatch.setattr(Scalar, "__mul__",
                         lambda a, b: products.append(1) or mul(a, b))
     coefficients = (dom.one(), dom.q(), -dom.one())
-    for n, (i, j) in enumerate(iproduct(others, repeat=2)):
+    for n, key in enumerate(iproduct(others, repeat=2)):
         c = coefficients[n % 3]
-        for back in (False, True):
-            got = _rewritten({(i, j, 5, 0): c}, rest, 2, back)
-            assert got == {(i, j, 5, 0): c} and got[i, j, 5, 0] is c
+        got = d.in_pair_basis({(key, 5, 0): c}, 2)
+        assert got == {(key, 5, 0): c} and got[key, 5, 0] is c
     assert not products
+    monkeypatch.undo()
     one = dom.one()
-    for i in range(alg.dim):
-        for back in (False, True):
-            there = _rewritten({(i,): one}, rest, 1, back)
-            assert len(there) == (3 if i in rest else 1)
-            assert _rewritten(there, rest, 1, not back) == {(i,): one}, i
+    for l in alg.labels:
+        there = in_pairs(d, {(l,): one})
+        assert len(there) == (3 if index[l] in rest else 1)
+        assert in_c(d, there) == {(l,): one}, l
+        g, f = l
+        assert d._in_c([((d.h.algebra.index[g], d.dual_algebra.index[f]),
+                         one)]) == {k: c for (k,), c in in_c(
+            d, {(l,): one}).items()}, l
 
 
 def test_counit_cells_by_eps_take_no_product_by_one(monkeypatch):
@@ -368,7 +365,7 @@ def test_counit_cells_by_eps_take_no_product_by_one(monkeypatch):
     # basis, _straightened multiplies each term of f1 . g2 by H's row
     # constants only, and never by a 1 the domain hands out for eps
     d = build_double(build_taft(3))
-    alg, halg = d._counit_basis(), d.h.algebra
+    alg, halg = d.algebra, d.h.algebra
     for g in halg.labels:
         d._cross_for(g)
     for i, j in iproduct(range(halg.dim), repeat=2):
@@ -401,39 +398,94 @@ def test_canonical_r_in_the_counit_basis():
     # has N^3; D's unit is the one pair (1, eps)
     for n in range(2, 9):
         d = build_double(build_taft(n))
-        alg = d._counit_basis()
-        one, index, rest = d.domain.one(), alg.index, d._eps_rest
-        assert isinstance(alg, Algebra) and len(rest) == n * n
+        alg, one = d.algebra, d.domain.one()
+        assert isinstance(alg, Algebra) and len(d._eps_rest) == n * n
         r = canonical_r(d).tensor()
-        assert len(r.terms) == n ** 3
-        got = _rewritten({(index[a], index[b]): c
-                          for (a, b), c in r.terms.items()}, rest, 2, False)
-        unit = index[_UNIT, _UNIT]
-        want = {(index[b, _UNIT], index[_UNIT, b]): one
+        unit = (_UNIT, _UNIT)
+        want = {((b, _UNIT), (_UNIT, b)): one
                 for b in d.h.algebra.labels if b != _UNIT}
         want[unit, unit] = one
         for m in range(1, n):
-            want[unit, index[_UNIT, (m, 0)]] = -one
-        assert got == want and len(got) == n * n + n - 1, n
-        assert alg._unit_terms == {(_UNIT, _UNIT): one}
+            want[unit, (_UNIT, (m, 0))] = -one
+        assert r.terms == want and len(r.terms) == n * n + n - 1, n
+        assert in_pairs(d, r.terms) == pair_r(d) and len(pair_r(d)) == n ** 3
+        assert alg._unit_terms == {unit: one}
 
 
-def _pair_basis_report(kind, double, blocks, parametric) -> YbeReport:
-    """The report of the walk in the pair basis (g, f), f in the monomial
-    dual basis, as the algebraic checks made it before they walked in
-    the counit basis: the reference of the one they make now."""
-    alg = double.algebra
-    index, labels = alg.index, alg.labels
-    res = ybe_residual(alg, {
-        e: {(index[a], index[b]): c for (a, b), c in t.terms.items()}
-        for e, t in blocks.items()}, parametric)
-    return residual_report(kind, alg.dim, {
-        ((labels[i0], labels[i1], labels[i2]), e_mu, e_nu): c
-        for (i0, i1, i2, e_mu, e_nu), c in res.items()},
-        lambda key: f"[{' (x) '.join(map(alg.label_str, key))}]", repr)
+def _doubled(d, key):
+    """The canonical R of d with its pair-basis term at key doubled, written
+    in C."""
+    r = pair_r(d)
+    return tensor_in_c(d, {**r, key: r[key] * 2})
 
 
-def _counit_basis_inputs():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_doubling_any_term_of_r_in_c_fails_the_constant_check(n):
+    # the failing controls of perfbench's double_ybe and of criterion 12
+    # double one term of R in C: each of its N^2 + N - 1 terms will do
+    for q in _primitive_roots(n) if n < 4 else (None,):
+        d = build_double(build_taft(n, q))
+        r = canonical_r(d).tensor()
+        assert len(r.terms) == n * n + n - 1
+        for key, c in r.terms.items():
+            bad = TensorElement(r.algebras, {**r.terms, key: c * 2})
+            assert not check_constant_ybe_algebraic(d, bad).passed, (q, key)
+
+
+# ---------------------------------------------------------------------------
+# the checks' reports against the residual expanded by element products in
+# the pair basis
+# ---------------------------------------------------------------------------
+
+def _worst_tensor_term(residual: dict, label_str):
+    """The entry of {label key: ParamScalar} with the most Laurent terms,
+    the first in repr order on a tie."""
+    if not residual:
+        return None
+    key = max(sorted(residual, key=repr),
+              key=lambda k: len(residual[k].terms))
+    name = " (x) ".join(label_str(l) for l in key)
+    return f"[{name}]: {residual[key]}"
+
+
+def _reference_report(kind, double, f12, f13, f23) -> YbeReport:
+    """The report of the residual R12 R13 R23 - R23 R13 R12 expanded by
+    reference_residual in the pair basis, each family written there from
+    C, over label keys."""
+    pairs = pair_basis(double)
+
+    def spelled(family):
+        return {e: TensorElement((pairs, pairs), in_pairs(double, t.terms))
+                for e, t in family.items()}
+
+    residual = reference_residual(
+        pairs, [(spelled(f12), (0, 1)), (spelled(f13), (0, 2)),
+                (spelled(f23), (1, 2))], (((0, 1), 2), ((2, 1), 0)))
+    by_key = laurent_by_key(residual)
+    return YbeReport(kind=kind, dim=pairs.dim, passed=not residual,
+                     residual_terms=len(by_key),
+                     worst=_worst_tensor_term(by_key, pairs.label_str))
+
+
+def _reports(d, r):
+    """(check, reference) reports: the constant check for a TensorElement
+    r, the parametric check for a family {e: R_e}."""
+    if isinstance(r, TensorElement):
+        family = {(0, 0): r}
+        return (check_constant_ybe_algebraic(d, r), _reference_report(
+            "constant-algebraic", d, family, family, family))
+    blocks = mu_components(r)
+    return (check_parametric_ybe_algebraic(d, r), _reference_report(
+        "parametric-algebraic", d, {(e, 0): t for e, t in blocks.items()},
+        {(e, e): t for e, t in blocks.items()},
+        {(0, e): t for e, t in blocks.items()}))
+
+
+def _inputs():
+    """(name, double, R or family in C): canonical, scaled and shifted
+    inputs at every primitive q for N = 2, 3 and at q = zeta_4 for N = 4,
+    and three terms of R doubled, picked among its repr-sorted pair-basis
+    keys: the first and two at random."""
     for n in (2, 3, 4):
         for q in _primitive_roots(n) if n < 4 else (None,):
             d = build_double(build_taft(n, q))
@@ -450,111 +502,58 @@ def _counit_basis_inputs():
             yield f"top block moved up one, D(T_{n}), q = {q}", d, {
                 **{e: t for e, t in family.items() if e != top},
                 top + 1: family[top]}
-            # the first key, (1, 1*) (x) (1, 1*), has 1* in both slots
-            ordered = sorted(r.terms, key=repr)
-            for key in (ordered[0], *random.Random(n).sample(ordered, 2)):
+            for key in _picked_keys(d, n):
                 yield f"D(T_{n}) term {key} doubled, q = {q}", d, _doubled(
-                    r, key)
+                    d, key)
+
+
+def _picked_keys(d, n):
+    # the first key, (1, 1*) (x) (1, 1*), has 1* in both slots
+    ordered = sorted(pair_r(d), key=repr)
+    return list(dict.fromkeys(
+        [ordered[0], *random.Random(n).sample(ordered, 2)]))
+
+
+def _swept_inputs():
+    """(name, double, R in C): every other term of R doubled for D(T_2),
+    five at random for D(T_3), both at the canonical q, and the failing
+    left_s convention."""
     for n in (2, 3):
-        left = build_double(build_taft(n), "left_s")
-        yield f"left_s, D(T_{n})", left, canonical_r(left).tensor()
-
-
-def test_counit_basis_reports_equal_the_pair_basis_walk():
-    seen = []
-    for name, d, r in _counit_basis_inputs():
-        if isinstance(r, TensorElement):
-            got = check_constant_ybe_algebraic(d, r)
-            want = _pair_basis_report("constant-algebraic", d, {0: r}, False)
-        else:
-            got = check_parametric_ybe_algebraic(d, r)
-            want = _pair_basis_report("parametric-algebraic", d,
-                                      mu_components(r), True)
-        assert got == want, name
-        seen.append(got)
-    assert any(r.passed for r in seen) and any(not r.passed for r in seen)
-    assert any(r.worst and r.worst.count("mu") > 1 for r in seen)
-
-
-# ---------------------------------------------------------------------------
-# the index-space walk against the block-pair engine it replaced
-# ---------------------------------------------------------------------------
-
-def _worst_tensor_term(residual: dict, label_str):
-    """The entry of {label key: ParamScalar} with the most Laurent terms,
-    the first in repr order on a tie."""
-    if not residual:
-        return None
-    key = max(sorted(residual, key=repr),
-              key=lambda k: len(residual[k].terms))
-    name = " (x) ".join(label_str(l) for l in key)
-    return f"[{name}]: {residual[key]}"
-
-
-def _reference_triple_compare(kind, double, f12, f13, f23) -> YbeReport:
-    """The report of the residual R12 R13 R23 - R23 R13 R12 expanded by
-    reference_residual, over label keys."""
-    residual = reference_residual(
-        double.algebra, [(f12, (0, 1)), (f13, (0, 2)), (f23, (1, 2))],
-        (((0, 1), 2), ((2, 1), 0)))
-    by_key = laurent_by_key(residual)
-    return YbeReport(kind=kind, dim=double.algebra.dim, passed=not residual,
-                     residual_terms=len(by_key),
-                     worst=_worst_tensor_term(by_key, double.algebra.label_str))
-
-
-def _reports(d, r):
-    """(engine, reference) reports: the constant check for a TensorElement
-    r, the parametric check for a family {e: R_e}."""
-    if isinstance(r, TensorElement):
-        family = {(0, 0): r}
-        return (check_constant_ybe_algebraic(d, r), _reference_triple_compare(
-            "constant-algebraic", d, family, family, family))
-    blocks = mu_components(r)
-    return (check_parametric_ybe_algebraic(d, r), _reference_triple_compare(
-        "parametric-algebraic", d, {(e, 0): t for e, t in blocks.items()},
-        {(e, e): t for e, t in blocks.items()},
-        {(0, e): t for e, t in blocks.items()}))
-
-
-def _doubled(r, key):
-    return TensorElement(r.algebras, {**r.terms, key: r.terms[key] * 2})
-
-
-def _engine_inputs():
-    doubles = {n: build_double(build_taft(n)) for n in (2, 3, 4)}
-    for n, d in doubles.items():
-        yield f"canonical R, D(T_{n})", d, canonical_r(d).tensor()
-        yield f"canonical family, D(T_{n})", d, canonical_r_mu(d)
-    for n, keys in ((2, None), (3, 5)):
-        d = doubles[n]
-        r = canonical_r(d).tensor()
-        ordered = sorted(r.terms, key=repr)
-        if keys is not None:
-            ordered = random.Random(n).sample(ordered, keys)
-        for key in ordered:
-            yield f"D(T_{n}) term {key} doubled", d, _doubled(r, key)
+        d = build_double(build_taft(n))
+        picked = _picked_keys(d, n)
+        ordered = sorted(pair_r(d), key=repr)
+        keys = ordered if n == 2 else random.Random(n).sample(ordered, 5)
+        for key in dict.fromkeys(keys):
+            if key not in picked:
+                yield f"D(T_{n}) term {key} doubled", d, _doubled(d, key)
     for n in (2, 3):
         # left_s declares sides, and its canonical R fails the YBE
         left = build_double(build_taft(n), "left_s")
         yield f"left_s, D(T_{n})", left, canonical_r(left).tensor()
-    family = canonical_r_mu(doubles[3])
-    yield "block 1 scaled by 2, D(T_3)", doubles[3], {
-        **family, 1: family[1].scaled(family[1].algebras[0].domain.one() * 2)}
-    top = max(family)
-    yield "top block moved up one, D(T_3)", doubles[3], {
-        **{e: t for e, t in family.items() if e != top}, top + 1: family[top]}
 
 
-def test_walk_reports_equal_the_block_pair_engine():
+def _assert_reports_equal(inputs):
     seen = []
-    for name, d, r in _engine_inputs():
+    for name, d, r in inputs:
         got, expect = _reports(d, r)
         assert got == expect, name
         seen.append(got)
+    return seen
+
+
+def test_counit_basis_reports_equal_the_pair_basis_walk():
+    seen = _assert_reports_equal(_inputs())
     # the inputs reach both verdicts, and Laurent residuals of several terms
     assert any(r.passed for r in seen) and any(not r.passed for r in seen)
     assert any(r.worst and r.worst.count("mu") > 1 for r in seen)
+
+
+def test_walk_reports_equal_the_block_pair_engine():
+    # the sweep over single doubled terms, and left_s, whose declared sides
+    # differ from the default convention's
+    seen = _assert_reports_equal(_swept_inputs())
+    assert not any(r.passed for r in seen)
+    assert any(r.dim == 16 for r in seen) and any(r.dim == 81 for r in seen)
 
 
 def _failing_controls():
@@ -562,21 +561,20 @@ def _failing_controls():
     doubled canonical term, a scaled parametric block, and left_s."""
     d, left = (build_double(build_taft(3), conv)
                for conv in (DEFAULT_CONVENTION, "left_s"))
-    r, family = canonical_r(d).tensor(), canonical_r_mu(d)
-    return [(d, _doubled(r, min(r.terms))),
+    family = canonical_r_mu(d)
+    return [(d, _doubled(d, min(pair_r(d)))),
             (d, {**family, 1: family[1].scaled(d.domain.one() * 2)}),
             (left, canonical_r(left).tensor())]
 
 
-def _counit_blocks(double, r):
-    """(the counit basis, blocks in it over basis numbers, parametric) for
-    R or a family, as the algebraic checks hand them to ybe_residual."""
+def _blocks(double, r):
+    """(the double's algebra, blocks over basis numbers, parametric) for R
+    or a family, as the algebraic checks hand them to ybe_residual."""
     parametric = not isinstance(r, TensorElement)
-    alg, index = double._counit_basis(), double.algebra.index
+    alg = double.algebra
     blocks = mu_components(r) if parametric else {0: r}
-    return alg, {e: _rewritten({(index[a], index[b]): c
-                                for (a, b), c in t.terms.items()},
-                               double._eps_rest, 2, False)
+    return alg, {e: {(alg.index[a], alg.index[b]): c
+                     for (a, b), c in t.terms.items()}
                  for e, t in blocks.items()}, parametric
 
 
@@ -586,8 +584,8 @@ def test_declared_sides_leave_the_residual_as_one_class_does():
     # empty, so on failing inputs the walk gives, key for key, the residual
     # of a walk that puts every basis index in one class
     for double, r in _failing_controls():
-        alg, keyed, parametric = _counit_blocks(double, r)
-        blind = build_double(double.h, double.convention)._counit_basis()
+        alg, keyed, parametric = _blocks(double, r)
+        blind = build_double(double.h, double.convention).algebra
         blind.sides = ((0,) * blind.dim,) * 2
         got = ybe_residual(alg, keyed, parametric)
         assert got, (double.convention, parametric)
@@ -608,7 +606,7 @@ def test_double_brackets_give_equal_residuals_and_reports(monkeypatch):
     controls = _failing_controls()
     walked = [texts(*control) for control in controls]
     for double, r in controls:
-        alg, keyed, parametric = _counit_blocks(double, r)
+        alg, keyed, parametric = _blocks(double, r)
         got = [ybe_residual(alg, keyed, parametric, sides)
                for sides in ((((0, 1), 2), ((2, 1), 0)),
                              ((0, (1, 2)), ((2, 1), 0)))]
@@ -621,11 +619,11 @@ def test_double_brackets_give_equal_residuals_and_reports(monkeypatch):
 
 
 def test_warm_and_cold_doubles_give_identical_reports():
-    # the warm double's row table in the counit basis, where the checks
-    # walk, and so its shared constants, is filled before any check's memo
-    # exists; the cold double fills it while walking
+    # the warm double's row table, and so its shared constants, is filled
+    # before any check's memo exists; the cold double fills it while
+    # walking
     warm, cold = (build_double(build_taft(3)) for _ in range(2))
-    table = warm._counit_basis()
+    table = warm.algebra
     basis = range(table.dim)
     for i in basis:
         for j in basis:
@@ -637,7 +635,7 @@ def test_warm_and_cold_doubles_give_identical_reports():
         reports.append([report.to_dict() for report in (
             check_constant_ybe_algebraic(d, r),
             check_parametric_ybe_algebraic(d, family),
-            check_constant_ybe_algebraic(d, _doubled(r, min(r.terms))),
+            check_constant_ybe_algebraic(d, _doubled(d, min(pair_r(d)))),
             check_parametric_ybe_algebraic(d, {
                 **family, 1: family[1].scaled(d.domain.one() * 2)}))])
     assert reports[0] == reports[1]

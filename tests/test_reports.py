@@ -25,6 +25,8 @@ from hopfbax import (
     x_degree_grading,
 )
 
+from reference_double import pair_r, tensor_in_c
+
 _MATRIX_FAIL = {
     "constant": (2, "(2,5): (-2 + 4*s^4 - 2*s^8)/(s^5)"),
     "parametric": (2, "(2,5): ((-2 + 4*s^4 - 2*s^8)/(s^5))*mu*nu"),
@@ -86,9 +88,10 @@ def test_report_texts_are_frozen():
 
     d = build_double(build_taft(2))
     r = canonical_r(d).tensor()
-    key = sorted(r.terms, key=repr)[0]
-    bad_r = TensorElement((d.algebra, d.algebra),
-                          {**r.terms, key: r.terms[key] + r.terms[key]})
+    # the first term of R in the pair basis doubled, written in C
+    pairs = pair_r(d)
+    key = sorted(pairs, key=repr)[0]
+    bad_r = tensor_in_c(d, {**pairs, key: pairs[key] + pairs[key]})
     grading = double_grading(d, x_degree_grading(d.h))
     for element, failing in ((r, False), (bad_r, True)):
         r_mu = baxterize(decompose_graded(element, grading, grading))

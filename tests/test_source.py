@@ -2,6 +2,8 @@
 example and on the package names the benchmark's tracer wraps."""
 
 import ast
+import collections
+import importlib
 import importlib.util
 import json
 import os
@@ -44,6 +46,49 @@ def test_readme_python_api_block_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert check_parametric_ybe(namespace["r"]).passed
+
+
+def _referenced(node) -> list:
+    """Every name that node's code reads or calls, bare or as an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _uncalled_names(readme: str) -> set:
+    """The last dotted part of each `name` in README's lists of public names
+    that no program path calls (a call's arguments dropped)."""
+    text = readme.split("\nThese names are public too", 1)[1].split(
+        "\n`uqsl2.spin_rep(two_j)`", 1)[0]
+    return {m.split("(")[0].split(".")[-1]
+            for m in re.findall(r"`([^`]+)`", text)}
+
+
+def test_every_function_has_a_caller_or_a_listed_reason():
+    # the public surface cannot grow back unnoticed: each top-level
+    # function and non-dunder method of src/hopfbax is named by code in
+    # src/hopfbax outside its own body (__init__'s re-exports aside),
+    # overrides a method of a base class, or is in README's lists of
+    # public names that no program path calls, each with its reason
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    named = collections.Counter(n for t in trees.values() for n in _referenced(t))
+    listed = _uncalled_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    orphans = []
+    for module, tree in trees.items():
+        defs = [(None, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        defs += [(c, f) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)
+                 and not (f.name.startswith("__") and f.name.endswith("__"))]
+        for cls, f in defs:
+            if named[f.name] > _referenced(f).count(f.name) or f.name in listed:
+                continue
+            if cls is not None:
+                owner = getattr(importlib.import_module(f"hopfbax.{module}"),
+                                cls.name)
+                if any(f.name in vars(b) for b in owner.__mro__[1:]):
+                    continue
+            orphans.append(f"{module}.{cls.name + '.' if cls else ''}{f.name}")
+    assert orphans == []
 
 
 def test_readme_scripts_block_names_every_script():
